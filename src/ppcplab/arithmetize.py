@@ -8,13 +8,15 @@ boolean-cube totals witness satisfiability and assignment weight:
   * ``mle_eval``              the unique multilinear extension of a boolean table,
   * ``clause_indicator_eval`` the extension of "x codes the variable at a given
                               position of clause z",
-  * ``build_w1_summand``      the randomly weighted per-clause unsatisfaction
-                              product for negated 2-CNF: summed over the cube it
-                              vanishes exactly when the assignment satisfies
-                              every clause (with high probability over the
-                              clause weights),
-  * ``build_w2_summand``      the same for positive CNF of padded clause length L,
-                              with factors C_i(z, x_i) * (1 - A(x_i)),
+  * ``clause_product``        the randomly weighted unsatisfaction product
+                              w(z) * prod_i C_i(z, x_i) * F(A(x_i)) over clauses
+                              padded to length L; its literal factor F is A for
+                              negated 2-CNF and 1 - A for positive CNF.  Summed
+                              over the cube it vanishes exactly when the
+                              assignment satisfies every clause (with high
+                              probability over the clause weights),
+  * ``build_w1_summand``      that product as a summand for negated 2-CNF (L = 2),
+  * ``build_w2_summand``      the same for positive CNF at padded length L,
   * ``build_weight_summand``  A(z) * B(z), whose cube total counts the true
                               variables inside an optional block.
 
@@ -246,109 +248,63 @@ class SummandSpec:
             raise ValueError("one degree bound per variable is required")
 
 
-def build_w1_summand(
+def clause_product(
     formula: WeightedFormula,
-    assignment_oracle: Callable[[Point], FieldElement],
     weights: ClauseWeights,
-) -> SummandSpec:
-    """Summand over (z, x1, x2) whose cube total is the randomly weighted count
-    of unsatisfied clauses: w(z) * C_1(z,x1) A(x1) * C_2(z,x2) A(x2)."""
-    if formula.class_tag is not ClassTag.G12N:
-        raise ClassMismatchError("the 2-round-per-variable summand needs class g12n")
+    point: Point,
+    values: Sequence[FieldElement],
+) -> FieldElement:
+    """w(z) * prod_i C_i(z, x_i) * F(a_i) at ``point`` = (z, x_1..x_L), where
+    a_i = ``values[i-1]`` stands for A(x_i).  The literal factor F is A for
+    negated 2-CNF and 1 - A for positive CNF: on boolean points it is 1
+    exactly when the clause's literal at x_i is false."""
     m = formula.m
-    if weights.m != m:
-        raise ValueError("need one clause weight per code bit")
-    fld = weights.field
-
-    def evaluator(point: Point) -> FieldElement:
-        if len(point) != 3 * m:
-            raise ValueError("point must have 3m coordinates")
-        z, x1, x2 = point[:m], point[m : 2 * m], point[2 * m :]
-        val = weights.extension_at(z)
-        val = val * clause_indicator_eval(formula, 1, z, x1) * assignment_oracle(tuple(x1))
-        val = val * clause_indicator_eval(formula, 2, z, x2) * assignment_oracle(tuple(x2))
-        return val
-
-    def plan_builder(table: BooleanTable) -> ProductPlan:
-        if table.arity != m:
-            raise ValueError("assignment table arity must equal m")
-        p = fld.modulus
-        a_vals = list(table.values)
-        head: list[tuple[int, ...]] = [tuple(weights.bool_table())]
-        for i in (1, 2):
-            proxy = [0] * (1 << m)
-            for c in range(formula.num_clauses):
-                proxy[c] = a_vals[_position_var_code(formula, c, i)]
-            head.append(tuple(proxy))
-
-        def make_tail(i: int) -> TailBuilder:
-            def build(z_star: Point) -> list[list[int]]:
-                zpos = [v.value % p for v in z_star]
-                zneg = [(1 - v.value) % p for v in z_star]
-                ctab = [0] * (1 << m)
-                for c in range(formula.num_clauses):
-                    vc = _position_var_code(formula, c, i)
-                    ctab[vc] = (ctab[vc] + _cube_chi(c, zpos, zneg, m)) % p
-                return [ctab, list(a_vals)]
-
-            return build
-
-        return ProductPlan(
-            field=fld,
-            block_vars=m,
-            head_tables=tuple(head),
-            num_standalone=1,
-            tail_builders=(make_tail(1), make_tail(2)),
-        )
-
-    bounds = (3,) * m + (2,) * (2 * m)
-    return SummandSpec(3 * m, bounds, evaluator, fld, plan_builder)
+    z = point[:m]
+    negated = formula.class_tag is ClassTag.G12N
+    val = weights.extension_at(z)
+    for i, a in enumerate(values, start=1):
+        xi = point[i * m : (i + 1) * m]
+        factor = a if negated else weights.field.one - a
+        val = val * clause_indicator_eval(formula, i, z, xi) * factor
+    return val
 
 
-def build_w2_summand(
+def _clause_product_summand(
     formula: WeightedFormula,
     assignment_oracle: Callable[[Point], FieldElement],
     weights: ClauseWeights,
-    padded_len: int,
+    L: int,
 ) -> SummandSpec:
-    """Positive-CNF summand over (z, x1..xL): w(z) * prod_i C_i(z,xi)(1 - A(xi)).
+    """Summand over (z, x_1..x_L) whose cube total is the randomly weighted
+    count of unsatisfied clauses.
 
     Clauses shorter than L repeat their last variable; on boolean points the
     repeated factor is 1 exactly when the clause is unsatisfied, so padding
     never changes the cube total."""
-    if formula.class_tag is not ClassTag.G21P:
-        raise ClassMismatchError("the positive-clause summand needs class g21p")
-    L = padded_len
     if L < formula.max_clause_len:
         raise ValueError(f"padded length {L} below longest clause {formula.max_clause_len}")
     m = formula.m
     if weights.m != m:
         raise ValueError("need one clause weight per code bit")
     fld = weights.field
+    negated = formula.class_tag is ClassTag.G12N
 
     def evaluator(point: Point) -> FieldElement:
         if len(point) != (L + 1) * m:
-            raise ValueError("point must have (L+1)*m coordinates")
-        z = point[:m]
-        val = weights.extension_at(z)
-        one = fld.one
-        for i in range(1, L + 1):
-            xi = point[i * m : (i + 1) * m]
-            val = val * clause_indicator_eval(formula, i, z, xi)
-            val = val * (one - assignment_oracle(tuple(xi)))
-        return val
+            raise ValueError(f"point must have {L + 1}m coordinates")
+        values = [assignment_oracle(tuple(point[i * m : (i + 1) * m])) for i in range(1, L + 1)]
+        return clause_product(formula, weights, point, values)
 
     def plan_builder(table: BooleanTable) -> ProductPlan:
         if table.arity != m:
             raise ValueError("assignment table arity must equal m")
         p = fld.modulus
-        a_vals = list(table.values)
-        one_minus = [(1 - v) % p for v in a_vals]
+        factor = [v if negated else (1 - v) % p for v in table.values]
         head: list[tuple[int, ...]] = [tuple(weights.bool_table())]
         for i in range(1, L + 1):
             proxy = [0] * (1 << m)
             for c in range(formula.num_clauses):
-                proxy[c] = one_minus[_position_var_code(formula, c, i)]
+                proxy[c] = factor[_position_var_code(formula, c, i)]
             head.append(tuple(proxy))
 
         def make_tail(i: int) -> TailBuilder:
@@ -359,7 +315,7 @@ def build_w2_summand(
                 for c in range(formula.num_clauses):
                     vc = _position_var_code(formula, c, i)
                     ctab[vc] = (ctab[vc] + _cube_chi(c, zpos, zneg, m)) % p
-                return [ctab, list(one_minus)]
+                return [ctab, list(factor)]
 
             return build
 
@@ -373,6 +329,29 @@ def build_w2_summand(
 
     bounds = (1 + L,) * m + (2,) * (L * m)
     return SummandSpec((L + 1) * m, bounds, evaluator, fld, plan_builder)
+
+
+def build_w1_summand(
+    formula: WeightedFormula,
+    assignment_oracle: Callable[[Point], FieldElement],
+    weights: ClauseWeights,
+) -> SummandSpec:
+    """Negated-2-CNF summand: w(z) * C_1(z,x1) A(x1) * C_2(z,x2) A(x2)."""
+    if formula.class_tag is not ClassTag.G12N:
+        raise ClassMismatchError("the 2-round-per-variable summand needs class g12n")
+    return _clause_product_summand(formula, assignment_oracle, weights, 2)
+
+
+def build_w2_summand(
+    formula: WeightedFormula,
+    assignment_oracle: Callable[[Point], FieldElement],
+    weights: ClauseWeights,
+    padded_len: int,
+) -> SummandSpec:
+    """Positive-CNF summand: w(z) * prod_i C_i(z,xi) (1 - A(xi)), i = 1..L."""
+    if formula.class_tag is not ClassTag.G21P:
+        raise ClassMismatchError("the positive-clause summand needs class g21p")
+    return _clause_product_summand(formula, assignment_oracle, weights, padded_len)
 
 
 def build_weight_summand(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .arithmetize import BooleanTable
-from .field import PrimeField, select_prime
+from .field import PrimeField, select_prime  # select_prime: unused, bench/tracer.py wraps it here
 from .formula import (
     Assignment,
     AwsatInstance,
@@ -30,7 +30,14 @@ from .formula import (
     satisfies,
     simplify,
 )
-from .pcpverify import VerifierConfig, run_g12n_protocol, verify_w1, _StageLog
+from .pcpverify import (
+    ProtocolParameters,
+    VerifierConfig,
+    protocol_parameters,
+    run_g12n_protocol,  # the clause-product pass; bench/tracer.py times it under this name
+    verify_w1,
+    _StageLog,
+)
 from .sumcheck import ProverStrategy, RandomTape, ResourceMeter, Verdict
 
 ProverFactory = Callable[[BooleanTable], ProverStrategy]
@@ -188,37 +195,17 @@ def pad_to_odd(instance: AwsatInstance) -> AwsatInstance:
     )
 
 
-@dataclass(frozen=True)
-class AwsatParameters:
-    m: int
-    reps: int
-    branches: int
-    rounds_per_branch: int
-    prime: int
-
-
-def awsat_parameters(instance: AwsatInstance, config: Optional[VerifierConfig] = None) -> AwsatParameters:
-    """Prime and round budget for the branch protocol.  The per-branch
-    soundness target is epsilon / (branch count) so the union over branches
-    meets the configured epsilon; l = 1 uses the plain W[1] parameters."""
-    cfg = config or VerifierConfig()
-    m = instance.formula.m
-    reps = cfg.reps_for(m)
-    branches = len(enumerate_universal(instance))
-    if instance.l == 1:
-        from .pcpverify import w1_parameters
-
-        params = w1_parameters(instance.formula, cfg)
-        return AwsatParameters(m, reps, branches, params.total_rounds, params.prime)
-    n_odd = (instance.l + 1) // 2
-    rounds = 3 * m + m * n_odd + reps
-    if cfg.explicit_prime is not None:
-        from .pcpverify import _check_prime_override
-
-        prime = _check_prime_override(cfg.explicit_prime, 3)
-    else:
-        prime = select_prime(rounds, 3, cfg.epsilon / max(branches, 1))
-    return AwsatParameters(m, reps, branches, rounds, prime)
+def awsat_parameters(
+    instance: AwsatInstance, config: Optional[VerifierConfig] = None
+) -> ProtocolParameters:
+    """Prime and round budget for the branch protocol: one weight check per
+    odd block, and epsilon shared out over the universal branches."""
+    return protocol_parameters(
+        instance.formula,
+        config,
+        weight_checks=(instance.l + 1) // 2,
+        branches=len(enumerate_universal(instance)),
+    )
 
 
 def _infeasible_verdict(instance: AwsatInstance, meter: ResourceMeter) -> Optional[Verdict]:
@@ -269,15 +256,12 @@ def verify_awsat(
     branches = enumerate_universal(instance)
     m = instance.formula.m
     params = awsat_parameters(instance, cfg)
-    reps = params.reps
-    odd_blocks = [(i + 1, instance.blocks[i], instance.block_weights[i])
-                  for i in range(instance.l) if (i + 1) % 2 == 1]
     fld = PrimeField(params.prime)
     log = _StageLog(meter)
-
     weight_checks = [
-        (f"weight{j}", kw, BooleanTable.from_true_codes([v - 1 for v in block], m))
-        for j, block, kw in odd_blocks
+        (f"weight{i + 1}", kw, BooleanTable.from_true_codes([v - 1 for v in block], m))
+        for i, (block, kw) in enumerate(zip(instance.blocks, instance.block_weights))
+        if i % 2 == 0
     ]
     for idx, branch in enumerate(branches):
         prefix = f"b{idx}."
@@ -294,7 +278,7 @@ def verify_awsat(
                            stage=prefix + "tables", stages=tuple(log.reports))
         prover = prover_factory(branch_table)
         ok, stage, rnd = run_g12n_protocol(
-            reduced, prover, tape, meter, log, fld, reps, weight_checks, prefix=prefix,
+            reduced, prover, tape, meter, log, fld, params, weight_checks, prefix=prefix,
         )
         if not ok:
             return Verdict(False, meter.snapshot(), rejection_round=rnd,

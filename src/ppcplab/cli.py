@@ -29,12 +29,11 @@ from .formula import (
 )
 from .pcpverify import (
     VerifierConfig,
+    protocol_parameters,
     resource_report,
     soundness_experiment,
     verify_w1,
     verify_w2,
-    w1_parameters,
-    w2_parameters,
 )
 from .reductions import (
     gen_planted_yes,
@@ -114,21 +113,14 @@ def cmd_verify(args) -> int:
             true_set = witness.true_set if decision else frozenset(
                 range(1, min(formula.k, formula.num_vars) + 1)
             )
+            table = BooleanTable.from_assignment(true_set, m)
         elif args.prover.startswith("table:"):
-            true_set = None
             table = _load_table_file(args.prover.split(":", 1)[1], m)
         else:
             raise ValueError(f"unknown prover {args.prover!r}")
-        if args.prover == "honest":
-            table = BooleanTable.from_assignment(true_set, m)
-        prover = table_committed_prover(table)
-        tape = RandomTape(args.seed)
-        if formula.class_tag is ClassTag.G12N:
-            verdict = verify_w1(formula, prover, tape, config)
-            prime = w1_parameters(formula, config).prime
-        else:
-            verdict = verify_w2(formula, prover, tape, config)
-            prime = w2_parameters(formula, config).prime
+        verifier = verify_w1 if formula.class_tag is ClassTag.G12N else verify_w2
+        verdict = verifier(formula, table_committed_prover(table), RandomTape(args.seed), config)
+        prime = protocol_parameters(formula, config).prime
         tag = formula.class_tag.value
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     report = {

@@ -1,22 +1,28 @@
 """End-to-end verifiers for weighted SAT, the multilinearity spot-test, and
 resource accounting.
 
-A verification run is staged, in this fixed order so transcripts replay:
+Both fragments run one clause-product protocol: negated 2-CNF is the
+positive-CNF protocol at padded length L = 2 with literal factor A(x) in
+place of 1 - A(x) (see ``arithmetize.clause_product``).  ``run_protocol``
+stages one pass, in this fixed order so transcripts replay:
 
   1. multilinearity test of the proof's assignment oracle,
   2. draw the m random clause weights,
-  3. main sum-check with claim 0 (the instance is satisfied),
+  3. main sum-check over (z, x_1..x_L) with claim 0 (the instance is
+     satisfied), ending in L metered assignment reads,
   4. one weight sum-check per configured block with the claimed weight.
 
-The verifier computes the clause indicators and the clause-weight extension
-itself and never reads them from the proof; only round-polynomial
+``verify_w1`` and ``verify_w2`` run one pass with a weight check over the real
+variables; the branch protocol in ``awsat`` runs one pass per universal
+branch.  The verifier computes the clause indicators and the clause-weight
+extension itself and never reads them from the proof; only round-polynomial
 coefficients and assignment values count as proof bits.  The weight check is
 restricted to the real-variable block, so weight parked on dummy codes never
 counts.
 
-The prime is selected from the total round budget of the whole run (sum-check
-rounds plus one term per multilinearity repetition), so a single union bound
-covers the run.
+``protocol_parameters`` selects the prime from the total round budget of one
+pass (sum-check rounds plus one term per multilinearity repetition) and the
+number of passes, so a single union bound covers the run.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from .arithmetize import (
     build_w1_summand,
     build_w2_summand,
     build_weight_summand,
-    clause_indicator_eval,
+    clause_indicator_eval,  # unused here; bench/tracer.py wraps this name
+    clause_product,
     mle_eval,
 )
 from .field import FieldElement, PrimeField, select_prime
@@ -148,54 +155,96 @@ class _StageLog:
         self._mark = now
 
 
+@dataclass(frozen=True)
+class ProtocolParameters:
+    """Budget of one verifier invocation: ``total_rounds`` counts one pass
+    ((L+1)m main rounds, m per weight check, one per multilinearity
+    repetition); the prime bounds the union over ``branches`` passes."""
+
+    m: int
+    padded_len: int
+    reps: int
+    branches: int
+    total_rounds: int
+    degree: int
+    prime: int
+
+
+def protocol_parameters(
+    formula: WeightedFormula,
+    config: Optional[VerifierConfig] = None,
+    weight_checks: int = 1,
+    branches: int = 1,
+) -> ProtocolParameters:
+    """Padded length, rounds, degree and prime for ``branches`` passes of the
+    clause-product protocol; each pass gets soundness target
+    epsilon / branches, so the union over passes meets the configured epsilon."""
+    cfg = config or VerifierConfig()
+    m = formula.m
+    L = 2 if formula.class_tag is ClassTag.G12N else max(formula.max_clause_len, 1)
+    reps = cfg.reps_for(m)
+    total = (L + 1) * m + weight_checks * m + reps
+    degree = max(L + 1, 3)
+    prime = cfg.explicit_prime
+    if prime is None:
+        prime = select_prime(total, degree, cfg.epsilon / max(branches, 1))
+    elif prime <= max(degree, 2):
+        # the honest prover interpolates at the nodes 0..degree, which must stay
+        # distinct mod p; the multilinearity test needs three distinct coordinates
+        raise ValueError(f"prime override {prime} too small for degree {degree} rounds")
+    return ProtocolParameters(m, L, reps, branches, total, degree, prime)
+
+
+# bench/tracer.py wraps these names and bench/workloads.py calls them
+w1_parameters = w2_parameters = protocol_parameters
+
+
 WeightCheck = tuple[str, int, Optional[BooleanTable]]
 
 
-def run_g12n_protocol(
+def run_protocol(
     formula: WeightedFormula,
     prover: ProverStrategy,
     tape: RandomTape,
     meter: ResourceMeter,
     log: _StageLog,
     fld: PrimeField,
-    reps: int,
+    params: ProtocolParameters,
     weight_checks: Sequence[WeightCheck],
     prefix: str = "",
 ) -> tuple[bool, Optional[str], Optional[int]]:
-    """One full negated-2-CNF verification pass over an existing meter/log.
+    """One full clause-product verification pass over an existing meter/log.
 
-    Shared between the plain W[1] verifier (one weight check over the real
-    variables) and the branch protocol (one weight check per odd block).
+    Shared between the plain verifiers (one weight check over the real
+    variables) and the branch protocol (one weight check per odd block).  The
+    main stage reads all L assignment values before it judges any of them, so
+    its metered proof bits never depend on the proof's content.
     """
-    m = formula.m
+    m, L, reps = formula.m, params.padded_len, params.reps
     ok, rep = multilinearity_test(prover.assignment_query, m, reps, tape, meter, fld)
     log.close(prefix + "mltest", rep if not ok else reps, ok)
     if not ok:
         return False, prefix + "mltest", rep
 
     weights = ClauseWeights(tuple(draw_field_element(tape, fld, meter) for _ in range(m)))
-    spec = build_w1_summand(formula, prover.assignment_query, weights)
+    # the main summand is built through these two module-level names, which
+    # bench/tracer.py wraps to split the main stage from the weight stage
+    if formula.class_tag is ClassTag.G12N:
+        spec = build_w1_summand(formula, prover.assignment_query, weights)
+    else:
+        spec = build_w2_summand(formula, prover.assignment_query, weights, L)
     run = run_sumcheck(spec, fld.zero, prover, tape, meter)
     if not run.verdict.accepted:
         log.close(prefix + "main", len(run.transcripts), False)
         return False, prefix + "main", run.verdict.rejection_round
-    z = run.final_point[:m]
-    x1 = run.final_point[m : 2 * m]
-    x2 = run.final_point[2 * m :]
-    a1 = _read_assignment(prover, x1, meter, fld)
-    a2 = _read_assignment(prover, x2, meter, fld)
-    if a1 is None or a2 is None:
-        log.close(prefix + "main", 3 * m, False)
-        return False, prefix + "main", 0
-    expected = (
-        weights.extension_at(z)
-        * clause_indicator_eval(formula, 1, z, x1)
-        * a1
-        * clause_indicator_eval(formula, 2, z, x2)
-        * a2
+    point = run.final_point
+    values = [
+        _read_assignment(prover, point[i * m : (i + 1) * m], meter, fld) for i in range(1, L + 1)
+    ]
+    ok = all(v is not None for v in values) and (
+        clause_product(formula, weights, point, values) == run.final_expected
     )
-    ok = expected == run.final_expected
-    log.close(prefix + "main", 3 * m, ok)
+    log.close(prefix + "main", (L + 1) * m, ok)
     if not ok:
         return False, prefix + "main", 0
 
@@ -214,32 +263,26 @@ def run_g12n_protocol(
     return True, None, None
 
 
-@dataclass(frozen=True)
-class W1Parameters:
-    m: int
-    reps: int
-    total_rounds: int
-    prime: int
+# bench/tracer.py times each branch pass through this name in awsat
+run_g12n_protocol = run_protocol
 
 
-def _check_prime_override(prime: int, degree: int) -> int:
-    # the honest prover interpolates at the nodes 0..degree, which must stay
-    # distinct mod p; the multilinearity test needs three distinct coordinates
-    if prime <= max(degree, 2):
-        raise ValueError(f"prime override {prime} too small for degree {degree} rounds")
-    return prime
-
-
-def w1_parameters(formula: WeightedFormula, config: Optional[VerifierConfig] = None) -> W1Parameters:
-    cfg = config or VerifierConfig()
-    m = formula.m
-    reps = cfg.reps_for(m)
-    total = 3 * m + m + reps
-    if cfg.explicit_prime is not None:
-        prime = _check_prime_override(cfg.explicit_prime, 3)
-    else:
-        prime = select_prime(total, 3, cfg.epsilon)
-    return W1Parameters(m, reps, total, prime)
+def _verify(
+    formula: WeightedFormula,
+    prover: ProverStrategy,
+    tape: RandomTape,
+    config: Optional[VerifierConfig],
+) -> Verdict:
+    params = protocol_parameters(formula, config)
+    meter = ResourceMeter()
+    log = _StageLog(meter)
+    real_block = BooleanTable.from_true_codes(range(formula.num_vars), formula.m)
+    ok, stage, rnd = run_protocol(
+        formula, prover, tape, meter, log, PrimeField(params.prime), params,
+        [("weight", formula.k, real_block)],
+    )
+    return Verdict(ok, meter.snapshot(), rejection_round=None if ok else rnd,
+                   stage=stage, stages=tuple(log.reports))
 
 
 def verify_w1(
@@ -249,50 +292,11 @@ def verify_w1(
     config: Optional[VerifierConfig] = None,
 ) -> Verdict:
     """Full verifier for weighted negated 2-CNF: multilinearity test, random
-    clause weights, main sum-check with claim 0, and a weight sum-check with
-    claim k over the real-variable block."""
+    clause weights, main sum-check with claim 0 over 3m rounds, and a weight
+    sum-check with claim k over the real-variable block."""
     if formula.class_tag is not ClassTag.G12N:
         raise ClassMismatchError("verify_w1 requires class g12n")
-    params = w1_parameters(formula, config)
-    fld = PrimeField(params.prime)
-    meter = ResourceMeter()
-    log = _StageLog(meter)
-    real_block = BooleanTable.from_true_codes(range(formula.num_vars), formula.m)
-    ok, stage, rnd = run_g12n_protocol(
-        formula, prover, tape, meter, log, fld, params.reps,
-        [("weight", formula.k, real_block)],
-    )
-    return Verdict(
-        accepted=ok,
-        meter=meter.snapshot(),
-        rejection_round=None if ok else rnd,
-        stage=stage,
-        stages=tuple(log.reports),
-    )
-
-
-@dataclass(frozen=True)
-class W2Parameters:
-    m: int
-    padded_len: int
-    reps: int
-    total_rounds: int
-    degree: int
-    prime: int
-
-
-def w2_parameters(formula: WeightedFormula, config: Optional[VerifierConfig] = None) -> W2Parameters:
-    cfg = config or VerifierConfig()
-    m = formula.m
-    L = max(formula.max_clause_len, 1)
-    reps = cfg.reps_for(m)
-    total = (L + 1) * m + m + reps
-    degree = max(L + 1, 3)
-    if cfg.explicit_prime is not None:
-        prime = _check_prime_override(cfg.explicit_prime, degree)
-    else:
-        prime = select_prime(total, degree, cfg.epsilon)
-    return W2Parameters(m, L, reps, total, degree, prime)
+    return _verify(formula, prover, tape, config)
 
 
 def verify_w2(
@@ -306,56 +310,7 @@ def verify_w2(
     values."""
     if formula.class_tag is not ClassTag.G21P:
         raise ClassMismatchError("verify_w2 requires class g21p")
-    params = w2_parameters(formula, config)
-    m, L = params.m, params.padded_len
-    fld = PrimeField(params.prime)
-    meter = ResourceMeter()
-    log = _StageLog(meter)
-
-    ok, rep = multilinearity_test(prover.assignment_query, m, params.reps, tape, meter, fld)
-    log.close("mltest", rep if not ok else params.reps, ok)
-    if not ok:
-        return Verdict(False, meter.snapshot(), rejection_round=rep, stage="mltest",
-                       stages=tuple(log.reports))
-
-    weights = ClauseWeights(tuple(draw_field_element(tape, fld, meter) for _ in range(m)))
-    spec = build_w2_summand(formula, prover.assignment_query, weights, L)
-    run = run_sumcheck(spec, fld.zero, prover, tape, meter)
-    if not run.verdict.accepted:
-        log.close("main", len(run.transcripts), False)
-        return Verdict(False, meter.snapshot(), rejection_round=run.verdict.rejection_round,
-                       stage="main", stages=tuple(log.reports))
-    z = run.final_point[:m]
-    expected = weights.extension_at(z)
-    failed_read = False
-    for i in range(1, L + 1):
-        xi = run.final_point[i * m : (i + 1) * m]
-        ai = _read_assignment(prover, xi, meter, fld)
-        if ai is None:
-            failed_read = True
-            break
-        expected = expected * clause_indicator_eval(formula, i, z, xi) * (fld.one - ai)
-    ok = not failed_read and expected == run.final_expected
-    log.close("main", (L + 1) * m, ok)
-    if not ok:
-        return Verdict(False, meter.snapshot(), rejection_round=0, stage="main",
-                       stages=tuple(log.reports))
-
-    real_block = BooleanTable.from_true_codes(range(formula.num_vars), m)
-    wspec = build_weight_summand(prover.assignment_query, m, fld, real_block)
-    wrun = run_sumcheck(wspec, fld(formula.k), prover, tape, meter)
-    if not wrun.verdict.accepted:
-        log.close("weight", len(wrun.transcripts), False)
-        return Verdict(False, meter.snapshot(), rejection_round=wrun.verdict.rejection_round,
-                       stage="weight", stages=tuple(log.reports))
-    aval = _read_assignment(prover, wrun.final_point, meter, fld)
-    bval = mle_eval(real_block, wrun.final_point)
-    ok = aval is not None and aval * bval == wrun.final_expected
-    log.close("weight", m, ok)
-    if not ok:
-        return Verdict(False, meter.snapshot(), rejection_round=0, stage="weight",
-                       stages=tuple(log.reports))
-    return Verdict(True, meter.snapshot(), stages=tuple(log.reports))
+    return _verify(formula, prover, tape, config)
 
 
 # ---------------------------------------------------------------------------
@@ -367,29 +322,32 @@ def axis_bits(m: int) -> int:
     return (m - 1).bit_length() if m > 1 else 0
 
 
-def w1_ideal_random_bits(m: int, reps: int, prime: int) -> int:
-    """Random bits excluding rejection-sampling overhead: weights m, main 3m,
-    weight check m, plus (m + 3) field draws and one axis draw per repetition."""
-    B = (prime - 1).bit_length()
-    return (3 * m + m + reps * (m + 3) + m) * B + reps * axis_bits(m)
-
-
-def w1_proof_bits(m: int, reps: int, prime: int) -> int:
-    """Proof bits: 4 coefficients per clause-code round, 3 per variable-code
-    round, 2 final assignment reads, the weight check's 3 per round plus one
-    read, and 3 reads per multilinearity repetition."""
-    B = (prime - 1).bit_length()
-    return (4 * m + 3 * 2 * m + 2 + 3 * m + 1 + 3 * reps) * B
-
-
-def w2_ideal_random_bits(m: int, L: int, reps: int, prime: int) -> int:
+def protocol_random_bits(m: int, L: int, reps: int, prime: int) -> int:
+    """Random bits excluding rejection-sampling overhead: weights m, main
+    (L+1)m, weight check m, plus (m + 3) field draws and one axis draw per
+    multilinearity repetition."""
     B = (prime - 1).bit_length()
     return ((L + 1) * m + m + reps * (m + 3) + m) * B + reps * axis_bits(m)
 
 
-def w2_proof_bits(m: int, L: int, reps: int, prime: int) -> int:
+def protocol_proof_bits(m: int, L: int, reps: int, prime: int) -> int:
+    """Proof bits: L + 2 coefficients per clause-code round, 3 per
+    variable-code round, L final assignment reads, the weight check's 3 per
+    round plus one read, and 3 reads per multilinearity repetition."""
     B = (prime - 1).bit_length()
     return ((L + 2) * m + 3 * L * m + L + 3 * m + 1 + 3 * reps) * B
+
+
+# bench/workloads.py gates every honest_large op on these four names
+def w1_ideal_random_bits(m: int, reps: int, prime: int) -> int:
+    return protocol_random_bits(m, 2, reps, prime)
+
+
+def w1_proof_bits(m: int, reps: int, prime: int) -> int:
+    return protocol_proof_bits(m, 2, reps, prime)
+
+
+w2_ideal_random_bits, w2_proof_bits = protocol_random_bits, protocol_proof_bits
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +402,7 @@ def resource_report(
             jobs.append((formula, BooleanTable.from_assignment(assignment.true_set, formula.m)))
     rows = []
     for formula, table in jobs:
-        params = w1_parameters(formula, config)
+        params = protocol_parameters(formula, config)
         tape = RandomTape(derive_seed(seed, formula.m))
         verdict = verify_w1(formula, table_committed_prover(table), tape, config)
         norm = max(formula.m * math.log2(formula.m), 1.0)
@@ -483,14 +441,8 @@ def soundness_experiment(
     decision, _ = brute_force_wsat(formula)
     if decision:
         raise ValueError("soundness experiments require a no-instance")
-    if formula.class_tag is ClassTag.G12N:
-        params = w1_parameters(formula, config)
-        total_rounds, degree, prime = params.total_rounds, 3, params.prime
-        verifier = verify_w1
-    else:
-        params = w2_parameters(formula, config)
-        total_rounds, degree, prime = params.total_rounds, params.degree, params.prime
-        verifier = verify_w2
+    params = protocol_parameters(formula, config)
+    verifier = verify_w1 if formula.class_tag is ClassTag.G12N else verify_w2
     m = formula.m
     committed = BooleanTable.from_true_codes(range(min(formula.k, 1 << m)), m)
     accepted = 0
@@ -505,17 +457,17 @@ def soundness_experiment(
         if verifier(formula, prover, tape, config).accepted:
             accepted += 1
     if adversary == "adaptive":
-        bound = min(total_rounds * degree / prime, 1.0)
+        bound = min(params.total_rounds * params.degree / params.prime, 1.0)
     elif adversary == "committed":
-        bound = min(2 * m / prime, 1.0)
+        bound = min(2 * m / params.prime, 1.0)
     else:
-        bound = 2 / prime
+        bound = 2 / params.prime
     return {
         "adversary": adversary,
         "trials": trials,
         "accepted": accepted,
         "acceptance_rate": accepted / trials if trials else 0.0,
         "analytic_bound": bound,
-        "prime": prime,
-        "total_rounds": total_rounds,
+        "prime": params.prime,
+        "total_rounds": params.total_rounds,
     }

@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from ppcplab.cli import main
 
 YES_TEXT = "p pwsat g12n 3 2 1\n-1 -2 0\n-1 -3 0\n"
@@ -91,6 +93,15 @@ class TestAttackCommand:
     def test_yes_instance_refused(self, tmp_path, capsys):
         path = write(tmp_path, "yes.pwsat", YES_TEXT)
         assert main(["attack", path, "--trials", "10"]) == 2
+
+
+class TestEpsilonRange:
+    @pytest.mark.parametrize("command", ["verify", "attack"])
+    @pytest.mark.parametrize("epsilon", ["0.7", "0", "-1", "nan", "inf"])
+    def test_out_of_range_exits_two(self, tmp_path, capsys, command, epsilon):
+        path = write(tmp_path, "no.pwsat", NO_TEXT)
+        assert main([command, path, "--epsilon", epsilon]) == 2
+        assert "epsilon must lie in (0, 1/2]" in capsys.readouterr().err
 
 
 class TestScalingCommand:

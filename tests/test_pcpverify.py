@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from ppcplab.arithmetize import BooleanTable, mle_eval
@@ -30,6 +32,8 @@ from ppcplab.sumcheck import (
     derive_seed,
     table_committed_prover,
 )
+
+from golden.record import MalformedFinalReads
 
 YES_TEXT = "p pwsat g12n 3 2 1\n-1 -2 0\n-1 -3 0\n"
 NO_TEXT = "p pwsat g12n 2 1 2\n-1 -2 0\n"
@@ -244,6 +248,29 @@ class TestVerifyW2:
             assert verdict.accepted
             checked += 1
         assert checked > 0
+
+
+class TestMalformedFinalRead:
+    @pytest.mark.parametrize(
+        "text, true_set, verifier, L",
+        [
+            (YES_TEXT, {1}, verify_w1, 2),
+            ("p pwsat g21p 4 2 1\n1 2 3 0\n2 4 0\n", {2}, verify_w2, 3),
+        ],
+        ids=["g12n", "g21p"],
+    )
+    def test_reads_all_values_then_rejects_at_main_round_0(self, text, true_set, verifier, L):
+        f = parse_pwsat(text)
+        table = BooleanTable.from_assignment(true_set, f.m)
+        honest = verifier(f, table_committed_prover(table), RandomTape(4))
+        verdict = verifier(f, MalformedFinalReads(table), RandomTape(4))
+        assert honest.accepted
+        assert (verdict.accepted, verdict.stage, verdict.rejection_round) == (False, "main", 0)
+        main = {s.name: s for s in verdict.stages}["main"]
+        honest_main = {s.name: s for s in honest.stages}["main"]
+        # the stage meters the same L reads whatever the proof contains
+        assert main.oracle_queries == L
+        assert main == dataclasses.replace(honest_main, accepted=False)
 
 
 class TestResourceReport:
