@@ -25,6 +25,15 @@ factors structure an honest prover folds round by round.  The plan works block
 by block (clause codes first, then each variable-code block); while the clause
 block is active, every variable block is represented by its summed-out proxy
 table, which agrees with the true inner sum everywhere by multilinearity.
+
+Points are evaluated through eq tables: the eq table of a point lists
+chi_c(point) for every code c of the m-cube, built as one MSB-first tensor
+product in 2^m multiplications mod p (the clause-weight table is the same
+tensor product).  With v_i(c), the code of the variable at position i of
+clause c, taken from one code array per position, the clause indicator is
+sum_c eq_z[c] * eq_x[v_i(c)] over the real clauses, the plan's head proxies
+look the literal factor up at v_i(c), and each tail scatters eq_{z*} into
+per-variable sums; all L tails share one eq table of z*.
 """
 
 from __future__ import annotations
@@ -142,29 +151,30 @@ class ClauseWeights:
 
     def bool_table(self) -> list[int]:
         """Weight of every clause code, indexed MSB-first."""
-        p = self.field.modulus
-        table = [1]
-        for rj in self.r:
-            nxt = []
-            for v in table:
-                nxt.append(v)
-                nxt.append(v * rj.value % p)
-            table = nxt
-        return table
+        return _tensor([(1, rj.value) for rj in self.r], self.field.modulus)
 
 
-def _position_var_code(formula: WeightedFormula, clause_idx: int, position: int) -> int:
-    """Code of the variable at a 1-based clause position; short clauses repeat
-    their last variable."""
-    lits = formula.clauses[clause_idx]
-    return abs(lits[min(position, len(lits)) - 1]) - 1
+def _tensor(factors: Sequence[tuple[int, int]], p: int) -> list[int]:
+    """Entry c is prod_j factors[j][bit j of c] mod p, bits MSB-first: the
+    tensor product of per-coordinate (bit 0, bit 1) pairs, in 2^m
+    multiplications."""
+    table = [1]
+    for lo, hi in reversed(factors):
+        table = [t * lo % p for t in table] + [t * hi % p for t in table]
+    return table
 
 
-def _cube_chi(code: int, pos: list[int], neg: list[int], width: int) -> int:
-    acc = 1
-    for j in range(width):
-        acc *= pos[j] if (code >> (width - 1 - j)) & 1 else neg[j]
-    return acc
+def _eq_table(point: Sequence[FieldElement], p: int) -> list[int]:
+    """chi_c(point) = prod_j (point_j if bit j of c else 1 - point_j) for
+    every code c of the cube."""
+    return _tensor([((1 - x.value) % p, x.value % p) for x in point], p)
+
+
+def _position_codes(formula: WeightedFormula, position: int) -> list[int]:
+    """Code of the variable at a 1-based position of every clause; short
+    clauses repeat their last variable."""
+    i = position - 1
+    return [abs(lits[i] if len(lits) > i else lits[-1]) - 1 for lits in formula.clauses]
 
 
 def clause_indicator_eval(
@@ -185,21 +195,13 @@ def clause_indicator_eval(
         raise ValueError("points must have m coordinates")
     fld = z_point[0].field
     p = fld.modulus
-    zpos = [v.value % p for v in z_point]
-    zneg = [(1 - v.value) % p for v in z_point]
-    xpos = [v.value % p for v in x_point]
-    xneg = [(1 - v.value) % p for v in x_point]
-    total = 0
-    for c in range(formula.num_clauses):
-        zfac = _cube_chi(c, zpos, zneg, m) % p
-        if zfac == 0:
-            continue
-        vc = _position_var_code(formula, c, position)
-        total = (total + zfac * (_cube_chi(vc, xpos, xneg, m) % p)) % p
-    return FieldElement(total, fld)
+    eqz = _eq_table(z_point, p)
+    eqx = _eq_table(x_point, p)
+    codes = _position_codes(formula, position)
+    return FieldElement(sum(ez * eqx[vc] for ez, vc in zip(eqz, codes)), fld)
 
 
-TailBuilder = Callable[[Point], list[list[int]]]
+TailsBuilder = Callable[[Point], list[list[list[int]]]]
 
 
 @dataclass(frozen=True)
@@ -207,28 +209,33 @@ class ProductPlan:
     """Product-of-multilinear-factors structure for an honest prover.
 
     Variables come in blocks of ``block_vars``: one head block followed by
-    ``len(tail_builders)`` tail blocks.  ``head_tables`` holds, over the head
-    block, first ``num_standalone`` genuine factors and then one summed-out
-    proxy per tail (in tail order).  Once the head block is bound at a point,
-    each tail builder produces that tail's factor tables over its own block.
+    ``num_tails`` tail blocks.  ``head_tables`` holds, over the head block,
+    first ``num_standalone`` genuine factors and then one summed-out proxy per
+    tail (in tail order).  Once the head block is bound at a point z*,
+    ``build_tails(z*)`` returns every tail's factor tables over its own block,
+    in tail order.
     """
 
     field: PrimeField
     block_vars: int
     head_tables: tuple[tuple[int, ...], ...]
     num_standalone: int
-    tail_builders: tuple[TailBuilder, ...]
+    build_tails: Optional[TailsBuilder] = None
 
     def __post_init__(self):
-        if len(self.head_tables) != self.num_standalone + len(self.tail_builders):
+        if self.num_tails < 0 or (self.num_tails > 0) != (self.build_tails is not None):
             raise ValueError("head must carry one proxy table per tail")
         size = 1 << self.block_vars
         if any(len(t) != size for t in self.head_tables):
             raise ValueError("head tables must cover the whole block cube")
 
     @property
+    def num_tails(self) -> int:
+        return len(self.head_tables) - self.num_standalone
+
+    @property
     def num_vars(self) -> int:
-        return self.block_vars * (1 + len(self.tail_builders))
+        return self.block_vars * (1 + self.num_tails)
 
 
 @dataclass(frozen=True)
@@ -299,32 +306,31 @@ def _clause_product_summand(
         if table.arity != m:
             raise ValueError("assignment table arity must equal m")
         p = fld.modulus
+        size = 1 << m
         factor = [v if negated else (1 - v) % p for v in table.values]
-        head: list[tuple[int, ...]] = [tuple(weights.bool_table())]
-        for i in range(1, L + 1):
-            proxy = [0] * (1 << m)
-            for c in range(formula.num_clauses):
-                proxy[c] = factor[_position_var_code(formula, c, i)]
-            head.append(tuple(proxy))
+        codes = [_position_codes(formula, i) for i in range(1, L + 1)]
+        dummies = [0] * (size - formula.num_clauses)
+        head = [tuple(weights.bool_table())]
+        head += [tuple([factor[vc] for vc in codes_i] + dummies) for codes_i in codes]
 
-        def make_tail(i: int) -> TailBuilder:
-            def build(z_star: Point) -> list[list[int]]:
-                zpos = [v.value % p for v in z_star]
-                zneg = [(1 - v.value) % p for v in z_star]
-                ctab = [0] * (1 << m)
-                for c in range(formula.num_clauses):
-                    vc = _position_var_code(formula, c, i)
-                    ctab[vc] = (ctab[vc] + _cube_chi(c, zpos, zneg, m)) % p
-                return [ctab, list(factor)]
-
-            return build
+        def build_tails(z_star: Point) -> list[list[list[int]]]:
+            # tail i's clause factor at x is the sum of chi_c(z*) over the
+            # clauses c whose position-i variable has code x
+            eqz = _eq_table(z_star, p)
+            tails = []
+            for codes_i in codes:
+                ctab = [0] * size
+                for ez, vc in zip(eqz, codes_i):
+                    ctab[vc] += ez
+                tails.append([[v % p for v in ctab], factor])
+            return tails
 
         return ProductPlan(
             field=fld,
             block_vars=m,
             head_tables=tuple(head),
             num_standalone=1,
-            tail_builders=tuple(make_tail(i) for i in range(1, L + 1)),
+            build_tails=build_tails,
         )
 
     bounds = (1 + L,) * m + (2,) * (L * m)
@@ -384,7 +390,6 @@ def build_weight_summand(
             block_vars=m,
             head_tables=tuple(head),
             num_standalone=len(head),
-            tail_builders=(),
         )
 
     return SummandSpec(m, (2,) * m, evaluator, fld, plan_builder)

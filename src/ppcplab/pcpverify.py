@@ -58,6 +58,7 @@ from .sumcheck import (
     adaptive_cheater,
     derive_seed,
     draw_field_element,
+    proof_int,
     run_sumcheck,
     table_committed_prover,
     RandomGarbageProver,
@@ -99,7 +100,8 @@ def multilinearity_test(
     Each repetition draws an axis, a point, and three distinct coordinates,
     then checks the oracle's restriction is affine there.  Per repetition:
     ceil(log2 m) + (m + 3) * ceil(log2 p) ideal random bits and
-    3 * ceil(log2 p) proof bits.  Rejects on the first failing repetition.
+    3 * ceil(log2 p) proof bits.  Rejects on the first failing repetition;
+    an answer that is not a well-formed element of Z_p fails its repetition.
     """
     p = fld.modulus
     for rep in range(1, reps + 1):
@@ -114,11 +116,11 @@ def multilinearity_test(
         for t in (t0, t1, t2):
             q = list(point)
             q[axis] = fld(t)
-            values.append(oracle(tuple(q)))
+            values.append(proof_int(oracle(tuple(q)), p))
             meter.proof_bits += fld.bits
             meter.oracle_queries += 1
         f0, f1, f2 = values
-        if (f2 - f0) * (fld(t1) - fld(t0)) != (f1 - f0) * (fld(t2) - fld(t0)):
+        if None in values or (f2 - f0) * (t1 - t0) % p != (f1 - f0) * (t2 - t0) % p:
             return False, rep
     return True, None
 
@@ -126,12 +128,10 @@ def multilinearity_test(
 def _read_assignment(
     prover: ProverStrategy, point: Point, meter: ResourceMeter, fld: PrimeField
 ) -> Optional[FieldElement]:
-    value = prover.assignment_query(tuple(point))
+    value = proof_int(prover.assignment_query(tuple(point)), fld.modulus)
     meter.proof_bits += fld.bits
     meter.oracle_queries += 1
-    if not isinstance(value, FieldElement) or value.field.modulus != fld.modulus:
-        return None  # malformed proof value: reject, never crash
-    return value
+    return None if value is None else fld(value)  # None: malformed, reject
 
 
 class _StageLog:
@@ -242,7 +242,7 @@ def run_protocol(
         _read_assignment(prover, point[i * m : (i + 1) * m], meter, fld) for i in range(1, L + 1)
     ]
     ok = all(v is not None for v in values) and (
-        clause_product(formula, weights, point, values) == run.final_expected
+        clause_product(formula, weights, point, values).value == run.final_expected.value
     )
     log.close(prefix + "main", (L + 1) * m, ok)
     if not ok:
@@ -256,7 +256,7 @@ def run_protocol(
             return False, prefix + name, wrun.verdict.rejection_round
         aval = _read_assignment(prover, wrun.final_point, meter, fld)
         bval = mle_eval(block_table, wrun.final_point) if block_table is not None else fld.one
-        ok = aval is not None and aval * bval == wrun.final_expected
+        ok = aval is not None and (aval * bval).value == wrun.final_expected.value
         log.close(prefix + name, m, ok)
         if not ok:
             return False, prefix + name, 0

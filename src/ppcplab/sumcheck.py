@@ -15,9 +15,11 @@ so closed-form bit counts can be checked exactly).
 
 from __future__ import annotations
 
+import math
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import add, mul, sub
 from typing import Callable, Optional, Sequence
 
 from .arithmetize import BooleanTable, ProductPlan, SummandSpec, mle_eval
@@ -162,6 +164,39 @@ class SumcheckRun:
     transcripts: tuple[RoundTranscript, ...]
 
 
+def proof_int(value, p: int) -> Optional[int]:
+    """The residue mod p of a prover-supplied field element, or None unless it
+    is exactly a ``FieldElement`` of exactly a ``PrimeField`` of modulus p
+    holding a plain ``int``.  The verifier computes only on what this returns,
+    so no method of a prover-supplied object ever runs on its side."""
+    if type(value) is not FieldElement or type(value.value) is not int:
+        return None
+    fld = value.field
+    if type(fld) is not PrimeField or type(fld.modulus) is not int or fld.modulus != p:
+        return None
+    return value.value % p
+
+
+def _proof_coeffs(poly, degree: int, p: int) -> Optional[list[int]]:
+    """Residues of a round polynomial's coefficients, or None unless it is
+    exactly a ``UniPoly`` of at most degree + 1 well-formed coefficients.
+    ``UniPoly`` keeps the sequence it is given; a plain tuple or list has no
+    overridable length or iteration, a subclass of either could."""
+    if type(poly) is not UniPoly or type(poly.coeffs) not in (tuple, list):
+        return None
+    if len(poly.coeffs) > degree + 1:
+        return None
+    coeffs = [proof_int(c, p) for c in poly.coeffs]
+    return None if None in coeffs else coeffs
+
+
+def _horner(coeffs: list[int], x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
 def run_sumcheck(
     spec: SummandSpec,
     claim: FieldElement,
@@ -172,29 +207,28 @@ def run_sumcheck(
     """Drive the round protocol for ``spec`` against ``prover``.
 
     Per round the verifier reads (d_i + 1) * ceil(log2 p) proof bits and draws
-    one field element.  Malformed prover output (wrong type, too many
-    coefficients, wrong field) is a rejection at that round, never a crash.
-    The final direct evaluation is left to the caller, which receives the
-    fully instantiated point and the last running claim.
+    one field element.  Malformed prover output (not exactly a ``UniPoly`` of
+    ``FieldElement``s holding ints, too many coefficients, wrong field) is a
+    rejection at that round, never a crash.  The verifier evaluates the
+    coefficients itself and compares plain ints.  The final direct evaluation
+    is left to the caller, which receives the fully instantiated point and the
+    last running claim.
     """
     fld = spec.field
-    if claim.field.modulus != fld.modulus:
+    p = fld.modulus
+    if claim.field.modulus != p:
         raise ValueError("claim must live in the summand's field")
+    a = claim.value % p
     prover.begin_sumcheck(spec, claim)
-    a = claim
+    running = claim
     challenges: list[FieldElement] = []
     transcripts: list[RoundTranscript] = []
-    zero, one = fld.zero, fld.one
     for i in range(1, spec.num_vars + 1):
         d = spec.degree_bounds[i - 1]
-        poly = prover.round_poly(i, tuple(challenges), a)
+        poly = prover.round_poly(i, tuple(challenges), running)
         meter.proof_bits += (d + 1) * fld.bits
-        malformed = (
-            not isinstance(poly, UniPoly)
-            or len(poly.coeffs) > d + 1
-            or any(c.field.modulus != fld.modulus for c in poly.coeffs)
-        )
-        if malformed or poly.evaluate(zero) + poly.evaluate(one) != a:
+        coeffs = _proof_coeffs(poly, d, p)
+        if coeffs is None or (_horner(coeffs, 0, p) + _horner(coeffs, 1, p)) % p != a:
             return SumcheckRun(
                 Verdict(False, meter.snapshot(), rejection_round=i),
                 tuple(challenges),
@@ -202,13 +236,14 @@ def run_sumcheck(
                 tuple(transcripts),
             )
         r = draw_field_element(tape, fld, meter)
-        a = poly.evaluate(r)
+        a = _horner(coeffs, r.value, p)
+        running = fld(a)
         challenges.append(r)
-        transcripts.append(RoundTranscript(i, poly, r, a))
+        transcripts.append(RoundTranscript(i, poly, r, running))
     return SumcheckRun(
         Verdict(True, meter.snapshot()),
         tuple(challenges),
-        a,
+        running,
         tuple(transcripts),
     )
 
@@ -234,6 +269,16 @@ def honest_round_poly(spec: SummandSpec, prefix: Sequence[FieldElement], i: int)
             total = total + spec.evaluator(tuple(prefix) + (tv,) + suffix)
         pts.append((tv, total))
     return interpolate(pts)
+
+
+def _product_sum(tables: Sequence[Sequence[int]], p: int) -> int:
+    """Sum over the cube of the entrywise product of equal-length tables, mod p."""
+    acc = tables[0]
+    for tbl in tables[1:-1]:
+        acc = [a * b % p for a, b in zip(acc, tbl)]
+    if len(tables) > 1:
+        acc = map(mul, acc, tables[-1])
+    return sum(acc) % p
 
 
 class PlanFolder:
@@ -270,89 +315,56 @@ class PlanFolder:
     def round_values(self, degree: int) -> list[int]:
         """Values of the current round polynomial at t = 0..degree."""
         p = self._p
-        tables = self._tables
-        half = len(tables[0]) >> 1
+        half = len(self._tables[0]) >> 1
+        lo = [tbl[:half] for tbl in self._tables]
+        hi = [tbl[half:] for tbl in self._tables]
+        # every table is affine in the current variable, so the slice at t + 1
+        # is the slice at t plus hi - lo
+        step = [list(map(sub, h, l)) for l, h in zip(lo, hi)]
         out = []
         for t in range(degree + 1):
             if t == 0:
-                slices = [tbl[:half] for tbl in tables]
+                cur = lo
             elif t == 1:
-                slices = [tbl[half:] for tbl in tables]
+                cur = hi
             else:
-                slices = [
-                    [(lo + t * (hi - lo)) % p for lo, hi in zip(tbl[:half], tbl[half:])]
-                    for tbl in tables
-                ]
-            first = slices[0]
-            if len(slices) == 1:
-                total = sum(first) % p
-            else:
-                total = 0
-                for idx in range(half):
-                    v = first[idx]
-                    for s in slices[1:]:
-                        v = v * s[idx] % p
-                    total += v
-                total %= p
-            out.append(total * self._mult % p)
+                cur = [list(map(add, c, s)) for c, s in zip(cur, step)]
+            out.append(_product_sum(cur, p) * self._mult % p)
         return out
 
     def _bind(self, r: int) -> None:
         p = self._p
-        folded = []
-        for tbl in self._tables:
-            half = len(tbl) >> 1
-            folded.append([(tbl[i] + r * (tbl[half + i] - tbl[i])) % p for i in range(half)])
-        self._tables = folded
+        half = len(self._tables[0]) >> 1
+        self._tables = [
+            [(a + r * (b - a)) % p for a, b in zip(tbl[:half], tbl[half:])] for tbl in self._tables
+        ]
         self._bound.append(r % p)
-        if len(self._tables[0]) == 1:
+        if half == 1:
             self._advance()
 
     def _advance(self) -> None:
         p = self._p
         plan = self.plan
+        scalars = [tbl[0] for tbl in self._tables]
         if self._stage == 0:
-            scalars = [tbl[0] for tbl in self._tables]
-            standalone = 1
-            for s in scalars[: plan.num_standalone]:
-                standalone = standalone * s % p
-            self._head_scalar = standalone
-            if not plan.tail_builders:
+            self._head_scalar = math.prod(scalars[: plan.num_standalone]) % p
+            if not plan.num_tails:
                 return
             z_star = tuple(plan.field(v) for v in self._bound[: plan.block_vars])
-            self._tail_tables = [builder(z_star) for builder in plan.tail_builders]
-            self._tail_sums = []
-            size = 1 << plan.block_vars
-            for tabs in self._tail_tables:
-                total = 0
-                for idx in range(size):
-                    v = tabs[0][idx]
-                    for tb in tabs[1:]:
-                        v = v * tb[idx] % p
-                    total += v
-                self._tail_sums.append(total % p)
-            self._stage = 1
-            self._tables = [list(t) for t in self._tail_tables[0]]
-            self._recompute_mult()
+            self._tail_tables = plan.build_tails(z_star)
+            self._tail_sums = [_product_sum(tabs, p) for tabs in self._tail_tables]
         else:
-            v = 1
-            for tbl in self._tables:
-                v = v * tbl[0] % p
-            self._tail_values.append(v)
-            if self._stage == len(plan.tail_builders):
+            self._tail_values.append(math.prod(scalars) % p)
+            if self._stage == plan.num_tails:
                 return
-            self._stage += 1
-            self._tables = [list(t) for t in self._tail_tables[self._stage - 1]]
-            self._recompute_mult()
+        self._stage += 1
+        self._tables = [list(t) for t in self._tail_tables[self._stage - 1]]
+        self._recompute_mult()
 
     def _recompute_mult(self) -> None:
         p = self._p
-        mult = self._head_scalar
-        for v in self._tail_values:
-            mult = mult * v % p
-        for t in self._tail_sums[self._stage :]:
-            mult = mult * t % p
-        self._mult = mult
+        pending = self._tail_sums[self._stage :]
+        self._mult = math.prod([self._head_scalar, *self._tail_values, *pending]) % p
 
 
 class GenericHonestProver(ProverStrategy):

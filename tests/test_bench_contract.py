@@ -72,6 +72,9 @@ def test_tiny_first_ops_pass(name):
     metrics = trace.layer_metrics()
     # every sum-check's summand comes from a builder the tracer wraps
     assert metrics["arithmetize.build_summand.calls"] == metrics["sumcheck.run_sumcheck.calls"]
+    if name == "honest_large":
+        # the final check evaluates the clause indicator through the wrapped name
+        assert metrics["arithmetize.clause_indicator_eval.calls"][0] > 0
     if name != "attack_small":
         # the stage split needs the driver's traced summand builds
         assert metrics["pcpverify.stage.main_s"][0] > 0
