@@ -7,6 +7,7 @@ soundness target, with one union-bound term per round of every sub-protocol.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -47,12 +48,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=1024)
 def select_prime(total_rounds: int, degree_bound: int, epsilon: float | int | Fraction) -> int:
     """Smallest prime p with p > total_rounds * degree_bound / epsilon.
 
     ``total_rounds`` must count every round of every sub-protocol executed by
     one verifier invocation, so that a single union bound over all rounds
-    yields overall soundness error at most ``epsilon``.
+    yields overall soundness error at most ``epsilon``.  Memoised: verifiers
+    ask for the same few primes again and again.
     """
     if total_rounds < 1 or degree_bound < 1:
         raise ValueError("total_rounds and degree_bound must be positive")
@@ -272,3 +275,27 @@ def interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) -> UniPoly:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return UniPoly(tuple(FieldElement(c, field) for c in coeffs), n - 1)
+
+
+@functools.lru_cache(maxsize=256)
+def node_inverse(p: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Inverse mod p of the Vandermonde matrix at the nodes 0..d.
+
+    Row j holds the weights that take the values of a polynomial of degree
+    <= d at t = 0..d to its coefficient of X^j, so the coefficients are one
+    matrix-vector product.  Row i of the Lagrange sum in ``interpolate`` is
+    column i here.  The nodes are distinct mod p only for d < p.
+    """
+    if not 0 <= d < p:
+        raise ValueError(f"nodes 0..{d} are not distinct mod {p}")
+    cols = []
+    for i in range(d + 1):
+        num = [1]
+        denom = 1
+        for j in range(d + 1):
+            if j != i:
+                num = _mul_linear(num, -j, p)
+                denom = denom * (i - j) % p
+        scale = pow(denom, p - 2, p)
+        cols.append([c * scale % p for c in num])
+    return tuple(zip(*cols))

@@ -56,6 +56,7 @@ from .sumcheck import (
     StageReport,
     Verdict,
     adaptive_cheater,
+    ask_prover,
     derive_seed,
     draw_field_element,
     proof_int,
@@ -101,7 +102,8 @@ def multilinearity_test(
     then checks the oracle's restriction is affine there.  Per repetition:
     ceil(log2 m) + (m + 3) * ceil(log2 p) ideal random bits and
     3 * ceil(log2 p) proof bits.  Rejects on the first failing repetition;
-    an answer that is not a well-formed element of Z_p fails its repetition.
+    an answer that is not a well-formed element of Z_p, or a query that
+    raises, fails its repetition.
     """
     p = fld.modulus
     for rep in range(1, reps + 1):
@@ -116,7 +118,7 @@ def multilinearity_test(
         for t in (t0, t1, t2):
             q = list(point)
             q[axis] = fld(t)
-            values.append(proof_int(oracle(tuple(q)), p))
+            values.append(proof_int(ask_prover(oracle, tuple(q)), p))
             meter.proof_bits += fld.bits
             meter.oracle_queries += 1
         f0, f1, f2 = values
@@ -128,7 +130,7 @@ def multilinearity_test(
 def _read_assignment(
     prover: ProverStrategy, point: Point, meter: ResourceMeter, fld: PrimeField
 ) -> Optional[FieldElement]:
-    value = proof_int(prover.assignment_query(tuple(point)), fld.modulus)
+    value = proof_int(ask_prover(prover.assignment_query, tuple(point)), fld.modulus)
     meter.proof_bits += fld.bits
     meter.oracle_queries += 1
     return None if value is None else fld(value)  # None: malformed, reject

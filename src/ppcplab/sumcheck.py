@@ -23,7 +23,7 @@ from operator import add, mul, sub
 from typing import Callable, Optional, Sequence
 
 from .arithmetize import BooleanTable, ProductPlan, SummandSpec, mle_eval
-from .field import FieldElement, PrimeField, UniPoly, interpolate
+from .field import FieldElement, PrimeField, UniPoly, interpolate, node_inverse
 
 Point = tuple[FieldElement, ...]
 
@@ -190,6 +190,16 @@ def _proof_coeffs(poly, degree: int, p: int) -> Optional[list[int]]:
     return None if None in coeffs else coeffs
 
 
+def ask_prover(callback: Callable, *args):
+    """What a prover callback returns, or None if it raises.  To the verifier
+    a prover exception is a malformed answer; only ``Exception`` is caught, so
+    an interrupt still ends the run."""
+    try:
+        return callback(*args)
+    except Exception:
+        return None
+
+
 def _horner(coeffs: list[int], x: int, p: int) -> int:
     acc = 0
     for c in reversed(coeffs):
@@ -208,8 +218,9 @@ def run_sumcheck(
 
     Per round the verifier reads (d_i + 1) * ceil(log2 p) proof bits and draws
     one field element.  Malformed prover output (not exactly a ``UniPoly`` of
-    ``FieldElement``s holding ints, too many coefficients, wrong field) is a
-    rejection at that round, never a crash.  The verifier evaluates the
+    ``FieldElement``s holding ints, too many coefficients, wrong field, or an
+    exception) is a rejection at that round, never a crash; an exception in
+    ``begin_sumcheck`` is a malformed first round.  The verifier evaluates the
     coefficients itself and compares plain ints.  The final direct evaluation
     is left to the caller, which receives the fully instantiated point and the
     last running claim.
@@ -219,16 +230,22 @@ def run_sumcheck(
     if claim.field.modulus != p:
         raise ValueError("claim must live in the summand's field")
     a = claim.value % p
-    prover.begin_sumcheck(spec, claim)
+    try:
+        prover.begin_sumcheck(spec, claim)
+        started = True
+    except Exception:
+        started = False
     running = claim
     challenges: list[FieldElement] = []
     transcripts: list[RoundTranscript] = []
     for i in range(1, spec.num_vars + 1):
         d = spec.degree_bounds[i - 1]
-        poly = prover.round_poly(i, tuple(challenges), running)
+        poly = ask_prover(prover.round_poly, i, tuple(challenges), running) if started else None
         meter.proof_bits += (d + 1) * fld.bits
         coeffs = _proof_coeffs(poly, d, p)
-        if coeffs is None or (_horner(coeffs, 0, p) + _horner(coeffs, 1, p)) % p != a:
+        # g(0) + g(1) is the constant coefficient plus the sum of all of them
+        # (a list emptied after construction reads as the zero polynomial)
+        if coeffs is None or (sum(coeffs[:1]) + sum(coeffs)) % p != a:
             return SumcheckRun(
                 Verdict(False, meter.snapshot(), rejection_round=i),
                 tuple(challenges),
@@ -407,8 +424,10 @@ class TableCommittedProver(ProverStrategy):
         self._folder.sync(challenges)
         fld = spec.field
         vals = self._folder.round_values(d)
-        poly = interpolate([(fld(t), fld(v)) for t, v in enumerate(vals)])
-        return poly.padded(d)
+        # the coefficients are the node inverse times the values at 0..d; all
+        # d + 1 of them, trailing zeros included, as the wire format wants
+        inverse = node_inverse(fld.modulus, d)
+        return UniPoly(tuple([FieldElement(sum(map(mul, row, vals)), fld) for row in inverse]), d)
 
     def assignment_query(self, point: Point) -> FieldElement:
         return mle_eval(self.table, point)
@@ -433,7 +452,8 @@ class AdaptiveCheater(ProverStrategy):
     def round_poly(self, i: int, challenges: Point, current_claim: FieldElement) -> UniPoly:
         honest = self.base.round_poly(i, challenges, current_claim)
         fld = current_claim.field
-        delta = current_claim - (honest.evaluate(fld.zero) + honest.evaluate(fld.one))
+        values = [c.value for c in honest.coeffs]
+        delta = current_claim - fld(values[0] + sum(values))  # g(0) + g(1)
         if delta.value == 0:
             return honest
         coeffs = list(honest.coeffs)

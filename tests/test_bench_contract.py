@@ -72,6 +72,10 @@ def test_tiny_first_ops_pass(name):
     metrics = trace.layer_metrics()
     # every sum-check's summand comes from a builder the tracer wraps
     assert metrics["arithmetize.build_summand.calls"] == metrics["sumcheck.run_sumcheck.calls"]
+    # the honest prover's round polynomials come from the cached node
+    # inverse, never from the Lagrange reference
+    assert metrics["sumcheck.honest_round_poly.calls"][0] == 0
+    assert metrics["field.interpolate.calls"][0] == 0
     if name == "honest_large":
         # the final check evaluates the clause indicator through the wrapped name
         assert metrics["arithmetize.clause_indicator_eval.calls"][0] > 0

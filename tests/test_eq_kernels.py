@@ -3,7 +3,8 @@
 The clause indicator and the prover's tail tables are evaluated through
 2^m eq tables and code arrays; here they are checked against the
 definition sum_c chi_c(z) * chi_{v_i(c)}(x), computed clause by clause, and
-the folded round values against ``honest_round_poly``.  Formulas are small,
+the folded round values and the table-committed prover's round polynomials
+(coefficients from the cached node inverse) against ``honest_round_poly``.  Formulas are small,
 carry dummy clause codes (num_clauses < 2^m) and short clauses that repeat
 their last variable up to the padded length L.
 """
@@ -17,13 +18,14 @@ from ppcplab.arithmetize import (
     ClauseWeights,
     build_w1_summand,
     build_w2_summand,
+    build_weight_summand,
     clause_indicator_eval,
     code_bits,
     mle_eval,
 )
-from ppcplab.field import PrimeField
+from ppcplab.field import FieldElement, PrimeField, UniPoly
 from ppcplab.formula import ClassTag, WeightedFormula, derived_m
-from ppcplab.sumcheck import PlanFolder, honest_round_poly
+from ppcplab.sumcheck import PlanFolder, TableCommittedProver, honest_round_poly
 
 FLD = PrimeField(1009)
 
@@ -122,4 +124,51 @@ def test_round_values_match_honest_round_poly(case, seed):
         folder.sync(challenges)
         reference = honest_round_poly(spec, challenges, i)
         assert folder.round_values(d) == [reference.evaluate(FLD(t)).value for t in range(d + 1)]
+        challenges += (FLD(rng.randrange(FLD.modulus)),)
+
+
+@st.composite
+def small_specs(draw):
+    """(kind, spec, table) with at most 8 sum-check variables: W1 at L = 2, W2
+    at L = 1..5 (L may exceed the longest clause) and weight summands with
+    and without a block table."""
+    kind = draw(st.sampled_from(["w1", "w2", "weight"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "weight":
+        m = draw(st.integers(1, 6))
+        table = BooleanTable(m, tuple(rng.randrange(2) for _ in range(1 << m)))
+        block = draw(st.sampled_from([None, tuple(rng.randrange(2) for _ in range(1 << m))]))
+        block_table = None if block is None else BooleanTable(m, block)
+        spec = build_weight_summand(lambda q: mle_eval(table, q), m, FLD, block_table)
+        return kind, spec, table
+    tag = ClassTag.G12N if kind == "w1" else ClassTag.G21P
+    L = 2 if kind == "w1" else draw(st.integers(1, 5))
+    max_m = 8 // (L + 1)
+    n = draw(st.integers(1, 1 << max_m))
+    clauses = []
+    for _ in range(draw(st.integers(1, 1 << max_m))):
+        size = draw(st.integers(1, min(L, n)))
+        chosen = draw(st.lists(st.integers(1, n), min_size=size, max_size=size, unique=True))
+        clauses.append(tuple(-v for v in chosen) if tag is ClassTag.G12N else tuple(chosen))
+    formula = WeightedFormula(n, tuple(clauses), tag, 1)
+    assume(formula.m <= max_m)
+    spec, table = random_spec(formula, L, rng)
+    return kind, spec, table
+
+
+@given(small_specs(), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_table_prover_round_poly_matches_honest_round_poly(case, seed):
+    _, spec, table = case
+    rng = random.Random(seed)
+    prover = TableCommittedProver(table)
+    prover.begin_sumcheck(spec, FLD.zero)
+    challenges = ()
+    for i in range(1, spec.num_vars + 1):
+        d = spec.degree_bounds[i - 1]
+        poly = prover.round_poly(i, challenges, FLD.zero)
+        reference = honest_round_poly(spec, challenges, i).padded(d)
+        assert type(poly) is UniPoly and poly.bound == d and len(poly.coeffs) == d + 1
+        assert all(type(c) is FieldElement and type(c.value) is int for c in poly.coeffs)
+        assert [c.value for c in poly.coeffs] == [c.value for c in reference.coeffs]
         challenges += (FLD(rng.randrange(FLD.modulus)),)

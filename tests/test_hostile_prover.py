@@ -160,3 +160,99 @@ def test_final_read_rejects_subclass_answers():
     assert verify_w1(f, TableCommittedProver(table), RandomTape(4)).accepted
     verdict = verify_w1(f, SubclassFinalReads(table), RandomTape(4))
     assert (verdict.accepted, verdict.stage, verdict.rejection_round) == (False, "main", 0)
+
+
+# -- prover exceptions ---------------------------------------------------------
+
+NO_TABLE = BooleanTable.from_assignment({1, 2}, 1)  # weight 2, violates -1 -2
+YES_TABLE = BooleanTable.from_assignment({1}, 2)
+
+
+class FaultyProver(TableCommittedProver):
+    """An honest table prover that fails once in ``callback`` during sum-check
+    number ``sumcheck`` (0 = the multilinearity test, before any sum-check;
+    1 = main; 2 = weight), at round ``round`` for ``round_poly``.  It fails by
+    raising, or with ``raises=False`` by answering ``None`` (a malformed
+    answer); ``begin_sumcheck`` can only raise."""
+
+    def __init__(self, table, callback, sumcheck, round=1, raises=True):
+        super().__init__(table)
+        self.fault = (callback, sumcheck, round)
+        self.raises = raises
+        self.sumchecks = 0
+
+    def _fail(self):
+        if self.raises:
+            raise RuntimeError("prover fault")
+        return None
+
+    def begin_sumcheck(self, spec, claim):
+        self.sumchecks += 1
+        super().begin_sumcheck(spec, claim)
+        if self.fault == ("begin_sumcheck", self.sumchecks, 1):
+            self._fail()
+
+    def round_poly(self, i, challenges, current_claim):
+        if self.fault == ("round_poly", self.sumchecks, i):
+            return self._fail()
+        return super().round_poly(i, challenges, current_claim)
+
+    def assignment_query(self, point):
+        if self.fault[0] == "assignment_query" and self.fault[1] == self.sumchecks:
+            return self._fail()
+        return super().assignment_query(point)
+
+
+# (instance, table, fault) -> (stage, rejection_round).  The no-instance's
+# honest table fails the main sum-check's first round, so later stages never run.
+FAULTS = {
+    "no/mltest_query": (NO_TEXT, NO_TABLE, ("assignment_query", 0), ("mltest", 1)),
+    "no/main_begin": (NO_TEXT, NO_TABLE, ("begin_sumcheck", 1), ("main", 1)),
+    "no/main_round1": (NO_TEXT, NO_TABLE, ("round_poly", 1, 1), ("main", 1)),
+    "yes/mltest_query": (YES_TEXT, YES_TABLE, ("assignment_query", 0), ("mltest", 1)),
+    "yes/main_begin": (YES_TEXT, YES_TABLE, ("begin_sumcheck", 1), ("main", 1)),
+    "yes/main_round1": (YES_TEXT, YES_TABLE, ("round_poly", 1, 1), ("main", 1)),
+    "yes/main_round5": (YES_TEXT, YES_TABLE, ("round_poly", 1, 5), ("main", 5)),
+    "yes/final_reads": (YES_TEXT, YES_TABLE, ("assignment_query", 1), ("main", 0)),
+    "yes/weight_begin": (YES_TEXT, YES_TABLE, ("begin_sumcheck", 2), ("weight", 1)),
+    "yes/weight_round2": (YES_TEXT, YES_TABLE, ("round_poly", 2, 2), ("weight", 2)),
+    "yes/weight_read": (YES_TEXT, YES_TABLE, ("assignment_query", 2), ("weight", 0)),
+}
+
+
+def test_fault_free_baseline():
+    no, yes = parse_pwsat(NO_TEXT), parse_pwsat(YES_TEXT)
+    assert verify_w1(yes, TableCommittedProver(YES_TABLE), RandomTape(5)).accepted
+    verdict = verify_w1(no, TableCommittedProver(NO_TABLE), RandomTape(5))
+    assert (verdict.accepted, verdict.stage, verdict.rejection_round) == (False, "main", 1)
+
+
+@pytest.mark.parametrize("text, table, fault, expected", FAULTS.values(), ids=FAULTS.keys())
+def test_prover_exception_is_a_rejection_at_its_stage(text, table, fault, expected):
+    f = parse_pwsat(text)
+    raised = verify_w1(f, FaultyProver(table, *fault), RandomTape(5))
+    assert (raised.accepted, raised.stage, raised.rejection_round) == (False, *expected)
+    # metered exactly as the matching malformed answer; a raising
+    # begin_sumcheck is metered as a malformed first round
+    callback, *where = fault
+    if callback == "begin_sumcheck":
+        malformed_fault = ("round_poly", where[0], 1)
+    else:
+        malformed_fault = fault
+    malformed = verify_w1(f, FaultyProver(table, *malformed_fault, raises=False), RandomTape(5))
+    assert raised == malformed  # verdicts compare meters and stage reports too
+
+
+@pytest.mark.parametrize("text", [NO_TEXT, YES_TEXT], ids=["no", "yes"])
+def test_prover_without_oracle_is_rejected_by_the_multilinearity_test(text):
+    verdict = verify_w1(parse_pwsat(text), GenericHonestProver(), RandomTape(6))
+    assert (verdict.accepted, verdict.stage, verdict.rejection_round) == (False, "mltest", 1)
+
+
+def test_base_exception_is_not_swallowed():
+    class Interrupting(GenericHonestProver):
+        def round_poly(self, i, challenges, current_claim):
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_sumcheck(product_spec(F109), F109.one, Interrupting(), RandomTape(3), ResourceMeter())
