@@ -34,10 +34,16 @@ clause c, taken from one code array per position, the clause indicator is
 sum_c eq_z[c] * eq_x[v_i(c)] over the real clauses, the plan's head proxies
 look the literal factor up at v_i(c), and each tail scatters eq_{z*} into
 per-variable sums; all L tails share one eq table of z*.
+
+The n variable codes fill only the window 0..W-1, W = 2^bitlen(n - 1), of
+the m-cube: eq_x is built over the window's coordinates alone, and the plan
+declares, per variable-code block, the window past which its tables are
+constant (widened to cover the highest true code of the committed tables).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
@@ -77,6 +83,8 @@ class BooleanTable:
     def from_true_codes(cls, codes: Sequence[int], arity: int) -> "BooleanTable":
         values = [0] * (1 << arity)
         for c in codes:
+            if not 0 <= c < len(values):
+                raise ValueError(f"code {c} outside the cube codes 0..{len(values) - 1}")
             values[c] = 1
         return cls(arity, tuple(values))
 
@@ -87,6 +95,16 @@ class BooleanTable:
 
     def ones(self) -> tuple[int, ...]:
         return self._ones
+
+    def top_code(self) -> int:
+        """Highest true code, or -1 for the all-zero table."""
+        return self._ones[-1] if self._ones else -1
+
+
+def code_window(top_code: int) -> int:
+    """W = 2^bitlen(top_code): the fewest leading codes 0..W-1, W a power of
+    two, that hold every code up to ``top_code`` (W = 1 when it is 0 or -1)."""
+    return 1 << max(top_code, 0).bit_length()
 
 
 def mle_eval(table: BooleanTable, point: Sequence[FieldElement]) -> FieldElement:
@@ -185,7 +203,12 @@ def clause_indicator_eval(
 ) -> FieldElement:
     """Multilinear extension, jointly in z and x, of the boolean indicator
     "x is the variable at ``position`` of clause z".  Dummy clause codes
-    contribute nothing."""
+    contribute nothing.
+
+    Every variable code lies below W = code_window(n - 1), so its cube
+    indicator is prod (1 - x_j) over the top m - log2 W coordinates times an
+    entry of the eq table of the low ones: eq_x is built over that window
+    only."""
     if position < 1:
         raise ValueError("positions are 1-based")
     if formula.class_tag is ClassTag.G12N and position > 2:
@@ -195,10 +218,12 @@ def clause_indicator_eval(
         raise ValueError("points must have m coordinates")
     fld = z_point[0].field
     p = fld.modulus
+    low = (formula.num_vars - 1).bit_length()
     eqz = _eq_table(z_point, p)
-    eqx = _eq_table(x_point, p)
+    eqx = _eq_table(x_point[m - low :], p)
+    top = math.prod([1 - x.value for x in x_point[: m - low]]) % p
     codes = _position_codes(formula, position)
-    return FieldElement(sum(ez * eqx[vc] for ez, vc in zip(eqz, codes)), fld)
+    return FieldElement(sum(ez * eqx[vc] for ez, vc in zip(eqz, codes)) % p * top, fld)
 
 
 TailsBuilder = Callable[[Point], list[list[list[int]]]]
@@ -214,6 +239,12 @@ class ProductPlan:
     tail (in tail order).  Once the head block is bound at a point z*,
     ``build_tails(z*)`` returns every tail's factor tables over its own block,
     in tail order.
+
+    ``head_window`` and ``tail_window`` (None: the whole block cube) declare
+    the variable-code window W of the head and of every tail: a power of two
+    past which each table of the block is constant, so a folder needs only
+    the first W entries and one constant per table.  The tables themselves
+    always cover the whole block cube.
     """
 
     field: PrimeField
@@ -221,6 +252,8 @@ class ProductPlan:
     head_tables: tuple[tuple[int, ...], ...]
     num_standalone: int
     build_tails: Optional[TailsBuilder] = None
+    head_window: Optional[int] = None
+    tail_window: Optional[int] = None
 
     def __post_init__(self):
         if self.num_tails < 0 or (self.num_tails > 0) != (self.build_tails is not None):
@@ -228,6 +261,9 @@ class ProductPlan:
         size = 1 << self.block_vars
         if any(len(t) != size for t in self.head_tables):
             raise ValueError("head tables must cover the whole block cube")
+        for w in (self.head_window, self.tail_window):
+            if w is not None and (not 0 < w <= size or w & (w - 1)):
+                raise ValueError(f"windows must be powers of two in 1..{size}")
 
     @property
     def num_tails(self) -> int:
@@ -312,6 +348,10 @@ def _clause_product_summand(
         dummies = [0] * (size - formula.num_clauses)
         head = [tuple(weights.bool_table())]
         head += [tuple([factor[vc] for vc in codes_i] + dummies) for codes_i in codes]
+        # past every variable code and every true code of the table, each
+        # tail's clause factor is 0 and its literal factor F(0) is constant
+        window = code_window(max(formula.num_vars - 1, table.top_code()))
+        beyond = [0] * (size - window)
 
         def build_tails(z_star: Point) -> list[list[list[int]]]:
             # tail i's clause factor at x is the sum of chi_c(z*) over the
@@ -319,10 +359,10 @@ def _clause_product_summand(
             eqz = _eq_table(z_star, p)
             tails = []
             for codes_i in codes:
-                ctab = [0] * size
+                ctab = [0] * window
                 for ez, vc in zip(eqz, codes_i):
                     ctab[vc] += ez
-                tails.append([[v % p for v in ctab], factor])
+                tails.append([[v % p for v in ctab] + beyond, factor])
             return tails
 
         return ProductPlan(
@@ -331,6 +371,7 @@ def _clause_product_summand(
             head_tables=tuple(head),
             num_standalone=1,
             build_tails=build_tails,
+            tail_window=window,
         )
 
     bounds = (1 + L,) * m + (2,) * (L * m)
@@ -383,13 +424,17 @@ def build_weight_summand(
         if table.arity != m:
             raise ValueError("assignment table arity must equal m")
         head: list[tuple[int, ...]] = [tuple(table.values)]
+        top = table.top_code()
         if block_table is not None:
             head.append(tuple(block_table.values))
+            top = max(top, block_table.top_code())
+        # past the highest true code of A and of B both tables are 0
         return ProductPlan(
             field=fld,
             block_vars=m,
             head_tables=tuple(head),
             num_standalone=len(head),
+            head_window=code_window(top),
         )
 
     return SummandSpec(m, (2,) * m, evaluator, fld, plan_builder)

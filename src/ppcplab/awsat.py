@@ -38,7 +38,7 @@ from .pcpverify import (
     verify_w1,
     _StageLog,
 )
-from .sumcheck import ProverStrategy, RandomTape, ResourceMeter, Verdict
+from .sumcheck import ProverStrategy, RandomTape, ResourceMeter, Verdict, ask_prover
 
 ProverFactory = Callable[[BooleanTable], ProverStrategy]
 
@@ -224,6 +224,21 @@ def _infeasible_verdict(instance: AwsatInstance, meter: ResourceMeter) -> Option
     return None
 
 
+def _branch_prover(
+    tables: BranchProofTables,
+    branch: UniversalBranch,
+    instance: AwsatInstance,
+    prover_factory: ProverFactory,
+) -> Optional[ProverStrategy]:
+    """The prover for one branch, or None when the proof has no table for it
+    or the factory raises: either way the branch has no proof to check."""
+    try:
+        table = tables.merge(branch, instance)
+    except MissingTableError:
+        return None
+    return ask_prover(prover_factory, table)
+
+
 def verify_awsat(
     instance: AwsatInstance,
     tables: BranchProofTables,
@@ -236,7 +251,8 @@ def verify_awsat(
     The per-branch soundness target is epsilon / (branch count), so the union
     over branches still meets the configured epsilon.  A branch whose
     substitution already falsifies a clause rejects the proof outright, as
-    does a missing prefix table."""
+    does a missing prefix table or a ``prover_factory`` that raises (a
+    rejection at ``b{idx}.tables`` with 0 rounds)."""
     if instance.l % 2 == 0:
         raise ValueError("verification needs an odd number of blocks; use pad_to_odd first")
     cfg = config or VerifierConfig()
@@ -245,13 +261,11 @@ def verify_awsat(
     if degenerate is not None:
         return degenerate
     if instance.l == 1:
-        branch = enumerate_universal(instance)[0]
-        try:
-            table = tables.merge(branch, instance)
-        except MissingTableError:
+        prover = _branch_prover(tables, enumerate_universal(instance)[0], instance, prover_factory)
+        if prover is None:
             return Verdict(False, meter.snapshot(), rejection_round=None,
                            stage="b0.tables", stages=())
-        return verify_w1(instance.formula, prover_factory(table), tape, cfg)
+        return verify_w1(instance.formula, prover, tape, cfg)
 
     branches = enumerate_universal(instance)
     m = instance.formula.m
@@ -270,13 +284,11 @@ def verify_awsat(
             log.close(prefix + "simplify", 0, False)
             return Verdict(False, meter.snapshot(), rejection_round=None,
                            stage=prefix + "simplify", stages=tuple(log.reports))
-        try:
-            branch_table = tables.merge(branch, instance)
-        except MissingTableError:
+        prover = _branch_prover(tables, branch, instance, prover_factory)
+        if prover is None:
             log.close(prefix + "tables", 0, False)
             return Verdict(False, meter.snapshot(), rejection_round=None,
                            stage=prefix + "tables", stages=tuple(log.reports))
-        prover = prover_factory(branch_table)
         ok, stage, rnd = run_g12n_protocol(
             reduced, prover, tape, meter, log, fld, params, weight_checks, prefix=prefix,
         )

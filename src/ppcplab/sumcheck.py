@@ -298,6 +298,15 @@ def _product_sum(tables: Sequence[Sequence[int]], p: int) -> int:
     return sum(acc) % p
 
 
+def _split(tables: Sequence[Sequence[int]], window: Optional[int]):
+    """The first ``window`` entries of each table and, when the window is
+    short of the cube, the constant every table holds past it (else None).
+    Tables are never written to, only replaced, so they are not copied."""
+    if window is None or window >= len(tables[0]):
+        return tables, None
+    return [t[:window] for t in tables], [t[window] for t in tables]
+
+
 class PlanFolder:
     """Folds a ProductPlan's factor tables as challenges bind variables.
 
@@ -305,6 +314,14 @@ class PlanFolder:
     a variable at r is the exact affine map lo + r * (hi - lo) per entry,
     and the per-round sums over the remaining cube are exactly the honest
     round polynomial values.
+
+    Of each block only the plan's window is held: the first W entries of
+    every table plus the constant it holds past W.  While the remaining cube
+    is larger than W, the current variable is a top code bit, so the window
+    lies in the lo half and the hi half is all constants: binding maps each
+    window entry a to a + r * (c - a), and the (half - W) constant entries of
+    the lo half add (half - W) * prod(c) to every round value.  Once the cube
+    has shrunk to W, the plain fold takes over.
     """
 
     def __init__(self, plan: ProductPlan):
@@ -314,13 +331,17 @@ class PlanFolder:
 
     def _reset(self):
         self._bound: list[int] = []
-        self._tables: list[list[int]] = [list(t) for t in self.plan.head_tables]
+        self._load(self.plan.head_tables, self.plan.head_window)
         self._stage = 0  # 0 = head block, j >= 1 = tail j-1
         self._mult = 1
         self._head_scalar = 1
         self._tail_tables: list[list[list[int]]] = []
         self._tail_sums: list[int] = []
         self._tail_values: list[int] = []
+
+    def _load(self, tables: Sequence[Sequence[int]], window: Optional[int]) -> None:
+        self._size = len(tables[0])
+        self._tables, self._consts = _split(tables, window)
 
     def sync(self, challenges: Point) -> None:
         vals = [c.value for c in challenges]
@@ -332,9 +353,16 @@ class PlanFolder:
     def round_values(self, degree: int) -> list[int]:
         """Values of the current round polynomial at t = 0..degree."""
         p = self._p
-        half = len(self._tables[0]) >> 1
-        lo = [tbl[:half] for tbl in self._tables]
-        hi = [tbl[half:] for tbl in self._tables]
+        tables, consts = self._tables, self._consts
+        if consts is None:
+            half = len(tables[0]) >> 1
+            lo = [tbl[:half] for tbl in tables]
+            hi = [tbl[half:] for tbl in tables]
+            rest = 0
+        else:
+            lo = tables
+            hi = [[c] * len(tbl) for tbl, c in zip(tables, consts)]
+            rest = ((self._size >> 1) - len(tables[0])) * math.prod(consts)
         # every table is affine in the current variable, so the slice at t + 1
         # is the slice at t plus hi - lo
         step = [list(map(sub, h, l)) for l, h in zip(lo, hi)]
@@ -346,15 +374,24 @@ class PlanFolder:
                 cur = hi
             else:
                 cur = [list(map(add, c, s)) for c, s in zip(cur, step)]
-            out.append(_product_sum(cur, p) * self._mult % p)
+            out.append((_product_sum(cur, p) + rest) * self._mult % p)
         return out
 
     def _bind(self, r: int) -> None:
         p = self._p
-        half = len(self._tables[0]) >> 1
-        self._tables = [
-            [(a + r * (b - a)) % p for a, b in zip(tbl[:half], tbl[half:])] for tbl in self._tables
-        ]
+        half = self._size >> 1
+        if self._consts is None:
+            self._tables = [
+                [(a + r * (b - a)) % p for a, b in zip(tbl[:half], tbl[half:])]
+                for tbl in self._tables
+            ]
+        else:
+            self._tables = [
+                [(a + r * (c - a)) % p for a in tbl] for tbl, c in zip(self._tables, self._consts)
+            ]
+            if half == len(self._tables[0]):
+                self._consts = None
+        self._size = half
         self._bound.append(r % p)
         if half == 1:
             self._advance()
@@ -369,14 +406,23 @@ class PlanFolder:
                 return
             z_star = tuple(plan.field(v) for v in self._bound[: plan.block_vars])
             self._tail_tables = plan.build_tails(z_star)
-            self._tail_sums = [_product_sum(tabs, p) for tabs in self._tail_tables]
+            self._tail_sums = [self._window_sum(tabs) for tabs in self._tail_tables]
         else:
             self._tail_values.append(math.prod(scalars) % p)
             if self._stage == plan.num_tails:
                 return
         self._stage += 1
-        self._tables = [list(t) for t in self._tail_tables[self._stage - 1]]
+        self._load(self._tail_tables[self._stage - 1], plan.tail_window)
         self._recompute_mult()
+
+    def _window_sum(self, tables: Sequence[Sequence[int]]) -> int:
+        """Cube sum of a tail's factor product, over its window plus the
+        constant entries past it."""
+        window, consts = _split(tables, self.plan.tail_window)
+        total = _product_sum(window, self._p)
+        if consts is not None:
+            total += (len(tables[0]) - len(window[0])) * math.prod(consts)
+        return total % self._p
 
     def _recompute_mult(self) -> None:
         p = self._p

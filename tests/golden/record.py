@@ -97,13 +97,19 @@ def w1_formulas() -> list[tuple[str, WeightedFormula]]:
         ("planted", gen_planted_yes(6, 2, 6, 11)),
         ("random_a", gen_random(6, 7, 3, 5)),
         ("random_b", gen_random(8, 8, 4, 9)),
+        ("pinned_m6", WeightedFormula(3, ((-1, -2), (-2, -3)), g12n, 1, m=6)),
+        ("pinned_m5_no", WeightedFormula(2, ((-1, -2),), g12n, 2, m=5)),
     ]
 
 
 def w2_formulas() -> list[tuple[str, WeightedFormula]]:
     """Two positive-CNF formulas per padded length L = 1..5, each with one
-    clause of length exactly L."""
-    out = []
+    clause of length exactly L, after two at L = 3 whose m is pinned well above
+    the width their few variables need."""
+    out = [
+        ("pinned_m7_L3", WeightedFormula(5, ((1, 2, 3), (2, 4), (5,)), ClassTag.G21P, 2, m=7)),
+        ("pinned_m6_L3_no", WeightedFormula(4, ((1, 2, 3), (4,)), ClassTag.G21P, 1, m=6)),
+    ]
     for L in range(1, 6):
         for k, seed in ((1, 3), (2, 4)):
             base = gen_random(6, 5, k, 100 * L + seed, ClassTag.G21P, max_len=L)
@@ -125,14 +131,23 @@ def _off_weight_table(formula: WeightedFormula) -> BooleanTable:
     return BooleanTable.from_assignment(true_set, formula.m)
 
 
+def _parked_table(formula: WeightedFormula) -> BooleanTable:
+    """The honest table plus the top dummy code: weight parked where no
+    variable lives."""
+    top = (1 << formula.m) - 1
+    return BooleanTable.from_true_codes(_table_for(formula).ones() + (top,), formula.m)
+
+
 def _provers(formula: WeightedFormula, seed: int) -> dict[str, Callable[[], object]]:
     table, off = _table_for(formula), _off_weight_table(formula)
+    parked = _parked_table(formula)
     return {
         "honest": lambda: table_committed_prover(table),
         "adaptive": lambda: adaptive_cheater(table_committed_prover(table)),
         "garbage": lambda: RandomGarbageProver(derive_seed(seed, 1)),
         "off_weight": lambda: table_committed_prover(off),
         "off_weight_adaptive": lambda: adaptive_cheater(table_committed_prover(off)),
+        "parked": lambda: table_committed_prover(parked),
     }
 
 

@@ -336,3 +336,18 @@ class TestBooleanTable:
         t = BooleanTable.from_assignment({1, 3}, 2)
         assert t.values == (1, 0, 1, 0)
         assert t.ones() == (0, 2)
+
+    @pytest.mark.parametrize("codes", [[-1], [4], [0, 7], [1 << 40]])
+    def test_codes_outside_the_cube_raise(self, codes):
+        with pytest.raises(ValueError, match="outside"):
+            BooleanTable.from_true_codes(codes, 2)
+
+    @pytest.mark.parametrize("true_set", [{0}, {5}, {1, 2, 9}])
+    def test_variables_outside_the_cube_raise(self, true_set):
+        # variable 0 used to set the top code silently; variable 5 raised IndexError
+        with pytest.raises(ValueError, match="outside"):
+            BooleanTable.from_assignment(true_set, 2)
+
+    def test_top_code(self):
+        assert BooleanTable.from_true_codes([], 3).top_code() == -1
+        assert BooleanTable.from_true_codes([2, 5, 1], 3).top_code() == 5

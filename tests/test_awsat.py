@@ -32,6 +32,13 @@ HAND_NO = make_instance(4, ((-2, -4),), ((1,), (2, 3), (4,)), (1, 1, 1))
 HAND_YES = make_instance(4, ((-2, -3),), ((1,), (2, 3), (4,)), (1, 1, 1))
 
 
+L1_YES = AwsatInstance(WeightedFormula(3, ((-1, -2),), ClassTag.G12N, 1), ((1, 2, 3),), (1,))
+
+
+def raising_factory(table):
+    raise RuntimeError("prover unavailable")
+
+
 class TestEnumerateUniversal:
     def test_l1_single_empty_branch(self):
         inst = make_instance(2, (), ((1, 2),), (1,))
@@ -150,6 +157,42 @@ class TestVerifyAwsat:
         verdict = verify_awsat(inst, BranchProofTables({}), table_committed_prover, RandomTape(0))
         assert not verdict.accepted
         assert verdict.stage == "b0.tables"
+
+    def test_raising_factory_rejects_at_tables(self):
+        tables = honest_branch_tables(HAND_YES)
+        verdict = verify_awsat(HAND_YES, tables, raising_factory, RandomTape(0))
+        assert (verdict.accepted, verdict.stage, verdict.rejection_round) == (False, "b0.tables", None)
+        assert verdict.stages[-1].name == "b0.tables" and verdict.stages[-1].rounds == 0
+        # the same verdict, meters and stage reports as a missing table
+        missing = verify_awsat(HAND_YES, BranchProofTables({}), table_committed_prover, RandomTape(0))
+        assert verdict == missing
+
+    def test_factory_raising_on_a_later_branch_rejects_there(self):
+        tables = honest_branch_tables(HAND_YES)
+        calls = []
+
+        def factory(table):
+            calls.append(table)
+            if len(calls) > 1:
+                raise RuntimeError("prover unavailable")
+            return table_committed_prover(table)
+
+        verdict = verify_awsat(HAND_YES, tables, factory, RandomTape(0))
+        assert (verdict.accepted, verdict.stage) == (False, "b1.tables")
+        assert [s.name for s in verdict.stages][-1] == "b1.tables"
+        assert verdict.stages[-1].rounds == 0 and verdict.stages[-2].accepted
+
+    def test_raising_factory_rejects_l1_path(self):
+        verdict = verify_awsat(L1_YES, honest_branch_tables(L1_YES), raising_factory, RandomTape(0))
+        assert (verdict.accepted, verdict.stage, verdict.stages) == (False, "b0.tables", ())
+
+    @pytest.mark.parametrize("inst", [HAND_YES, L1_YES], ids=["l3", "l1"])
+    def test_interrupting_factory_propagates(self, inst):
+        def factory(table):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            verify_awsat(inst, honest_branch_tables(inst), factory, RandomTape(0))
 
     def test_even_l_rejected(self):
         inst = make_instance(2, (), ((1,), (2,)), (1, 0))

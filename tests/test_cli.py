@@ -51,6 +51,24 @@ class TestVerifyCommand:
         wrong = write(tmp_path, "wrong.txt", "1 2\n")
         assert main(["verify", path, "--prover", f"table:{wrong}"]) == 1
 
+    @pytest.mark.parametrize("true_vars", ["5", "1 9", "2 1000"])
+    def test_table_variable_past_the_cube_exits_two(self, tmp_path, capsys, true_vars):
+        path = write(tmp_path, "yes.pwsat", YES_TEXT)  # m = 2: variables 1..4
+        table = write(tmp_path, "table.txt", true_vars + "\n")
+        assert main(["verify", path, "--prover", f"table:{table}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "outside" in captured.err
+        assert "verdict" not in captured.out
+
+    def test_table_variable_on_a_dummy_code_is_a_proof(self, tmp_path, capsys):
+        # variable 4 is past n = 3 but inside the cube: a legal (if odd) proof
+        # whose parked weight the weight check, restricted to the real
+        # variables, does not count
+        path = write(tmp_path, "yes.pwsat", YES_TEXT)
+        table = write(tmp_path, "table.txt", "1 4\n")
+        assert main(["verify", path, "--prover", f"table:{table}", "--seed", "3"]) == 0
+        assert "verdict: accept" in capsys.readouterr().out
+
     def test_json_report_shape(self, tmp_path, capsys):
         path = write(tmp_path, "yes.pwsat", YES_TEXT)
         assert main(["verify", path, "--json"]) == 0

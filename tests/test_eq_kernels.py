@@ -11,11 +11,13 @@ their last variable up to the padded length L.
 
 import random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ppcplab.arithmetize import (
     BooleanTable,
     ClauseWeights,
+    ProductPlan,
     build_w1_summand,
     build_w2_summand,
     build_weight_summand,
@@ -171,4 +173,160 @@ def test_table_prover_round_poly_matches_honest_round_poly(case, seed):
         assert type(poly) is UniPoly and poly.bound == d and len(poly.coeffs) == d + 1
         assert all(type(c) is FieldElement and type(c.value) is int for c in poly.coeffs)
         assert [c.value for c in poly.coeffs] == [c.value for c in reference.coeffs]
+        challenges += (FLD(rng.randrange(FLD.modulus)),)
+
+
+# ---------------------------------------------------------------------------
+# Variable-code windows: m pinned above the width the variables need
+# ---------------------------------------------------------------------------
+
+TABLE_KINDS = ("low", "dummy", "top", "zero")
+
+
+@st.composite
+def pinned_formulas(draw, max_total_vars, tags=(ClassTag.G12N, ClassTag.G21P), max_len=5):
+    """(formula, L): up to 3 variables and clauses at m pinned 1..3 above the
+    derived width, so every variable code sits in a low window of the cube;
+    (L + 1) * m stays within ``max_total_vars``."""
+    tag = draw(st.sampled_from(tags))
+    L = 2 if tag is ClassTag.G12N else draw(st.integers(1, max_len))
+    n = draw(st.integers(1, 3))
+    clauses = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, min(L, n)))
+        chosen = draw(st.lists(st.integers(1, n), min_size=size, max_size=size, unique=True))
+        clauses.append(tuple(-v for v in chosen) if tag is ClassTag.G12N else tuple(chosen))
+    m = derived_m(n, len(clauses)) + draw(st.integers(1, 3))
+    assume((L + 1) * m <= max_total_vars)
+    return WeightedFormula(n, tuple(clauses), tag, 1, m), L
+
+
+def window_table(kind, n, m, rng):
+    """A committed table over the m-cube: true codes among the n variable
+    codes only ("low"), plus one true dummy code below the top ("dummy"),
+    plus the top code ("top"), or no true code at all ("zero")."""
+    if kind == "zero":
+        return BooleanTable.from_true_codes((), m)
+    codes = [c for c in range(n) if rng.randrange(2)]
+    top = (1 << m) - 1
+    if kind == "dummy":
+        codes.append(rng.randrange(n, top) if n < top else top)
+    elif kind == "top":
+        codes.append(top)
+    return BooleanTable.from_true_codes(codes, m)
+
+
+def assert_rounds_match_honest(spec, table, seed):
+    """``TableCommittedProver.round_poly`` equals the padded reference in
+    every round, at random challenges."""
+    rng = random.Random(seed)
+    prover = TableCommittedProver(table)
+    prover.begin_sumcheck(spec, FLD.zero)
+    challenges = ()
+    for i in range(1, spec.num_vars + 1):
+        d = spec.degree_bounds[i - 1]
+        poly = prover.round_poly(i, challenges, FLD.zero)
+        reference = honest_round_poly(spec, challenges, i).padded(d)
+        assert [c.value for c in poly.coeffs] == [c.value for c in reference.coeffs], i
+        challenges += (FLD(rng.randrange(FLD.modulus)),)
+
+
+@st.composite
+def pinned_specs(draw, table_kind):
+    """(kind, spec, table, n) over pinned-m formulas with at most 10 sum-check
+    variables: W1, W2 at L = 1..4, and weight summands with no block table,
+    the real variables as the block, or a random block of variable codes."""
+    kind = draw(st.sampled_from(["w1", "w2", "weight"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "weight":
+        n = draw(st.integers(1, 4))
+        m = derived_m(n, 1) + draw(st.integers(1, 3))
+        table = window_table(table_kind, n, m, rng)
+        block = draw(st.sampled_from(["none", "real", "random"]))
+        block_codes = range(n) if block == "real" else [c for c in range(n) if rng.randrange(2)]
+        block_table = None if block == "none" else BooleanTable.from_true_codes(block_codes, m)
+        return kind, build_weight_summand(lambda q: mle_eval(table, q), m, FLD, block_table), table, n
+    tag = ClassTag.G12N if kind == "w1" else ClassTag.G21P
+    formula, L = draw(pinned_formulas(10, tags=(tag,), max_len=4))
+    n, m = formula.num_vars, formula.m
+    table = window_table(table_kind, n, m, rng)
+    weights = ClauseWeights(random_point(rng, m))
+    oracle = lambda q: mle_eval(table, q)  # noqa: E731
+    if kind == "w1":
+        return kind, build_w1_summand(formula, oracle, weights), table, n
+    return kind, build_w2_summand(formula, oracle, weights, L), table, n
+
+
+@pytest.mark.parametrize("table_kind", TABLE_KINDS)
+@given(data=st.data(), seed=st.integers(0, 2**32))
+@settings(max_examples=15, deadline=None)
+def test_windowed_round_poly_matches_honest_round_poly(table_kind, data, seed):
+    kind, spec, table, n = data.draw(pinned_specs(table_kind))
+    m = table.arity
+    plan = spec.plan_builder(table)
+    window = plan.head_window if kind == "weight" else plan.tail_window
+    assert window > table.top_code()
+    assert (window == 1 << m) if table_kind == "top" else table_kind == "dummy" or window < 1 << m
+    if kind != "weight":
+        assert window >= n and plan.head_window is None  # the clause codes stay dense
+    assert_rounds_match_honest(spec, table, seed)
+
+
+def test_windowed_round_poly_at_padded_length_5():
+    # one variable at m = 2, its code and the dummy code 1 true: window 2 of 4
+    formula = WeightedFormula(1, ((1,),), ClassTag.G21P, 1, 2)
+    table = BooleanTable.from_true_codes([0, 1], 2)
+    weights = ClauseWeights((FLD(3), FLD(500)))
+    spec = build_w2_summand(formula, lambda q: mle_eval(table, q), weights, 5)
+    assert spec.plan_builder(table).tail_window == 2
+    assert_rounds_match_honest(spec, table, 5)
+
+
+@given(pinned_formulas(30), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_windowed_clause_indicator_matches_per_clause_definition(case, seed):
+    formula, L = case
+    rng = random.Random(seed)
+    for position in range(1, L + 1):
+        z, x = random_point(rng, formula.m), random_point(rng, formula.m)
+        expected = indicator_reference(formula, position, z, x)
+        assert clause_indicator_eval(formula, position, z, x) == expected
+
+
+@st.composite
+def windowed_plans(draw):
+    """(windowed plan, the same plan without windows): random factor tables,
+    each constant past its block's window; unlike the summands' plans, whose
+    constant products are 0, the constants here are random."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    block_vars = draw(st.integers(1, 4))
+    size = 1 << block_vars
+    head_window = 1 << draw(st.integers(0, block_vars))
+    tail_window = 1 << draw(st.integers(0, block_vars))
+    num_tails = draw(st.integers(0, 2))
+
+    def table(window):
+        const = rng.randrange(FLD.modulus)
+        return [rng.randrange(FLD.modulus) for _ in range(window)] + [const] * (size - window)
+
+    head = tuple(tuple(table(head_window)) for _ in range(draw(st.integers(1, 3)) + num_tails))
+    tails = [[table(tail_window) for _ in range(draw(st.integers(1, 3)))] for _ in range(num_tails)]
+    build_tails = (lambda z_star: tails) if num_tails else None
+    common = dict(field=FLD, block_vars=block_vars, head_tables=head,
+                  num_standalone=len(head) - num_tails, build_tails=build_tails)
+    windowed = ProductPlan(**common, head_window=head_window, tail_window=tail_window)
+    return windowed, ProductPlan(**common)
+
+
+@given(windowed_plans(), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_windowed_fold_matches_whole_cube_fold(plans, seed):
+    windowed, whole = plans
+    rng = random.Random(seed)
+    a, b = PlanFolder(windowed), PlanFolder(whole)
+    challenges = ()
+    for _ in range(windowed.num_vars):
+        a.sync(challenges)
+        b.sync(challenges)
+        assert a.round_values(3) == b.round_values(3)
         challenges += (FLD(rng.randrange(FLD.modulus)),)
