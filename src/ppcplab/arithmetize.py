@@ -27,13 +27,16 @@ block is active, every variable block is represented by its summed-out proxy
 table, which agrees with the true inner sum everywhere by multilinearity.
 
 Points are evaluated through eq tables: the eq table of a point lists
-chi_c(point) for every code c of the m-cube, built as one MSB-first tensor
-product in 2^m multiplications mod p (the clause-weight table is the same
-tensor product).  With v_i(c), the code of the variable at position i of
-clause c, taken from one code array per position, the clause indicator is
-sum_c eq_z[c] * eq_x[v_i(c)] over the real clauses, the plan's head proxies
-look the literal factor up at v_i(c), and each tail scatters eq_{z*} into
-per-variable sums; all L tails share one eq table of z*.
+chi_c(point) for every code c of the m-cube, an MSB-first tensor product
+(the clause-weight table is another), built as the outer product of two
+half-width tensors from m = 6 on.  With v_i(c), the code of the variable at
+position i of clause c, taken from the formula's cached code arrays (one
+tuple per position), the clause indicator is sum_c eq_z[c] * eq_x[v_i(c)]
+over the real clauses, summed row by row over the two halves of z so eq_z
+is never built; the plan's head proxies look the literal factor up at
+v_i(c), and each tail scatters eq_{z*} into per-variable sums; all L tails
+share one eq table of z*.  The plan declares its clause-weight head table
+as a tensor, which the folder never folds.
 
 The n variable codes fill only the window 0..W-1, W = 2^bitlen(n - 1), of
 the m-cube: eq_x is built over the window's coordinates alone, and the plan
@@ -43,8 +46,10 @@ constant (widened to cover the highest true code of the committed tables).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .field import FieldElement, PrimeField
@@ -172,10 +177,27 @@ class ClauseWeights:
         return _tensor([(1, rj.value) for rj in self.r], self.field.modulus)
 
 
+# From this many coordinates on, an eq or weight tensor is built (or summed
+# against) as two half-width tensors: below it the halves cost more Python
+# steps than they save multiplications.
+_SPLIT_WIDTH = 6
+
+
+def _split_at(width: int) -> int:
+    """How many leading coordinates form the high half of a width-``width``
+    tensor: width // 2 from ``_SPLIT_WIDTH`` on, else 0 (no split)."""
+    return width // 2 if width >= _SPLIT_WIDTH else 0
+
+
 def _tensor(factors: Sequence[tuple[int, int]], p: int) -> list[int]:
     """Entry c is prod_j factors[j][bit j of c] mod p, bits MSB-first: the
-    tensor product of per-coordinate (bit 0, bit 1) pairs, in 2^m
-    multiplications."""
+    tensor product of per-coordinate (bit 0, bit 1) pairs.  Doubling takes
+    2^(m+1) multiplications; a wide table is the outer product of its two
+    half-width tensors instead, 2^m plus the halves."""
+    h = _split_at(len(factors))
+    if h:
+        low = _tensor(factors[h:], p)
+        return [a * b % p for a in _tensor(factors[:h], p) for b in low]
     table = [1]
     for lo, hi in reversed(factors):
         table = [t * lo % p for t in table] + [t * hi % p for t in table]
@@ -188,11 +210,25 @@ def _eq_table(point: Sequence[FieldElement], p: int) -> list[int]:
     return _tensor([((1 - x.value) % p, x.value % p) for x in point], p)
 
 
-def _position_codes(formula: WeightedFormula, position: int) -> list[int]:
-    """Code of the variable at a 1-based position of every clause; short
-    clauses repeat their last variable."""
-    i = position - 1
-    return [abs(lits[i] if len(lits) > i else lits[-1]) - 1 for lits in formula.clauses]
+@functools.lru_cache(maxsize=8)
+def _formula_codes(formula: WeightedFormula) -> tuple[tuple[int, ...], ...]:
+    """For each position 1..max_clause_len, the code of the variable at that
+    position of every clause; short clauses repeat their last variable.
+    Built once per formula and shared by the honest prover's plan and the
+    verifier's final check, so the arrays are tuples: nobody can write into
+    what the other reads.  The cache is small: each formula's arrays are as
+    long as its clause list."""
+    return tuple(
+        tuple([abs(lits[i] if len(lits) > i else lits[-1]) - 1 for lits in formula.clauses])
+        for i in range(formula.max_clause_len)
+    )
+
+
+def _position_codes(formula: WeightedFormula, position: int) -> tuple[int, ...]:
+    """Code of the variable at a 1-based position of every clause; past the
+    longest clause every clause repeats its last variable."""
+    codes = _formula_codes(formula)
+    return codes[min(position, len(codes)) - 1]
 
 
 def clause_indicator_eval(
@@ -208,7 +244,10 @@ def clause_indicator_eval(
     Every variable code lies below W = code_window(n - 1), so its cube
     indicator is prod (1 - x_j) over the top m - log2 W coordinates times an
     entry of the eq table of the low ones: eq_x is built over that window
-    only."""
+    only.  eq_z is the outer product of the eq tables of z's high and low
+    coordinates and is never built: clause a||b (high part a, low part b)
+    contributes eqz_hi[a] * eqz_lo[b] * eq_x[v_i(a||b)], so the sum runs
+    row by row, one multiplication by eqz_hi[a] per row."""
     if position < 1:
         raise ValueError("positions are 1-based")
     if formula.class_tag is ClassTag.G12N and position > 2:
@@ -219,11 +258,15 @@ def clause_indicator_eval(
     fld = z_point[0].field
     p = fld.modulus
     low = (formula.num_vars - 1).bit_length()
-    eqz = _eq_table(z_point, p)
     eqx = _eq_table(x_point[m - low :], p)
     top = math.prod([1 - x.value for x in x_point[: m - low]]) % p
-    codes = _position_codes(formula, position)
-    return FieldElement(sum(ez * eqx[vc] for ez, vc in zip(eqz, codes)) % p * top, fld)
+    h = _split_at(m)
+    eqz_lo = _eq_table(z_point[h:], p)
+    width = len(eqz_lo)
+    vals = [eqx[vc] for vc in _position_codes(formula, position)]
+    rows = zip(_eq_table(z_point[:h], p), range(0, len(vals), width))
+    total = sum([a * sum(map(mul, eqz_lo, vals[j : j + width])) for a, j in rows])
+    return FieldElement(total % p * top, fld)
 
 
 TailsBuilder = Callable[[Point], list[list[list[int]]]]
@@ -245,6 +288,14 @@ class ProductPlan:
     past which each table of the block is constant, so a folder needs only
     the first W entries and one constant per table.  The tables themselves
     always cover the whole block cube.
+
+    ``head_weights`` (None: no such table), residues r_1..r_{block_vars},
+    declares that head table 0 is their tensor prod_j (1, r_j), entry c being
+    the product of r_j over the 1-bits j of c.  A folder then never folds
+    that table: bound at r*_1..r*_{i-1}, it is the scalar
+    prod_{j<i} (1 - r*_j + r_j r*_j) times (1 - t + r_i t) times the unbound
+    suffix, which is the table's own first 2^(block_vars - i) entries.  Such
+    a head is whole-cube and holds at least one other table.
     """
 
     field: PrimeField
@@ -254,6 +305,7 @@ class ProductPlan:
     build_tails: Optional[TailsBuilder] = None
     head_window: Optional[int] = None
     tail_window: Optional[int] = None
+    head_weights: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.num_tails < 0 or (self.num_tails > 0) != (self.build_tails is not None):
@@ -264,6 +316,16 @@ class ProductPlan:
         for w in (self.head_window, self.tail_window):
             if w is not None and (not 0 < w <= size or w & (w - 1)):
                 raise ValueError(f"windows must be powers of two in 1..{size}")
+        if self.head_weights is not None and (
+            len(self.head_weights) != self.block_vars
+            or self.num_standalone < 1
+            or len(self.head_tables) < 2
+            or self.head_window is not None
+        ):
+            raise ValueError(
+                "a weight-tensor head needs one weight per block variable, head "
+                "table 0 standalone, another head table and no head window"
+            )
 
     @property
     def num_tails(self) -> int:
@@ -372,6 +434,7 @@ def _clause_product_summand(
             num_standalone=1,
             build_tails=build_tails,
             tail_window=window,
+            head_weights=tuple([rj.value % p for rj in weights.r]),
         )
 
     bounds = (1 + L,) * m + (2,) * (L * m)

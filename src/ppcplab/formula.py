@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -75,6 +75,8 @@ class WeightedFormula:
     ``m`` defaults to the derived cube width but may be pinned to any larger
     value; a stable m is what keeps proof tables comparable when a formula is
     simplified inside the branch protocol.
+
+    The longest clause length and the hash are computed once, at construction.
     """
 
     num_vars: int
@@ -82,6 +84,8 @@ class WeightedFormula:
     class_tag: ClassTag
     k: int
     m: Optional[int] = None
+    _max_len: int = dc_field(init=False, repr=False, compare=False)
+    _hash: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "clauses", tuple(tuple(cl) for cl in self.clauses))
@@ -108,6 +112,14 @@ class WeightedFormula:
             object.__setattr__(self, "m", low)
         elif self.m < low:
             raise ValueError(f"explicit m={self.m} below derived minimum {low}")
+        object.__setattr__(self, "_max_len", max(map(len, self.clauses), default=1))
+        # ints and tuples only: unlike a str hash, this one is the same in
+        # every process, so it stays valid in a copy carried elsewhere
+        key = (self.num_vars, self.clauses, self.class_tag is ClassTag.G12N, self.k, self.m)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def num_clauses(self) -> int:
@@ -115,7 +127,7 @@ class WeightedFormula:
 
     @property
     def max_clause_len(self) -> int:
-        return max((len(cl) for cl in self.clauses), default=1)
+        return self._max_len
 
 
 @dataclass(frozen=True)

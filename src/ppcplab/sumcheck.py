@@ -15,6 +15,7 @@ so closed-form bit counts can be checked exactly).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from abc import ABC, abstractmethod
@@ -298,6 +299,24 @@ def _product_sum(tables: Sequence[Sequence[int]], p: int) -> int:
     return sum(acc) % p
 
 
+@functools.lru_cache(maxsize=16)
+def _difference_row(n: int) -> tuple[int, ...]:
+    """(-1)^(k+1) C(n, k) for k = 1..n."""
+    return tuple([(-1) ** (k + 1) * math.comb(n, k) for k in range(1, n + 1)])
+
+
+def _extend(values: list[int], count: int, p: int) -> list[int]:
+    """Extend ``values``, in place, to the values at t = 0..count-1 (mod p)
+    of the polynomial of degree below n = len(values) with the given values
+    at 0..n-1: its n-th finite difference vanishes, so
+    v(t) = sum_{k=1..n} (-1)^(k+1) C(n, k) v(t - k)."""
+    n = len(values)
+    row = _difference_row(n)
+    for _ in range(count - n):
+        values.append(sum(map(mul, row, reversed(values[-n:]))) % p)
+    return values
+
+
 def _split(tables: Sequence[Sequence[int]], window: Optional[int]):
     """The first ``window`` entries of each table and, when the window is
     short of the cube, the constant every table holds past it (else None).
@@ -322,6 +341,14 @@ class PlanFolder:
     window entry a to a + r * (c - a), and the (half - W) constant entries of
     the lo half add (half - W) * prod(c) to every round value.  Once the cube
     has shrunk to W, the plain fold takes over.
+
+    A head whose table 0 is a declared weight tensor (``head_weights``)
+    folds its other tables only.  In head round i the round value at t is
+    (1 - t + r_i t) * s * q(t): s is the product of the bound weight factors
+    and q sums the table's unbound suffix w[:half] times the other tables.
+    q has one degree less than the round polynomial, so it is summed at one
+    point fewer, and its last value comes from its vanishing finite
+    difference.
     """
 
     def __init__(self, plan: ProductPlan):
@@ -330,8 +357,13 @@ class PlanFolder:
         self._reset()
 
     def _reset(self):
+        plan = self.plan
         self._bound: list[int] = []
-        self._load(self.plan.head_tables, self.plan.head_window)
+        # the weight factors while the weight-tensor head is being folded
+        self._head_weights = plan.head_weights
+        self._scale = 1
+        head = plan.head_tables if self._head_weights is None else plan.head_tables[1:]
+        self._load(head, plan.head_window)
         self._stage = 0  # 0 = head block, j >= 1 = tail j-1
         self._mult = 1
         self._head_scalar = 1
@@ -363,23 +395,37 @@ class PlanFolder:
             lo = tables
             hi = [[c] * len(tbl) for tbl, c in zip(tables, consts)]
             rest = ((self._size >> 1) - len(tables[0])) * math.prod(consts)
+        weights = self._head_weights
+        if weights is None:
+            fixed, points = [], degree + 1
+        else:
+            # weight-tensor head (whole-cube, so rest is 0 and the multiplier
+            # 1): every slice also holds the unbound suffix, and q has degree
+            # len(tables)
+            fixed, points = [self.plan.head_tables[0][:half]], min(degree, len(tables)) + 1
         # every table is affine in the current variable, so the slice at t + 1
         # is the slice at t plus hi - lo
         step = [list(map(sub, h, l)) for l, h in zip(lo, hi)]
         out = []
-        for t in range(degree + 1):
+        for t in range(points):
             if t == 0:
                 cur = lo
             elif t == 1:
                 cur = hi
             else:
                 cur = [list(map(add, c, s)) for c, s in zip(cur, step)]
-            out.append((_product_sum(cur, p) + rest) * self._mult % p)
-        return out
+            out.append((_product_sum(fixed + cur, p) + rest) * self._mult % p)
+        if weights is None:
+            return out
+        r, s = weights[len(self._bound)], self._scale
+        return [(1 - t + r * t) * s * q % p for t, q in enumerate(_extend(out, degree + 1, p))]
 
     def _bind(self, r: int) -> None:
         p = self._p
         half = self._size >> 1
+        if self._head_weights is not None:
+            w = self._head_weights[len(self._bound)]
+            self._scale = self._scale * (1 - r + w * r) % p
         if self._consts is None:
             self._tables = [
                 [(a + r * (b - a)) % p for a, b in zip(tbl[:half], tbl[half:])]
@@ -401,6 +447,9 @@ class PlanFolder:
         plan = self.plan
         scalars = [tbl[0] for tbl in self._tables]
         if self._stage == 0:
+            if self._head_weights is not None:
+                scalars.insert(0, self._scale)
+                self._head_weights = None
             self._head_scalar = math.prod(scalars[: plan.num_standalone]) % p
             if not plan.num_tails:
                 return

@@ -87,6 +87,17 @@ def digest(text: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _pinned(formula: WeightedFormula, m: int) -> WeightedFormula:
+    return WeightedFormula(formula.num_vars, formula.clauses, formula.class_tag, formula.k, m)
+
+
+def _w2_with_var1(formula: WeightedFormula, k: int) -> WeightedFormula:
+    """Every clause gains variable 1 (dropping its last literal past length 2),
+    so {1} satisfies the formula."""
+    clauses = tuple(tuple(sorted({1, *cl[:2]})) for cl in formula.clauses)
+    return WeightedFormula(formula.num_vars, clauses, ClassTag.G21P, k)
+
+
 def w1_formulas() -> list[tuple[str, WeightedFormula]]:
     g12n = ClassTag.G12N
     return [
@@ -99,16 +110,22 @@ def w1_formulas() -> list[tuple[str, WeightedFormula]]:
         ("random_b", gen_random(8, 8, 4, 9)),
         ("pinned_m6", WeightedFormula(3, ((-1, -2), (-2, -3)), g12n, 1, m=6)),
         ("pinned_m5_no", WeightedFormula(2, ((-1, -2),), g12n, 2, m=5)),
+        ("pinned_m8", _pinned(gen_planted_yes(20, 3, 60, 81), 8)),
+        ("pinned_m9_no", _pinned(gen_random(20, 400, 3, 91), 9)),
     ]
 
 
 def w2_formulas() -> list[tuple[str, WeightedFormula]]:
     """Two positive-CNF formulas per padded length L = 1..5, each with one
-    clause of length exactly L, after two at L = 3 whose m is pinned well above
-    the width their few variables need."""
+    clause of length exactly L, after four at L = 3 whose m is pinned above
+    the width their variables need: two with few variables and clauses, and
+    two with enough clauses to span many 2^(m/2)-code rows at m = 8 and 9."""
+    random_l3 = gen_random(12, 100, 1, 83, ClassTag.G21P, max_len=3)
     out = [
         ("pinned_m7_L3", WeightedFormula(5, ((1, 2, 3), (2, 4), (5,)), ClassTag.G21P, 2, m=7)),
         ("pinned_m6_L3_no", WeightedFormula(4, ((1, 2, 3), (4,)), ClassTag.G21P, 1, m=6)),
+        ("pinned_m8_L3", _pinned(_w2_with_var1(random_l3, 1), 8)),
+        ("pinned_m9_L3_no", _pinned(gen_random(14, 200, 2, 93, ClassTag.G21P, max_len=3), 9)),
     ]
     for L in range(1, 6):
         for k, seed in ((1, 3), (2, 4)):

@@ -6,7 +6,10 @@ definition sum_c chi_c(z) * chi_{v_i(c)}(x), computed clause by clause, and
 the folded round values and the table-committed prover's round polynomials
 (coefficients from the cached node inverse) against ``honest_round_poly``.  Formulas are small,
 carry dummy clause codes (num_clauses < 2^m) and short clauses that repeat
-their last variable up to the padded length L.
+their last variable up to the padded length L.  The split kernels are checked
+on both sides of their width threshold: ``_tensor`` against plain doubling,
+the clause indicator at pinned m = 4..9 with clauses in many rows, and a fold
+whose head declares a weight tensor against the same plan folded plainly.
 """
 
 import random
@@ -20,6 +23,7 @@ from ppcplab.arithmetize import (
     ProductPlan,
     build_w1_summand,
     build_w2_summand,
+    _tensor,
     build_weight_summand,
     clause_indicator_eval,
     code_bits,
@@ -330,3 +334,109 @@ def test_windowed_fold_matches_whole_cube_fold(plans, seed):
         b.sync(challenges)
         assert a.round_values(3) == b.round_values(3)
         challenges += (FLD(rng.randrange(FLD.modulus)),)
+
+
+# ---------------------------------------------------------------------------
+# Split eq kernels and the weight-tensor head, on both sides of the split width
+# ---------------------------------------------------------------------------
+
+
+def doubling_tensor(factors, p):
+    """The plain tensor product: one doubling per coordinate, last first."""
+    table = [1]
+    for lo, hi in reversed(factors):
+        table = [t * lo % p for t in table] + [t * hi % p for t in table]
+    return table
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_split_tensor_matches_doubling(m):
+    rng = random.Random(m)
+    for p in (FLD.modulus, 2**61 - 1):
+        factors = [(rng.randrange(p), rng.randrange(p)) for _ in range(m)]
+        assert _tensor(factors, p) == doubling_tensor(factors, p)
+
+
+def wide_formula(m, tag, rng):
+    """A formula at pinned m with 2^(m-1)..2^m clauses, so the clause codes
+    fill many rows of the split eq table, the last one often partly."""
+    L = 2 if tag is ClassTag.G12N else rng.randint(1, 4)
+    n = rng.randint(max(L, 2), 1 << (m - 1))
+    clauses = []
+    for _ in range(rng.randint(1 << (m - 1), 1 << m)):
+        chosen = rng.sample(range(1, n + 1), rng.randint(1, L))
+        clauses.append(tuple(-v for v in chosen) if tag is ClassTag.G12N else tuple(chosen))
+    return WeightedFormula(n, tuple(clauses), tag, 1, m), L
+
+
+@pytest.mark.parametrize("tag", [ClassTag.G12N, ClassTag.G21P], ids=["g12n", "g21p"])
+@pytest.mark.parametrize("m", range(4, 10))
+def test_split_clause_indicator_matches_per_clause_definition(m, tag):
+    rng = random.Random(100 * m + len(tag.value))
+    for _ in range(2):
+        formula, L = wide_formula(m, tag, rng)
+        for position in range(1, L + 2 if tag is ClassTag.G21P else 3):
+            z, x = random_point(rng, m), random_point(rng, m)
+            expected = indicator_reference(formula, position, z, x)
+            assert clause_indicator_eval(formula, position, z, x) == expected
+
+
+@st.composite
+def weight_tensor_plans(draw):
+    """(plan whose head table 0 is declared the weight tensor, the same plan
+    without the declaration): random nonzero weights, other head tables and
+    tails at random, tails constant past a random window with random
+    constants."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    block_vars = draw(st.integers(1, 4))
+    size = 1 << block_vars
+    tail_window = 1 << draw(st.integers(0, block_vars))
+    num_tails = draw(st.integers(0, 2))
+    weights = tuple(rng.randrange(1, FLD.modulus) for _ in range(block_vars))
+    tensor = [1] * size
+    for c in range(size):
+        for j, bit in enumerate(code_bits(c, block_vars)):
+            tensor[c] = tensor[c] * (weights[j] if bit else 1) % FLD.modulus
+
+    def table(window):
+        const = rng.randrange(1, FLD.modulus)
+        return [rng.randrange(FLD.modulus) for _ in range(window)] + [const] * (size - window)
+
+    others = [tuple(table(size)) for _ in range(draw(st.integers(0, 2)) + num_tails)]
+    if not others:
+        others = [tuple(table(size))]
+    head = (tuple(tensor), *others)
+    tails = [[table(tail_window) for _ in range(draw(st.integers(1, 3)))] for _ in range(num_tails)]
+    build_tails = (lambda z_star: tails) if num_tails else None
+    common = dict(field=FLD, block_vars=block_vars, head_tables=head,
+                  num_standalone=len(head) - num_tails, build_tails=build_tails,
+                  tail_window=tail_window)
+    return ProductPlan(**common, head_weights=weights), ProductPlan(**common)
+
+
+@given(weight_tensor_plans(), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_weight_tensor_head_fold_matches_plain_fold(plans, seed):
+    declared, plain = plans
+    rng = random.Random(seed)
+    a, b = PlanFolder(declared), PlanFolder(plain)
+    head_degree = len(plain.head_tables)
+    challenges = ()
+    for _ in range(declared.num_vars):
+        a.sync(challenges)
+        b.sync(challenges)
+        # the product's own degree (q extrapolated once), one more than it
+        # (twice), and one less (no extrapolation)
+        for degree in (head_degree, head_degree + 1, max(head_degree - 1, 1)):
+            assert a.round_values(degree) == b.round_values(degree)
+        challenges += (FLD(rng.randrange(FLD.modulus)),)
+
+
+def test_weight_tensor_head_needs_a_whole_cube_head_with_one_weight_per_variable():
+    head = (tuple([1, 2, 3, 6]), (1, 1, 1, 1))
+    ProductPlan(FLD, 2, head, 2, head_weights=(2, 3))
+    for bad in (dict(head_weights=(2,)), dict(head_weights=(2, 3), head_window=2)):
+        with pytest.raises(ValueError):
+            ProductPlan(FLD, 2, head, 2, **bad)
+    with pytest.raises(ValueError):
+        ProductPlan(FLD, 2, head[:1], 1, head_weights=(2, 3))

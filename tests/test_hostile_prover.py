@@ -2,12 +2,15 @@
 ``UniPoly`` / ``FieldElement`` objects holding plain ints are rejected at the
 stage and round that read them, and no prover-supplied method decides a check."""
 
+import dataclasses
+import types
+
 import pytest
 
-from ppcplab.arithmetize import BooleanTable, SummandSpec, mle_eval
+from ppcplab.arithmetize import BooleanTable, SummandSpec, _formula_codes, mle_eval
 from ppcplab.field import FieldElement, PrimeField, UniPoly
-from ppcplab.formula import parse_pwsat
-from ppcplab.pcpverify import multilinearity_test, verify_w1
+from ppcplab.formula import ClassTag, WeightedFormula, parse_pwsat
+from ppcplab.pcpverify import multilinearity_test, verify_w1, verify_w2
 from ppcplab.sumcheck import (
     GenericHonestProver,
     ProverStrategy,
@@ -256,3 +259,86 @@ def test_base_exception_is_not_swallowed():
 
     with pytest.raises(KeyboardInterrupt):
         run_sumcheck(product_spec(F109), F109.one, Interrupting(), RandomTape(3), ResourceMeter())
+
+
+# -- writes into what the spec and the plan expose -------------------------------
+
+
+def _reachable_lists(roots):
+    """Every list reachable from ``roots`` through list, tuple and dict
+    entries, dataclass fields and the closure cells of functions."""
+    found, seen, todo = [], set(), list(roots)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, list):
+            found.append(obj)
+            todo.extend(obj)
+        elif isinstance(obj, tuple):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, types.FunctionType):
+            todo.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            todo.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
+    return found
+
+
+class ListWriter(TableCommittedProver):
+    """Builds the honest plan of every sum-check, binds its head at a random
+    point, then overwrites every list it can reach from the spec, the plan
+    and the tails: entries become 1, and lists of lists become empty."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.written = 0
+
+    def begin_sumcheck(self, spec, claim):
+        plan = spec.plan_builder(self.table)
+        roots = [spec, plan]
+        if plan.build_tails is not None:
+            roots.append(plan.build_tails(tuple(spec.field(5) for _ in range(plan.block_vars))))
+        lists = _reachable_lists(roots)
+        for lst in lists:
+            lst[:] = [] if any(isinstance(v, (list, tuple)) for v in lst) else [1] * len(lst)
+        self.written += len(lists)
+
+
+# (formula, a satisfying weight-k set, a weight-k set that violates a clause
+# yet satisfies every clause once all code arrays read variable 2)
+HOSTILE_CASES = {
+    # the split eq kernels are active from m = 6 on
+    "w1_m7": (
+        WeightedFormula(6, ((-1, -2), (-2, -3), (-4, -5), (-1, -6)), ClassTag.G12N, 2, m=7),
+        {1, 3},
+        {1, 6},
+        verify_w1,
+    ),
+    "w2_L3_m6": (
+        WeightedFormula(5, ((1, 2, 3), (2, 4), (5,), (3, 5)), ClassTag.G21P, 2, m=6),
+        {2, 5},
+        {2, 4},
+        verify_w2,
+    ),
+}
+
+
+@pytest.mark.parametrize("formula, good, bad, verify", HOSTILE_CASES.values(), ids=HOSTILE_CASES.keys())
+def test_writes_into_the_plan_never_reach_a_later_run(formula, good, bad, verify):
+    tables = [BooleanTable.from_assignment(s, formula.m) for s in (good, bad)]
+
+    def honest_runs():
+        return [verify(formula, TableCommittedProver(t), RandomTape(8)) for t in tables]
+
+    _formula_codes.cache_clear()
+    fresh = honest_runs()
+    assert [v.accepted for v in fresh] == [True, False]
+    writer = ListWriter(tables[0])
+    hostile = verify(formula, writer, RandomTape(8))
+    assert writer.written > 0 and not hostile.accepted
+    assert honest_runs() == fresh  # verdicts compare meters and stage reports too
+    codes = _formula_codes(formula)
+    assert type(codes) is tuple and all(type(c) is tuple for c in codes)
