@@ -417,8 +417,8 @@ class PlanFolder:
             out.append((_product_sum(fixed + cur, p) + rest) * self._mult % p)
         if weights is None:
             return out
-        r, s = weights[len(self._bound)], self._scale
-        return [(1 - t + r * t) * s * q % p for t, q in enumerate(_extend(out, degree + 1, p))]
+        r, scale = weights[len(self._bound)], self._scale
+        return [(1 - t + r * t) * scale * q % p for t, q in enumerate(_extend(out, degree + 1, p))]
 
     def _bind(self, r: int) -> None:
         p = self._p
