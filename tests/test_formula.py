@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,6 +235,28 @@ class TestWeightedFormulaValidation:
     def test_empty_clause_rejected(self):
         with pytest.raises(ValueError):
             WeightedFormula(2, ((),), ClassTag.G12N, 1)
+
+    def test_max_clause_len(self):
+        assert WeightedFormula(3, (), ClassTag.G21P, 1).max_clause_len == 1
+        assert WeightedFormula(4, ((1,), (1, 2, 4), (3, 4)), ClassTag.G21P, 1).max_clause_len == 3
+
+    def test_hash_follows_equality_in_every_process(self):
+        code = (
+            "from ppcplab.formula import ClassTag, WeightedFormula;"
+            "print(hash(WeightedFormula(3, ((1, 2), (3,)), ClassTag.G21P, 1, m=4)))"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        hashes = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("1", "2")
+        }
+        f = WeightedFormula(3, [[1, 2], [3]], ClassTag.G21P, 1, m=4)
+        assert hashes == {f"{hash(f)}\n"}
+        assert hash(f) == hash(WeightedFormula(3, ((1, 2), (3,)), ClassTag.G21P, 1, m=4))
+        assert hash(f) != hash(WeightedFormula(3, ((1, 2), (3,)), ClassTag.G21P, 1, m=5))
 
 
 class TestBruteForceAwsat:
