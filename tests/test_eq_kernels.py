@@ -402,10 +402,9 @@ def weight_tensor_plans(draw):
         const = rng.randrange(1, FLD.modulus)
         return [rng.randrange(FLD.modulus) for _ in range(window)] + [const] * (size - window)
 
-    others = [tuple(table(size)) for _ in range(draw(st.integers(0, 2)) + num_tails)]
-    if not others:
-        others = [tuple(table(size))]
-    head = (tuple(tensor), *others)
+    # standalone tables besides the weight tensor, then one proxy per tail
+    standalone = draw(st.integers(0 if num_tails else 1, 2))
+    head = (tuple(tensor), *[tuple(table(size)) for _ in range(standalone + num_tails)])
     tails = [[table(tail_window) for _ in range(draw(st.integers(1, 3)))] for _ in range(num_tails)]
     build_tails = (lambda z_star: tails) if num_tails else None
     common = dict(field=FLD, block_vars=block_vars, head_tables=head,
