@@ -7,24 +7,30 @@ boolean-cube totals witness satisfiability and assignment weight:
 
   * ``mle_eval``              the unique multilinear extension of a boolean table,
   * ``clause_indicator_eval`` the extension of "x codes the variable at a given
-                              position of clause z",
-  * ``clause_product``        the randomly weighted unsatisfaction product
-                              w(z) * prod_i C_i(z, x_i) * F(A(x_i)) over clauses
-                              padded to length L; its literal factor F is A for
-                              negated 2-CNF and 1 - A for positive CNF.  Summed
-                              over the cube it vanishes exactly when the
-                              assignment satisfies every clause (with high
-                              probability over the clause weights),
-  * ``build_w1_summand``      that product as a summand for negated 2-CNF (L = 2),
-  * ``build_w2_summand``      the same for positive CNF at padded length L,
-  * ``build_weight_summand``  A(z) * B(z), whose cube total counts the true
-                              variables inside an optional block.
+                              position of clause z".
 
-Each summand also carries a ``ProductPlan``: the exact product-of-multilinear-
-factors structure an honest prover folds round by round.  The plan works block
-by block (clause codes first, then each variable-code block); while the clause
-block is active, every variable block is represented by its summed-out proxy
-table, which agrees with the true inner sum everywhere by multilinearity.
+A sum-check statement is a ``SummandSpec``: frozen data with no code in it.
+``build_w1_summand`` (negated 2-CNF, L = 2) and ``build_w2_summand``
+(positive CNF, padded length L) state the randomly weighted unsatisfaction
+product w(z) * prod_i C_i(z, x_i) * F(A(x_i)) over clauses padded to length
+L, whose literal factor F is A for negated 2-CNF and 1 - A for positive CNF;
+summed over the cube it vanishes exactly when the assignment satisfies every
+clause (with high probability over the clause weights).
+``build_weight_summand`` states A(z) * B(z), whose cube total counts the true
+variables inside an optional block.  Three functions give a statement its
+meaning, for any assignment oracle A:
+
+  * ``read_points``    where the summand reads A at a point,
+  * ``summand_value``  the summand there, from those reads; the verifier's
+                       final check and the reference prover use it alike,
+  * ``compile_plan``   the honest prover's ``ProductPlan`` over a committed
+                       assignment table: the exact product-of-multilinear-
+                       factors structure it folds round by round.
+
+The plan works block by block (clause codes first, then each variable-code
+block); while the clause block is active, every variable block is
+represented by its summed-out proxy table, which agrees with the true inner
+sum everywhere by multilinearity.
 
 Points are evaluated through eq tables: the eq table of a point lists
 chi_c(point) for every code c of the m-cube, an MSB-first tensor product
@@ -35,8 +41,8 @@ tuple per position), the clause indicator is sum_c eq_z[c] * eq_x[v_i(c)]
 over the real clauses, summed row by row over the two halves of z so eq_z
 is never built; the plan's head proxies look the literal factor up at
 v_i(c), and each tail scatters eq_{z*} into per-variable sums; all L tails
-share one eq table of z*.  The plan declares its clause-weight head table
-as a tensor, which the folder never folds.
+share one eq table of z*.  The clause weights enter the plan as a declared
+tensor factor beside its head tables, never as a table.
 
 The n variable codes fill only the window 0..W-1, W = 2^bitlen(n - 1), of
 the m-cube: eq_x is built over the window's coordinates alone, and the plan
@@ -141,40 +147,6 @@ def mle_eval(table: BooleanTable, point: Sequence[FieldElement]) -> FieldElement
         xv = x.value
         vals = [(vals[i] + xv * (vals[half + i] - vals[i])) % p for i in range(half)]
     return FieldElement(vals[0], fld)
-
-
-@dataclass(frozen=True)
-class ClauseWeights:
-    """The random per-bit clause weights r_1..r_m.  A clause code z gets weight
-    prod_j r_j^{z_j}; its multilinear extension is prod_j ((1-z_j) + r_j z_j)."""
-
-    r: tuple[FieldElement, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", tuple(self.r))
-        if not self.r:
-            raise ValueError("at least one weight is required")
-
-    @property
-    def m(self) -> int:
-        return len(self.r)
-
-    @property
-    def field(self) -> PrimeField:
-        return self.r[0].field
-
-    def extension_at(self, z: Sequence[FieldElement]) -> FieldElement:
-        if len(z) != self.m:
-            raise ValueError("point width does not match the number of weights")
-        p = self.field.modulus
-        acc = 1
-        for zj, rj in zip(z, self.r):
-            acc = acc * ((1 - zj.value) + rj.value * zj.value) % p
-        return FieldElement(acc, self.field)
-
-    def bool_table(self) -> list[int]:
-        """Weight of every clause code, indexed MSB-first."""
-        return _tensor([(1, rj.value) for rj in self.r], self.field.modulus)
 
 
 # From this many coordinates on, an eq or weight tensor is built (or summed
@@ -289,13 +261,12 @@ class ProductPlan:
     the first W entries and one constant per table.  The tables themselves
     always cover the whole block cube.
 
-    ``head_weights`` (None: no such table), residues r_1..r_{block_vars},
-    declares that head table 0 is their tensor prod_j (1, r_j), entry c being
-    the product of r_j over the 1-bits j of c.  A folder then never folds
-    that table: bound at r*_1..r*_{i-1}, it is the scalar
-    prod_{j<i} (1 - r*_j + r_j r*_j) times (1 - t + r_i t) times the unbound
-    suffix, which is the table's own first 2^(block_vars - i) entries.  Such
-    a head is whole-cube and holds at least one other table.
+    ``head_weights`` (None: no such factor), residues r_1..r_{block_vars},
+    declares one more head factor beside the tables: their tensor
+    prod_j (1, r_j), entry c being the product of r_j over the 1-bits j of c.
+    It is never stored as a table: bound at r*_1..r*_{i-1}, it is the scalar
+    prod_{j<i} (1 - r*_j + r_j r*_j) times (1 - t + r_i t) times the tensor
+    of r_{i+1}..r_{block_vars}.  Such a head is whole-cube.
     """
 
     field: PrimeField
@@ -308,8 +279,10 @@ class ProductPlan:
     head_weights: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        if self.num_tails < 0 or (self.num_tails > 0) != (self.build_tails is not None):
-            raise ValueError("head must carry one proxy table per tail")
+        if not self.head_tables or self.num_tails < 0 or (
+            (self.num_tails > 0) != (self.build_tails is not None)
+        ):
+            raise ValueError("head must carry a table, and one proxy table per tail")
         size = 1 << self.block_vars
         if any(len(t) != size for t in self.head_tables):
             raise ValueError("head tables must cover the whole block cube")
@@ -317,14 +290,10 @@ class ProductPlan:
             if w is not None and (not 0 < w <= size or w & (w - 1)):
                 raise ValueError(f"windows must be powers of two in 1..{size}")
         if self.head_weights is not None and (
-            len(self.head_weights) != self.block_vars
-            or self.num_standalone < 1
-            or len(self.head_tables) < 2
-            or self.head_window is not None
+            len(self.head_weights) != self.block_vars or self.head_window is not None
         ):
             raise ValueError(
-                "a weight-tensor head needs one weight per block variable, head "
-                "table 0 standalone, another head table and no head window"
+                "a weight-tensor head needs one weight per block variable and no head window"
             )
 
     @property
@@ -338,159 +307,80 @@ class ProductPlan:
 
 @dataclass(frozen=True)
 class SummandSpec:
-    """A multivariate summand: variable count, per-variable degree bounds, a
-    pointwise evaluator, and (when the factor structure is known) a plan
-    builder that turns a committed assignment table into a ProductPlan."""
+    """One sum-check statement, as plain data the verifier can hand out.
+
+    The schedule is the variable count, the per-variable degree bounds and
+    the field.  The summand's data is either a clause product over
+    (z, x_1..x_L), given by the formula, its padded length L and the clause
+    weights r_1..r_m as ints, or, with no formula, the weight summand
+    A(z) * B(z) over z, given by its block table B (None: B is 1).  Only
+    ``read_points``, ``summand_value`` and ``compile_plan`` know the shape
+    this data describes."""
 
     num_vars: int
     degree_bounds: tuple[int, ...]
-    evaluator: Callable[[Point], FieldElement]
     field: PrimeField
-    plan_builder: Optional[Callable[[BooleanTable], ProductPlan]] = None
+    formula: Optional[WeightedFormula] = None
+    padded_len: int = 0
+    weights: tuple[int, ...] = ()
+    block: Optional[BooleanTable] = None
 
     def __post_init__(self):
         if len(self.degree_bounds) != self.num_vars:
             raise ValueError("one degree bound per variable is required")
 
 
-def clause_product(
-    formula: WeightedFormula,
-    weights: ClauseWeights,
-    point: Point,
-    values: Sequence[FieldElement],
-) -> FieldElement:
-    """w(z) * prod_i C_i(z, x_i) * F(a_i) at ``point`` = (z, x_1..x_L), where
-    a_i = ``values[i-1]`` stands for A(x_i).  The literal factor F is A for
-    negated 2-CNF and 1 - A for positive CNF: on boolean points it is 1
-    exactly when the clause's literal at x_i is false."""
-    m = formula.m
+def read_points(spec: SummandSpec, point: Point) -> list[Point]:
+    """The points at which the summand reads the assignment oracle A: the L
+    tail blocks x_1..x_L of a clause product, the whole point of a weight
+    summand."""
+    if len(point) != spec.num_vars:
+        raise ValueError(f"point must have {spec.num_vars} coordinates")
+    if spec.formula is None:
+        return [tuple(point)]
+    m = spec.formula.m
+    return [tuple(point[i * m : (i + 1) * m]) for i in range(1, spec.padded_len + 1)]
+
+
+def summand_value(spec: SummandSpec, point: Point, reads: Sequence[FieldElement]) -> FieldElement:
+    """The summand at ``point``, given the oracle's answers at its
+    ``read_points``.
+
+    A weight summand is A(z) * B(z).  A clause product is
+    w(z) * prod_i C_i(z, x_i) * F(a_i), where a_i stands for A(x_i) and
+    w(z) = prod_j ((1 - z_j) + r_j z_j) is the multilinear extension of the
+    clause weight prod_j r_j^{z_j}.  The literal factor F is A for negated
+    2-CNF and 1 - A for positive CNF: on boolean points it is 1 exactly when
+    the clause's literal at x_i is false."""
+    fld = spec.field
+    if spec.formula is None:
+        return reads[0] * (mle_eval(spec.block, point) if spec.block is not None else fld.one)
+    formula, m = spec.formula, spec.formula.m
     z = point[:m]
     negated = formula.class_tag is ClassTag.G12N
-    val = weights.extension_at(z)
-    for i, a in enumerate(values, start=1):
-        xi = point[i * m : (i + 1) * m]
-        factor = a if negated else weights.field.one - a
-        val = val * clause_indicator_eval(formula, i, z, xi) * factor
+    w = math.prod([(1 - zj.value) + r * zj.value for zj, r in zip(z, spec.weights)])
+    val = FieldElement(w, fld)
+    for i, a in enumerate(reads, start=1):
+        factor = a if negated else fld.one - a
+        val = val * clause_indicator_eval(formula, i, z, point[i * m : (i + 1) * m]) * factor
     return val
 
 
-def _clause_product_summand(
-    formula: WeightedFormula,
-    assignment_oracle: Callable[[Point], FieldElement],
-    weights: ClauseWeights,
-    L: int,
-) -> SummandSpec:
-    """Summand over (z, x_1..x_L) whose cube total is the randomly weighted
-    count of unsatisfied clauses.
-
-    Clauses shorter than L repeat their last variable; on boolean points the
-    repeated factor is 1 exactly when the clause is unsatisfied, so padding
-    never changes the cube total."""
-    if L < formula.max_clause_len:
-        raise ValueError(f"padded length {L} below longest clause {formula.max_clause_len}")
-    m = formula.m
-    if weights.m != m:
-        raise ValueError("need one clause weight per code bit")
-    fld = weights.field
-    negated = formula.class_tag is ClassTag.G12N
-
-    def evaluator(point: Point) -> FieldElement:
-        if len(point) != (L + 1) * m:
-            raise ValueError(f"point must have {L + 1}m coordinates")
-        values = [assignment_oracle(tuple(point[i * m : (i + 1) * m])) for i in range(1, L + 1)]
-        return clause_product(formula, weights, point, values)
-
-    def plan_builder(table: BooleanTable) -> ProductPlan:
-        if table.arity != m:
-            raise ValueError("assignment table arity must equal m")
-        p = fld.modulus
-        size = 1 << m
-        factor = [v if negated else (1 - v) % p for v in table.values]
-        codes = [_position_codes(formula, i) for i in range(1, L + 1)]
-        dummies = [0] * (size - formula.num_clauses)
-        head = [tuple(weights.bool_table())]
-        head += [tuple([factor[vc] for vc in codes_i] + dummies) for codes_i in codes]
-        # past every variable code and every true code of the table, each
-        # tail's clause factor is 0 and its literal factor F(0) is constant
-        window = code_window(max(formula.num_vars - 1, table.top_code()))
-        beyond = [0] * (size - window)
-
-        def build_tails(z_star: Point) -> list[list[list[int]]]:
-            # tail i's clause factor at x is the sum of chi_c(z*) over the
-            # clauses c whose position-i variable has code x
-            eqz = _eq_table(z_star, p)
-            tails = []
-            for codes_i in codes:
-                ctab = [0] * window
-                for ez, vc in zip(eqz, codes_i):
-                    ctab[vc] += ez
-                tails.append([[v % p for v in ctab] + beyond, factor])
-            return tails
-
-        return ProductPlan(
-            field=fld,
-            block_vars=m,
-            head_tables=tuple(head),
-            num_standalone=1,
-            build_tails=build_tails,
-            tail_window=window,
-            head_weights=tuple([rj.value % p for rj in weights.r]),
-        )
-
-    bounds = (1 + L,) * m + (2,) * (L * m)
-    return SummandSpec((L + 1) * m, bounds, evaluator, fld, plan_builder)
-
-
-def build_w1_summand(
-    formula: WeightedFormula,
-    assignment_oracle: Callable[[Point], FieldElement],
-    weights: ClauseWeights,
-) -> SummandSpec:
-    """Negated-2-CNF summand: w(z) * C_1(z,x1) A(x1) * C_2(z,x2) A(x2)."""
-    if formula.class_tag is not ClassTag.G12N:
-        raise ClassMismatchError("the 2-round-per-variable summand needs class g12n")
-    return _clause_product_summand(formula, assignment_oracle, weights, 2)
-
-
-def build_w2_summand(
-    formula: WeightedFormula,
-    assignment_oracle: Callable[[Point], FieldElement],
-    weights: ClauseWeights,
-    padded_len: int,
-) -> SummandSpec:
-    """Positive-CNF summand: w(z) * prod_i C_i(z,xi) (1 - A(xi)), i = 1..L."""
-    if formula.class_tag is not ClassTag.G21P:
-        raise ClassMismatchError("the positive-clause summand needs class g21p")
-    return _clause_product_summand(formula, assignment_oracle, weights, padded_len)
-
-
-def build_weight_summand(
-    assignment_oracle: Callable[[Point], FieldElement],
-    m: int,
-    fld: PrimeField,
-    block_table: Optional[BooleanTable] = None,
-) -> SummandSpec:
-    """Summand A(z) * B(z); its cube total counts the true variables inside the
-    block (B is identically 1 when no block is given)."""
-    if block_table is not None and block_table.arity != m:
-        raise ValueError("block table arity must equal m")
-
-    def evaluator(point: Point) -> FieldElement:
-        if len(point) != m:
-            raise ValueError("point must have m coordinates")
-        val = assignment_oracle(tuple(point))
-        if block_table is not None:
-            val = val * mle_eval(block_table, point)
-        return val
-
-    def plan_builder(table: BooleanTable) -> ProductPlan:
-        if table.arity != m:
-            raise ValueError("assignment table arity must equal m")
+def compile_plan(spec: SummandSpec, table: BooleanTable) -> ProductPlan:
+    """The honest prover's ProductPlan for ``spec`` over its committed
+    assignment table."""
+    fld = spec.field
+    p = fld.modulus
+    formula = spec.formula
+    m = spec.num_vars if formula is None else formula.m
+    if table.arity != m:
+        raise ValueError("assignment table arity must equal m")
+    if formula is None:
         head: list[tuple[int, ...]] = [tuple(table.values)]
         top = table.top_code()
-        if block_table is not None:
-            head.append(tuple(block_table.values))
-            top = max(top, block_table.top_code())
+        if spec.block is not None:
+            head.append(tuple(spec.block.values))
+            top = max(top, spec.block.top_code())
         # past the highest true code of A and of B both tables are 0
         return ProductPlan(
             field=fld,
@@ -499,5 +389,82 @@ def build_weight_summand(
             num_standalone=len(head),
             head_window=code_window(top),
         )
+    size = 1 << m
+    negated = formula.class_tag is ClassTag.G12N
+    factor = [v if negated else (1 - v) % p for v in table.values]
+    codes = [_position_codes(formula, i) for i in range(1, spec.padded_len + 1)]
+    dummies = [0] * (size - formula.num_clauses)
+    head = [tuple([factor[vc] for vc in codes_i] + dummies) for codes_i in codes]
+    # past every variable code and every true code of the table, each
+    # tail's clause factor is 0 and its literal factor F(0) is constant
+    window = code_window(max(formula.num_vars - 1, table.top_code()))
+    beyond = [0] * (size - window)
 
-    return SummandSpec(m, (2,) * m, evaluator, fld, plan_builder)
+    def build_tails(z_star: Point) -> list[list[list[int]]]:
+        # tail i's clause factor at x is the sum of chi_c(z*) over the
+        # clauses c whose position-i variable has code x
+        eqz = _eq_table(z_star, p)
+        tails = []
+        for codes_i in codes:
+            ctab = [0] * window
+            for ez, vc in zip(eqz, codes_i):
+                ctab[vc] += ez
+            tails.append([[v % p for v in ctab] + beyond, factor])
+        return tails
+
+    return ProductPlan(
+        field=fld,
+        block_vars=m,
+        head_tables=tuple(head),
+        num_standalone=0,
+        build_tails=build_tails,
+        tail_window=window,
+        head_weights=spec.weights,
+    )
+
+
+def _clause_product_summand(
+    formula: WeightedFormula, fld: PrimeField, weights: Sequence[int], L: int
+) -> SummandSpec:
+    """Statement over (z, x_1..x_L) whose cube total is the randomly weighted
+    count of unsatisfied clauses.
+
+    Clauses shorter than L repeat their last variable; on boolean points the
+    repeated factor is 1 exactly when the clause is unsatisfied, so padding
+    never changes the cube total."""
+    if L < formula.max_clause_len:
+        raise ValueError(f"padded length {L} below longest clause {formula.max_clause_len}")
+    m = formula.m
+    if len(weights) != m:
+        raise ValueError("need one clause weight per code bit")
+    bounds = (1 + L,) * m + (2,) * (L * m)
+    residues = tuple([r % fld.modulus for r in weights])
+    return SummandSpec((L + 1) * m, bounds, fld, formula, L, residues)
+
+
+def build_w1_summand(
+    formula: WeightedFormula, fld: PrimeField, weights: Sequence[int]
+) -> SummandSpec:
+    """Negated-2-CNF statement: w(z) * C_1(z,x1) A(x1) * C_2(z,x2) A(x2)."""
+    if formula.class_tag is not ClassTag.G12N:
+        raise ClassMismatchError("the 2-round-per-variable summand needs class g12n")
+    return _clause_product_summand(formula, fld, weights, 2)
+
+
+def build_w2_summand(
+    formula: WeightedFormula, fld: PrimeField, weights: Sequence[int], padded_len: int
+) -> SummandSpec:
+    """Positive-CNF statement: w(z) * prod_i C_i(z,xi) (1 - A(xi)), i = 1..L."""
+    if formula.class_tag is not ClassTag.G21P:
+        raise ClassMismatchError("the positive-clause summand needs class g21p")
+    return _clause_product_summand(formula, fld, weights, padded_len)
+
+
+def build_weight_summand(
+    m: int, fld: PrimeField, block_table: Optional[BooleanTable] = None
+) -> SummandSpec:
+    """Statement A(z) * B(z); its cube total counts the true variables inside
+    the block (B is identically 1 when no block is given)."""
+    if block_table is not None and block_table.arity != m:
+        raise ValueError("block table arity must equal m")
+    return SummandSpec(m, (2,) * m, fld, block=block_table)

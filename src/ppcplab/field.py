@@ -74,7 +74,11 @@ def select_prime(total_rounds: int, degree_bound: int, epsilon: float | int | Fr
 
 
 class PrimeField:
-    """The field Z_p.  Calling the field with an integer produces an element."""
+    """The field Z_p.  Calling the field with an integer produces an element.
+
+    Frozen: the verifier meters proof and random bits by ``bits`` and hands
+    its field to the prover, so no attribute can be written after
+    construction."""
 
     __slots__ = ("modulus", "bits")
 
@@ -83,9 +87,15 @@ class PrimeField:
             raise ValueError(f"modulus {modulus} exceeds the 2^61 - 1 cap")
         if not is_prime(modulus):
             raise ValueError(f"modulus {modulus} is not prime")
-        self.modulus = modulus
+        object.__setattr__(self, "modulus", modulus)
         # bits needed to draw one element: ceil(log2 p)
-        self.bits = (modulus - 1).bit_length()
+        object.__setattr__(self, "bits", (modulus - 1).bit_length())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PrimeField is frozen; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PrimeField is frozen; cannot delete {name!r}")
 
     def __call__(self, value: int) -> "FieldElement":
         return FieldElement(value, self)

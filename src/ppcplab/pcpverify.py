@@ -3,14 +3,23 @@ resource accounting.
 
 Both fragments run one clause-product protocol: negated 2-CNF is the
 positive-CNF protocol at padded length L = 2 with literal factor A(x) in
-place of 1 - A(x) (see ``arithmetize.clause_product``).  ``run_protocol``
+place of 1 - A(x) (see ``arithmetize.summand_value``).  ``run_protocol``
 stages one pass, in this fixed order so transcripts replay:
 
   1. multilinearity test of the proof's assignment oracle,
   2. draw the m random clause weights,
   3. main sum-check over (z, x_1..x_L) with claim 0 (the instance is
-     satisfied), ending in L metered assignment reads,
+     satisfied),
   4. one weight sum-check per configured block with the claimed weight.
+
+Stages 3 and 4 are one loop.  Each stage builds its statement (a frozen
+``SummandSpec``: the schedule and the summand's data, no code), runs the
+sum-check on it, reads the assignment oracle at the statement's
+``read_points`` (L metered reads in the main stage, one in a weight stage)
+and checks ``summand_value`` there against the last running claim.  That is
+the only final check.  The prover receives the statement and nothing of the
+verifier's but its field, the claim and the challenges; an honest prover
+compiles its own plan from the statement.
 
 ``verify_w1`` and ``verify_w2`` run one pass with a weight check over the real
 variables; the branch protocol in ``awsat`` runs one pass per universal
@@ -33,13 +42,13 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .arithmetize import (
     BooleanTable,
-    ClauseWeights,
     build_w1_summand,
     build_w2_summand,
     build_weight_summand,
     clause_indicator_eval,  # unused here; bench/tracer.py wraps this name
-    clause_product,
-    mle_eval,
+    mle_eval,  # unused here; bench/tracer.py wraps this name
+    read_points,
+    summand_value,
 )
 from .field import FieldElement, PrimeField, select_prime
 from .formula import (
@@ -218,9 +227,10 @@ def run_protocol(
     """One full clause-product verification pass over an existing meter/log.
 
     Shared between the plain verifiers (one weight check over the real
-    variables) and the branch protocol (one weight check per odd block).  The
-    main stage reads all L assignment values before it judges any of them, so
-    its metered proof bits never depend on the proof's content.
+    variables) and the branch protocol (one weight check per odd block).  A
+    stage reads every assignment value of its final check before it judges
+    any of them, so its metered proof bits never depend on the proof's
+    content.
     """
     m, L, reps = formula.m, params.padded_len, params.reps
     ok, rep = multilinearity_test(prover.assignment_query, m, reps, tape, meter, fld)
@@ -228,38 +238,26 @@ def run_protocol(
     if not ok:
         return False, prefix + "mltest", rep
 
-    weights = ClauseWeights(tuple(draw_field_element(tape, fld, meter) for _ in range(m)))
-    # the main summand is built through these two module-level names, which
-    # bench/tracer.py wraps to split the main stage from the weight stage
-    if formula.class_tag is ClassTag.G12N:
-        spec = build_w1_summand(formula, prover.assignment_query, weights)
-    else:
-        spec = build_w2_summand(formula, prover.assignment_query, weights, L)
-    run = run_sumcheck(spec, fld.zero, prover, tape, meter)
-    if not run.verdict.accepted:
-        log.close(prefix + "main", len(run.transcripts), False)
-        return False, prefix + "main", run.verdict.rejection_round
-    point = run.final_point
-    values = [
-        _read_assignment(prover, point[i * m : (i + 1) * m], meter, fld) for i in range(1, L + 1)
-    ]
-    ok = all(v is not None for v in values) and (
-        clause_product(formula, weights, point, values).value == run.final_expected.value
-    )
-    log.close(prefix + "main", (L + 1) * m, ok)
-    if not ok:
-        return False, prefix + "main", 0
-
-    for name, claim_k, block_table in weight_checks:
-        wspec = build_weight_summand(prover.assignment_query, m, fld, block_table)
-        wrun = run_sumcheck(wspec, fld(claim_k), prover, tape, meter)
-        if not wrun.verdict.accepted:
-            log.close(prefix + name, len(wrun.transcripts), False)
-            return False, prefix + name, wrun.verdict.rejection_round
-        aval = _read_assignment(prover, wrun.final_point, meter, fld)
-        bval = mle_eval(block_table, wrun.final_point) if block_table is not None else fld.one
-        ok = aval is not None and (aval * bval).value == wrun.final_expected.value
-        log.close(prefix + name, m, ok)
+    weights = [draw_field_element(tape, fld, meter).value for _ in range(m)]
+    for name, claim, block_table in [("main", 0, None), *weight_checks]:
+        # one statement per stage, built through the module-level names that
+        # bench/tracer.py wraps to split the main stage from the weight stage
+        if name != "main":
+            spec = build_weight_summand(m, fld, block_table)
+        elif formula.class_tag is ClassTag.G12N:
+            spec = build_w1_summand(formula, fld, weights)
+        else:
+            spec = build_w2_summand(formula, fld, weights, L)
+        run = run_sumcheck(spec, fld(claim), prover, tape, meter)
+        if not run.verdict.accepted:
+            log.close(prefix + name, len(run.transcripts), False)
+            return False, prefix + name, run.verdict.rejection_round
+        point = run.final_point
+        reads = [_read_assignment(prover, q, meter, fld) for q in read_points(spec, point)]
+        ok = all(v is not None for v in reads) and (
+            summand_value(spec, point, reads).value == run.final_expected.value
+        )
+        log.close(prefix + name, spec.num_vars, ok)
         if not ok:
             return False, prefix + name, 0
     return True, None, None

@@ -6,7 +6,10 @@ variable; the verifier checks g'_i(0) + g'_i(1) against the running claim,
 draws a random field element r_i, and continues with the claim g'_i(r_i).
 After the last round the caller performs the final direct evaluation, since
 only the caller knows which factors it computes itself and which it must read
-from the proof.
+from the proof.  The statement a prover receives (``SummandSpec``) is plain
+data: the table-committed prover compiles its ``ProductPlan`` from it and
+folds that, and the reference prover (``honest_round_poly``) sums the
+statement's ``summand_value`` over an assignment oracle point by point.
 
 Field elements are drawn by rejection sampling from ceil(log2 p)-bit blocks;
 rejected blocks still count toward the bits drawn (and are tracked separately
@@ -23,7 +26,16 @@ from dataclasses import dataclass
 from operator import add, mul, sub
 from typing import Callable, Optional, Sequence
 
-from .arithmetize import BooleanTable, ProductPlan, SummandSpec, mle_eval
+from .arithmetize import (
+    BooleanTable,
+    ProductPlan,
+    SummandSpec,
+    _tensor,
+    compile_plan,
+    mle_eval,
+    read_points,
+    summand_value,
+)
 from .field import FieldElement, PrimeField, UniPoly, interpolate, node_inverse
 
 Point = tuple[FieldElement, ...]
@@ -266,8 +278,14 @@ def run_sumcheck(
     )
 
 
-def honest_round_poly(spec: SummandSpec, prefix: Sequence[FieldElement], i: int) -> UniPoly:
-    """Exact round polynomial by direct partial summation.
+def honest_round_poly(
+    spec: SummandSpec,
+    oracle: Callable[[Point], FieldElement],
+    prefix: Sequence[FieldElement],
+    i: int,
+) -> UniPoly:
+    """Exact round polynomial of ``spec`` over the assignment ``oracle``, by
+    direct partial summation.
 
     Evaluates the partial sum at the d_i + 1 points 0..d_i and interpolates.
     Exponential in the number of free variables; intended for small summands
@@ -284,7 +302,8 @@ def honest_round_poly(spec: SummandSpec, prefix: Sequence[FieldElement], i: int)
         total = fld.zero
         for mask in range(1 << free):
             suffix = tuple(fld((mask >> (free - 1 - j)) & 1) for j in range(free))
-            total = total + spec.evaluator(tuple(prefix) + (tv,) + suffix)
+            pt = tuple(prefix) + (tv,) + suffix
+            total = total + summand_value(spec, pt, [oracle(q) for q in read_points(spec, pt)])
         pts.append((tv, total))
     return interpolate(pts)
 
@@ -342,18 +361,20 @@ class PlanFolder:
     the lo half add (half - W) * prod(c) to every round value.  Once the cube
     has shrunk to W, the plain fold takes over.
 
-    A head whose table 0 is a declared weight tensor (``head_weights``)
-    folds its other tables only.  In head round i the round value at t is
-    (1 - t + r_i t) * s * q(t): s is the product of the bound weight factors
-    and q sums the table's unbound suffix w[:half] times the other tables.
-    q has one degree less than the round polynomial, so it is summed at one
-    point fewer, and its last value comes from its vanishing finite
-    difference.
+    A head with a declared weight tensor (``head_weights``) folds its tables
+    only.  In head round i the round value at t is (1 - t + r_i t) * s * q(t):
+    s is the product of the bound weight factors and q sums the tensor's
+    unbound suffix w[:half] times the tables.  w[:half] is a prefix of the
+    tensor of r_2..r_m, built once.  q has one degree less than the round
+    polynomial, so it is summed at one point fewer, and its last value comes
+    from its vanishing finite difference.
     """
 
     def __init__(self, plan: ProductPlan):
         self.plan = plan
         self._p = plan.field.modulus
+        if plan.head_weights is not None:
+            self._weight_suffix = _tensor([(1, r) for r in plan.head_weights[1:]], self._p)
         self._reset()
 
     def _reset(self):
@@ -362,8 +383,7 @@ class PlanFolder:
         # the weight factors while the weight-tensor head is being folded
         self._head_weights = plan.head_weights
         self._scale = 1
-        head = plan.head_tables if self._head_weights is None else plan.head_tables[1:]
-        self._load(head, plan.head_window)
+        self._load(plan.head_tables, plan.head_window)
         self._stage = 0  # 0 = head block, j >= 1 = tail j-1
         self._mult = 1
         self._head_scalar = 1
@@ -402,7 +422,7 @@ class PlanFolder:
             # weight-tensor head (whole-cube, so rest is 0 and the multiplier
             # 1): every slice also holds the unbound suffix, and q has degree
             # len(tables)
-            fixed, points = [self.plan.head_tables[0][:half]], min(degree, len(tables)) + 1
+            fixed, points = [self._weight_suffix[:half]], min(degree, len(tables)) + 1
         # every table is affine in the current variable, so the slice at t + 1
         # is the slice at t plus hi - lo
         step = [list(map(sub, h, l)) for l, h in zip(lo, hi)]
@@ -447,10 +467,8 @@ class PlanFolder:
         plan = self.plan
         scalars = [tbl[0] for tbl in self._tables]
         if self._stage == 0:
-            if self._head_weights is not None:
-                scalars.insert(0, self._scale)
-                self._head_weights = None
-            self._head_scalar = math.prod(scalars[: plan.num_standalone]) % p
+            self._head_weights = None
+            self._head_scalar = self._scale * math.prod(scalars[: plan.num_standalone]) % p
             if not plan.num_tails:
                 return
             z_star = tuple(plan.field(v) for v in self._bound[: plan.block_vars])
@@ -480,9 +498,10 @@ class PlanFolder:
 
 
 class GenericHonestProver(ProverStrategy):
-    """Honest prover over the pointwise evaluator; exponential, for small specs."""
+    """Honest prover over an assignment oracle: round polynomials by direct
+    summation of the statement's summand; exponential, for small specs."""
 
-    def __init__(self, assignment_oracle: Optional[Callable[[Point], FieldElement]] = None):
+    def __init__(self, assignment_oracle: Callable[[Point], FieldElement]):
         self._oracle = assignment_oracle
         self._spec: Optional[SummandSpec] = None
 
@@ -490,17 +509,16 @@ class GenericHonestProver(ProverStrategy):
         self._spec = spec
 
     def round_poly(self, i: int, challenges: Point, current_claim: FieldElement) -> UniPoly:
-        return honest_round_poly(self._spec, challenges, i)
+        return honest_round_poly(self._spec, self._oracle, challenges, i)
 
     def assignment_query(self, point: Point) -> FieldElement:
-        if self._oracle is None:
-            raise RuntimeError("no assignment oracle attached")
         return self._oracle(tuple(point))
 
 
 class TableCommittedProver(ProverStrategy):
     """Prover committed to one assignment table: round polynomials come from
-    the table's exact multilinear extension, queries from direct evaluation."""
+    folding the plan it compiles from each statement over the table's exact
+    multilinear extension, queries from direct evaluation."""
 
     def __init__(self, table: BooleanTable):
         self.table = table
@@ -509,13 +527,11 @@ class TableCommittedProver(ProverStrategy):
 
     def begin_sumcheck(self, spec: SummandSpec, claim: FieldElement) -> None:
         self._spec = spec
-        self._folder = PlanFolder(spec.plan_builder(self.table)) if spec.plan_builder else None
+        self._folder = PlanFolder(compile_plan(spec, self.table))
 
     def round_poly(self, i: int, challenges: Point, current_claim: FieldElement) -> UniPoly:
         spec = self._spec
         d = spec.degree_bounds[i - 1]
-        if self._folder is None:
-            return honest_round_poly(spec, challenges, i).padded(d)
         self._folder.sync(challenges)
         fld = spec.field
         vals = self._folder.round_values(d)

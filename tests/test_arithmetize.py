@@ -5,13 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from ppcplab.arithmetize import (
     BooleanTable,
-    ClauseWeights,
     build_w1_summand,
     build_w2_summand,
     build_weight_summand,
     clause_indicator_eval,
     code_bits,
     mle_eval,
+    read_points,
+    summand_value,
 )
 from ppcplab.field import PrimeField, interpolate
 from ppcplab.formula import Assignment, ClassMismatchError, ClassTag, WeightedFormula, eval_clause
@@ -26,16 +27,29 @@ def cube_points(fld, q):
         yield tuple(fld((mask >> (q - 1 - j)) & 1) for j in range(q))
 
 
-def cube_sum(spec):
+def evaluate(spec, oracle, point):
+    """The summand at ``point``, reading ``oracle`` where the statement says."""
+    return summand_value(spec, point, [oracle(q) for q in read_points(spec, point)])
+
+
+def cube_sum(spec, oracle):
     total = spec.field.zero
     for pt in cube_points(spec.field, spec.num_vars):
-        total = total + spec.evaluator(pt)
+        total = total + evaluate(spec, oracle, pt)
     return total
 
 
 def draw_weights(fld, m, seed):
     tape = RandomTape(seed)
-    return ClauseWeights(tuple(fld(tape.draw_int(fld.modulus)) for _ in range(m)))
+    return [tape.draw_int(fld.modulus) for _ in range(m)]
+
+
+def weight_at(fld, weights, z):
+    """Multilinear extension of the clause weight prod_j r_j^{z_j} at z."""
+    acc = fld.one
+    for zj, r in zip(z, weights):
+        acc = acc * (fld.one - zj + fld(r) * zj)
+    return acc
 
 
 def oracle_from_table(table):
@@ -161,33 +175,34 @@ class TestW1Summand:
         m = f.m
         weights = draw_weights(F109, m, 5)
         table = BooleanTable.from_assignment({1, 2}, m)
-        spec = build_w1_summand(f, oracle_from_table(table), weights)
+        spec = build_w1_summand(f, F109, weights)
         z = tuple(F109(b) for b in code_bits(0, m))
         x1 = tuple(F109(b) for b in code_bits(0, m))
         x2 = tuple(F109(b) for b in code_bits(1, m))
-        expected = weights.extension_at(z)  # w(z) * 1 * 1 * 1 * 1
-        assert spec.evaluator(z + x1 + x2) == expected
+        expected = weight_at(F109, weights, z)  # w(z) * 1 * 1 * 1 * 1
+        assert evaluate(spec, oracle_from_table(table), z + x1 + x2) == expected
 
     def test_satisfying_assignment_sums_to_zero(self):
         f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 1)
         weights = draw_weights(F109, f.m, 9)
         table = BooleanTable.from_assignment({1}, f.m)
-        spec = build_w1_summand(f, oracle_from_table(table), weights)
-        assert cube_sum(spec) == F109.zero
+        spec = build_w1_summand(f, F109, weights)
+        assert cube_sum(spec, oracle_from_table(table)) == F109.zero
 
     def test_violating_assignment_total_is_clause_weight(self):
         f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 2)
         weights = draw_weights(F109, f.m, 42)
         table = BooleanTable.from_assignment({1, 2}, f.m)
-        spec = build_w1_summand(f, oracle_from_table(table), weights)
+        spec = build_w1_summand(f, F109, weights)
         z0 = tuple(F109(b) for b in code_bits(0, f.m))
-        assert cube_sum(spec) == weights.extension_at(z0)
-        assert cube_sum(spec).value != 0
+        total = cube_sum(spec, oracle_from_table(table))
+        assert total == weight_at(F109, weights, z0)
+        assert total.value != 0
 
     def test_class_mismatch(self):
         f = WeightedFormula(2, ((1, 2),), ClassTag.G21P, 1)
         with pytest.raises(ClassMismatchError):
-            build_w1_summand(f, lambda p: F109.zero, draw_weights(F109, f.m, 1))
+            build_w1_summand(f, F109, draw_weights(F109, f.m, 1))
 
     def test_unsat_iff_property_exhaustive(self):
         # per clause, sum over (x1, x2) of the indicator product is nonzero
@@ -247,7 +262,7 @@ class TestW1Summand:
         m = f.m
         weights = draw_weights(F109, m, 77)
         table = BooleanTable.from_assignment({2}, m)
-        spec = build_w1_summand(f, oracle_from_table(table), weights)
+        spec = build_w1_summand(f, F109, weights)
         tape = RandomTape(4)
         for var in range(spec.num_vars):
             d = spec.degree_bounds[var]
@@ -256,7 +271,7 @@ class TestW1Summand:
             for t in range(d + 2):
                 pt = list(others)
                 pt[var] = F109(t)
-                samples.append((F109(t), spec.evaluator(tuple(pt))))
+                samples.append((F109(t), evaluate(spec, oracle_from_table(table), tuple(pt))))
             poly = interpolate(samples[: d + 1])
             assert poly.evaluate(samples[-1][0]) == samples[-1][1]
 
@@ -267,19 +282,19 @@ class TestW2Summand:
         m = f.m
         weights = draw_weights(F109, m, 8)
         table = BooleanTable.from_true_codes([], m)
-        spec = build_w2_summand(f, oracle_from_table(table), weights, 2)
+        spec = build_w2_summand(f, F109, weights, 2)
         z = tuple(F109(b) for b in code_bits(0, m))
         x1 = tuple(F109(b) for b in code_bits(0, m))
         x2 = tuple(F109(b) for b in code_bits(1, m))
-        assert spec.evaluator(z + x1 + x2) == weights.extension_at(z)
+        assert evaluate(spec, oracle_from_table(table), z + x1 + x2) == weight_at(F109, weights, z)
 
     def test_satisfied_clause_zeroes_all_terms(self):
         f = WeightedFormula(2, ((1, 2),), ClassTag.G21P, 1)
         m = f.m
         weights = draw_weights(F109, m, 8)
         table = BooleanTable.from_assignment({1}, m)
-        spec = build_w2_summand(f, oracle_from_table(table), weights, 2)
-        assert cube_sum(spec) == F109.zero
+        spec = build_w2_summand(f, F109, weights, 2)
+        assert cube_sum(spec, oracle_from_table(table)) == F109.zero
 
     def test_padding_invariance(self):
         f = WeightedFormula(2, ((1, 2),), ClassTag.G21P, 1)
@@ -287,42 +302,41 @@ class TestW2Summand:
         for trues in (set(), {1}, {2}, {1, 2}):
             table = BooleanTable.from_assignment(trues, f.m)
             oracle = oracle_from_table(table)
-            total2 = cube_sum(build_w2_summand(f, oracle, weights, 2))
-            total3 = cube_sum(build_w2_summand(f, oracle, weights, 3))
+            total2 = cube_sum(build_w2_summand(f, F109, weights, 2), oracle)
+            total3 = cube_sum(build_w2_summand(f, F109, weights, 3), oracle)
             assert total2 == total3
 
     def test_padded_length_too_small(self):
         f = WeightedFormula(3, ((1, 2, 3),), ClassTag.G21P, 1)
         with pytest.raises(ValueError):
-            build_w2_summand(f, lambda p: F109.zero, draw_weights(F109, f.m, 1), 2)
+            build_w2_summand(f, F109, draw_weights(F109, f.m, 1), 2)
 
     def test_class_mismatch(self):
         f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 1)
         with pytest.raises(ClassMismatchError):
-            build_w2_summand(f, lambda p: F109.zero, draw_weights(F109, f.m, 1), 2)
+            build_w2_summand(f, F109, draw_weights(F109, f.m, 1), 2)
 
 
 class TestWeightSummand:
     def test_counts_trues(self):
         table = BooleanTable.from_assignment({1}, 2)
-        spec = build_weight_summand(oracle_from_table(table), 2, F109)
-        assert cube_sum(spec) == F109.one
+        spec = build_weight_summand(2, F109)
+        assert cube_sum(spec, oracle_from_table(table)) == F109.one
 
     def test_block_restriction(self):
         table = BooleanTable.from_assignment({1, 2, 3}, 2)
         block = BooleanTable.from_assignment({2, 3}, 2)
-        spec = build_weight_summand(oracle_from_table(table), 2, F109, block)
-        assert cube_sum(spec) == F109(2)
+        spec = build_weight_summand(2, F109, block)
+        assert cube_sum(spec, oracle_from_table(table)) == F109(2)
 
     def test_empty_assignment(self):
         table = BooleanTable.from_true_codes([], 2)
-        spec = build_weight_summand(oracle_from_table(table), 2, F109)
-        assert cube_sum(spec) == F109.zero
+        spec = build_weight_summand(2, F109)
+        assert cube_sum(spec, oracle_from_table(table)) == F109.zero
 
     def test_block_arity_mismatch(self):
-        table = BooleanTable.from_true_codes([], 2)
         with pytest.raises(ValueError):
-            build_weight_summand(oracle_from_table(table), 2, F109, BooleanTable.from_true_codes([], 3))
+            build_weight_summand(2, F109, BooleanTable.from_true_codes([], 3))
 
 
 class TestBooleanTable:

@@ -9,7 +9,8 @@ carry dummy clause codes (num_clauses < 2^m) and short clauses that repeat
 their last variable up to the padded length L.  The split kernels are checked
 on both sides of their width threshold: ``_tensor`` against plain doubling,
 the clause indicator at pinned m = 4..9 with clauses in many rows, and a fold
-whose head declares a weight tensor against the same plan folded plainly.
+whose head declares a weight tensor against the same plan with the tensor as
+a plain head table.
 """
 
 import random
@@ -19,7 +20,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ppcplab.arithmetize import (
     BooleanTable,
-    ClauseWeights,
     ProductPlan,
     build_w1_summand,
     build_w2_summand,
@@ -27,6 +27,7 @@ from ppcplab.arithmetize import (
     build_weight_summand,
     clause_indicator_eval,
     code_bits,
+    compile_plan,
     mle_eval,
 )
 from ppcplab.field import FieldElement, PrimeField, UniPoly
@@ -75,15 +76,25 @@ def random_point(rng, m):
     return tuple(FLD(rng.randrange(FLD.modulus)) for _ in range(m))
 
 
+def random_weights(rng, m):
+    return [rng.randrange(FLD.modulus) for _ in range(m)]
+
+
+def clause_spec(formula, L, weights):
+    if formula.class_tag is ClassTag.G12N:
+        return build_w1_summand(formula, FLD, weights)
+    return build_w2_summand(formula, FLD, weights, L)
+
+
 def random_spec(formula, L, rng):
     """Clause-product summand over a random assignment table and weights."""
     m = formula.m
     table = BooleanTable(m, tuple(rng.randrange(2) for _ in range(1 << m)))
-    weights = ClauseWeights(random_point(rng, m))
-    oracle = lambda q: mle_eval(table, q)  # noqa: E731
-    if formula.class_tag is ClassTag.G12N:
-        return build_w1_summand(formula, oracle, weights), table
-    return build_w2_summand(formula, oracle, weights, L), table
+    return clause_spec(formula, L, random_weights(rng, m)), table
+
+
+def table_oracle(table):
+    return lambda q: mle_eval(table, q)
 
 
 @given(padded_formulas(), st.integers(0, 2**32))
@@ -104,7 +115,7 @@ def test_tail_tables_match_per_clause_definition(case, seed):
     m = formula.m
     rng = random.Random(seed)
     spec, table = random_spec(formula, L, rng)
-    plan = spec.plan_builder(table)
+    plan = compile_plan(spec, table)
     z_star = random_point(rng, m)
     tails = plan.build_tails(z_star)
     assert len(tails) == plan.num_tails == L
@@ -123,12 +134,12 @@ def test_round_values_match_honest_round_poly(case, seed):
     assume((L + 1) * formula.m <= 8)
     rng = random.Random(seed)
     spec, table = random_spec(formula, L, rng)
-    folder = PlanFolder(spec.plan_builder(table))
+    folder = PlanFolder(compile_plan(spec, table))
     challenges = ()
     for i in range(1, spec.num_vars + 1):
         d = spec.degree_bounds[i - 1]
         folder.sync(challenges)
-        reference = honest_round_poly(spec, challenges, i)
+        reference = honest_round_poly(spec, table_oracle(table), challenges, i)
         assert folder.round_values(d) == [reference.evaluate(FLD(t)).value for t in range(d + 1)]
         challenges += (FLD(rng.randrange(FLD.modulus)),)
 
@@ -145,7 +156,7 @@ def small_specs(draw):
         table = BooleanTable(m, tuple(rng.randrange(2) for _ in range(1 << m)))
         block = draw(st.sampled_from([None, tuple(rng.randrange(2) for _ in range(1 << m))]))
         block_table = None if block is None else BooleanTable(m, block)
-        spec = build_weight_summand(lambda q: mle_eval(table, q), m, FLD, block_table)
+        spec = build_weight_summand(m, FLD, block_table)
         return kind, spec, table
     tag = ClassTag.G12N if kind == "w1" else ClassTag.G21P
     L = 2 if kind == "w1" else draw(st.integers(1, 5))
@@ -173,7 +184,7 @@ def test_table_prover_round_poly_matches_honest_round_poly(case, seed):
     for i in range(1, spec.num_vars + 1):
         d = spec.degree_bounds[i - 1]
         poly = prover.round_poly(i, challenges, FLD.zero)
-        reference = honest_round_poly(spec, challenges, i).padded(d)
+        reference = honest_round_poly(spec, table_oracle(table), challenges, i).padded(d)
         assert type(poly) is UniPoly and poly.bound == d and len(poly.coeffs) == d + 1
         assert all(type(c) is FieldElement and type(c.value) is int for c in poly.coeffs)
         assert [c.value for c in poly.coeffs] == [c.value for c in reference.coeffs]
@@ -230,7 +241,7 @@ def assert_rounds_match_honest(spec, table, seed):
     for i in range(1, spec.num_vars + 1):
         d = spec.degree_bounds[i - 1]
         poly = prover.round_poly(i, challenges, FLD.zero)
-        reference = honest_round_poly(spec, challenges, i).padded(d)
+        reference = honest_round_poly(spec, table_oracle(table), challenges, i).padded(d)
         assert [c.value for c in poly.coeffs] == [c.value for c in reference.coeffs], i
         challenges += (FLD(rng.randrange(FLD.modulus)),)
 
@@ -249,16 +260,12 @@ def pinned_specs(draw, table_kind):
         block = draw(st.sampled_from(["none", "real", "random"]))
         block_codes = range(n) if block == "real" else [c for c in range(n) if rng.randrange(2)]
         block_table = None if block == "none" else BooleanTable.from_true_codes(block_codes, m)
-        return kind, build_weight_summand(lambda q: mle_eval(table, q), m, FLD, block_table), table, n
+        return kind, build_weight_summand(m, FLD, block_table), table, n
     tag = ClassTag.G12N if kind == "w1" else ClassTag.G21P
     formula, L = draw(pinned_formulas(10, tags=(tag,), max_len=4))
     n, m = formula.num_vars, formula.m
     table = window_table(table_kind, n, m, rng)
-    weights = ClauseWeights(random_point(rng, m))
-    oracle = lambda q: mle_eval(table, q)  # noqa: E731
-    if kind == "w1":
-        return kind, build_w1_summand(formula, oracle, weights), table, n
-    return kind, build_w2_summand(formula, oracle, weights, L), table, n
+    return kind, clause_spec(formula, L, random_weights(rng, m)), table, n
 
 
 @pytest.mark.parametrize("table_kind", TABLE_KINDS)
@@ -267,7 +274,7 @@ def pinned_specs(draw, table_kind):
 def test_windowed_round_poly_matches_honest_round_poly(table_kind, data, seed):
     kind, spec, table, n = data.draw(pinned_specs(table_kind))
     m = table.arity
-    plan = spec.plan_builder(table)
+    plan = compile_plan(spec, table)
     window = plan.head_window if kind == "weight" else plan.tail_window
     assert window > table.top_code()
     assert (window == 1 << m) if table_kind == "top" else table_kind == "dummy" or window < 1 << m
@@ -280,9 +287,8 @@ def test_windowed_round_poly_at_padded_length_5():
     # one variable at m = 2, its code and the dummy code 1 true: window 2 of 4
     formula = WeightedFormula(1, ((1,),), ClassTag.G21P, 1, 2)
     table = BooleanTable.from_true_codes([0, 1], 2)
-    weights = ClauseWeights((FLD(3), FLD(500)))
-    spec = build_w2_summand(formula, lambda q: mle_eval(table, q), weights, 5)
-    assert spec.plan_builder(table).tail_window == 2
+    spec = build_w2_summand(formula, FLD, (3, 500), 5)
+    assert compile_plan(spec, table).tail_window == 2
     assert_rounds_match_honest(spec, table, 5)
 
 
@@ -383,10 +389,10 @@ def test_split_clause_indicator_matches_per_clause_definition(m, tag):
 
 @st.composite
 def weight_tensor_plans(draw):
-    """(plan whose head table 0 is declared the weight tensor, the same plan
-    without the declaration): random nonzero weights, other head tables and
-    tails at random, tails constant past a random window with random
-    constants."""
+    """(plan that declares the weight tensor beside its head tables, the same
+    plan with the explicit tensor as standalone head table 0 and no
+    declaration): random nonzero weights, other head tables and tails at
+    random, tails constant past a random window with random constants."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     block_vars = draw(st.integers(1, 4))
     size = 1 << block_vars
@@ -404,13 +410,13 @@ def weight_tensor_plans(draw):
 
     # standalone tables besides the weight tensor, then one proxy per tail
     standalone = draw(st.integers(0 if num_tails else 1, 2))
-    head = (tuple(tensor), *[tuple(table(size)) for _ in range(standalone + num_tails)])
+    head = tuple(tuple(table(size)) for _ in range(standalone + num_tails))
     tails = [[table(tail_window) for _ in range(draw(st.integers(1, 3)))] for _ in range(num_tails)]
     build_tails = (lambda z_star: tails) if num_tails else None
-    common = dict(field=FLD, block_vars=block_vars, head_tables=head,
-                  num_standalone=len(head) - num_tails, build_tails=build_tails,
-                  tail_window=tail_window)
-    return ProductPlan(**common, head_weights=weights), ProductPlan(**common)
+    common = dict(field=FLD, block_vars=block_vars, build_tails=build_tails, tail_window=tail_window)
+    declared = ProductPlan(**common, head_tables=head, num_standalone=standalone, head_weights=weights)
+    plain = ProductPlan(**common, head_tables=(tuple(tensor), *head), num_standalone=standalone + 1)
+    return declared, plain
 
 
 @given(weight_tensor_plans(), st.integers(0, 2**32))
@@ -432,10 +438,10 @@ def test_weight_tensor_head_fold_matches_plain_fold(plans, seed):
 
 
 def test_weight_tensor_head_needs_a_whole_cube_head_with_one_weight_per_variable():
-    head = (tuple([1, 2, 3, 6]), (1, 1, 1, 1))
-    ProductPlan(FLD, 2, head, 2, head_weights=(2, 3))
+    head = ((1, 1, 1, 1),)
+    ProductPlan(FLD, 2, head, 1, head_weights=(2, 3))
     for bad in (dict(head_weights=(2,)), dict(head_weights=(2, 3), head_window=2)):
         with pytest.raises(ValueError):
-            ProductPlan(FLD, 2, head, 2, **bad)
+            ProductPlan(FLD, 2, head, 1, **bad)
     with pytest.raises(ValueError):
-        ProductPlan(FLD, 2, head[:1], 1, head_weights=(2, 3))
+        ProductPlan(FLD, 2, (), 0, head_weights=(2, 3))

@@ -1,17 +1,28 @@
 """The verifier treats the proof as data: prover values that are not exactly
 ``UniPoly`` / ``FieldElement`` objects holding plain ints are rejected at the
-stage and round that read them, and no prover-supplied method decides a check."""
+stage and round that read them, and no prover-supplied method decides a check.
+What the verifier hands the prover is data too: a statement with no code and
+no field element in it, and a field that refuses writes."""
 
 import dataclasses
 import types
 
 import pytest
 
-from ppcplab.arithmetize import BooleanTable, SummandSpec, _formula_codes, mle_eval
+from ppcplab.arithmetize import (
+    BooleanTable,
+    SummandSpec,
+    _formula_codes,
+    clause_indicator_eval,
+    compile_plan,
+    mle_eval,
+)
+from ppcplab.awsat import enumerate_universal, honest_branch_tables, verify_awsat
 from ppcplab.field import FieldElement, PrimeField, UniPoly
-from ppcplab.formula import ClassTag, WeightedFormula, parse_pwsat
+from ppcplab.formula import AwsatInstance, ClassTag, WeightedFormula, parse_pwsat
 from ppcplab.pcpverify import multilinearity_test, verify_w1, verify_w2
 from ppcplab.sumcheck import (
+    AdaptiveCheater,
     GenericHonestProver,
     ProverStrategy,
     RandomTape,
@@ -26,8 +37,12 @@ YES_TEXT = "p pwsat g12n 3 2 1\n-1 -2 0\n-1 -3 0\n"
 
 
 def product_spec(fld):
-    # h(x1, x2) = x1 * x2
-    return SummandSpec(2, (1, 1), lambda pt: pt[0] * pt[1], fld)
+    # h(x1, x2) = x1 * x2: a block-free statement is its oracle, product_oracle
+    return SummandSpec(2, (1, 1), fld)
+
+
+def product_oracle(pt):
+    return pt[0] * pt[1]
 
 
 class AlwaysEqual(FieldElement):
@@ -105,8 +120,8 @@ def test_sumcheck_rejects_values_that_are_not_exact(make):
             return make(super().round_poly(i, challenges, current_claim))
 
     spec = product_spec(F109)
-    honest = run_sumcheck(spec, F109.one, GenericHonestProver(), RandomTape(3), ResourceMeter())
-    run = run_sumcheck(spec, F109.one, Wrapped(), RandomTape(3), ResourceMeter())
+    honest = run_sumcheck(spec, F109.one, GenericHonestProver(product_oracle), RandomTape(3), ResourceMeter())
+    run = run_sumcheck(spec, F109.one, Wrapped(product_oracle), RandomTape(3), ResourceMeter())
     assert honest.verdict.accepted
     assert (run.verdict.accepted, run.verdict.rejection_round) == (False, 1)
 
@@ -123,7 +138,7 @@ def test_sumcheck_reads_plain_sequences_only():
                 return UniPoly(wrap(honest.coeffs), honest.bound)
 
         spec = product_spec(F109)
-        return run_sumcheck(spec, F109.one, Wrapped(), RandomTape(3), ResourceMeter()).verdict
+        return run_sumcheck(spec, F109.one, Wrapped(product_oracle), RandomTape(3), ResourceMeter()).verdict
 
     assert run(list).accepted
     assert (run(TupleSub).accepted, run(TupleSub).rejection_round) == (False, 1)
@@ -246,9 +261,13 @@ def test_prover_exception_is_a_rejection_at_its_stage(text, table, fault, expect
     assert raised == malformed  # verdicts compare meters and stage reports too
 
 
+def _no_oracle(point):
+    raise RuntimeError("no assignment oracle attached")
+
+
 @pytest.mark.parametrize("text", [NO_TEXT, YES_TEXT], ids=["no", "yes"])
 def test_prover_without_oracle_is_rejected_by_the_multilinearity_test(text):
-    verdict = verify_w1(parse_pwsat(text), GenericHonestProver(), RandomTape(6))
+    verdict = verify_w1(parse_pwsat(text), GenericHonestProver(_no_oracle), RandomTape(6))
     assert (verdict.accepted, verdict.stage, verdict.rejection_round) == (False, "mltest", 1)
 
 
@@ -258,27 +277,26 @@ def test_base_exception_is_not_swallowed():
             raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
-        run_sumcheck(product_spec(F109), F109.one, Interrupting(), RandomTape(3), ResourceMeter())
+        run_sumcheck(product_spec(F109), F109.one, Interrupting(product_oracle), RandomTape(3), ResourceMeter())
 
 
 # -- writes into what the spec and the plan expose -------------------------------
 
 
-def _reachable_lists(roots):
-    """Every list reachable from ``roots`` through list, tuple and dict
-    entries, dataclass fields and the closure cells of functions."""
+def _reachable(roots):
+    """Every object reachable from ``roots`` through list, tuple, set and
+    dict entries, dataclass fields and the closure cells of functions."""
     found, seen, todo = [], set(), list(roots)
     while todo:
         obj = todo.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
-        if isinstance(obj, list):
-            found.append(obj)
-            todo.extend(obj)
-        elif isinstance(obj, tuple):
+        found.append(obj)
+        if isinstance(obj, (list, tuple, set, frozenset)):
             todo.extend(obj)
         elif isinstance(obj, dict):
+            todo.extend(obj.keys())
             todo.extend(obj.values())
         elif isinstance(obj, types.FunctionType):
             todo.extend(cell.cell_contents for cell in obj.__closure__ or ())
@@ -297,11 +315,11 @@ class ListWriter(TableCommittedProver):
         self.written = 0
 
     def begin_sumcheck(self, spec, claim):
-        plan = spec.plan_builder(self.table)
+        plan = compile_plan(spec, self.table)
         roots = [spec, plan]
         if plan.build_tails is not None:
             roots.append(plan.build_tails(tuple(spec.field(5) for _ in range(plan.block_vars))))
-        lists = _reachable_lists(roots)
+        lists = [obj for obj in _reachable(roots) if isinstance(obj, list)]
         for lst in lists:
             lst[:] = [] if any(isinstance(v, (list, tuple)) for v in lst) else [1] * len(lst)
         self.written += len(lists)
@@ -342,3 +360,138 @@ def test_writes_into_the_plan_never_reach_a_later_run(formula, good, bad, verify
     assert honest_runs() == fresh  # verdicts compare meters and stage reports too
     codes = _formula_codes(formula)
     assert type(codes) is tuple and all(type(c) is tuple for c in codes)
+
+
+# -- the statement a prover receives is data -------------------------------------
+
+AWSAT_L3 = AwsatInstance(
+    WeightedFormula(4, ((-2, -3),), ClassTag.G12N, 3), ((1,), (2, 3), (4,)), (1, 1, 1)
+)
+
+
+class StatementRecorder(TableCommittedProver):
+    """An honest table prover that keeps every statement it is given."""
+
+    def __init__(self, table, specs):
+        super().__init__(table)
+        self.specs = specs
+
+    def begin_sumcheck(self, spec, claim):
+        self.specs.append(spec)
+        super().begin_sumcheck(spec, claim)
+
+
+def _recorded_statements(name):
+    """Every statement an accepting honest run of the named verifier hands
+    its prover, one per stage."""
+    specs = []
+    if name == "verify_awsat":
+        factory = lambda t: StatementRecorder(t, specs)  # noqa: E731
+        assert verify_awsat(AWSAT_L3, honest_branch_tables(AWSAT_L3), factory, RandomTape(2)).accepted
+        return specs
+    verify, text, true_set = {
+        "verify_w1": (verify_w1, YES_TEXT, {1}),
+        "verify_w2": (verify_w2, "p pwsat g21p 3 2 1\n1 2 3 0\n2 3 0\n", {2}),
+    }[name]
+    f = parse_pwsat(text)
+    prover = StatementRecorder(BooleanTable.from_assignment(true_set, f.m), specs)
+    assert verify(f, prover, RandomTape(2)).accepted
+    return specs
+
+
+@pytest.mark.parametrize("name", ["verify_w1", "verify_w2", "verify_awsat"])
+def test_statements_hold_no_code_and_no_field_elements(name):
+    specs = _recorded_statements(name)
+    # main plus weight stages: one weight check for W1 and W2, two (blocks 1
+    # and 3) in each branch of the l = 3 alternation
+    stages = 2 if name != "verify_awsat" else 3 * len(enumerate_universal(AWSAT_L3))
+    assert len(specs) == stages
+    for spec in specs:
+        found = _reachable([spec])
+        # the field is the one callable: a frozen PrimeField, whose call only
+        # makes elements
+        assert all(type(obj) is PrimeField for obj in found if callable(obj))
+        assert not [obj for obj in found if isinstance(obj, FieldElement)]
+        with pytest.raises(AttributeError):
+            spec.field.bits = 0
+
+
+class WeightRewriter(TableCommittedProver):
+    """``AdaptiveCheater``'s round messages over a committed table.  If it can
+    reach the verifier's clause weights (an object whose ``r`` is a tuple of
+    field elements) and the formula from the statement, then at the main
+    stage's last final read it rewrites r_1 so that the final check holds."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.cheater = AdaptiveCheater(TableCommittedProver(table))
+        self.weights = None
+
+    def begin_sumcheck(self, spec, claim):
+        self.cheater.begin_sumcheck(spec, claim)
+        found = _reachable([spec])
+        weights = [o for o in found if type(getattr(o, "r", None)) is tuple]
+        formulas = [o for o in found if isinstance(o, WeightedFormula)]
+        self.weights = weights[0] if weights and formulas else None
+        self.formula = formulas[0] if formulas else None
+        self.num_vars = spec.num_vars
+        self.reads = []
+
+    def round_poly(self, i, challenges, current_claim):
+        self.challenges = challenges
+        self.last = self.cheater.round_poly(i, challenges, current_claim)
+        return self.last
+
+    def assignment_query(self, point):
+        value = mle_eval(self.table, point)
+        if self.weights is not None:
+            self.reads.append((point, value))
+            if len(self.reads) == self.num_vars // self.formula.m - 1:
+                self._rewrite(point[-1])
+        return value
+
+    def _rewrite(self, last_challenge):
+        m, r = self.formula.m, self.weights.r
+        fld = r[0].field
+        z = (tuple(self.challenges) + (last_challenge,))[:m]
+        product = fld.one
+        for i, (x, a) in enumerate(self.reads, start=1):
+            product = product * clause_indicator_eval(self.formula, i, z, x) * a
+        for zj, rj in zip(z[1:], r[1:]):
+            product = product * (fld.one - zj + rj * zj)
+        if product.value == 0 or z[0].value == 0:
+            return
+        target = self.last.evaluate(last_challenge) / product
+        r[0].value = ((target - (fld.one - z[0])) / z[0]).value
+
+
+def test_weight_rewriter_gains_nothing_over_the_adaptive_cheater():
+    f = parse_pwsat("p pwsat g12n 3 3 2\n-1 -2 0\n-2 -3 0\n-1 -3 0\n")
+    table = BooleanTable.from_true_codes(range(f.k), f.m)
+    for seed in range(100):
+        rewriter = verify_w1(f, WeightRewriter(table), RandomTape(seed))
+        cheater = verify_w1(f, AdaptiveCheater(TableCommittedProver(table)), RandomTape(seed))
+        assert rewriter == cheater, seed  # verdicts compare meters and stage reports too
+
+
+class FieldMutator(TableCommittedProver):
+    """Zeroes the bit width of the field it is handed, then proves honestly."""
+
+    def begin_sumcheck(self, spec, claim):
+        self.field = spec.field
+        spec.field.bits = 0
+        super().begin_sumcheck(spec, claim)
+
+
+class RaisingBegin(TableCommittedProver):
+    def begin_sumcheck(self, spec, claim):
+        raise RuntimeError("prover fault")
+
+
+def test_field_mutator_is_a_raising_begin_sumcheck():
+    f = parse_pwsat(NO_TEXT)
+    mutator = FieldMutator(NO_TABLE)
+    verdict = verify_w1(f, mutator, RandomTape(5))
+    assert verdict == verify_w1(f, RaisingBegin(NO_TABLE), RandomTape(5))
+    assert (verdict.stage, verdict.rejection_round) == ("main", 1)
+    assert mutator.field.bits == (mutator.field.modulus - 1).bit_length()

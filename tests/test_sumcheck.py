@@ -4,11 +4,14 @@ import pytest
 
 from ppcplab.arithmetize import (
     BooleanTable,
-    ClauseWeights,
     SummandSpec,
     build_w1_summand,
+    build_w2_summand,
     build_weight_summand,
+    compile_plan,
     mle_eval,
+    read_points,
+    summand_value,
 )
 from ppcplab.field import PrimeField, UniPoly
 from ppcplab.formula import ClassTag, WeightedFormula
@@ -54,13 +57,34 @@ class ScriptedTape:
                 return v
 
 
+# Toy summands: a block-free weight statement is the oracle itself, so the
+# oracle of a GenericHonestProver is the summand.
+
+
 def const_zero_spec(fld, q=1, bound=1):
-    return SummandSpec(q, (bound,) * q, lambda pt: fld.zero, fld)
+    return SummandSpec(q, (bound,) * q, fld)
+
+
+def zero_oracle(pt):
+    return pt[0].field.zero
 
 
 def product_spec(fld):
-    # h(x1, x2) = x1 * x2
-    return SummandSpec(2, (1, 1), lambda pt: pt[0] * pt[1], fld)
+    # h(x1, x2) = x1 * x2, through product_oracle
+    return SummandSpec(2, (1, 1), fld)
+
+
+def product_oracle(pt):
+    return pt[0] * pt[1]
+
+
+def evaluate(spec, oracle, point):
+    """The summand at ``point``, reading ``oracle`` where the statement says."""
+    return summand_value(spec, point, [oracle(q) for q in read_points(spec, point)])
+
+
+def draw_weights(tape, m):
+    return [tape.draw_int(109) for _ in range(m)]
 
 
 class TestRandomTape:
@@ -112,33 +136,33 @@ class TestRandomTape:
 class TestRunSumcheck:
     def test_zero_spec_true_claim_accepts(self):
         spec = const_zero_spec(F109)
-        run = run_sumcheck(spec, F109.zero, GenericHonestProver(), RandomTape(1), ResourceMeter())
+        run = run_sumcheck(spec, F109.zero, GenericHonestProver(zero_oracle), RandomTape(1), ResourceMeter())
         assert run.verdict.accepted
         assert run.final_expected == F109.zero
-        assert spec.evaluator(run.final_point) == run.final_expected
+        assert evaluate(spec, zero_oracle, run.final_point) == run.final_expected
 
     def test_zero_spec_false_claim_rejects_round_one(self):
         spec = const_zero_spec(F109)
-        run = run_sumcheck(spec, F109.one, GenericHonestProver(), RandomTape(1), ResourceMeter())
+        run = run_sumcheck(spec, F109.one, GenericHonestProver(zero_oracle), RandomTape(1), ResourceMeter())
         assert not run.verdict.accepted
         assert run.verdict.rejection_round == 1
 
     def test_product_spec_accepts_and_g1_is_x(self):
         spec = product_spec(F109)
         for seed in range(10):
-            run = run_sumcheck(spec, F109.one, GenericHonestProver(), RandomTape(seed), ResourceMeter())
+            run = run_sumcheck(spec, F109.one, GenericHonestProver(product_oracle), RandomTape(seed), ResourceMeter())
             assert run.verdict.accepted
             g1 = run.transcripts[0].claimed
             assert [c.value for c in g1.coeffs] == [0, 1]
             # caller's final direct evaluation
-            assert spec.evaluator(run.final_point) == run.final_expected
+            assert evaluate(spec, product_oracle, run.final_point) == run.final_expected
 
     def test_completeness_exhaustive_all_challenges(self):
         spec = product_spec(F5)
         for r1, r2 in itertools.product(range(5), repeat=2):
-            run = run_sumcheck(spec, F5.one, GenericHonestProver(), ScriptedTape([r1, r2]), ResourceMeter())
+            run = run_sumcheck(spec, F5.one, GenericHonestProver(product_oracle), ScriptedTape([r1, r2]), ResourceMeter())
             assert run.verdict.accepted
-            assert spec.evaluator(run.final_point) == run.final_expected
+            assert evaluate(spec, product_oracle, run.final_point) == run.final_expected
 
     def test_malformed_prover_rejected_not_crashed(self):
         class OverlongProver(GenericHonestProver):
@@ -147,7 +171,7 @@ class TestRunSumcheck:
                 return UniPoly((fld(0), fld(1), fld(0), fld(0)), bound=3)  # d=1 expected
 
         spec = product_spec(F109)
-        run = run_sumcheck(spec, F109.one, OverlongProver(), RandomTape(0), ResourceMeter())
+        run = run_sumcheck(spec, F109.one, OverlongProver(product_oracle), RandomTape(0), ResourceMeter())
         assert not run.verdict.accepted
         assert run.verdict.rejection_round == 1
 
@@ -155,7 +179,7 @@ class TestRunSumcheck:
         spec = product_spec(F109)
         tape = RandomTape(5)
         meter = ResourceMeter()
-        run_sumcheck(spec, F109.one, GenericHonestProver(), tape, meter)
+        run_sumcheck(spec, F109.one, GenericHonestProver(product_oracle), tape, meter)
         assert meter.proof_bits == (1 + 1) * 7 * 2  # (d+1) coeffs per round, 7 bits each
         assert meter.random_bits == tape.bits_drawn
         assert meter.random_bits - tape.overhead_bits == 2 * 7
@@ -163,7 +187,7 @@ class TestRunSumcheck:
     def test_replay_determinism(self):
         spec = product_spec(F109)
         runs = [
-            run_sumcheck(spec, F109.one, GenericHonestProver(), RandomTape(99), ResourceMeter())
+            run_sumcheck(spec, F109.one, GenericHonestProver(product_oracle), RandomTape(99), ResourceMeter())
             for _ in range(2)
         ]
         assert runs[0].verdict == runs[1].verdict
@@ -172,7 +196,7 @@ class TestRunSumcheck:
 
     def test_transcript_running_value_invariant(self):
         spec = product_spec(F109)
-        run = run_sumcheck(spec, F109.one, GenericHonestProver(), RandomTape(2), ResourceMeter())
+        run = run_sumcheck(spec, F109.one, GenericHonestProver(product_oracle), RandomTape(2), ResourceMeter())
         for t in run.transcripts:
             assert t.claimed.evaluate(t.challenge) == t.running
 
@@ -180,35 +204,35 @@ class TestRunSumcheck:
 class TestHonestRoundPoly:
     def test_constant_spec_round_one(self):
         c = 9
-        spec = SummandSpec(3, (1, 1, 1), lambda pt: F109(c), F109)
-        poly = honest_round_poly(spec, (), 1)
+        spec = SummandSpec(3, (1, 1, 1), F109)
+        poly = honest_round_poly(spec, lambda pt: F109(c), (), 1)
         assert poly.degree <= 0
         assert poly.coeffs[0].value == c * 4 % 109  # c * 2^(q-1)
 
     def test_identity_spec(self):
-        spec = SummandSpec(1, (1,), lambda pt: pt[0], F109)
-        poly = honest_round_poly(spec, (), 1)
+        spec = SummandSpec(1, (1,), F109)
+        poly = honest_round_poly(spec, lambda pt: pt[0], (), 1)
         assert [c.value for c in poly.coeffs] == [0, 1]
 
     def test_w1_round_one_matches_brute_force_total(self):
         f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 2)
         tape = RandomTape(42)
-        weights = ClauseWeights(tuple(F109(tape.draw_int(109)) for _ in range(f.m)))
         table = BooleanTable.from_assignment({1, 2}, f.m)
-        spec = build_w1_summand(f, lambda p: mle_eval(table, p), weights)
-        poly = honest_round_poly(spec, (), 1)
+        oracle = lambda p: mle_eval(table, p)  # noqa: E731
+        spec = build_w1_summand(f, F109, draw_weights(tape, f.m))
+        poly = honest_round_poly(spec, oracle, (), 1)
         total = F109.zero
         for mask in range(1 << spec.num_vars):
             pt = tuple(
                 F109((mask >> (spec.num_vars - 1 - j)) & 1) for j in range(spec.num_vars)
             )
-            total = total + spec.evaluator(pt)
+            total = total + evaluate(spec, oracle, pt)
         assert poly.evaluate(F109(0)) + poly.evaluate(F109(1)) == total
 
     def test_prefix_length_validated(self):
         spec = product_spec(F109)
         with pytest.raises(ValueError):
-            honest_round_poly(spec, (F109(1),), 1)
+            honest_round_poly(spec, product_oracle, (F109(1),), 1)
 
 
 class TestPlanFolderMatchesGenericProver:
@@ -232,34 +256,29 @@ class TestPlanFolderMatchesGenericProver:
     def test_w1_plan(self):
         f = WeightedFormula(3, ((-1, -2), (-2, -3), (-1,)), ClassTag.G12N, 1)
         tape = RandomTape(17)
-        weights = ClauseWeights(tuple(F109(tape.draw_int(109)) for _ in range(f.m)))
         table = BooleanTable.from_assignment({2}, f.m)
-        spec = build_w1_summand(f, lambda p: mle_eval(table, p), weights)
+        spec = build_w1_summand(f, F109, draw_weights(tape, f.m))
         self.check_spec(spec, table, 23)
 
     def test_w2_plan(self):
-        from ppcplab.arithmetize import build_w2_summand
-
         f = WeightedFormula(3, ((1, 2, 3), (2,)), ClassTag.G21P, 1)
         tape = RandomTape(18)
-        weights = ClauseWeights(tuple(F109(tape.draw_int(109)) for _ in range(f.m)))
         table = BooleanTable.from_assignment({2}, f.m)
-        spec = build_w2_summand(f, lambda p: mle_eval(table, p), weights, 3)
+        spec = build_w2_summand(f, F109, draw_weights(tape, f.m), 3)
         self.check_spec(spec, table, 29)
 
     def test_weight_plan_with_block(self):
         table = BooleanTable.from_assignment({1, 3}, 2)
         block = BooleanTable.from_true_codes([0, 1, 2], 2)
-        spec = build_weight_summand(lambda p: mle_eval(table, p), 2, F109, block)
+        spec = build_weight_summand(2, F109, block)
         self.check_spec(spec, table, 31)
 
     def test_folder_restarts_on_prefix_change(self):
         f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 1)
         tape = RandomTape(4)
-        weights = ClauseWeights(tuple(F109(tape.draw_int(109)) for _ in range(f.m)))
         table = BooleanTable.from_assignment({1}, f.m)
-        spec = build_w1_summand(f, lambda p: mle_eval(table, p), weights)
-        folder = PlanFolder(spec.plan_builder(table))
+        spec = build_w1_summand(f, F109, draw_weights(tape, f.m))
+        folder = PlanFolder(compile_plan(spec, table))
         folder.sync((F109(3), F109(7)))
         v1 = folder.round_values(spec.degree_bounds[2])
         folder.sync((F109(3), F109(8)))  # diverging prefix forces a rebuild
@@ -270,8 +289,8 @@ class TestPlanFolderMatchesGenericProver:
 class TestAdaptiveCheater:
     def test_true_claim_behaves_honestly(self):
         spec = product_spec(F109)
-        honest = GenericHonestProver()
-        cheater = AdaptiveCheater(GenericHonestProver())
+        honest = GenericHonestProver(product_oracle)
+        cheater = AdaptiveCheater(GenericHonestProver(product_oracle))
         honest.begin_sumcheck(spec, F109.one)
         cheater.begin_sumcheck(spec, F109.one)
         g_h = honest.round_poly(1, (), F109.one)
@@ -280,7 +299,7 @@ class TestAdaptiveCheater:
 
     def test_zero_spec_false_claim_linear_lie(self):
         spec = const_zero_spec(F5)
-        cheater = adaptive_cheater(GenericHonestProver())
+        cheater = adaptive_cheater(GenericHonestProver(zero_oracle))
         cheater.begin_sumcheck(spec, F5.one)
         g = cheater.round_poly(1, (), F5.one)
         assert [c.value for c in g.coeffs] == [0, 1]  # g'(t) = t
@@ -291,10 +310,10 @@ class TestAdaptiveCheater:
         spec = const_zero_spec(F5)
         accepted = 0
         for r in range(5):
-            run = run_sumcheck(spec, F5.one, adaptive_cheater(GenericHonestProver()),
+            run = run_sumcheck(spec, F5.one, adaptive_cheater(GenericHonestProver(zero_oracle)),
                                ScriptedTape([r]), ResourceMeter())
             assert run.verdict.accepted  # round checks always pass
-            if spec.evaluator(run.final_point) == run.final_expected:
+            if evaluate(spec, zero_oracle, run.final_point) == run.final_expected:
                 accepted += 1
         assert accepted == 1
 
@@ -302,14 +321,14 @@ class TestAdaptiveCheater:
         # q=6 rounds of degree <= 3 over p=109 with a false claim
         f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 2)
         table = BooleanTable.from_assignment({1, 2}, f.m)
+        oracle = lambda p: mle_eval(table, p)  # noqa: E731
         trials, accepted = 2000, 0
         for seed in range(trials):
             tape = RandomTape(derive_seed(1234, seed))
-            weights = ClauseWeights(tuple(F109(tape.draw_int(109)) for _ in range(f.m)))
-            spec = build_w1_summand(f, lambda p: mle_eval(table, p), weights)
+            spec = build_w1_summand(f, F109, draw_weights(tape, f.m))
             prover = adaptive_cheater(TableCommittedProver(table))
             run = run_sumcheck(spec, F109.zero, prover, tape, ResourceMeter())
-            if run.verdict.accepted and spec.evaluator(run.final_point) == run.final_expected:
+            if run.verdict.accepted and evaluate(spec, oracle, run.final_point) == run.final_expected:
                 accepted += 1
         q, d, p = 6, 3, 109
         bound = q * d / p + 3 * (0.25 / trials) ** 0.5
@@ -319,7 +338,7 @@ class TestAdaptiveCheater:
 class TestTableCommittedProver:
     def test_wrong_weight_rejected_at_round_one(self):
         table = BooleanTable.from_assignment(set(), 2)  # weight 0
-        spec = build_weight_summand(lambda p: mle_eval(table, p), 2, F109)
+        spec = build_weight_summand(2, F109)
         prover = table_committed_prover(table)
         run = run_sumcheck(spec, F109.one, prover, RandomTape(8), ResourceMeter())
         assert not run.verdict.accepted
@@ -327,7 +346,7 @@ class TestTableCommittedProver:
 
     def test_true_weight_accepted(self):
         table = BooleanTable.from_assignment({1, 2}, 2)
-        spec = build_weight_summand(lambda p: mle_eval(table, p), 2, F109)
+        spec = build_weight_summand(2, F109)
         run = run_sumcheck(spec, F109(2), table_committed_prover(table), RandomTape(8), ResourceMeter())
         assert run.verdict.accepted
         assert mle_eval(table, run.final_point) == run.final_expected
