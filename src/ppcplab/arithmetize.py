@@ -119,34 +119,25 @@ def code_window(top_code: int) -> int:
 
 
 def mle_eval(table: BooleanTable, point: Sequence[FieldElement]) -> FieldElement:
-    """Evaluate the multilinear extension of ``table`` at a field point.
-
-    Sparse tables are evaluated as a sum of cube indicators over their 1-cells,
-    dense ones by per-coordinate folding; both are exact.
-    """
+    """Evaluate the multilinear extension of ``table`` at a field point: the
+    sum, over the table's 1-cells, of their cube indicators there (exact).
+    One path for every table: a per-coordinate fold over all 2^m entries
+    wins only on tables denser than the protocol's (a few true variables, or
+    the real-variable block)."""
     if len(point) != table.arity:
         raise ValueError(f"point has {len(point)} coordinates, table arity is {table.arity}")
     fld = point[0].field
     p = fld.modulus
-    ones = table.ones()
-    size = 1 << table.arity
-    if len(ones) * table.arity * 2 < size:
-        pos = [x.value % p for x in point]
-        neg = [(1 - x.value) % p for x in point]
-        width = table.arity
-        total = 0
-        for code in ones:
-            acc = 1
-            for j in range(width):
-                acc = acc * (pos[j] if (code >> (width - 1 - j)) & 1 else neg[j]) % p
-            total += acc
-        return FieldElement(total, fld)
-    vals = list(table.values)
-    for x in point:
-        half = len(vals) >> 1
-        xv = x.value
-        vals = [(vals[i] + xv * (vals[half + i] - vals[i])) % p for i in range(half)]
-    return FieldElement(vals[0], fld)
+    pos = [x.value % p for x in point]
+    neg = [(1 - x.value) % p for x in point]
+    width = table.arity
+    total = 0
+    for code in table.ones():
+        acc = 1
+        for j in range(width):
+            acc = acc * (pos[j] if (code >> (width - 1 - j)) & 1 else neg[j]) % p
+        total += acc
+    return FieldElement(total, fld)
 
 
 # From this many coordinates on, an eq or weight tensor is built (or summed
@@ -255,6 +246,12 @@ class ProductPlan:
     ``build_tails(z*)`` returns every tail's factor tables over its own block,
     in tail order.
 
+    The proxy contract is load-bearing: the multilinear extension of proxy i
+    at z* must equal the cube sum of the product of tail i's tables at z*.
+    A folder takes each unbound tail's sum from its bound proxy and never
+    sums the tail itself, so a plan that breaks the contract folds to wrong
+    round values.
+
     ``head_window`` and ``tail_window`` (None: the whole block cube) declare
     the variable-code window W of the head and of every tail: a power of two
     past which each table of the block is constant, so a folder needs only
@@ -342,7 +339,9 @@ def read_points(spec: SummandSpec, point: Point) -> list[Point]:
     return [tuple(point[i * m : (i + 1) * m]) for i in range(1, spec.padded_len + 1)]
 
 
-def summand_value(spec: SummandSpec, point: Point, reads: Sequence[FieldElement]) -> FieldElement:
+def summand_value(
+    spec: SummandSpec, point: Point, reads: Sequence[int | FieldElement]
+) -> FieldElement:
     """The summand at ``point``, given the oracle's answers at its
     ``read_points``.
 

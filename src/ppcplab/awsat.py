@@ -71,9 +71,6 @@ class UniversalBranch:
         ]
         return _choices_key([b for b, _ in upto], [c for _, c in upto])
 
-    def key(self) -> str:
-        return _choices_key(self.even_indices, self.choices)
-
     def substitution(self, instance: AwsatInstance) -> dict[int, bool]:
         """Even-block variables: chosen ones true, the rest false."""
         sub: dict[int, bool] = {}

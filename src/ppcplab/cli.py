@@ -9,6 +9,7 @@ deterministic function of the instance and --seed except wall_time_ms.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -42,7 +43,7 @@ from .reductions import (
     independent_set_to_wsat,
     parse_graph,
 )
-from .sumcheck import RandomTape, table_committed_prover
+from .sumcheck import RandomTape, derive_seed, table_committed_prover
 
 REPORT_VERSION = 1
 
@@ -67,17 +68,7 @@ def _print_report(report: dict, as_json: bool) -> None:
 
 
 def _stage_dicts(verdict) -> list[dict]:
-    return [
-        {
-            "name": s.name,
-            "rounds": s.rounds,
-            "random_bits": s.random_bits,
-            "proof_bits": s.proof_bits,
-            "oracle_queries": s.oracle_queries,
-            "accepted": s.accepted,
-        }
-        for s in verdict.stages
-    ]
+    return [dataclasses.asdict(s) for s in verdict.stages]
 
 
 def _load_table_file(path: str, m: int) -> BooleanTable:
@@ -178,8 +169,6 @@ def cmd_attack(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    from .sumcheck import derive_seed
-
     print("m,prime,random_bits,proof_bits,random_norm,proof_norm")
     for j in range(args.per_m):
         rows = resource_report(range(args.m_min, args.m_max + 1), seed=derive_seed(args.seed, j))

@@ -97,6 +97,20 @@ class VerifierConfig:
         return self.ml_test_reps if self.ml_test_reps is not None else 5 * m
 
 
+def _read_assignment(
+    oracle: Callable[[Point], FieldElement],
+    point: Sequence[FieldElement],
+    meter: ResourceMeter,
+    fld: PrimeField,
+) -> Optional[int]:
+    """One metered read of the assignment oracle: ceil(log2 p) proof bits and
+    one query, whatever comes back.  Returns the answer's residue, or None
+    for a malformed answer or a query that raises."""
+    meter.proof_bits += fld.bits
+    meter.oracle_queries += 1
+    return proof_int(ask_prover(oracle, tuple(point)), fld.modulus)
+
+
 def multilinearity_test(
     oracle: Callable[[Point], FieldElement],
     m: int,
@@ -127,22 +141,11 @@ def multilinearity_test(
         for t in (t0, t1, t2):
             q = list(point)
             q[axis] = fld(t)
-            values.append(proof_int(ask_prover(oracle, tuple(q)), p))
-            meter.proof_bits += fld.bits
-            meter.oracle_queries += 1
+            values.append(_read_assignment(oracle, q, meter, fld))
         f0, f1, f2 = values
         if None in values or (f2 - f0) * (t1 - t0) % p != (f1 - f0) * (t2 - t0) % p:
             return False, rep
     return True, None
-
-
-def _read_assignment(
-    prover: ProverStrategy, point: Point, meter: ResourceMeter, fld: PrimeField
-) -> Optional[FieldElement]:
-    value = proof_int(ask_prover(prover.assignment_query, tuple(point)), fld.modulus)
-    meter.proof_bits += fld.bits
-    meter.oracle_queries += 1
-    return None if value is None else fld(value)  # None: malformed, reject
 
 
 class _StageLog:
@@ -253,8 +256,9 @@ def run_protocol(
             log.close(prefix + name, len(run.transcripts), False)
             return False, prefix + name, run.verdict.rejection_round
         point = run.final_point
-        reads = [_read_assignment(prover, q, meter, fld) for q in read_points(spec, point)]
-        ok = all(v is not None for v in reads) and (
+        oracle = prover.assignment_query
+        reads = [_read_assignment(oracle, q, meter, fld) for q in read_points(spec, point)]
+        ok = None not in reads and (
             summand_value(spec, point, reads).value == run.final_expected.value
         )
         log.close(prefix + name, spec.num_vars, ok)

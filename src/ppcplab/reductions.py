@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .formula import (
+    Assignment,
     AwsatInstance,
     ClassTag,
     GuardError,
@@ -100,8 +101,6 @@ def gen_planted_yes_with_witness(n: int, k: int, num_clauses: int, seed: int):
 
     A weight-k set S is fixed first; only clauses with at most one endpoint in
     S are emitted, so S satisfies every clause by construction."""
-    from .formula import Assignment
-
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     rng = random.Random(seed)

@@ -336,15 +336,6 @@ def _extend(values: list[int], count: int, p: int) -> list[int]:
     return values
 
 
-def _split(tables: Sequence[Sequence[int]], window: Optional[int]):
-    """The first ``window`` entries of each table and, when the window is
-    short of the cube, the constant every table holds past it (else None).
-    Tables are never written to, only replaced, so they are not copied."""
-    if window is None or window >= len(tables[0]):
-        return tables, None
-    return [t[:window] for t in tables], [t[window] for t in tables]
-
-
 class PlanFolder:
     """Folds a ProductPlan's factor tables as challenges bind variables.
 
@@ -368,6 +359,12 @@ class PlanFolder:
     tensor of r_2..r_m, built once.  q has one degree less than the round
     polynomial, so it is summed at one point fewer, and its last value comes
     from its vanishing finite difference.
+
+    Each block's round values carry the product of every other block's bound
+    value as a multiplier.  Once the head is bound at z*, its proxy scalars
+    already are the tails' cube sums (``ProductPlan``'s contract), so the
+    folder keeps one list of block values: the head value, then each tail's
+    bound proxy until that tail is bound, and its value after that.
     """
 
     def __init__(self, plan: ProductPlan):
@@ -386,14 +383,18 @@ class PlanFolder:
         self._load(plan.head_tables, plan.head_window)
         self._stage = 0  # 0 = head block, j >= 1 = tail j-1
         self._mult = 1
-        self._head_scalar = 1
-        self._tail_tables: list[list[list[int]]] = []
-        self._tail_sums: list[int] = []
-        self._tail_values: list[int] = []
 
     def _load(self, tables: Sequence[Sequence[int]], window: Optional[int]) -> None:
+        """Hold the first ``window`` entries of each table and, when the
+        window is short of the cube, the constant every table holds past it
+        (else None).  Tables are never written to, only replaced, so they are
+        not copied."""
         self._size = len(tables[0])
-        self._tables, self._consts = _split(tables, window)
+        if window is None or window >= self._size:
+            self._tables, self._consts = tables, None
+        else:
+            self._tables = [t[:window] for t in tables]
+            self._consts = [t[window] for t in tables]
 
     def sync(self, challenges: Point) -> None:
         vals = [c.value for c in challenges]
@@ -468,33 +469,20 @@ class PlanFolder:
         scalars = [tbl[0] for tbl in self._tables]
         if self._stage == 0:
             self._head_weights = None
-            self._head_scalar = self._scale * math.prod(scalars[: plan.num_standalone]) % p
+            head = self._scale * math.prod(scalars[: plan.num_standalone]) % p
+            self._blocks = [head, *scalars[plan.num_standalone :]]
             if not plan.num_tails:
                 return
             z_star = tuple(plan.field(v) for v in self._bound[: plan.block_vars])
             self._tail_tables = plan.build_tails(z_star)
-            self._tail_sums = [self._window_sum(tabs) for tabs in self._tail_tables]
         else:
-            self._tail_values.append(math.prod(scalars) % p)
+            self._blocks[self._stage] = math.prod(scalars) % p
             if self._stage == plan.num_tails:
                 return
         self._stage += 1
         self._load(self._tail_tables[self._stage - 1], plan.tail_window)
-        self._recompute_mult()
-
-    def _window_sum(self, tables: Sequence[Sequence[int]]) -> int:
-        """Cube sum of a tail's factor product, over its window plus the
-        constant entries past it."""
-        window, consts = _split(tables, self.plan.tail_window)
-        total = _product_sum(window, self._p)
-        if consts is not None:
-            total += (len(tables[0]) - len(window[0])) * math.prod(consts)
-        return total % self._p
-
-    def _recompute_mult(self) -> None:
-        p = self._p
-        pending = self._tail_sums[self._stage :]
-        self._mult = math.prod([self._head_scalar, *self._tail_values, *pending]) % p
+        others = self._blocks[: self._stage] + self._blocks[self._stage + 1 :]
+        self._mult = math.prod(others) % p
 
 
 class GenericHonestProver(ProverStrategy):

@@ -77,8 +77,9 @@ class TestMleEval:
         with pytest.raises(ValueError):
             mle_eval(BooleanTable(2, (0, 0, 0, 1)), (F109(1),))
 
-    def test_sparse_and_dense_paths_agree(self):
-        # one set bit forces the sparse path; complement forces the dense one
+    def test_table_and_complement_sum_to_one(self):
+        # the extensions of a table and of its complement add up to the
+        # extension of the all-ones table, which is 1 everywhere
         sparse = BooleanTable.from_true_codes([5], 4)
         dense = BooleanTable.from_true_codes(
             [c for c in range(16) if c != 5], 4

@@ -10,9 +10,11 @@ their last variable up to the padded length L.  The split kernels are checked
 on both sides of their width threshold: ``_tensor`` against plain doubling,
 the clause indicator at pinned m = 4..9 with clauses in many rows, and a fold
 whose head declares a weight tensor against the same plan with the tensor as
-a plain head table.
+a plain head table.  The compiled plans' head proxies are checked against
+their tails' cube sums, the contract the folder takes the tail sums from.
 """
 
+import math
 import random
 
 import pytest
@@ -125,6 +127,24 @@ def test_tail_tables_match_per_clause_definition(case, seed):
             assert ctab[x] == indicator_reference(formula, position, z_star, cube_x).value
         negated = formula.class_tag is ClassTag.G12N
         assert factor == [v if negated else 1 - v for v in table.values]
+
+
+@given(padded_formulas(), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_compiled_head_proxies_are_tail_sums(case, seed):
+    # the contract PlanFolder relies on: bound at z*, head proxy i is the
+    # cube sum of tail i's factor product, which the folder never sums
+    formula, L = case
+    m = formula.m
+    rng = random.Random(seed)
+    spec, table = random_spec(formula, L, rng)
+    plan = compile_plan(spec, table)
+    z_star = random_point(rng, m)
+    proxies = plan.head_tables[plan.num_standalone :]
+    for proxy, tail in zip(proxies, plan.build_tails(z_star), strict=True):
+        extension = sum((chi(c, z_star) * v for c, v in enumerate(proxy)), FLD.zero)
+        cube_sum = sum(math.prod(column) for column in zip(*tail)) % FLD.modulus
+        assert extension.value == cube_sum
 
 
 @given(padded_formulas(max_vars=4, max_clauses=3, max_len=3), st.integers(0, 2**32))
@@ -307,7 +327,10 @@ def test_windowed_clause_indicator_matches_per_clause_definition(case, seed):
 def windowed_plans(draw):
     """(windowed plan, the same plan without windows): random factor tables,
     each constant past its block's window; unlike the summands' plans, whose
-    constant products are 0, the constants here are random."""
+    constant products are 0, the constants here are random.  The head
+    proxies are random too, not the tails' summed-out sums, so the test
+    compares two folders of one plan; the compiled plans' proxies are
+    checked against their tails in ``test_compiled_head_proxies_are_tail_sums``."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     block_vars = draw(st.integers(1, 4))
     size = 1 << block_vars
@@ -392,7 +415,10 @@ def weight_tensor_plans(draw):
     """(plan that declares the weight tensor beside its head tables, the same
     plan with the explicit tensor as standalone head table 0 and no
     declaration): random nonzero weights, other head tables and tails at
-    random, tails constant past a random window with random constants."""
+    random, tails constant past a random window with random constants.  The
+    head proxies are random, not the tails' summed-out sums, so the test
+    compares two folders of one plan; ``test_compiled_head_proxies_are_tail_sums``
+    checks the compiled plans' proxies."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     block_vars = draw(st.integers(1, 4))
     size = 1 << block_vars
