@@ -118,26 +118,34 @@ def code_window(top_code: int) -> int:
     return 1 << max(top_code, 0).bit_length()
 
 
+@functools.lru_cache(maxsize=256)
+def _factor_index(ones: tuple[int, ...], arity: int) -> tuple[tuple[int, ...], ...]:
+    """For each true code, the positions of its ``arity`` cube-indicator
+    factors in xs + [1 - x for x in xs]: j where bit j is 1, arity + j where
+    it is 0 (MSB first).  Keyed by the true codes, not the table, so a table
+    holds no index and the key hashes only its few true codes; built on first
+    use, since setup builds many tables that are never evaluated."""
+    return tuple(
+        [
+            tuple([j if (code >> (arity - 1 - j)) & 1 else arity + j for j in range(arity)])
+            for code in ones
+        ]
+    )
+
+
 def mle_eval(table: BooleanTable, point: Sequence[FieldElement]) -> FieldElement:
     """Evaluate the multilinear extension of ``table`` at a field point: the
     sum, over the table's 1-cells, of their cube indicators there (exact).
-    One path for every table: a per-coordinate fold over all 2^m entries
-    wins only on tables denser than the protocol's (a few true variables, or
-    the real-variable block)."""
+    Each indicator is one product of m looked-up factors, x_j or 1 - x_j,
+    reduced once at the end; the factor positions come from the table's
+    cached index of its true codes."""
     if len(point) != table.arity:
         raise ValueError(f"point has {len(point)} coordinates, table arity is {table.arity}")
     fld = point[0].field
-    p = fld.modulus
-    pos = [x.value % p for x in point]
-    neg = [(1 - x.value) % p for x in point]
-    width = table.arity
-    total = 0
-    for code in table.ones():
-        acc = 1
-        for j in range(width):
-            acc = acc * (pos[j] if (code >> (width - 1 - j)) & 1 else neg[j]) % p
-        total += acc
-    return FieldElement(total, fld)
+    xs = [x.value for x in point]
+    get = (xs + [1 - x for x in xs]).__getitem__
+    index = _factor_index(table.ones(), table.arity)
+    return FieldElement(sum([math.prod(map(get, idx)) for idx in index]), fld)
 
 
 # From this many coordinates on, an eq or weight tensor is built (or summed

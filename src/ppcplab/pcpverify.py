@@ -18,8 +18,9 @@ sum-check on it, reads the assignment oracle at the statement's
 ``read_points`` (L metered reads in the main stage, one in a weight stage)
 and checks ``summand_value`` there against the last running claim.  That is
 the only final check.  The prover receives the statement and nothing of the
-verifier's but its field, the claim and the challenges; an honest prover
-compiles its own plan from the statement.
+verifier's but its field: the claim, the challenges and the read points it
+gets are copies, so nothing it writes reaches the final check.  An honest
+prover compiles its own plan from the statement.
 
 ``verify_w1`` and ``verify_w2`` run one pass with a weight check over the real
 variables; the branch protocol in ``awsat`` runs one pass per universal
@@ -36,6 +37,7 @@ number of passes, so a single union bound covers the run.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -132,16 +134,17 @@ def multilinearity_test(
     for rep in range(1, reps + 1):
         before = tape.bits_drawn
         axis = tape.draw_int(m)
-        point = [fld(tape.draw_int(p)) for _ in range(m)]
-        t0 = tape.draw_int(p)
+        *coords, t0 = tape.draw_ints(p, m + 1)
         t1 = tape.draw_int_excluding(p, {t0})
         t2 = tape.draw_int_excluding(p, {t0, t1})
         meter.random_bits += tape.bits_drawn - before
-        values = []
-        for t in (t0, t1, t2):
-            q = list(point)
-            q[axis] = fld(t)
-            values.append(_read_assignment(oracle, q, meter, fld))
+        # the three points share every coordinate but the axis
+        head = tuple([FieldElement(v, fld) for v in coords[:axis]])
+        tail = tuple([FieldElement(v, fld) for v in coords[axis + 1 :]])
+        values = [
+            _read_assignment(oracle, head + (FieldElement(t, fld),) + tail, meter, fld)
+            for t in (t0, t1, t2)
+        ]
         f0, f1, f2 = values
         if None in values or (f2 - f0) * (t1 - t0) % p != (f1 - f0) * (t2 - t0) % p:
             return False, rep
@@ -257,7 +260,11 @@ def run_protocol(
             return False, prefix + name, run.verdict.rejection_round
         point = run.final_point
         oracle = prover.assignment_query
-        reads = [_read_assignment(oracle, q, meter, fld) for q in read_points(spec, point)]
+        # the prover reads fresh copies: the verifier's point is never handed out
+        reads = [
+            _read_assignment(oracle, [FieldElement(x.value, fld) for x in q], meter, fld)
+            for q in read_points(spec, point)
+        ]
         ok = None not in reads and (
             summand_value(spec, point, reads).value == run.final_expected.value
         )
@@ -271,6 +278,13 @@ def run_protocol(
 run_g12n_protocol = run_protocol
 
 
+@functools.lru_cache(maxsize=16)
+def _real_block(n: int, m: int) -> BooleanTable:
+    """The real-variable block, codes 0..n-1 of the m-cube: frozen, so one
+    table serves every verification of that size."""
+    return BooleanTable.from_true_codes(range(n), m)
+
+
 def _verify(
     formula: WeightedFormula,
     prover: ProverStrategy,
@@ -280,10 +294,9 @@ def _verify(
     params = protocol_parameters(formula, config)
     meter = ResourceMeter()
     log = _StageLog(meter)
-    real_block = BooleanTable.from_true_codes(range(formula.num_vars), formula.m)
     ok, stage, rnd = run_protocol(
         formula, prover, tape, meter, log, PrimeField(params.prime), params,
-        [("weight", formula.k, real_block)],
+        [("weight", formula.k, _real_block(formula.num_vars, formula.m))],
     )
     return Verdict(ok, meter.snapshot(), rejection_round=None if ok else rnd,
                    stage=stage, stages=tuple(log.reports))

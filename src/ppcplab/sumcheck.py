@@ -77,6 +77,27 @@ class RandomTape:
                 return v
             self.overhead_bits += width
 
+    def draw_ints(self, n: int, k: int) -> list[int]:
+        """k uniform values in [0, n): the same generator calls, values,
+        ``bits_drawn`` and ``overhead_bits`` as k calls to ``draw_int(n)``,
+        with the k first attempts drawn in one pass."""
+        if n < 1:
+            raise ValueError("n must be positive")
+        if n == 1:
+            return [0] * k
+        width = (n - 1).bit_length()
+        getrandbits = self._rng.getrandbits
+        out = [v for v in [getrandbits(width) for _ in range(k)] if v < n]
+        attempts = k
+        while len(out) < k:
+            v = getrandbits(width)
+            attempts += 1
+            if v < n:
+                out.append(v)
+        self.bits_drawn += attempts * width
+        self.overhead_bits += (attempts - k) * width
+        return out
+
     def draw_int_excluding(self, n: int, exclude) -> int:
         """Uniform value in [0, n) outside ``exclude``; discarded hits count as
         overhead."""
@@ -236,7 +257,8 @@ def run_sumcheck(
     ``begin_sumcheck`` is a malformed first round.  The verifier evaluates the
     coefficients itself and compares plain ints.  The final direct evaluation
     is left to the caller, which receives the fully instantiated point and the
-    last running claim.
+    last running claim: field elements the prover never held, since each round
+    hands it fresh copies of the challenges so far and of the running claim.
     """
     fld = spec.field
     p = fld.modulus
@@ -248,12 +270,14 @@ def run_sumcheck(
         started = True
     except Exception:
         started = False
-    running = claim
-    challenges: list[FieldElement] = []
+    # the verifier's challenges and running claims (the transcript and the
+    # final point) are never handed out, so nothing the prover writes into
+    # its copies reaches them
+    handed: list[FieldElement] = []
     transcripts: list[RoundTranscript] = []
     for i in range(1, spec.num_vars + 1):
         d = spec.degree_bounds[i - 1]
-        poly = ask_prover(prover.round_poly, i, tuple(challenges), running) if started else None
+        poly = ask_prover(prover.round_poly, i, tuple(handed), fld(a)) if started else None
         meter.proof_bits += (d + 1) * fld.bits
         coeffs = _proof_coeffs(poly, d, p)
         # g(0) + g(1) is the constant coefficient plus the sum of all of them
@@ -261,19 +285,18 @@ def run_sumcheck(
         if coeffs is None or (sum(coeffs[:1]) + sum(coeffs)) % p != a:
             return SumcheckRun(
                 Verdict(False, meter.snapshot(), rejection_round=i),
-                tuple(challenges),
+                tuple([t.challenge for t in transcripts]),
                 None,
                 tuple(transcripts),
             )
         r = draw_field_element(tape, fld, meter)
         a = _horner(coeffs, r.value, p)
-        running = fld(a)
-        challenges.append(r)
-        transcripts.append(RoundTranscript(i, poly, r, running))
+        handed.append(fld(r.value))
+        transcripts.append(RoundTranscript(i, poly, r, fld(a)))
     return SumcheckRun(
         Verdict(True, meter.snapshot()),
-        tuple(challenges),
-        running,
+        tuple([t.challenge for t in transcripts]),
+        fld(a),
         tuple(transcripts),
     )
 
@@ -309,12 +332,12 @@ def honest_round_poly(
 
 
 def _product_sum(tables: Sequence[Sequence[int]], p: int) -> int:
-    """Sum over the cube of the entrywise product of equal-length tables, mod p."""
+    """Sum over the cube of the entrywise product of equal-length tables, mod
+    p: one nested ``map(mul)`` and a single reduction at the end (the
+    products of a few residues stay small ints)."""
     acc = tables[0]
-    for tbl in tables[1:-1]:
-        acc = [a * b % p for a, b in zip(acc, tbl)]
-    if len(tables) > 1:
-        acc = map(mul, acc, tables[-1])
+    for tbl in tables[1:]:
+        acc = map(mul, acc, tbl)
     return sum(acc) % p
 
 
@@ -342,7 +365,9 @@ class PlanFolder:
     Every factor is multilinear in each variable of its block, so binding
     a variable at r is the exact affine map lo + r * (hi - lo) per entry,
     and the per-round sums over the remaining cube are exactly the honest
-    round polynomial values.
+    round polynomial values.  ``round_values`` needs the lo halves and the
+    steps hi - lo anyway, and keeps them, so the bind of its round is one
+    pass of (a + r * d) % p; a reset or the next block drops them.
 
     Of each block only the plan's window is held: the first W entries of
     every table plus the constant it holds past W.  While the remaining cube
@@ -390,6 +415,7 @@ class PlanFolder:
         (else None).  Tables are never written to, only replaced, so they are
         not copied."""
         self._size = len(tables[0])
+        self._kept = None
         if window is None or window >= self._size:
             self._tables, self._consts = tables, None
         else:
@@ -403,30 +429,33 @@ class PlanFolder:
         for v in vals[len(self._bound) :]:
             self._bind(v)
 
-    def round_values(self, degree: int) -> list[int]:
-        """Values of the current round polynomial at t = 0..degree."""
-        p = self._p
+    def _split(self) -> tuple[list, list, list]:
+        """The lo and hi halves of every table in the current variable (hi
+        is all constants while the window lies in the lo half), and hi - lo."""
         tables, consts = self._tables, self._consts
         if consts is None:
             half = len(tables[0]) >> 1
-            lo = [tbl[:half] for tbl in tables]
-            hi = [tbl[half:] for tbl in tables]
-            rest = 0
+            lo, hi = [tbl[:half] for tbl in tables], [tbl[half:] for tbl in tables]
         else:
-            lo = tables
-            hi = [[c] * len(tbl) for tbl, c in zip(tables, consts)]
-            rest = ((self._size >> 1) - len(tables[0])) * math.prod(consts)
+            lo, hi = tables, [[c] * len(tbl) for tbl, c in zip(tables, consts)]
+        return lo, hi, [list(map(sub, h, l)) for l, h in zip(lo, hi)]
+
+    def round_values(self, degree: int) -> list[int]:
+        """Values of the current round polynomial at t = 0..degree.  The
+        halves and steps are kept for this round's ``_bind``."""
+        p = self._p
+        lo, hi, step = self._kept = self._split()
+        rest = 0
+        if self._consts is not None:
+            rest = ((self._size >> 1) - len(lo[0])) * math.prod(self._consts)
         weights = self._head_weights
         if weights is None:
             fixed, points = [], degree + 1
         else:
             # weight-tensor head (whole-cube, so rest is 0 and the multiplier
             # 1): every slice also holds the unbound suffix, and q has degree
-            # len(tables)
-            fixed, points = [self._weight_suffix[:half]], min(degree, len(tables)) + 1
-        # every table is affine in the current variable, so the slice at t + 1
-        # is the slice at t plus hi - lo
-        step = [list(map(sub, h, l)) for l, h in zip(lo, hi)]
+            # len(lo)
+            fixed, points = [self._weight_suffix[: len(lo[0])]], min(degree, len(lo)) + 1
         out = []
         for t in range(points):
             if t == 0:
@@ -442,22 +471,19 @@ class PlanFolder:
         return [(1 - t + r * t) * scale * q % p for t, q in enumerate(_extend(out, degree + 1, p))]
 
     def _bind(self, r: int) -> None:
+        """Bind the current variable at r: entry a of a lo half, with step d,
+        becomes (a + r * d) % p.  The halves and steps are the ones this
+        round's ``round_values`` kept, if it ran."""
         p = self._p
         half = self._size >> 1
         if self._head_weights is not None:
             w = self._head_weights[len(self._bound)]
             self._scale = self._scale * (1 - r + w * r) % p
-        if self._consts is None:
-            self._tables = [
-                [(a + r * (b - a)) % p for a, b in zip(tbl[:half], tbl[half:])]
-                for tbl in self._tables
-            ]
-        else:
-            self._tables = [
-                [(a + r * (c - a)) % p for a in tbl] for tbl, c in zip(self._tables, self._consts)
-            ]
-            if half == len(self._tables[0]):
-                self._consts = None
+        lo, _, step = self._kept or self._split()
+        self._kept = None
+        self._tables = [[(a + r * d) % p for a, d in zip(l, s)] for l, s in zip(lo, step)]
+        if self._consts is not None and half == len(self._tables[0]):
+            self._consts = None
         self._size = half
         self._bound.append(r % p)
         if half == 1:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from ppcplab.arithmetize import (
     read_points,
     summand_value,
 )
-from ppcplab.field import PrimeField, interpolate
+from ppcplab.field import FieldElement, PrimeField, interpolate
 from ppcplab.formula import Assignment, ClassMismatchError, ClassTag, WeightedFormula, eval_clause
 from ppcplab.sumcheck import RandomTape
 
@@ -56,7 +57,57 @@ def oracle_from_table(table):
     return lambda point: mle_eval(table, point)
 
 
+def mle_reference(table, point):
+    """The per-coordinate product definition: over every 1-cell, the product
+    of x_j or 1 - x_j by its bits, reduced at each step."""
+    fld = point[0].field
+    total = fld.zero
+    for code, v in enumerate(table.values):
+        if v:
+            acc = fld.one
+            for bit, x in zip(code_bits(code, table.arity), point):
+                acc = acc * (x if bit else fld.one - x)
+            total = total + acc
+    return total
+
+
+PRIMES = st.sampled_from([2, 3, 109, 1009, 2**61 - 1])
+
+
+@st.composite
+def tables_and_points(draw):
+    """Random tables at m = 1..6, all-zero and all-one among them, with a
+    random point over a small or a large prime."""
+    m = draw(st.integers(1, 6))
+    fill = draw(st.sampled_from(["zero", "one", "random"]))
+    if fill == "random":
+        values = draw(st.lists(st.integers(0, 1), min_size=1 << m, max_size=1 << m))
+    else:
+        values = [int(fill == "one")] * (1 << m)
+    fld = PrimeField(draw(PRIMES))
+    point = tuple(fld(draw(st.integers(0, fld.modulus - 1))) for _ in range(m))
+    return BooleanTable(m, tuple(values)), point
+
+
 class TestMleEval:
+    @given(tables_and_points())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_coordinate_definition(self, case):
+        table, point = case
+        got = mle_eval(table, point)
+        assert type(got) is FieldElement and got.field == point[0].field
+        assert got == mle_reference(table, point)
+
+    @given(n=st.integers(0, 1 << 12), p=PRIMES, seed=st.integers(0, 2**32))
+    @settings(max_examples=12, deadline=None)
+    def test_real_variable_block_at_m12(self, n, p, seed):
+        # the verifier's weight-stage block: codes 0..n-1 of the 12-cube
+        table = BooleanTable.from_true_codes(range(n), 12)
+        fld = PrimeField(p)
+        rng = random.Random(seed)
+        point = tuple(fld(rng.randrange(p)) for _ in range(12))
+        assert mle_eval(table, point) == mle_reference(table, point)
+
     def test_single_variable_example(self):
         F = PrimeField(5)
         table = BooleanTable(1, (1, 0))

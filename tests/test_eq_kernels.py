@@ -164,6 +164,32 @@ def test_round_values_match_honest_round_poly(case, seed):
         challenges += (FLD(rng.randrange(FLD.modulus)),)
 
 
+@given(padded_formulas(max_vars=4, max_clauses=3, max_len=3), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_kept_steps_never_outlive_a_reset(case, seed):
+    # round_values keeps its lo halves and steps for the next bind; a sync
+    # that changes the prefix resets the folder, and the kept lists with it
+    formula, L = case
+    assume((L + 1) * formula.m <= 8)
+    rng = random.Random(seed)
+    spec, table = random_spec(formula, L, rng)
+    folder = PlanFolder(compile_plan(spec, table))
+    prefix = ()
+    for _ in range(6):
+        if rng.randrange(2) and len(prefix) < spec.num_vars - 1:
+            # the next round, or a later one (a bind with nothing kept)
+            extra = min(rng.randint(1, 2), spec.num_vars - 1 - len(prefix))
+            prefix += random_point(rng, extra)
+        else:
+            # a different prefix of any length: reset, then bind it afresh
+            prefix = random_point(rng, rng.randrange(spec.num_vars))
+        i = len(prefix) + 1
+        d = spec.degree_bounds[i - 1]
+        folder.sync(prefix)
+        reference = honest_round_poly(spec, table_oracle(table), prefix, i)
+        assert folder.round_values(d) == [reference.evaluate(FLD(t)).value for t in range(d + 1)]
+
+
 @st.composite
 def small_specs(draw):
     """(kind, spec, table) with at most 8 sum-check variables: W1 at L = 2, W2

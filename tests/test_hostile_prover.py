@@ -9,6 +9,7 @@ import types
 
 import pytest
 
+from ppcplab import pcpverify
 from ppcplab.arithmetize import (
     BooleanTable,
     SummandSpec,
@@ -495,3 +496,79 @@ def test_field_mutator_is_a_raising_begin_sumcheck():
     assert verdict == verify_w1(f, RaisingBegin(NO_TABLE), RandomTape(5))
     assert (verdict.stage, verdict.rejection_round) == ("main", 1)
     assert mutator.field.bits == (mutator.field.modulus - 1).bit_length()
+
+
+# -- what the prover is handed is its own ----------------------------------------
+
+
+class HandedRewriter(TableCommittedProver):
+    """An honest table prover that, at each final read, sets ``.value = 0`` on
+    every field element it has been handed since its first round: the
+    challenges, the running claims and the read points.  Multilinearity
+    queries come before any round and are answered without rewriting."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.handed = []
+
+    def round_poly(self, i, challenges, current_claim):
+        self.handed += [*challenges, current_claim]
+        return super().round_poly(i, challenges, current_claim)
+
+    def assignment_query(self, point):
+        value = super().assignment_query(point)
+        if self.handed:
+            self.handed += point
+            for x in self.handed:
+                x.value = 0
+        return value
+
+
+REWRITE_FORMULA = WeightedFormula(3, ((-1, -2), (-2, -3)), ClassTag.G12N, 2)
+
+
+def test_rewriting_handed_challenges_changes_no_verdict():
+    table = BooleanTable.from_assignment({1, 3}, REWRITE_FORMULA.m)
+    for seed in range(50):
+        honest = verify_w1(REWRITE_FORMULA, TableCommittedProver(table), RandomTape(seed))
+        rewriter = HandedRewriter(table)
+        assert verify_w1(REWRITE_FORMULA, rewriter, RandomTape(seed)) == honest, seed
+        assert honest.accepted and rewriter.handed
+
+
+def test_the_verifier_hands_out_none_of_its_own_elements(monkeypatch):
+    # everything the prover is given, against the final point, the last
+    # running claim and the transcript of every sum-check in the run
+    runs = []
+
+    def capture(*args):
+        runs.append(run_sumcheck(*args))
+        return runs[-1]
+
+    received = []
+
+    class Recorder(TableCommittedProver):
+        def begin_sumcheck(self, spec, claim):
+            received.append(claim)
+            super().begin_sumcheck(spec, claim)
+
+        def round_poly(self, i, challenges, current_claim):
+            received.extend([*challenges, current_claim])
+            return super().round_poly(i, challenges, current_claim)
+
+        def assignment_query(self, point):
+            received.extend(point)
+            return super().assignment_query(point)
+
+    monkeypatch.setattr(pcpverify, "run_sumcheck", capture)
+    table = BooleanTable.from_assignment({1, 3}, REWRITE_FORMULA.m)
+    assert verify_w1(REWRITE_FORMULA, Recorder(table), RandomTape(4)).accepted
+    assert [run.verdict.accepted for run in runs] == [True, True]
+    kept = [
+        x
+        for run in runs
+        for x in [*run.final_point, run.final_expected]
+        + [e for t in run.transcripts for e in (t.challenge, t.running)]
+    ]
+    assert all(type(x) is FieldElement for x in kept)
+    assert not {id(x) for x in kept} & {id(x) for x in received}

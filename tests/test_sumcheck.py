@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppcplab.arithmetize import (
     BooleanTable,
@@ -119,6 +120,28 @@ class TestRandomTape:
         assert v not in seen
         with pytest.raises(ValueError):
             tape.draw_int_excluding(1, {0})
+
+    @given(
+        n=st.one_of(
+            st.just(1),
+            st.integers(0, 40).map(lambda w: 1 << w),
+            st.integers(0, 40).map(lambda w: (1 << w) + 1),
+            st.integers(1, 10**6),
+        ),
+        k=st.integers(0, 12),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_draw_ints_is_k_calls_to_draw_int(self, n, k, seed):
+        batch, single = RandomTape(seed), RandomTape(seed)
+        assert batch.draw_ints(n, k) == [single.draw_int(n) for _ in range(k)]
+        assert (batch.bits_drawn, batch.overhead_bits) == (single.bits_drawn, single.overhead_bits)
+        # and the generator is left where the k calls leave it
+        assert batch.draw_int(1 << 32) == single.draw_int(1 << 32)
+
+    def test_draw_ints_needs_a_positive_range(self):
+        with pytest.raises(ValueError):
+            RandomTape(0).draw_ints(0, 3)
 
     def test_monotone_counter(self):
         tape = RandomTape(3)
