@@ -260,10 +260,10 @@ class ProductPlan:
     sums the tail itself, so a plan that breaks the contract folds to wrong
     round values.
 
-    ``head_window`` and ``tail_window`` (None: the whole block cube) declare
-    the variable-code window W of the head and of every tail: a power of two
-    past which each table of the block is constant, so a folder needs only
-    the first W entries and one constant per table.  The tables themselves
+    ``window`` (None: the whole block cube) declares the variable-code
+    window W of every block but a weight-tensor head: a power of two past
+    which each table of the block is constant, so a folder needs only the
+    first W entries and one constant per table.  The tables themselves
     always cover the whole block cube.
 
     ``head_weights`` (None: no such factor), residues r_1..r_{block_vars},
@@ -279,8 +279,7 @@ class ProductPlan:
     head_tables: tuple[tuple[int, ...], ...]
     num_standalone: int
     build_tails: Optional[TailsBuilder] = None
-    head_window: Optional[int] = None
-    tail_window: Optional[int] = None
+    window: Optional[int] = None
     head_weights: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
@@ -291,15 +290,11 @@ class ProductPlan:
         size = 1 << self.block_vars
         if any(len(t) != size for t in self.head_tables):
             raise ValueError("head tables must cover the whole block cube")
-        for w in (self.head_window, self.tail_window):
-            if w is not None and (not 0 < w <= size or w & (w - 1)):
-                raise ValueError(f"windows must be powers of two in 1..{size}")
-        if self.head_weights is not None and (
-            len(self.head_weights) != self.block_vars or self.head_window is not None
-        ):
-            raise ValueError(
-                "a weight-tensor head needs one weight per block variable and no head window"
-            )
+        w = self.window
+        if w is not None and (not 0 < w <= size or w & (w - 1)):
+            raise ValueError(f"the window must be a power of two in 1..{size}")
+        if self.head_weights is not None and len(self.head_weights) != self.block_vars:
+            raise ValueError("a weight-tensor head needs one weight per block variable")
 
     @property
     def num_tails(self) -> int:
@@ -394,7 +389,7 @@ def compile_plan(spec: SummandSpec, table: BooleanTable) -> ProductPlan:
             block_vars=m,
             head_tables=tuple(head),
             num_standalone=len(head),
-            head_window=code_window(top),
+            window=code_window(top),
         )
     size = 1 << m
     negated = formula.class_tag is ClassTag.G12N
@@ -425,7 +420,7 @@ def compile_plan(spec: SummandSpec, table: BooleanTable) -> ProductPlan:
         head_tables=tuple(head),
         num_standalone=0,
         build_tails=build_tails,
-        tail_window=window,
+        window=window,
         head_weights=spec.weights,
     )
 

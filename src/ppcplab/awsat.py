@@ -38,7 +38,7 @@ from .pcpverify import (
     verify_w1,
     _StageLog,
 )
-from .sumcheck import ProverStrategy, RandomTape, ResourceMeter, Verdict, ask_prover
+from .sumcheck import ProverStrategy, RandomTape, Verdict, ask_prover
 
 ProverFactory = Callable[[BooleanTable], ProverStrategy]
 
@@ -47,11 +47,9 @@ class MissingTableError(ValueError):
     """The proof lacks a table for some (block, prefix) pair."""
 
 
-def _choices_key(block_indices, choices) -> str:
-    parts = []
-    for bi, chosen in zip(block_indices, choices):
-        parts.append(f"{bi}:" + ",".join(str(v) for v in sorted(chosen)))
-    return "|".join(parts)
+def _choices_key(pairs) -> str:
+    """Canonical encoding of (block, chosen subset) pairs."""
+    return "|".join(f"{bi}:" + ",".join(str(v) for v in sorted(chosen)) for bi, chosen in pairs)
 
 
 @dataclass(frozen=True)
@@ -64,12 +62,9 @@ class UniversalBranch:
 
     def prefix_key(self, block_j: int) -> str:
         """Encoding of the universal choices in blocks strictly below j."""
-        upto = [
-            (bi, ch)
-            for bi, ch in zip(self.even_indices, self.choices)
-            if bi < block_j
-        ]
-        return _choices_key([b for b, _ in upto], [c for _, c in upto])
+        return _choices_key(
+            [(bi, ch) for bi, ch in zip(self.even_indices, self.choices) if bi < block_j]
+        )
 
     def substitution(self, instance: AwsatInstance) -> dict[int, bool]:
         """Even-block variables: chosen ones true, the rest false."""
@@ -104,8 +99,9 @@ def enumerate_universal(instance: AwsatInstance) -> list[UniversalBranch]:
 
 @dataclass
 class BranchProofTables:
-    """The assignment part of an alternating proof: one boolean table per
-    (odd block, universal prefix).  Shared prefixes share one object."""
+    """The assignment part of an alternating proof: one boolean table of
+    arity m per (odd block, universal prefix).  Shared prefixes share one
+    object."""
 
     tables: dict[tuple[int, str], BooleanTable]
 
@@ -125,8 +121,6 @@ class BranchProofTables:
             if block_j % 2 == 0:
                 continue
             table = self.lookup(block_j, branch.prefix_key(block_j))
-            if table.arity != m:
-                raise MissingTableError(f"table for block {block_j} has arity {table.arity}, need {m}")
             for v in instance.blocks[i]:
                 values[v - 1] = table.values[v - 1]
         return BooleanTable(m, tuple(values))
@@ -155,7 +149,7 @@ def honest_branch_tables(instance: AwsatInstance) -> Optional[BranchProofTables]
         block_j = i + 1
         subsets = itertools.combinations(blocks[i], weights[i])
         if block_j % 2 == 1:
-            key = _choices_key([b for b, _ in even_prefix], [c for _, c in even_prefix])
+            key = _choices_key(even_prefix)
             for s in subsets:
                 ok, found = search(i + 1, even_prefix, trues | frozenset(s))
                 if ok:
@@ -205,19 +199,29 @@ def awsat_parameters(
     )
 
 
-def _infeasible_verdict(instance: AwsatInstance, meter: ResourceMeter) -> Optional[Verdict]:
+def _well_formed(tables, m: int) -> bool:
+    """Whether a proof is exactly a ``BranchProofTables`` holding exactly a
+    dict of exactly ``BooleanTable``s of arity m, each with a tuple of 2^m
+    plain ints 0 or 1 as values (all that ``merge`` reads of a table): only
+    such a proof is read, so no method of a prover-supplied object runs on
+    the verifier's side."""
+    if type(tables) is not BranchProofTables or type(tables.tables) is not dict:
+        return False
+    return all(
+        type(t) is BooleanTable and type(t.values) is tuple and len(t.values) == 1 << m
+        and all(type(v) is int and 0 <= v <= 1 for v in t.values)
+        for t in tables.tables.values()
+    )
+
+
+def _infeasible_verdict(instance: AwsatInstance, log: _StageLog) -> Optional[Verdict]:
     # A block that cannot supply an exactly-weight subset decides the whole
     # alternation at its nesting depth: a universal block vacuously accepts,
     # an existential block has no move.
     for i, (block, kw) in enumerate(zip(instance.blocks, instance.block_weights)):
         if kw > len(block):
             universal = (i + 1) % 2 == 0
-            if universal:
-                return Verdict(True, meter.snapshot(), stage=None, stages=())
-            return Verdict(
-                False, meter.snapshot(), rejection_round=None,
-                stage=f"block{i + 1}.infeasible", stages=(),
-            )
+            return log.verdict(None if universal else f"block{i + 1}.infeasible")
     return None
 
 
@@ -249,26 +253,27 @@ def verify_awsat(
     over branches still meets the configured epsilon.  A branch whose
     substitution already falsifies a clause rejects the proof outright, as
     does a missing prefix table or a ``prover_factory`` that raises (a
-    rejection at ``b{idx}.tables`` with 0 rounds)."""
+    rejection at ``b{idx}.tables`` with 0 rounds).  A proof that is not
+    well formed (``_well_formed``) reads as one with no tables."""
     if instance.l % 2 == 0:
         raise ValueError("verification needs an odd number of blocks; use pad_to_odd first")
     cfg = config or VerifierConfig()
-    meter = ResourceMeter()
-    degenerate = _infeasible_verdict(instance, meter)
+    if not _well_formed(tables, instance.formula.m):
+        tables = BranchProofTables({})
+    log = _StageLog()
+    degenerate = _infeasible_verdict(instance, log)
     if degenerate is not None:
         return degenerate
     if instance.l == 1:
         prover = _branch_prover(tables, enumerate_universal(instance)[0], instance, prover_factory)
         if prover is None:
-            return Verdict(False, meter.snapshot(), rejection_round=None,
-                           stage="b0.tables", stages=())
+            return log.verdict("b0.tables")
         return verify_w1(instance.formula, prover, tape, cfg)
 
     branches = enumerate_universal(instance)
     m = instance.formula.m
     params = awsat_parameters(instance, cfg)
     fld = PrimeField(params.prime)
-    log = _StageLog(meter)
     weight_checks = [
         (f"weight{i + 1}", kw, BooleanTable.from_true_codes([v - 1 for v in block], m))
         for i, (block, kw) in enumerate(zip(instance.blocks, instance.block_weights))
@@ -278,18 +283,13 @@ def verify_awsat(
         prefix = f"b{idx}."
         reduced = simplify(instance.formula, branch.substitution(instance))
         if reduced is UNSAT:
-            log.close(prefix + "simplify", 0, False)
-            return Verdict(False, meter.snapshot(), rejection_round=None,
-                           stage=prefix + "simplify", stages=tuple(log.reports))
+            return log.reject(prefix + "simplify", 0)
         prover = _branch_prover(tables, branch, instance, prover_factory)
         if prover is None:
-            log.close(prefix + "tables", 0, False)
-            return Verdict(False, meter.snapshot(), rejection_round=None,
-                           stage=prefix + "tables", stages=tuple(log.reports))
-        ok, stage, rnd = run_g12n_protocol(
-            reduced, prover, tape, meter, log, fld, params, weight_checks, prefix=prefix,
+            return log.reject(prefix + "tables", 0)
+        rejected = run_g12n_protocol(
+            reduced, prover, tape, log, fld, params, weight_checks, prefix=prefix,
         )
-        if not ok:
-            return Verdict(False, meter.snapshot(), rejection_round=rnd,
-                           stage=stage, stages=tuple(log.reports))
-    return Verdict(True, meter.snapshot(), stages=tuple(log.reports))
+        if rejected is not None:
+            return rejected
+    return log.verdict()

@@ -60,6 +60,7 @@ from .formula import (
     WeightedFormula,
     brute_force_wsat,
 )
+from .reductions import gen_planted_yes_with_witness
 from .sumcheck import (
     ProverStrategy,
     RandomTape,
@@ -151,14 +152,17 @@ def multilinearity_test(
     return True, None
 
 
-class _StageLog:
-    def __init__(self, meter: ResourceMeter):
-        self._meter = meter
-        self._mark = meter.snapshot()
+class _StageLog(ResourceMeter):
+    """A run's meter and the one ledger its verdict is built from: each
+    closed stage adds a ``StageReport`` of the meters it moved."""
+
+    def __init__(self):
+        super().__init__()
+        self._mark = self.snapshot()
         self.reports: list[StageReport] = []
 
     def close(self, name: str, rounds: int, accepted: bool) -> None:
-        now = self._meter.snapshot()
+        now = self.snapshot()
         self.reports.append(
             StageReport(
                 name=name,
@@ -170,6 +174,14 @@ class _StageLog:
             )
         )
         self._mark = now
+
+    def verdict(self, stage: Optional[str] = None, rnd: Optional[int] = None) -> Verdict:
+        """An accept without a stage, else a rejection at ``stage``, round ``rnd``."""
+        return Verdict(stage is None, self.snapshot(), rnd, stage, tuple(self.reports))
+
+    def reject(self, stage: str, rounds: int, rnd: Optional[int] = None) -> Verdict:
+        self.close(stage, rounds, False)
+        return self.verdict(stage, rnd)
 
 
 @dataclass(frozen=True)
@@ -223,14 +235,14 @@ def run_protocol(
     formula: WeightedFormula,
     prover: ProverStrategy,
     tape: RandomTape,
-    meter: ResourceMeter,
     log: _StageLog,
     fld: PrimeField,
     params: ProtocolParameters,
     weight_checks: Sequence[WeightCheck],
     prefix: str = "",
-) -> tuple[bool, Optional[str], Optional[int]]:
-    """One full clause-product verification pass over an existing meter/log.
+) -> Optional[Verdict]:
+    """One full clause-product verification pass over an existing log: the
+    rejecting verdict, or None when every stage accepts.
 
     Shared between the plain verifiers (one weight check over the real
     variables) and the branch protocol (one weight check per odd block).  A
@@ -239,12 +251,12 @@ def run_protocol(
     content.
     """
     m, L, reps = formula.m, params.padded_len, params.reps
-    ok, rep = multilinearity_test(prover.assignment_query, m, reps, tape, meter, fld)
-    log.close(prefix + "mltest", rep if not ok else reps, ok)
+    ok, rep = multilinearity_test(prover.assignment_query, m, reps, tape, log, fld)
     if not ok:
-        return False, prefix + "mltest", rep
+        return log.reject(prefix + "mltest", rep, rep)
+    log.close(prefix + "mltest", reps, True)
 
-    weights = [draw_field_element(tape, fld, meter).value for _ in range(m)]
+    weights = [draw_field_element(tape, fld, log).value for _ in range(m)]
     for name, claim, block_table in [("main", 0, None), *weight_checks]:
         # one statement per stage, built through the module-level names that
         # bench/tracer.py wraps to split the main stage from the weight stage
@@ -254,24 +266,20 @@ def run_protocol(
             spec = build_w1_summand(formula, fld, weights)
         else:
             spec = build_w2_summand(formula, fld, weights, L)
-        run = run_sumcheck(spec, fld(claim), prover, tape, meter)
+        run = run_sumcheck(spec, fld(claim), prover, tape, log)
         if not run.verdict.accepted:
-            log.close(prefix + name, len(run.transcripts), False)
-            return False, prefix + name, run.verdict.rejection_round
+            return log.reject(prefix + name, len(run.transcripts), run.verdict.rejection_round)
         point = run.final_point
         oracle = prover.assignment_query
         # the prover reads fresh copies: the verifier's point is never handed out
         reads = [
-            _read_assignment(oracle, [FieldElement(x.value, fld) for x in q], meter, fld)
+            _read_assignment(oracle, [FieldElement(x.value, fld) for x in q], log, fld)
             for q in read_points(spec, point)
         ]
-        ok = None not in reads and (
-            summand_value(spec, point, reads).value == run.final_expected.value
-        )
-        log.close(prefix + name, spec.num_vars, ok)
-        if not ok:
-            return False, prefix + name, 0
-    return True, None, None
+        if None in reads or summand_value(spec, point, reads).value != run.final_expected.value:
+            return log.reject(prefix + name, spec.num_vars, 0)
+        log.close(prefix + name, spec.num_vars, True)
+    return None
 
 
 # bench/tracer.py times each branch pass through this name in awsat
@@ -292,14 +300,11 @@ def _verify(
     config: Optional[VerifierConfig],
 ) -> Verdict:
     params = protocol_parameters(formula, config)
-    meter = ResourceMeter()
-    log = _StageLog(meter)
-    ok, stage, rnd = run_protocol(
-        formula, prover, tape, meter, log, PrimeField(params.prime), params,
+    log = _StageLog()
+    return run_protocol(
+        formula, prover, tape, log, PrimeField(params.prime), params,
         [("weight", formula.k, _real_block(formula.num_vars, formula.m))],
-    )
-    return Verdict(ok, meter.snapshot(), rejection_round=None if ok else rnd,
-                   stage=stage, stages=tuple(log.reports))
+    ) or log.verdict()
 
 
 def verify_w1(
@@ -383,9 +388,6 @@ class ResourceRow:
 
 
 def _planted_for_m(m: int, seed: int):
-    # local import keeps the module dependency one-directional
-    from .reductions import gen_planted_yes_with_witness
-
     n = 1 << m
     k = 1 if m == 1 else 2
     legal = math.comb(n, 2) - math.comb(k, 2)

@@ -18,7 +18,6 @@ so closed-form bit counts can be checked exactly).
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from abc import ABC, abstractmethod
@@ -139,10 +138,19 @@ def draw_field_element(tape: RandomTape, fld: PrimeField, meter: ResourceMeter) 
 
 @dataclass(frozen=True)
 class RoundTranscript:
+    """A verified round: the coefficient residues the verifier read (an
+    emptied list as the zero polynomial) and the degree bound, then the
+    challenge and the new running claim.  None of it is the prover's."""
+
     index: int
-    claimed: UniPoly
+    coeffs: tuple[int, ...]
+    bound: int
     challenge: FieldElement
     running: FieldElement
+
+    @property
+    def claimed(self) -> UniPoly:
+        return UniPoly(tuple(map(self.challenge.field, self.coeffs)), self.bound)
 
 
 @dataclass(frozen=True)
@@ -292,7 +300,7 @@ def run_sumcheck(
         r = draw_field_element(tape, fld, meter)
         a = _horner(coeffs, r.value, p)
         handed.append(fld(r.value))
-        transcripts.append(RoundTranscript(i, poly, r, fld(a)))
+        transcripts.append(RoundTranscript(i, tuple(coeffs) or (0,), d, r, fld(a)))
     return SumcheckRun(
         Verdict(True, meter.snapshot()),
         tuple([t.challenge for t in transcripts]),
@@ -341,24 +349,6 @@ def _product_sum(tables: Sequence[Sequence[int]], p: int) -> int:
     return sum(acc) % p
 
 
-@functools.lru_cache(maxsize=16)
-def _difference_row(n: int) -> tuple[int, ...]:
-    """(-1)^(k+1) C(n, k) for k = 1..n."""
-    return tuple([(-1) ** (k + 1) * math.comb(n, k) for k in range(1, n + 1)])
-
-
-def _extend(values: list[int], count: int, p: int) -> list[int]:
-    """Extend ``values``, in place, to the values at t = 0..count-1 (mod p)
-    of the polynomial of degree below n = len(values) with the given values
-    at 0..n-1: its n-th finite difference vanishes, so
-    v(t) = sum_{k=1..n} (-1)^(k+1) C(n, k) v(t - k)."""
-    n = len(values)
-    row = _difference_row(n)
-    for _ in range(count - n):
-        values.append(sum(map(mul, row, reversed(values[-n:]))) % p)
-    return values
-
-
 class PlanFolder:
     """Folds a ProductPlan's factor tables as challenges bind variables.
 
@@ -369,8 +359,9 @@ class PlanFolder:
     steps hi - lo anyway, and keeps them, so the bind of its round is one
     pass of (a + r * d) % p; a reset or the next block drops them.
 
-    Of each block only the plan's window is held: the first W entries of
-    every table plus the constant it holds past W.  While the remaining cube
+    Of each block the plan's window applies to, only the window is held:
+    the first W entries of every table plus the constant it holds past W
+    (a weight-tensor head is whole-cube).  While the remaining cube
     is larger than W, the current variable is a top code bit, so the window
     lies in the lo half and the hi half is all constants: binding maps each
     window entry a to a + r * (c - a), and the (half - W) constant entries of
@@ -383,7 +374,7 @@ class PlanFolder:
     unbound suffix w[:half] times the tables.  w[:half] is a prefix of the
     tensor of r_2..r_m, built once.  q has one degree less than the round
     polynomial, so it is summed at one point fewer, and its last value comes
-    from its vanishing finite difference.
+    from its coefficients (the cached node inverse) by Horner's rule.
 
     Each block's round values carry the product of every other block's bound
     value as a multiplier.  Once the head is bound at z*, its proxy scalars
@@ -402,10 +393,8 @@ class PlanFolder:
     def _reset(self):
         plan = self.plan
         self._bound: list[int] = []
-        # the weight factors while the weight-tensor head is being folded
-        self._head_weights = plan.head_weights
         self._scale = 1
-        self._load(plan.head_tables, plan.head_window)
+        self._load(plan.head_tables, plan.window if plan.head_weights is None else None)
         self._stage = 0  # 0 = head block, j >= 1 = tail j-1
         self._mult = 1
 
@@ -448,7 +437,7 @@ class PlanFolder:
         rest = 0
         if self._consts is not None:
             rest = ((self._size >> 1) - len(lo[0])) * math.prod(self._consts)
-        weights = self._head_weights
+        weights = self.plan.head_weights if self._stage == 0 else None
         if weights is None:
             fixed, points = [], degree + 1
         else:
@@ -467,8 +456,11 @@ class PlanFolder:
             out.append((_product_sum(fixed + cur, p) + rest) * self._mult % p)
         if weights is None:
             return out
+        # q's values past its own degree, from its coefficients
+        coeffs = [sum(map(mul, row, out)) % p for row in node_inverse(p, len(out) - 1)]
+        out += [_horner(coeffs, t, p) for t in range(len(out), degree + 1)]
         r, scale = weights[len(self._bound)], self._scale
-        return [(1 - t + r * t) * scale * q % p for t, q in enumerate(_extend(out, degree + 1, p))]
+        return [(1 - t + r * t) * scale * q % p for t, q in enumerate(out)]
 
     def _bind(self, r: int) -> None:
         """Bind the current variable at r: entry a of a lo half, with step d,
@@ -476,8 +468,8 @@ class PlanFolder:
         round's ``round_values`` kept, if it ran."""
         p = self._p
         half = self._size >> 1
-        if self._head_weights is not None:
-            w = self._head_weights[len(self._bound)]
+        if self._stage == 0 and self.plan.head_weights is not None:
+            w = self.plan.head_weights[len(self._bound)]
             self._scale = self._scale * (1 - r + w * r) % p
         lo, _, step = self._kept or self._split()
         self._kept = None
@@ -494,7 +486,6 @@ class PlanFolder:
         plan = self.plan
         scalars = [tbl[0] for tbl in self._tables]
         if self._stage == 0:
-            self._head_weights = None
             head = self._scale * math.prod(scalars[: plan.num_standalone]) % p
             self._blocks = [head, *scalars[plan.num_standalone :]]
             if not plan.num_tails:
@@ -506,7 +497,7 @@ class PlanFolder:
             if self._stage == plan.num_tails:
                 return
         self._stage += 1
-        self._load(self._tail_tables[self._stage - 1], plan.tail_window)
+        self._load(self._tail_tables[self._stage - 1], plan.window)
         others = self._blocks[: self._stage] + self._blocks[self._stage + 1 :]
         self._mult = math.prod(others) % p
 

@@ -22,6 +22,8 @@ from ppcplab.pcpverify import verify_w1
 from ppcplab.reductions import gen_random_awsat
 from ppcplab.sumcheck import RandomTape, adaptive_cheater, derive_seed, table_committed_prover
 
+L3_YES = gen_random_awsat(6, (2, 2, 2), (1, 1, 1), 2, 0)
+
 
 def make_instance(num_vars, clauses, blocks, weights, k=None):
     f = WeightedFormula(num_vars, clauses, ClassTag.G12N, sum(weights) if k is None else k)
@@ -284,3 +286,66 @@ class TestPrefixConsistency:
             else:
                 seen_no += 1
         assert seen_yes > 0
+
+
+class MergeOverride(BranchProofTables):
+    """A proof that brings its own ``merge``: it must never run."""
+
+    def merge(self, branch, instance):
+        raise AssertionError("the verifier ran a prover-supplied merge")
+
+
+class DictSub(dict):
+    pass
+
+
+class LoudValues(tuple):
+    def __getitem__(self, i):
+        raise AssertionError("the verifier indexed prover-supplied values")
+
+
+def _forged(table, values):
+    """A ``BooleanTable`` made without its constructor's checks."""
+    forged = object.__new__(BooleanTable)
+    for name, value in (("arity", table.arity), ("values", values), ("_ones", table.ones())):
+        object.__setattr__(forged, name, value)
+    return forged
+
+
+def _malformations(instance):
+    """(name, proof): the honest tables with one entry replaced, or in the
+    wrong container."""
+    honest = honest_branch_tables(instance)
+    key = sorted(honest.tables)[-1]
+    m = instance.formula.m
+    entries = {
+        "str": "not a table",
+        "object": object(),
+        "wrong_arity": BooleanTable.from_true_codes([0], m + 1),
+        "none": None,
+        "forged_values": _forged(honest.tables[key], LoudValues(honest.tables[key].values)),
+        "forged_short": _forged(honest.tables[key], honest.tables[key].values[:-1]),
+        "forged_entry": _forged(honest.tables[key], (2,) + honest.tables[key].values[1:]),
+    }
+    out = [(name, BranchProofTables({**honest.tables, key: bad})) for name, bad in entries.items()]
+    out.append(("subclass", MergeOverride(dict(honest.tables))))
+    out.append(("dict_subclass", BranchProofTables(DictSub(honest.tables))))
+    out.append(("not_tables", dict(honest.tables)))
+    return out
+
+
+MALFORMED = [
+    pytest.param(inst, proof, id=f"{label}-{name}")
+    for label, inst in (("l1", L1_YES), ("l3", L3_YES))
+    for name, proof in _malformations(inst)
+]
+
+
+@pytest.mark.parametrize("inst, proof", MALFORMED)
+def test_malformed_branch_proof_rejects_at_tables(inst, proof):
+    assert verify_awsat(inst, honest_branch_tables(inst), table_committed_prover, RandomTape(0)).accepted
+    verdict = verify_awsat(inst, proof, table_committed_prover, RandomTape(0))
+    assert (verdict.accepted, verdict.stage, verdict.rejection_round) == (False, "b0.tables", None)
+    # the verdict, meters and stage reports of a proof with no tables
+    missing = verify_awsat(inst, BranchProofTables({}), table_committed_prover, RandomTape(0))
+    assert verdict == missing

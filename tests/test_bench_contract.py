@@ -52,6 +52,27 @@ def test_tracer_binds_and_restores_every_name():
     assert all(vars(o)[a] is orig for (o, a), orig in zip(pairs, originals))
 
 
+def test_every_wrapped_name_is_an_alias_of_its_canonical_object():
+    # a name kept for bench (w1_parameters, run_g12n_protocol,
+    # pcpverify.mle_eval, awsat.select_prime, ...) must stay bound to the
+    # object its module and qualified name say it is, never to a second
+    # copy; that module is the one the span or counter is named after
+    named = list(tracer.SPANS + tracer.VERIFIERS + tracer.COUNTS)
+    named += [
+        (cls, meth, "sumcheck.prover")
+        for cls in tracer.PROVERS for meth in tracer.PROVER_METHODS if meth in vars(cls)
+    ]
+    copies = []
+    for owner, attr, name in named:
+        obj = vars(owner)[attr]
+        canonical = sys.modules[obj.__module__]
+        for part in obj.__qualname__.split("."):
+            canonical = getattr(canonical, part)
+        if canonical is not obj or obj.__module__ != "ppcplab." + name.split(".")[0]:
+            copies.append(f"{owner.__name__}.{attr}")
+    assert not copies, f"wrapped names that are not aliases of their canonical object: {copies}"
+
+
 def _run_ops(workload, items):
     results = []
     for i in range(workloads.TINY.min_ops):

@@ -321,11 +321,12 @@ def test_windowed_round_poly_matches_honest_round_poly(table_kind, data, seed):
     kind, spec, table, n = data.draw(pinned_specs(table_kind))
     m = table.arity
     plan = compile_plan(spec, table)
-    window = plan.head_window if kind == "weight" else plan.tail_window
+    window = plan.window
     assert window > table.top_code()
     assert (window == 1 << m) if table_kind == "top" else table_kind == "dummy" or window < 1 << m
     if kind != "weight":
-        assert window >= n and plan.head_window is None  # the clause codes stay dense
+        # the window holds the tails; the weight-tensor head over the clause codes is whole-cube
+        assert window >= n and plan.head_weights is not None
     assert_rounds_match_honest(spec, table, seed)
 
 
@@ -334,7 +335,7 @@ def test_windowed_round_poly_at_padded_length_5():
     formula = WeightedFormula(1, ((1,),), ClassTag.G21P, 1, 2)
     table = BooleanTable.from_true_codes([0, 1], 2)
     spec = build_w2_summand(formula, FLD, (3, 500), 5)
-    assert compile_plan(spec, table).tail_window == 2
+    assert compile_plan(spec, table).window == 2
     assert_rounds_match_honest(spec, table, 5)
 
 
@@ -351,8 +352,8 @@ def test_windowed_clause_indicator_matches_per_clause_definition(case, seed):
 
 @st.composite
 def windowed_plans(draw):
-    """(windowed plan, the same plan without windows): random factor tables,
-    each constant past its block's window; unlike the summands' plans, whose
+    """(windowed plan, the same plan without a window): random factor
+    tables, each constant past the window; unlike the summands' plans, whose
     constant products are 0, the constants here are random.  The head
     proxies are random too, not the tails' summed-out sums, so the test
     compares two folders of one plan; the compiled plans' proxies are
@@ -360,20 +361,19 @@ def windowed_plans(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
     block_vars = draw(st.integers(1, 4))
     size = 1 << block_vars
-    head_window = 1 << draw(st.integers(0, block_vars))
-    tail_window = 1 << draw(st.integers(0, block_vars))
+    window = 1 << draw(st.integers(0, block_vars))
     num_tails = draw(st.integers(0, 2))
 
     def table(window):
         const = rng.randrange(FLD.modulus)
         return [rng.randrange(FLD.modulus) for _ in range(window)] + [const] * (size - window)
 
-    head = tuple(tuple(table(head_window)) for _ in range(draw(st.integers(1, 3)) + num_tails))
-    tails = [[table(tail_window) for _ in range(draw(st.integers(1, 3)))] for _ in range(num_tails)]
+    head = tuple(tuple(table(window)) for _ in range(draw(st.integers(1, 3)) + num_tails))
+    tails = [[table(window) for _ in range(draw(st.integers(1, 3)))] for _ in range(num_tails)]
     build_tails = (lambda z_star: tails) if num_tails else None
     common = dict(field=FLD, block_vars=block_vars, head_tables=head,
                   num_standalone=len(head) - num_tails, build_tails=build_tails)
-    windowed = ProductPlan(**common, head_window=head_window, tail_window=tail_window)
+    windowed = ProductPlan(**common, window=window)
     return windowed, ProductPlan(**common)
 
 
@@ -439,16 +439,17 @@ def test_split_clause_indicator_matches_per_clause_definition(m, tag):
 @st.composite
 def weight_tensor_plans(draw):
     """(plan that declares the weight tensor beside its head tables, the same
-    plan with the explicit tensor as standalone head table 0 and no
-    declaration): random nonzero weights, other head tables and tails at
-    random, tails constant past a random window with random constants.  The
+    plan with the explicit tensor as standalone head table 0, no declaration
+    and no window): random nonzero weights, other head tables and tails at
+    random, tails constant past a random window with random constants; the
+    window applies to the declared plan's tails only.  The
     head proxies are random, not the tails' summed-out sums, so the test
     compares two folders of one plan; ``test_compiled_head_proxies_are_tail_sums``
     checks the compiled plans' proxies."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     block_vars = draw(st.integers(1, 4))
     size = 1 << block_vars
-    tail_window = 1 << draw(st.integers(0, block_vars))
+    window = 1 << draw(st.integers(0, block_vars))
     num_tails = draw(st.integers(0, 2))
     weights = tuple(rng.randrange(1, FLD.modulus) for _ in range(block_vars))
     tensor = [1] * size
@@ -463,10 +464,12 @@ def weight_tensor_plans(draw):
     # standalone tables besides the weight tensor, then one proxy per tail
     standalone = draw(st.integers(0 if num_tails else 1, 2))
     head = tuple(tuple(table(size)) for _ in range(standalone + num_tails))
-    tails = [[table(tail_window) for _ in range(draw(st.integers(1, 3)))] for _ in range(num_tails)]
+    tails = [[table(window) for _ in range(draw(st.integers(1, 3)))] for _ in range(num_tails)]
     build_tails = (lambda z_star: tails) if num_tails else None
-    common = dict(field=FLD, block_vars=block_vars, build_tails=build_tails, tail_window=tail_window)
-    declared = ProductPlan(**common, head_tables=head, num_standalone=standalone, head_weights=weights)
+    common = dict(field=FLD, block_vars=block_vars, build_tails=build_tails)
+    declared = ProductPlan(
+        **common, head_tables=head, num_standalone=standalone, window=window, head_weights=weights
+    )
     plain = ProductPlan(**common, head_tables=(tuple(tensor), *head), num_standalone=standalone + 1)
     return declared, plain
 
@@ -492,8 +495,7 @@ def test_weight_tensor_head_fold_matches_plain_fold(plans, seed):
 def test_weight_tensor_head_needs_a_whole_cube_head_with_one_weight_per_variable():
     head = ((1, 1, 1, 1),)
     ProductPlan(FLD, 2, head, 1, head_weights=(2, 3))
-    for bad in (dict(head_weights=(2,)), dict(head_weights=(2, 3), head_window=2)):
-        with pytest.raises(ValueError):
-            ProductPlan(FLD, 2, head, 1, **bad)
+    with pytest.raises(ValueError):
+        ProductPlan(FLD, 2, head, 1, head_weights=(2,))
     with pytest.raises(ValueError):
         ProductPlan(FLD, 2, (), 0, head_weights=(2, 3))

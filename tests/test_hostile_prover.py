@@ -572,3 +572,61 @@ def test_the_verifier_hands_out_none_of_its_own_elements(monkeypatch):
     ]
     assert all(type(x) is FieldElement for x in kept)
     assert not {id(x) for x in kept} & {id(x) for x in received}
+
+
+class PolyKeeper(TableCommittedProver):
+    """An honest table prover that keeps every round polynomial it sends."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.sent = []
+
+    def round_poly(self, i, challenges, current_claim):
+        self.sent.append(super().round_poly(i, challenges, current_claim))
+        return self.sent[-1]
+
+
+def _coefficients(runs):
+    return [[[c.value for c in t.claimed.coeffs] for t in run.transcripts] for run in runs]
+
+
+def test_rewriting_sent_round_polynomials_after_the_verdict_changes_no_transcript(monkeypatch):
+    runs = []
+
+    def capture(*args):
+        runs.append(run_sumcheck(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(pcpverify, "run_sumcheck", capture)
+    table = BooleanTable.from_assignment({1, 3}, REWRITE_FORMULA.m)
+    prover = PolyKeeper(table)
+    assert verify_w1(REWRITE_FORMULA, prover, RandomTape(1)).accepted
+    recorded = _coefficients(runs)
+    assert recorded[0][0] == [0, 0, 0, 0]
+    for poly in prover.sent:
+        for c in poly.coeffs:
+            c.value = 7
+    assert _coefficients(runs) == recorded
+    # and the recorded polynomial is a fresh object on every read
+    assert runs[0].transcripts[0].claimed is not runs[0].transcripts[0].claimed
+
+
+class EmptiedPoly(GenericHonestProver):
+    """Sends the zero polynomial of round 1 as a list it empties after
+    construction, honest rounds after that."""
+
+    def round_poly(self, i, challenges, current_claim):
+        if i > 1:
+            return super().round_poly(i, challenges, current_claim)
+        poly = UniPoly([F109.zero], 1)
+        poly.coeffs.clear()
+        return poly
+
+
+def test_an_emptied_round_polynomial_is_recorded_as_zero():
+    # h = x1 * x2 with claim 0 is false, but round 1's zero polynomial passes
+    # its consistency check (g(0) + g(1) = 0) and is read as such
+    run = run_sumcheck(product_spec(F109), F109.zero, EmptiedPoly(product_oracle), RandomTape(3), ResourceMeter())
+    first = run.transcripts[0]
+    assert first.coeffs == (0,) and first.claimed == UniPoly((F109.zero,), 1)
+    assert first.claimed.evaluate(first.challenge) == first.running == F109.zero
