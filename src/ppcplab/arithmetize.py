@@ -240,7 +240,7 @@ def clause_indicator_eval(
     return FieldElement(total % p * top, fld)
 
 
-TailsBuilder = Callable[[Point], list[list[list[int]]]]
+TailsBuilder = Callable[[Sequence[int]], list[list[list[int]]]]
 
 
 @dataclass(frozen=True)
@@ -251,8 +251,8 @@ class ProductPlan:
     ``num_tails`` tail blocks.  ``head_tables`` holds, over the head block,
     first ``num_standalone`` genuine factors and then one summed-out proxy per
     tail (in tail order).  Once the head block is bound at a point z*,
-    ``build_tails(z*)`` returns every tail's factor tables over its own block,
-    in tail order.
+    ``build_tails(z*)``, given z*'s residues, returns every tail's factor
+    tables over its own block, in tail order.
 
     The proxy contract is load-bearing: the multilinear extension of proxy i
     at z* must equal the cube sum of the product of tail i's tables at z*.
@@ -402,10 +402,10 @@ def compile_plan(spec: SummandSpec, table: BooleanTable) -> ProductPlan:
     window = code_window(max(formula.num_vars - 1, table.top_code()))
     beyond = [0] * (size - window)
 
-    def build_tails(z_star: Point) -> list[list[list[int]]]:
+    def build_tails(z_star: Sequence[int]) -> list[list[list[int]]]:
         # tail i's clause factor at x is the sum of chi_c(z*) over the
         # clauses c whose position-i variable has code x
-        eqz = _eq_table(z_star, p)
+        eqz = _tensor([((1 - z) % p, z) for z in z_star], p)
         tails = []
         for codes_i in codes:
             ctab = [0] * window

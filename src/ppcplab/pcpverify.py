@@ -18,9 +18,9 @@ sum-check on it, reads the assignment oracle at the statement's
 ``read_points`` (L metered reads in the main stage, one in a weight stage)
 and checks ``summand_value`` there against the last running claim.  That is
 the only final check.  The prover receives the statement and nothing of the
-verifier's but its field: the claim, the challenges and the read points it
-gets are copies, so nothing it writes reaches the final check.  An honest
-prover compiles its own plan from the statement.
+verifier's but its field: claims and challenges reach it as ints, and the
+read points it gets are copies, so nothing it writes reaches the final
+check.  An honest prover compiles its own plan from the statement.
 
 ``verify_w1`` and ``verify_w2`` run one pass with a weight check over the real
 variables; the branch protocol in ``awsat`` runs one pass per universal

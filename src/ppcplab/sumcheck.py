@@ -4,12 +4,15 @@ random-bit / proof-bit metering.
 One round: the prover supplies a univariate polynomial g'_i for the current
 variable; the verifier checks g'_i(0) + g'_i(1) against the running claim,
 draws a random field element r_i, and continues with the claim g'_i(r_i).
-After the last round the caller performs the final direct evaluation, since
-only the caller knows which factors it computes itself and which it must read
-from the proof.  The statement a prover receives (``SummandSpec``) is plain
-data: the table-committed prover compiles its ``ProductPlan`` from it and
-folds that, and the reference prover (``honest_round_poly``) sums the
-statement's ``summand_value`` over an assignment oracle point by point.
+The round wire is plain ints: claims and challenges go out as residues mod
+p, and round i comes back as a tuple of d_i + 1 residues, the proof symbols
+it is metered for.  After the last round the caller performs the final
+direct evaluation, since only the caller knows which factors it computes
+itself and which it must read from the proof.  The statement a prover
+receives (``SummandSpec``) is plain data: the table-committed prover
+compiles its ``ProductPlan`` from it and folds that, and the reference
+prover (``honest_round_poly``) sums the statement's ``summand_value`` over an
+assignment oracle point by point.
 
 Field elements are drawn by rejection sampling from ceil(log2 p)-bit blocks;
 rejected blocks still count toward the bits drawn (and are tracked separately
@@ -138,9 +141,10 @@ def draw_field_element(tape: RandomTape, fld: PrimeField, meter: ResourceMeter) 
 
 @dataclass(frozen=True)
 class RoundTranscript:
-    """A verified round: the coefficient residues the verifier read (an
-    emptied list as the zero polynomial) and the degree bound, then the
-    challenge and the new running claim.  None of it is the prover's."""
+    """A verified round: the d + 1 coefficient residues the verifier read and
+    the degree bound d, then the challenge and the new running claim.  The
+    residues are the round's message itself, a tuple of ints, which nobody
+    can change; ``claimed`` builds a fresh ``UniPoly`` of them on each read."""
 
     index: int
     coeffs: tuple[int, ...]
@@ -183,14 +187,17 @@ class ProverStrategy(ABC):
     """Source of round polynomials and assignment values.
 
     ``begin_sumcheck`` is invoked at the start of each sum-check instance so a
-    single strategy can serve the multi-stage verifier.
+    single strategy can serve the multi-stage verifier.  The claim, the
+    challenges r_1..r_{i-1} and the running claim are residues mod p, and
+    round i's answer is a tuple of exactly d_i + 1 plain ints in [0, p),
+    lowest degree first.
     """
 
-    def begin_sumcheck(self, spec: SummandSpec, claim: FieldElement) -> None:
+    def begin_sumcheck(self, spec: SummandSpec, claim: int) -> None:
         pass
 
     @abstractmethod
-    def round_poly(self, i: int, challenges: Point, current_claim: FieldElement) -> UniPoly:
+    def round_poly(self, i: int, challenges: tuple[int, ...], claim: int) -> tuple[int, ...]:
         ...
 
     @abstractmethod
@@ -219,17 +226,14 @@ def proof_int(value, p: int) -> Optional[int]:
     return value.value % p
 
 
-def _proof_coeffs(poly, degree: int, p: int) -> Optional[list[int]]:
-    """Residues of a round polynomial's coefficients, or None unless it is
-    exactly a ``UniPoly`` of at most degree + 1 well-formed coefficients.
-    ``UniPoly`` keeps the sequence it is given; a plain tuple or list has no
-    overridable length or iteration, a subclass of either could."""
-    if type(poly) is not UniPoly or type(poly.coeffs) not in (tuple, list):
-        return None
-    if len(poly.coeffs) > degree + 1:
-        return None
-    coeffs = [proof_int(c, p) for c in poly.coeffs]
-    return None if None in coeffs else coeffs
+def _proof_coeffs(poly, degree: int, p: int) -> Optional[tuple[int, ...]]:
+    """A round message if it is exactly a tuple of degree + 1 plain ints in
+    [0, p), else None.  A plain tuple of plain ints has no overridable
+    method and cannot change after it is read."""
+    if type(poly) is tuple and len(poly) == degree + 1:
+        if all([type(c) is int and 0 <= c < p for c in poly]):
+            return poly
+    return None
 
 
 def ask_prover(callback: Callable, *args):
@@ -242,7 +246,7 @@ def ask_prover(callback: Callable, *args):
         return None
 
 
-def _horner(coeffs: list[int], x: int, p: int) -> int:
+def _horner(coeffs: Sequence[int], x: int, p: int) -> int:
     acc = 0
     for c in reversed(coeffs):
         acc = (acc * x + c) % p
@@ -259,14 +263,13 @@ def run_sumcheck(
     """Drive the round protocol for ``spec`` against ``prover``.
 
     Per round the verifier reads (d_i + 1) * ceil(log2 p) proof bits and draws
-    one field element.  Malformed prover output (not exactly a ``UniPoly`` of
-    ``FieldElement``s holding ints, too many coefficients, wrong field, or an
-    exception) is a rejection at that round, never a crash; an exception in
-    ``begin_sumcheck`` is a malformed first round.  The verifier evaluates the
-    coefficients itself and compares plain ints.  The final direct evaluation
-    is left to the caller, which receives the fully instantiated point and the
-    last running claim: field elements the prover never held, since each round
-    hands it fresh copies of the challenges so far and of the running claim.
+    one field element.  Malformed prover output (anything but exactly a tuple
+    of d_i + 1 plain ints in [0, p), or an exception) is a rejection at that
+    round, never a crash; an exception in ``begin_sumcheck`` is a malformed
+    first round.  The verifier evaluates the coefficients itself and compares
+    plain ints.  The final direct evaluation is left to the caller, which
+    receives the fully instantiated point and the last running claim: the
+    prover only ever held their residues, which are ints.
     """
     fld = spec.field
     p = fld.modulus
@@ -274,23 +277,19 @@ def run_sumcheck(
         raise ValueError("claim must live in the summand's field")
     a = claim.value % p
     try:
-        prover.begin_sumcheck(spec, claim)
+        prover.begin_sumcheck(spec, a)
         started = True
     except Exception:
         started = False
-    # the verifier's challenges and running claims (the transcript and the
-    # final point) are never handed out, so nothing the prover writes into
-    # its copies reaches them
-    handed: list[FieldElement] = []
+    challenges: tuple[int, ...] = ()
     transcripts: list[RoundTranscript] = []
     for i in range(1, spec.num_vars + 1):
         d = spec.degree_bounds[i - 1]
-        poly = ask_prover(prover.round_poly, i, tuple(handed), fld(a)) if started else None
+        poly = ask_prover(prover.round_poly, i, challenges, a) if started else None
         meter.proof_bits += (d + 1) * fld.bits
         coeffs = _proof_coeffs(poly, d, p)
         # g(0) + g(1) is the constant coefficient plus the sum of all of them
-        # (a list emptied after construction reads as the zero polynomial)
-        if coeffs is None or (sum(coeffs[:1]) + sum(coeffs)) % p != a:
+        if coeffs is None or (coeffs[0] + sum(coeffs)) % p != a:
             return SumcheckRun(
                 Verdict(False, meter.snapshot(), rejection_round=i),
                 tuple([t.challenge for t in transcripts]),
@@ -299,8 +298,8 @@ def run_sumcheck(
             )
         r = draw_field_element(tape, fld, meter)
         a = _horner(coeffs, r.value, p)
-        handed.append(fld(r.value))
-        transcripts.append(RoundTranscript(i, tuple(coeffs) or (0,), d, r, fld(a)))
+        challenges += (r.value,)
+        transcripts.append(RoundTranscript(i, coeffs, d, r, fld(a)))
     return SumcheckRun(
         Verdict(True, meter.snapshot()),
         tuple([t.challenge for t in transcripts]),
@@ -411,8 +410,8 @@ class PlanFolder:
             self._tables = [t[:window] for t in tables]
             self._consts = [t[window] for t in tables]
 
-    def sync(self, challenges: Point) -> None:
-        vals = [c.value for c in challenges]
+    def sync(self, challenges: Sequence[int]) -> None:
+        vals = list(challenges)
         if vals[: len(self._bound)] != self._bound:
             self._reset()
         for v in vals[len(self._bound) :]:
@@ -490,8 +489,7 @@ class PlanFolder:
             self._blocks = [head, *scalars[plan.num_standalone :]]
             if not plan.num_tails:
                 return
-            z_star = tuple(plan.field(v) for v in self._bound[: plan.block_vars])
-            self._tail_tables = plan.build_tails(z_star)
+            self._tail_tables = plan.build_tails(self._bound[: plan.block_vars])
         else:
             self._blocks[self._stage] = math.prod(scalars) % p
             if self._stage == plan.num_tails:
@@ -504,17 +502,20 @@ class PlanFolder:
 
 class GenericHonestProver(ProverStrategy):
     """Honest prover over an assignment oracle: round polynomials by direct
-    summation of the statement's summand; exponential, for small specs."""
+    summation of the statement's summand (``honest_round_poly``, padded to
+    the wire's d + 1 residues); exponential, for small specs."""
 
     def __init__(self, assignment_oracle: Callable[[Point], FieldElement]):
         self._oracle = assignment_oracle
         self._spec: Optional[SummandSpec] = None
 
-    def begin_sumcheck(self, spec: SummandSpec, claim: FieldElement) -> None:
+    def begin_sumcheck(self, spec: SummandSpec, claim: int) -> None:
         self._spec = spec
 
-    def round_poly(self, i: int, challenges: Point, current_claim: FieldElement) -> UniPoly:
-        return honest_round_poly(self._spec, self._oracle, challenges, i)
+    def round_poly(self, i: int, challenges: tuple[int, ...], claim: int) -> tuple[int, ...]:
+        spec = self._spec
+        poly = honest_round_poly(spec, self._oracle, tuple(map(spec.field, challenges)), i)
+        return tuple([c.value for c in poly.padded(spec.degree_bounds[i - 1]).coeffs])
 
     def assignment_query(self, point: Point) -> FieldElement:
         return self._oracle(tuple(point))
@@ -530,20 +531,18 @@ class TableCommittedProver(ProverStrategy):
         self._spec: Optional[SummandSpec] = None
         self._folder: Optional[PlanFolder] = None
 
-    def begin_sumcheck(self, spec: SummandSpec, claim: FieldElement) -> None:
+    def begin_sumcheck(self, spec: SummandSpec, claim: int) -> None:
         self._spec = spec
         self._folder = PlanFolder(compile_plan(spec, self.table))
 
-    def round_poly(self, i: int, challenges: Point, current_claim: FieldElement) -> UniPoly:
-        spec = self._spec
-        d = spec.degree_bounds[i - 1]
+    def round_poly(self, i: int, challenges: tuple[int, ...], claim: int) -> tuple[int, ...]:
+        d = self._spec.degree_bounds[i - 1]
+        p = self._spec.field.modulus
         self._folder.sync(challenges)
-        fld = spec.field
         vals = self._folder.round_values(d)
         # the coefficients are the node inverse times the values at 0..d; all
         # d + 1 of them, trailing zeros included, as the wire format wants
-        inverse = node_inverse(fld.modulus, d)
-        return UniPoly(tuple([FieldElement(sum(map(mul, row, vals)), fld) for row in inverse]), d)
+        return tuple([sum(map(mul, row, vals)) % p for row in node_inverse(p, d)])
 
     def assignment_query(self, point: Point) -> FieldElement:
         return mle_eval(self.table, point)
@@ -561,22 +560,18 @@ class AdaptiveCheater(ProverStrategy):
 
     def __init__(self, base: ProverStrategy):
         self.base = base
+        self._p = 0
 
-    def begin_sumcheck(self, spec: SummandSpec, claim: FieldElement) -> None:
+    def begin_sumcheck(self, spec: SummandSpec, claim: int) -> None:
+        self._p = spec.field.modulus
         self.base.begin_sumcheck(spec, claim)
 
-    def round_poly(self, i: int, challenges: Point, current_claim: FieldElement) -> UniPoly:
-        honest = self.base.round_poly(i, challenges, current_claim)
-        fld = current_claim.field
-        values = [c.value for c in honest.coeffs]
-        delta = current_claim - fld(values[0] + sum(values))  # g(0) + g(1)
-        if delta.value == 0:
+    def round_poly(self, i: int, challenges: tuple[int, ...], claim: int) -> tuple[int, ...]:
+        honest = self.base.round_poly(i, challenges, claim)
+        delta = (claim - honest[0] - sum(honest)) % self._p  # claim - g(0) - g(1)
+        if delta == 0:
             return honest
-        coeffs = list(honest.coeffs)
-        while len(coeffs) < 2:
-            coeffs.append(fld.zero)
-        coeffs[1] = coeffs[1] + delta
-        return UniPoly(tuple(coeffs), honest.bound)
+        return (honest[0], (honest[1] + delta) % self._p, *honest[2:])
 
     def assignment_query(self, point: Point) -> FieldElement:
         return self.base.assignment_query(point)
@@ -594,14 +589,12 @@ class RandomGarbageProver(ProverStrategy):
         self._rng = random.Random(seed & _SEED_MASK)
         self._spec: Optional[SummandSpec] = None
 
-    def begin_sumcheck(self, spec: SummandSpec, claim: FieldElement) -> None:
+    def begin_sumcheck(self, spec: SummandSpec, claim: int) -> None:
         self._spec = spec
 
-    def round_poly(self, i: int, challenges: Point, current_claim: FieldElement) -> UniPoly:
-        fld = self._spec.field
-        d = self._spec.degree_bounds[i - 1]
-        coeffs = tuple(fld(self._rng.randrange(fld.modulus)) for _ in range(d + 1))
-        return UniPoly(coeffs, d)
+    def round_poly(self, i: int, challenges: tuple[int, ...], claim: int) -> tuple[int, ...]:
+        p = self._spec.field.modulus
+        return tuple([self._rng.randrange(p) for _ in range(self._spec.degree_bounds[i - 1] + 1)])
 
     def assignment_query(self, point: Point) -> FieldElement:
         fld = point[0].field

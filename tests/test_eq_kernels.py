@@ -32,7 +32,7 @@ from ppcplab.arithmetize import (
     compile_plan,
     mle_eval,
 )
-from ppcplab.field import FieldElement, PrimeField, UniPoly
+from ppcplab.field import PrimeField
 from ppcplab.formula import ClassTag, WeightedFormula, derived_m
 from ppcplab.sumcheck import PlanFolder, TableCommittedProver, honest_round_poly
 
@@ -78,6 +78,11 @@ def random_point(rng, m):
     return tuple(FLD(rng.randrange(FLD.modulus)) for _ in range(m))
 
 
+def residues(point):
+    """A point as the round wire and the folder take it: plain ints."""
+    return tuple(x.value for x in point)
+
+
 def random_weights(rng, m):
     return [rng.randrange(FLD.modulus) for _ in range(m)]
 
@@ -119,7 +124,7 @@ def test_tail_tables_match_per_clause_definition(case, seed):
     spec, table = random_spec(formula, L, rng)
     plan = compile_plan(spec, table)
     z_star = random_point(rng, m)
-    tails = plan.build_tails(z_star)
+    tails = plan.build_tails(residues(z_star))
     assert len(tails) == plan.num_tails == L
     for position, (ctab, factor) in enumerate(tails, start=1):
         for x in range(1 << m):
@@ -141,7 +146,7 @@ def test_compiled_head_proxies_are_tail_sums(case, seed):
     plan = compile_plan(spec, table)
     z_star = random_point(rng, m)
     proxies = plan.head_tables[plan.num_standalone :]
-    for proxy, tail in zip(proxies, plan.build_tails(z_star), strict=True):
+    for proxy, tail in zip(proxies, plan.build_tails(residues(z_star)), strict=True):
         extension = sum((chi(c, z_star) * v for c, v in enumerate(proxy)), FLD.zero)
         cube_sum = sum(math.prod(column) for column in zip(*tail)) % FLD.modulus
         assert extension.value == cube_sum
@@ -158,7 +163,7 @@ def test_round_values_match_honest_round_poly(case, seed):
     challenges = ()
     for i in range(1, spec.num_vars + 1):
         d = spec.degree_bounds[i - 1]
-        folder.sync(challenges)
+        folder.sync(residues(challenges))
         reference = honest_round_poly(spec, table_oracle(table), challenges, i)
         assert folder.round_values(d) == [reference.evaluate(FLD(t)).value for t in range(d + 1)]
         challenges += (FLD(rng.randrange(FLD.modulus)),)
@@ -185,7 +190,7 @@ def test_kept_steps_never_outlive_a_reset(case, seed):
             prefix = random_point(rng, rng.randrange(spec.num_vars))
         i = len(prefix) + 1
         d = spec.degree_bounds[i - 1]
-        folder.sync(prefix)
+        folder.sync(residues(prefix))
         reference = honest_round_poly(spec, table_oracle(table), prefix, i)
         assert folder.round_values(d) == [reference.evaluate(FLD(t)).value for t in range(d + 1)]
 
@@ -225,15 +230,16 @@ def test_table_prover_round_poly_matches_honest_round_poly(case, seed):
     _, spec, table = case
     rng = random.Random(seed)
     prover = TableCommittedProver(table)
-    prover.begin_sumcheck(spec, FLD.zero)
+    prover.begin_sumcheck(spec, 0)
     challenges = ()
     for i in range(1, spec.num_vars + 1):
         d = spec.degree_bounds[i - 1]
-        poly = prover.round_poly(i, challenges, FLD.zero)
+        poly = prover.round_poly(i, residues(challenges), 0)
         reference = honest_round_poly(spec, table_oracle(table), challenges, i).padded(d)
-        assert type(poly) is UniPoly and poly.bound == d and len(poly.coeffs) == d + 1
-        assert all(type(c) is FieldElement and type(c.value) is int for c in poly.coeffs)
-        assert [c.value for c in poly.coeffs] == [c.value for c in reference.coeffs]
+        # exactly the wire format: d + 1 plain ints in [0, p)
+        assert type(poly) is tuple and len(poly) == d + 1
+        assert all(type(c) is int and 0 <= c < FLD.modulus for c in poly)
+        assert list(poly) == [c.value for c in reference.coeffs]
         challenges += (FLD(rng.randrange(FLD.modulus)),)
 
 
@@ -282,13 +288,13 @@ def assert_rounds_match_honest(spec, table, seed):
     every round, at random challenges."""
     rng = random.Random(seed)
     prover = TableCommittedProver(table)
-    prover.begin_sumcheck(spec, FLD.zero)
+    prover.begin_sumcheck(spec, 0)
     challenges = ()
     for i in range(1, spec.num_vars + 1):
         d = spec.degree_bounds[i - 1]
-        poly = prover.round_poly(i, challenges, FLD.zero)
+        poly = prover.round_poly(i, residues(challenges), 0)
         reference = honest_round_poly(spec, table_oracle(table), challenges, i).padded(d)
-        assert [c.value for c in poly.coeffs] == [c.value for c in reference.coeffs], i
+        assert list(poly) == [c.value for c in reference.coeffs], i
         challenges += (FLD(rng.randrange(FLD.modulus)),)
 
 
@@ -388,7 +394,7 @@ def test_windowed_fold_matches_whole_cube_fold(plans, seed):
         a.sync(challenges)
         b.sync(challenges)
         assert a.round_values(3) == b.round_values(3)
-        challenges += (FLD(rng.randrange(FLD.modulus)),)
+        challenges += (rng.randrange(FLD.modulus),)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +495,7 @@ def test_weight_tensor_head_fold_matches_plain_fold(plans, seed):
         # (twice), and one less (no extrapolation)
         for degree in (head_degree, head_degree + 1, max(head_degree - 1, 1)):
             assert a.round_values(degree) == b.round_values(degree)
-        challenges += (FLD(rng.randrange(FLD.modulus)),)
+        challenges += (rng.randrange(FLD.modulus),)
 
 
 def test_weight_tensor_head_needs_a_whole_cube_head_with_one_weight_per_variable():

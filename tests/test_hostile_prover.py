@@ -1,13 +1,17 @@
-"""The verifier treats the proof as data: prover values that are not exactly
-``UniPoly`` / ``FieldElement`` objects holding plain ints are rejected at the
-stage and round that read them, and no prover-supplied method decides a check.
-What the verifier hands the prover is data too: a statement with no code and
-no field element in it, and a field that refuses writes."""
+"""The verifier treats the proof as data.  A round message that is not
+exactly a tuple of d + 1 plain ints in [0, p), and an assignment answer that
+is not exactly a ``FieldElement`` of the run's field holding a plain int, are
+rejected at the stage and round that read them, and no prover-supplied method
+decides a check.  What the verifier hands the prover is data too: a statement
+with no code and no field element in it, a field that refuses writes, plain
+ints and tuples of them on the round wire, and fresh copies of the points it
+reads the assignment oracle at."""
 
 import dataclasses
 import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppcplab import pcpverify
 from ppcplab.arithmetize import (
@@ -46,6 +50,12 @@ def product_oracle(pt):
     return pt[0] * pt[1]
 
 
+# h = x1 * x2 declared at degree 2 per variable: every honest round message
+# ends in a zero coefficient, so a message one entry short or one entry long
+# still passes g(0) + g(1) = claim if its length is not checked
+WIRE_SPEC = SummandSpec(2, (2, 2), F109)
+
+
 class AlwaysEqual(FieldElement):
     """Reports equality with everything."""
 
@@ -60,28 +70,29 @@ class AlwaysEqual(FieldElement):
     __hash__ = FieldElement.__hash__
 
 
-class HalfClaimPoly(UniPoly):
-    """Claims the constant last coefficient, whatever the coefficients say."""
+class IntSub(int):
+    pass
 
-    def evaluate(self, x):
-        return AlwaysEqual(self.coeffs[-1].value, self.field)
+
+class TupleSub(tuple):
+    pass
 
 
 class SubclassProver(ProverStrategy):
-    """Round polynomials whose ``evaluate`` returns claim/2 as an
-    ``AlwaysEqual``, so g(0) + g(1) matches every claim; assignment answers
-    are ``AlwaysEqual`` too."""
+    """Round messages that claim claim/2 as a constant, so g(0) + g(1)
+    matches every claim, in int-subclass entries; assignment answers are
+    ``AlwaysEqual``."""
 
-    def round_poly(self, i, challenges, current_claim):
-        fld = current_claim.field
-        return HalfClaimPoly((fld.one, current_claim * fld(2).inv()), 1)
+    def begin_sumcheck(self, spec, claim):
+        self.spec = spec
+
+    def round_poly(self, i, challenges, claim):
+        p = self.spec.field.modulus
+        half = claim * pow(2, -1, p) % p
+        return (IntSub(half),) + (IntSub(0),) * self.spec.degree_bounds[i - 1]
 
     def assignment_query(self, point):
         return AlwaysEqual(1, point[0].field)
-
-
-class IntSub(int):
-    pass
 
 
 def test_subclass_prover_never_accepted():
@@ -91,58 +102,75 @@ def test_subclass_prover_never_accepted():
     assert {(v.stage, v.rejection_round) for v in verdicts} == {("mltest", 1)}
 
 
-def _with_value(value):
-    fe = F109(0)
-    fe.value = value
-    return fe
-
-
-HOSTILE_POLYS = {
-    "poly_subclass": lambda honest: HalfClaimPoly(honest.coeffs, honest.bound),
-    "coeff_subclass": lambda honest: UniPoly(
-        tuple(AlwaysEqual(c.value, c.field) for c in honest.coeffs), honest.bound
-    ),
-    "int_subclass_value": lambda honest: UniPoly(
-        tuple(_with_value(IntSub(c.value)) for c in honest.coeffs), honest.bound
-    ),
-    "float_value": lambda honest: UniPoly(
-        tuple(_with_value(float(c.value)) for c in honest.coeffs), honest.bound
-    ),
-    "wrong_field": lambda honest: UniPoly(
-        tuple(PrimeField(113)(c.value) for c in honest.coeffs), honest.bound
-    ),
+# Malformed round messages, each made from the honest message g (d + 1
+# residues, the last one 0 under WIRE_SPEC) of the modulus p.  Every one
+# passes the consistency check g(0) + g(1) = claim mod p if read leniently.
+ROUND_MESSAGES = {
+    "unipoly": lambda g, p: UniPoly(tuple(map(PrimeField(p), g)), len(g) - 1),
+    "poly_subclass": lambda g, p: TupleSub(g),
+    "list": lambda g, p: list(g),
+    "none": lambda g, p: None,
+    "short": lambda g, p: g[:-1],
+    "overlong": lambda g, p: g + (0,),
+    "empty": lambda g, p: (),
+    "int_subclass_value": lambda g, p: tuple(c if c > 1 else bool(c) for c in g),
+    "coeff_subclass": lambda g, p: tuple(map(IntSub, g)),
+    "float_value": lambda g, p: tuple(map(float, g)),
+    "minus_one": lambda g, p: (g[0], g[1] + 1, -1),
+    # p itself: a residue of a larger field, not of Z_p
+    "wrong_field": lambda g, p: (g[0], g[1], p),
 }
 
 
-@pytest.mark.parametrize("make", HOSTILE_POLYS.values(), ids=HOSTILE_POLYS.keys())
+@pytest.mark.parametrize("make", ROUND_MESSAGES.values(), ids=ROUND_MESSAGES.keys())
 def test_sumcheck_rejects_values_that_are_not_exact(make):
-    class Wrapped(GenericHonestProver):
-        def round_poly(self, i, challenges, current_claim):
-            return make(super().round_poly(i, challenges, current_claim))
-
-    spec = product_spec(F109)
-    honest = run_sumcheck(spec, F109.one, GenericHonestProver(product_oracle), RandomTape(3), ResourceMeter())
-    run = run_sumcheck(spec, F109.one, Wrapped(product_oracle), RandomTape(3), ResourceMeter())
+    honest = run_sumcheck(WIRE_SPEC, F109.one, GenericHonestProver(product_oracle), RandomTape(3), ResourceMeter())
     assert honest.verdict.accepted
-    assert (run.verdict.accepted, run.verdict.rejection_round) == (False, 1)
+    for bad in (1, 2):
+
+        class Hostile(GenericHonestProver):
+            def round_poly(self, i, challenges, claim):
+                g = super().round_poly(i, challenges, claim)
+                return make(g, F109.modulus) if i == bad else g
+
+        meter = ResourceMeter()
+        run = run_sumcheck(WIRE_SPEC, F109.one, Hostile(product_oracle), RandomTape(3), meter)
+        assert (run.verdict.accepted, run.verdict.rejection_round) == (False, bad)
+        # (d + 1) * ceil(log2 p) proof bits for every round read, this one too
+        assert meter.proof_bits == bad * 3 * F109.bits
+        assert run.transcripts == honest.transcripts[: bad - 1]
 
 
-class TupleSub(tuple):
-    pass
+ENTRIES = st.one_of(
+    st.integers(-3, 2 * F109.modulus), st.booleans(), st.floats(0, 3), st.builds(IntSub, st.integers(0, 3))
+)
 
 
-def test_sumcheck_reads_plain_sequences_only():
-    def run(wrap):
-        class Wrapped(GenericHonestProver):
-            def round_poly(self, i, challenges, current_claim):
-                honest = super().round_poly(i, challenges, current_claim)
-                return UniPoly(wrap(honest.coeffs), honest.bound)
+@given(
+    st.one_of(
+        st.tuples(ENTRIES, ENTRIES, ENTRIES),
+        st.lists(ENTRIES, max_size=4).map(tuple),
+        st.lists(ENTRIES, max_size=4),
+        st.lists(ENTRIES, max_size=4).map(TupleSub),
+        st.none(),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_a_round_message_passes_round_1_only_as_a_consistent_tuple_of_residues(message):
+    class OneMessage(GenericHonestProver):
+        def round_poly(self, i, challenges, claim):
+            return message if i == 1 else super().round_poly(i, challenges, claim)
 
-        spec = product_spec(F109)
-        return run_sumcheck(spec, F109.one, Wrapped(product_oracle), RandomTape(3), ResourceMeter()).verdict
-
-    assert run(list).accepted
-    assert (run(TupleSub).accepted, run(TupleSub).rejection_round) == (False, 1)
+    meter = ResourceMeter()
+    run = run_sumcheck(WIRE_SPEC, F109.one, OneMessage(product_oracle), RandomTape(3), meter)
+    exact = (
+        type(message) is tuple and len(message) == 3
+        and all(type(c) is int and 0 <= c < F109.modulus for c in message)
+    )
+    passed = run.verdict.accepted or run.verdict.rejection_round != 1
+    assert passed == (exact and (2 * message[0] + message[1] + message[2]) % F109.modulus == 1)
+    # round 1 is read and metered either way, round 2 only after round 1 passes
+    assert meter.proof_bits == (2 if passed else 1) * 3 * F109.bits
 
 
 def test_multilinearity_test_rejects_subclass_answers():
@@ -319,7 +347,7 @@ class ListWriter(TableCommittedProver):
         plan = compile_plan(spec, self.table)
         roots = [spec, plan]
         if plan.build_tails is not None:
-            roots.append(plan.build_tails(tuple(spec.field(5) for _ in range(plan.block_vars))))
+            roots.append(plan.build_tails((5,) * plan.block_vars))
         lists = [obj for obj in _reachable(roots) if isinstance(obj, list)]
         for lst in lists:
             lst[:] = [] if any(isinstance(v, (list, tuple)) for v in lst) else [1] * len(lst)
@@ -454,7 +482,7 @@ class WeightRewriter(TableCommittedProver):
     def _rewrite(self, last_challenge):
         m, r = self.formula.m, self.weights.r
         fld = r[0].field
-        z = (tuple(self.challenges) + (last_challenge,))[:m]
+        z = (tuple(map(fld, self.challenges)) + (last_challenge,))[:m]
         product = fld.one
         for i, (x, a) in enumerate(self.reads, start=1):
             product = product * clause_indicator_eval(self.formula, i, z, x) * a
@@ -462,7 +490,7 @@ class WeightRewriter(TableCommittedProver):
             product = product * (fld.one - zj + rj * zj)
         if product.value == 0 or z[0].value == 0:
             return
-        target = self.last.evaluate(last_challenge) / product
+        target = sum((c * last_challenge**j for j, c in enumerate(self.last)), fld.zero) / product
         r[0].value = ((target - (fld.one - z[0])) / z[0]).value
 
 
@@ -501,23 +529,34 @@ def test_field_mutator_is_a_raising_begin_sumcheck():
 # -- what the prover is handed is its own ----------------------------------------
 
 
+def _wire_data(value):
+    """Whether ``value`` is an exact int or an exact tuple of exact ints."""
+    return type(value) is int or (type(value) is tuple and all(type(c) is int for c in value))
+
+
 class HandedRewriter(TableCommittedProver):
-    """An honest table prover that, at each final read, sets ``.value = 0`` on
-    every field element it has been handed since its first round: the
-    challenges, the running claims and the read points.  Multilinearity
-    queries come before any round and are answered without rewriting."""
+    """An honest table prover that keeps what the round wire hands it (the
+    claims, the challenge tuples and the running claims) and, at each final
+    read, sets ``.value = 0`` on every coordinate of every read point it has
+    been handed so far.  Multilinearity queries come before any round and
+    are answered without rewriting."""
 
     def __init__(self, table):
         super().__init__(table)
+        self.wire = []
         self.handed = []
 
-    def round_poly(self, i, challenges, current_claim):
-        self.handed += [*challenges, current_claim]
-        return super().round_poly(i, challenges, current_claim)
+    def begin_sumcheck(self, spec, claim):
+        self.wire.append(claim)
+        super().begin_sumcheck(spec, claim)
+
+    def round_poly(self, i, challenges, claim):
+        self.wire += [challenges, claim]
+        return super().round_poly(i, challenges, claim)
 
     def assignment_query(self, point):
         value = super().assignment_query(point)
-        if self.handed:
+        if self.wire:
             self.handed += point
             for x in self.handed:
                 x.value = 0
@@ -534,55 +573,68 @@ def test_rewriting_handed_challenges_changes_no_verdict():
         rewriter = HandedRewriter(table)
         assert verify_w1(REWRITE_FORMULA, rewriter, RandomTape(seed)) == honest, seed
         assert honest.accepted and rewriter.handed
+        assert all(_wire_data(w) for w in rewriter.wire), seed
 
 
 def test_the_verifier_hands_out_none_of_its_own_elements(monkeypatch):
-    # everything the prover is given, against the final point, the last
-    # running claim and the transcript of every sum-check in the run
+    # the round wire carries exact ints and int tuples only, equal to the
+    # verifier's claims and challenges; the read points are field elements
+    # that are none of the final point's, the last running claim's and the
+    # transcripts' of any sum-check in the run
     runs = []
 
     def capture(*args):
         runs.append(run_sumcheck(*args))
         return runs[-1]
 
-    received = []
+    wire, points = [], []
 
     class Recorder(TableCommittedProver):
         def begin_sumcheck(self, spec, claim):
-            received.append(claim)
+            wire.append((0, (), claim))
             super().begin_sumcheck(spec, claim)
 
-        def round_poly(self, i, challenges, current_claim):
-            received.extend([*challenges, current_claim])
-            return super().round_poly(i, challenges, current_claim)
+        def round_poly(self, i, challenges, claim):
+            wire.append((i, challenges, claim))
+            return super().round_poly(i, challenges, claim)
 
         def assignment_query(self, point):
-            received.extend(point)
+            points.extend(point)
             return super().assignment_query(point)
 
     monkeypatch.setattr(pcpverify, "run_sumcheck", capture)
     table = BooleanTable.from_assignment({1, 3}, REWRITE_FORMULA.m)
     assert verify_w1(REWRITE_FORMULA, Recorder(table), RandomTape(4)).accepted
     assert [run.verdict.accepted for run in runs] == [True, True]
+    assert all(type(i) is int and _wire_data(c) and _wire_data(a) for i, c, a in wire)
+    # each round gets the verifier's challenges so far and running claim
+    handed = [(c, a) for i, c, a in wire if i > 0]
+    expected = [
+        (tuple(t.challenge.value for t in run.transcripts[: i - 1]),
+         run.transcripts[i - 2].running.value if i > 1 else claim)
+        for run, claim in zip(runs, (0, REWRITE_FORMULA.k))
+        for i in range(1, len(run.transcripts) + 1)
+    ]
+    assert handed == expected
     kept = [
         x
         for run in runs
         for x in [*run.final_point, run.final_expected]
         + [e for t in run.transcripts for e in (t.challenge, t.running)]
     ]
-    assert all(type(x) is FieldElement for x in kept)
-    assert not {id(x) for x in kept} & {id(x) for x in received}
+    assert all(type(x) is FieldElement for x in kept + points)
+    assert not {id(x) for x in kept} & {id(x) for x in points}
 
 
 class PolyKeeper(TableCommittedProver):
-    """An honest table prover that keeps every round polynomial it sends."""
+    """An honest table prover that keeps every round message it sends."""
 
     def __init__(self, table):
         super().__init__(table)
         self.sent = []
 
-    def round_poly(self, i, challenges, current_claim):
-        self.sent.append(super().round_poly(i, challenges, current_claim))
+    def round_poly(self, i, challenges, claim):
+        self.sent.append(super().round_poly(i, challenges, claim))
         return self.sent[-1]
 
 
@@ -603,30 +655,13 @@ def test_rewriting_sent_round_polynomials_after_the_verdict_changes_no_transcrip
     assert verify_w1(REWRITE_FORMULA, prover, RandomTape(1)).accepted
     recorded = _coefficients(runs)
     assert recorded[0][0] == [0, 0, 0, 0]
-    for poly in prover.sent:
-        for c in poly.coeffs:
-            c.value = 7
+    # what the prover sent is a tuple of ints, which it cannot rewrite; the
+    # polynomials a reader is given are fresh objects on every read, so
+    # rewriting them reaches no transcript either
+    assert all(_wire_data(g) for g in prover.sent)
+    for run in runs:
+        for t in run.transcripts:
+            for c in t.claimed.coeffs:
+                c.value = 7
     assert _coefficients(runs) == recorded
-    # and the recorded polynomial is a fresh object on every read
     assert runs[0].transcripts[0].claimed is not runs[0].transcripts[0].claimed
-
-
-class EmptiedPoly(GenericHonestProver):
-    """Sends the zero polynomial of round 1 as a list it empties after
-    construction, honest rounds after that."""
-
-    def round_poly(self, i, challenges, current_claim):
-        if i > 1:
-            return super().round_poly(i, challenges, current_claim)
-        poly = UniPoly([F109.zero], 1)
-        poly.coeffs.clear()
-        return poly
-
-
-def test_an_emptied_round_polynomial_is_recorded_as_zero():
-    # h = x1 * x2 with claim 0 is false, but round 1's zero polynomial passes
-    # its consistency check (g(0) + g(1) = 0) and is read as such
-    run = run_sumcheck(product_spec(F109), F109.zero, EmptiedPoly(product_oracle), RandomTape(3), ResourceMeter())
-    first = run.transcripts[0]
-    assert first.coeffs == (0,) and first.claimed == UniPoly((F109.zero,), 1)
-    assert first.claimed.evaluate(first.challenge) == first.running == F109.zero
