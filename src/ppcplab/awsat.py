@@ -221,7 +221,7 @@ def _infeasible_verdict(instance: AwsatInstance, log: _StageLog) -> Optional[Ver
     for i, (block, kw) in enumerate(zip(instance.blocks, instance.block_weights)):
         if kw > len(block):
             universal = (i + 1) % 2 == 0
-            return log.verdict(None if universal else f"block{i + 1}.infeasible")
+            return log.verdict() if universal else log.reject(f"block{i + 1}.infeasible", 0)
     return None
 
 
@@ -267,7 +267,7 @@ def verify_awsat(
     if instance.l == 1:
         prover = _branch_prover(tables, enumerate_universal(instance)[0], instance, prover_factory)
         if prover is None:
-            return log.verdict("b0.tables")
+            return log.reject("b0.tables", 0)
         return verify_w1(instance.formula, prover, tape, cfg)
 
     branches = enumerate_universal(instance)

@@ -175,13 +175,14 @@ class _StageLog(ResourceMeter):
         )
         self._mark = now
 
-    def verdict(self, stage: Optional[str] = None, rnd: Optional[int] = None) -> Verdict:
-        """An accept without a stage, else a rejection at ``stage``, round ``rnd``."""
-        return Verdict(stage is None, self.snapshot(), rnd, stage, tuple(self.reports))
+    def verdict(self) -> Verdict:
+        """An accept, carrying every closed stage's report."""
+        return Verdict(True, self.snapshot(), stages=tuple(self.reports))
 
     def reject(self, stage: str, rounds: int, rnd: Optional[int] = None) -> Verdict:
+        """A rejection at ``stage``, round ``rnd``, closing that stage's report."""
         self.close(stage, rounds, False)
-        return self.verdict(stage, rnd)
+        return Verdict(False, self.snapshot(), rnd, stage, tuple(self.reports))
 
 
 @dataclass(frozen=True)

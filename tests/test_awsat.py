@@ -20,7 +20,13 @@ from ppcplab.formula import (
 )
 from ppcplab.pcpverify import verify_w1
 from ppcplab.reductions import gen_random_awsat
-from ppcplab.sumcheck import RandomTape, adaptive_cheater, derive_seed, table_committed_prover
+from ppcplab.sumcheck import (
+    RandomTape,
+    StageReport,
+    adaptive_cheater,
+    derive_seed,
+    table_committed_prover,
+)
 
 L3_YES = gen_random_awsat(6, (2, 2, 2), (1, 1, 1), 2, 0)
 
@@ -159,6 +165,8 @@ class TestVerifyAwsat:
         verdict = verify_awsat(inst, BranchProofTables({}), table_committed_prover, RandomTape(0))
         assert not verdict.accepted
         assert verdict.stage == "b0.tables"
+        # the rejecting stage closes a 0-round report, as it does at l >= 3
+        assert verdict.stages == (StageReport("b0.tables", 0, 0, 0, 0, False),)
 
     def test_raising_factory_rejects_at_tables(self):
         tables = honest_branch_tables(HAND_YES)
@@ -186,7 +194,10 @@ class TestVerifyAwsat:
 
     def test_raising_factory_rejects_l1_path(self):
         verdict = verify_awsat(L1_YES, honest_branch_tables(L1_YES), raising_factory, RandomTape(0))
-        assert (verdict.accepted, verdict.stage, verdict.stages) == (False, "b0.tables", ())
+        assert (verdict.accepted, verdict.stage, verdict.rejection_round) == (False, "b0.tables", None)
+        assert verdict.stages == (StageReport("b0.tables", 0, 0, 0, 0, False),)
+        missing = verify_awsat(L1_YES, BranchProofTables({}), table_committed_prover, RandomTape(0))
+        assert verdict == missing
 
     @pytest.mark.parametrize("inst", [HAND_YES, L1_YES], ids=["l3", "l1"])
     def test_interrupting_factory_propagates(self, inst):
@@ -212,7 +223,8 @@ class TestVerifyAwsat:
         inst_e = make_instance(3, (), ((1,), (2,), (3,)), (2, 1, 0))
         assert brute_force_awsat(inst_e) is False
         verdict = verify_awsat(inst_e, BranchProofTables({}), table_committed_prover, RandomTape(0))
-        assert not verdict.accepted
+        assert (verdict.accepted, verdict.stage) == (False, "block1.infeasible")
+        assert verdict.stages == (StageReport("block1.infeasible", 0, 0, 0, 0, False),)
 
     def test_l1_transcript_identical_to_verify_w1(self):
         text = "p pwsat g12n 3 2 1\nb 1 1 1 2 3 0\n-1 -2 0\n-1 -3 0\n"
@@ -346,6 +358,7 @@ def test_malformed_branch_proof_rejects_at_tables(inst, proof):
     assert verify_awsat(inst, honest_branch_tables(inst), table_committed_prover, RandomTape(0)).accepted
     verdict = verify_awsat(inst, proof, table_committed_prover, RandomTape(0))
     assert (verdict.accepted, verdict.stage, verdict.rejection_round) == (False, "b0.tables", None)
+    assert verdict.stages[-1] == StageReport("b0.tables", 0, 0, 0, 0, False)
     # the verdict, meters and stage reports of a proof with no tables
     missing = verify_awsat(inst, BranchProofTables({}), table_committed_prover, RandomTape(0))
     assert verdict == missing
