@@ -19,8 +19,6 @@ from .arithmetize import BooleanTable
 from .awsat import awsat_parameters, honest_branch_tables, verify_awsat
 from .formula import (
     ClassTag,
-    GuardError,
-    PwsatParseError,
     brute_force_awsat,
     brute_force_wsat,
     parse_awsat,
@@ -29,6 +27,7 @@ from .formula import (
     render_pwsat,
 )
 from .pcpverify import (
+    ADVERSARIES,
     VerifierConfig,
     protocol_parameters,
     resource_report,
@@ -227,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="measure an adversary's acceptance rate")
     p.add_argument("path")
-    p.add_argument("--adversary", choices=["adaptive", "committed", "random"], default="adaptive")
+    p.add_argument("--adversary", choices=ADVERSARIES, default="adaptive")
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=0.5)
@@ -267,10 +266,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PwsatParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GuardError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # parse and guard errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
