@@ -230,10 +230,8 @@ def _proof_coeffs(poly, degree: int, p: int) -> Optional[tuple[int, ...]]:
     """A round message if it is exactly a tuple of degree + 1 plain ints in
     [0, p), else None.  A plain tuple of plain ints has no overridable
     method and cannot change after it is read."""
-    if type(poly) is tuple and len(poly) == degree + 1:
-        if all([type(c) is int and 0 <= c < p for c in poly]):
-            return poly
-    return None
+    ok = type(poly) is tuple and len(poly) == degree + 1
+    return poly if ok and all([type(c) is int and 0 <= c < p for c in poly]) else None
 
 
 def ask_prover(callback: Callable, *args):
