@@ -232,12 +232,14 @@ def _branch_prover(
     prover_factory: ProverFactory,
 ) -> Optional[ProverStrategy]:
     """The prover for one branch, or None when the proof has no table for it
-    or the factory raises: either way the branch has no proof to check."""
+    or the factory raises or returns anything but a ``ProverStrategy``:
+    either way the branch has no proof to check."""
     try:
         table = tables.merge(branch, instance)
     except MissingTableError:
         return None
-    return ask_prover(prover_factory, table)
+    prover = ask_prover(prover_factory, table)
+    return prover if issubclass(type(prover), ProverStrategy) else None
 
 
 def verify_awsat(
@@ -252,9 +254,10 @@ def verify_awsat(
     The per-branch soundness target is epsilon / (branch count), so the union
     over branches still meets the configured epsilon.  A branch whose
     substitution already falsifies a clause rejects the proof outright, as
-    does a missing prefix table or a ``prover_factory`` that raises (a
-    rejection at ``b{idx}.tables`` with 0 rounds).  A proof that is not
-    well formed (``_well_formed``) reads as one with no tables."""
+    does a missing prefix table or a ``prover_factory`` that raises or
+    returns no ``ProverStrategy`` (a rejection at ``b{idx}.tables`` with 0
+    rounds).  A proof that is not well formed (``_well_formed``) reads as
+    one with no tables."""
     if instance.l % 2 == 0:
         raise ValueError("verification needs an odd number of blocks; use pad_to_odd first")
     cfg = config or VerifierConfig()

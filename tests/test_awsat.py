@@ -199,6 +199,20 @@ class TestVerifyAwsat:
         missing = verify_awsat(L1_YES, BranchProofTables({}), table_committed_prover, RandomTape(0))
         assert verdict == missing
 
+    @pytest.mark.parametrize("made", [lambda t: 5, lambda t: object()], ids=["int", "object"])
+    @pytest.mark.parametrize(
+        "inst",
+        [gen_random_awsat(5, (5,), (2,), 4, 1), gen_random_awsat(6, (2, 2, 2), (1, 1, 1), 3, 0)],
+        ids=["l1", "l3"],
+    )
+    def test_factory_returning_no_prover_rejects_at_tables(self, inst, made):
+        tables = honest_branch_tables(inst)
+        assert verify_awsat(inst, tables, table_committed_prover, RandomTape(0)).accepted
+        verdict = verify_awsat(inst, tables, made, RandomTape(0))
+        assert (verdict.accepted, verdict.stage, verdict.rejection_round) == (False, "b0.tables", None)
+        # the same verdict, meters and stage reports as a raising factory
+        assert verdict == verify_awsat(inst, tables, raising_factory, RandomTape(0))
+
     @pytest.mark.parametrize("inst", [HAND_YES, L1_YES], ids=["l3", "l1"])
     def test_interrupting_factory_propagates(self, inst):
         def factory(table):
