@@ -63,6 +63,25 @@ class _UnsatMarker:
 UNSAT = _UnsatMarker()
 
 
+def _clause_problem(lits: tuple[int, ...], num_vars: int, tag: ClassTag) -> Optional[str]:
+    """What is wrong with a clause of class ``tag`` over variables
+    1..num_vars, or None: the one clause rule of the data model and the
+    parser."""
+    if not lits:
+        return "empty clause"
+    for lit in lits:
+        if lit == 0 or not 1 <= abs(lit) <= num_vars:
+            return f"literal {lit} out of range (num_vars={num_vars})"
+    if tag is ClassTag.G12N:
+        if len(lits) > 2:
+            return f"g12n clauses carry at most 2 literals: {lits}"
+        if any(lit > 0 for lit in lits):
+            return f"positive literal in g12n clause: {lits}"
+    elif any(lit < 0 for lit in lits):
+        return f"negative literal in g21p clause: {lits}"
+    return None
+
+
 def derived_m(num_vars: int, num_clauses: int) -> int:
     """Smallest m with 2^m >= max(num_vars, num_clauses), floored at 1."""
     return (max(num_vars, num_clauses, 2) - 1).bit_length()
@@ -94,19 +113,9 @@ class WeightedFormula:
         if self.k < 0:
             raise ValueError("k must be nonnegative")
         for cl in self.clauses:
-            if not cl:
-                raise ValueError("empty clause")
-            for lit in cl:
-                if lit == 0 or not 1 <= abs(lit) <= self.num_vars:
-                    raise ValueError(f"literal {lit} out of range")
-            if self.class_tag is ClassTag.G12N:
-                if len(cl) > 2:
-                    raise ValueError(f"clause {cl} longer than 2 in class g12n")
-                if any(lit > 0 for lit in cl):
-                    raise ValueError(f"positive literal in g12n clause {cl}")
-            else:
-                if any(lit < 0 for lit in cl):
-                    raise ValueError(f"negative literal in g21p clause {cl}")
+            problem = _clause_problem(cl, self.num_vars, self.class_tag)
+            if problem is not None:
+                raise ValueError(problem)
         low = derived_m(self.num_vars, len(self.clauses))
         if self.m is None:
             object.__setattr__(self, "m", low)
@@ -286,23 +295,13 @@ def _parse_clause_line(line_no: int, tokens: list[str], num_vars: int, tag: Clas
         raise PwsatParseError(line_no, f"non-integer token in clause: {' '.join(tokens)}")
     if not values or values[-1] != 0:
         raise PwsatParseError(line_no, "clause line must end with 0")
-    lits = values[:-1]
-    if not lits:
-        raise PwsatParseError(line_no, "empty clause")
-    if any(v == 0 for v in lits):
+    lits = tuple(values[:-1])
+    if 0 in lits:
         raise PwsatParseError(line_no, "literal 0 is only valid as the terminator")
-    for lit in lits:
-        if abs(lit) > num_vars:
-            raise PwsatParseError(line_no, f"literal {lit} out of range (num_vars={num_vars})")
-    if tag is ClassTag.G12N:
-        if len(lits) > 2:
-            raise PwsatParseError(line_no, "g12n clauses carry at most 2 literals")
-        if any(lit > 0 for lit in lits):
-            raise PwsatParseError(line_no, f"positive literal in g12n clause: {lits}")
-    else:
-        if any(lit < 0 for lit in lits):
-            raise PwsatParseError(line_no, f"negative literal in g21p clause: {lits}")
-    return tuple(lits)
+    problem = _clause_problem(lits, num_vars, tag)
+    if problem is not None:
+        raise PwsatParseError(line_no, problem)
+    return lits
 
 
 def _parse_lines(text: str, allow_blocks: bool):

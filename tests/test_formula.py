@@ -81,6 +81,27 @@ class TestParse:
             parse_pwsat("p pwsat g12n 3 1 1\n-1 -2 -3 0\n")
 
 
+# (class, num_vars, clause): each breaks one part of the clause rule
+BAD_CLAUSES = {
+    "empty": (ClassTag.G21P, 2, ()),
+    "out_of_range": (ClassTag.G12N, 2, (-1, -5)),
+    "g12n_too_long": (ClassTag.G12N, 3, (-1, -2, -3)),
+    "g12n_positive": (ClassTag.G12N, 2, (1, -2)),
+    "g21p_negative": (ClassTag.G21P, 2, (1, -2)),
+}
+
+
+@pytest.mark.parametrize("tag, n, clause", BAD_CLAUSES.values(), ids=BAD_CLAUSES.keys())
+def test_parser_and_data_model_share_one_clause_rule(tag, n, clause):
+    with pytest.raises(ValueError) as built:
+        WeightedFormula(n, (clause,), tag, 1)
+    text = f"p pwsat {tag.value} {n} 1 1\n" + " ".join(map(str, clause + (0,))) + "\n"
+    with pytest.raises(PwsatParseError) as parsed:
+        parse_pwsat(text)
+    assert parsed.value.line_no == 2
+    assert str(parsed.value) == f"line 2: {built.value}"
+
+
 class TestAwsatParse:
     TEXT = "p pwsat g12n 4 1 3\nb 1 1 1 0\nb 2 1 2 3 0\nb 3 1 4 0\n-2 -4 0\n"
 
