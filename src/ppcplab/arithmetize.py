@@ -2,8 +2,9 @@
 
 Clauses and variables are coded as m-bit strings (variable i gets code i-1,
 clause j gets code j, most significant bit first; codes beyond the real
-counts are dummy slots).  The module builds the field-valued functions whose
-boolean-cube totals witness satisfiability and assignment weight:
+counts are dummy slots).  The module builds the functions over Z_p whose
+boolean-cube totals witness satisfiability and assignment weight; points,
+oracle reads and values are residues mod p, plain ints:
 
   * ``mle_eval``              the unique multilinear extension of a boolean table,
   * ``clause_indicator_eval`` the extension of "x codes the variable at a given
@@ -58,10 +59,10 @@ from dataclasses import dataclass, field as dc_field
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 from .formula import ClassMismatchError, ClassTag, WeightedFormula
 
-Point = tuple[FieldElement, ...]
+Point = tuple[int, ...]
 
 
 def code_bits(code: int, width: int) -> tuple[int, ...]:
@@ -133,19 +134,17 @@ def _factor_index(ones: tuple[int, ...], arity: int) -> tuple[tuple[int, ...], .
     )
 
 
-def mle_eval(table: BooleanTable, point: Sequence[FieldElement]) -> FieldElement:
-    """Evaluate the multilinear extension of ``table`` at a field point: the
-    sum, over the table's 1-cells, of their cube indicators there (exact).
+def mle_eval(table: BooleanTable, point: Sequence[int], p: int) -> int:
+    """Evaluate the multilinear extension of ``table`` at a point of Z_p^m:
+    the sum, over the table's 1-cells, of their cube indicators there, mod p.
     Each indicator is one product of m looked-up factors, x_j or 1 - x_j,
     reduced once at the end; the factor positions come from the table's
     cached index of its true codes."""
     if len(point) != table.arity:
         raise ValueError(f"point has {len(point)} coordinates, table arity is {table.arity}")
-    fld = point[0].field
-    xs = [x.value for x in point]
-    get = (xs + [1 - x for x in xs]).__getitem__
+    get = (list(point) + [1 - x for x in point]).__getitem__
     index = _factor_index(table.ones(), table.arity)
-    return FieldElement(sum([math.prod(map(get, idx)) for idx in index]), fld)
+    return sum([math.prod(map(get, idx)) for idx in index]) % p
 
 
 # From this many coordinates on, an eq or weight tensor is built (or summed
@@ -175,10 +174,10 @@ def _tensor(factors: Sequence[tuple[int, int]], p: int) -> list[int]:
     return table
 
 
-def _eq_table(point: Sequence[FieldElement], p: int) -> list[int]:
+def _eq_table(point: Sequence[int], p: int) -> list[int]:
     """chi_c(point) = prod_j (point_j if bit j of c else 1 - point_j) for
     every code c of the cube."""
-    return _tensor([((1 - x.value) % p, x.value % p) for x in point], p)
+    return _tensor([((1 - x) % p, x % p) for x in point], p)
 
 
 @functools.lru_cache(maxsize=8)
@@ -205,12 +204,13 @@ def _position_codes(formula: WeightedFormula, position: int) -> tuple[int, ...]:
 def clause_indicator_eval(
     formula: WeightedFormula,
     position: int,
-    z_point: Sequence[FieldElement],
-    x_point: Sequence[FieldElement],
-) -> FieldElement:
-    """Multilinear extension, jointly in z and x, of the boolean indicator
-    "x is the variable at ``position`` of clause z".  Dummy clause codes
-    contribute nothing.
+    z_point: Sequence[int],
+    x_point: Sequence[int],
+    p: int,
+) -> int:
+    """Multilinear extension over Z_p, jointly in z and x, of the boolean
+    indicator "x is the variable at ``position`` of clause z".  Dummy clause
+    codes contribute nothing.
 
     Every variable code lies below W = code_window(n - 1), so its cube
     indicator is prod (1 - x_j) over the top m - log2 W coordinates times an
@@ -226,18 +226,16 @@ def clause_indicator_eval(
     m = formula.m
     if len(z_point) != m or len(x_point) != m:
         raise ValueError("points must have m coordinates")
-    fld = z_point[0].field
-    p = fld.modulus
     low = (formula.num_vars - 1).bit_length()
     eqx = _eq_table(x_point[m - low :], p)
-    top = math.prod([1 - x.value for x in x_point[: m - low]]) % p
+    top = math.prod([1 - x for x in x_point[: m - low]]) % p
     h = _split_at(m)
     eqz_lo = _eq_table(z_point[h:], p)
     width = len(eqz_lo)
     vals = [eqx[vc] for vc in _position_codes(formula, position)]
     rows = zip(_eq_table(z_point[:h], p), range(0, len(vals), width))
     total = sum([a * sum(map(mul, eqz_lo, vals[j : j + width])) for a, j in rows])
-    return FieldElement(total % p * top, fld)
+    return total % p * top % p
 
 
 TailsBuilder = Callable[[Sequence[int]], list[list[list[int]]]]
@@ -342,11 +340,9 @@ def read_points(spec: SummandSpec, point: Point) -> list[Point]:
     return [tuple(point[i * m : (i + 1) * m]) for i in range(1, spec.padded_len + 1)]
 
 
-def summand_value(
-    spec: SummandSpec, point: Point, reads: Sequence[int | FieldElement]
-) -> FieldElement:
-    """The summand at ``point``, given the oracle's answers at its
-    ``read_points``.
+def summand_value(spec: SummandSpec, point: Point, reads: Sequence[int]) -> int:
+    """The summand at ``point``, a residue mod p, given the oracle's answers
+    at its ``read_points`` as residues.
 
     A weight summand is A(z) * B(z).  A clause product is
     w(z) * prod_i C_i(z, x_i) * F(a_i), where a_i stands for A(x_i) and
@@ -354,17 +350,16 @@ def summand_value(
     clause weight prod_j r_j^{z_j}.  The literal factor F is A for negated
     2-CNF and 1 - A for positive CNF: on boolean points it is 1 exactly when
     the clause's literal at x_i is false."""
-    fld = spec.field
+    p = spec.field.modulus
     if spec.formula is None:
-        return reads[0] * (mle_eval(spec.block, point) if spec.block is not None else fld.one)
+        return reads[0] * (mle_eval(spec.block, point, p) if spec.block is not None else 1) % p
     formula, m = spec.formula, spec.formula.m
     z = point[:m]
     negated = formula.class_tag is ClassTag.G12N
-    w = math.prod([(1 - zj.value) + r * zj.value for zj, r in zip(z, spec.weights)])
-    val = FieldElement(w, fld)
+    val = math.prod([(1 - zj) + r * zj for zj, r in zip(z, spec.weights)]) % p
     for i, a in enumerate(reads, start=1):
-        factor = a if negated else fld.one - a
-        val = val * clause_indicator_eval(formula, i, z, point[i * m : (i + 1) * m]) * factor
+        factor = a if negated else 1 - a
+        val = val * clause_indicator_eval(formula, i, z, point[i * m : (i + 1) * m], p) * factor % p
     return val
 
 

@@ -17,10 +17,10 @@ Stages 3 and 4 are one loop.  Each stage builds its statement (a frozen
 sum-check on it, reads the assignment oracle at the statement's
 ``read_points`` (L metered reads in the main stage, one in a weight stage)
 and checks ``summand_value`` there against the last running claim.  That is
-the only final check.  The prover receives the statement and nothing of the
-verifier's but its field: claims and challenges reach it as ints, and the
-read points it gets are copies, so nothing it writes reaches the final
-check.  An honest prover compiles its own plan from the statement.
+the only final check.  The verifier keeps residues mod p, plain ints.  The
+prover receives the statement, its field, claims and challenges as ints, and
+fresh ``FieldElement``s of every point it answers at, so nothing it writes
+reaches a check.  An honest prover compiles its own plan from the statement.
 
 ``verify_w1`` and ``verify_w2`` run one pass with a weight check over the real
 variables; the branch protocol in ``awsat`` runs one pass per universal
@@ -62,6 +62,7 @@ from .formula import (
 )
 from .reductions import gen_planted_yes_with_witness
 from .sumcheck import (
+    Point,
     ProverStrategy,
     RandomTape,
     ResourceMeter,
@@ -76,8 +77,6 @@ from .sumcheck import (
     table_committed_prover,
     RandomGarbageProver,
 )
-
-Point = tuple[FieldElement, ...]
 
 
 @dataclass(frozen=True)
@@ -102,16 +101,17 @@ class VerifierConfig:
 
 def _read_assignment(
     oracle: Callable[[Point], FieldElement],
-    point: Sequence[FieldElement],
+    point: Point,
     meter: ResourceMeter,
     fld: PrimeField,
 ) -> Optional[int]:
-    """One metered read of the assignment oracle: ceil(log2 p) proof bits and
-    one query, whatever comes back.  Returns the answer's residue, or None
-    for a malformed answer or a query that raises."""
+    """One metered read of the assignment oracle at ``point``, elements the
+    prover may keep: ceil(log2 p) proof bits and one query, whatever comes
+    back.  Returns the answer's residue, or None for a malformed answer or a
+    query that raises."""
     meter.proof_bits += fld.bits
     meter.oracle_queries += 1
-    return proof_int(ask_prover(oracle, tuple(point)), fld.modulus)
+    return proof_int(ask_prover(oracle, point), fld.modulus)
 
 
 def multilinearity_test(
@@ -257,7 +257,7 @@ def run_protocol(
         return log.reject(prefix + "mltest", rep, rep)
     log.close(prefix + "mltest", reps, True)
 
-    weights = [draw_field_element(tape, fld, log).value for _ in range(m)]
+    weights = [draw_field_element(tape, fld, log) for _ in range(m)]
     for name, claim, block_table in [("main", 0, None), *weight_checks]:
         # one statement per stage, built through the module-level names that
         # bench/tracer.py wraps to split the main stage from the weight stage
@@ -267,17 +267,17 @@ def run_protocol(
             spec = build_w1_summand(formula, fld, weights)
         else:
             spec = build_w2_summand(formula, fld, weights, L)
-        run = run_sumcheck(spec, fld(claim), prover, tape, log)
+        run = run_sumcheck(spec, claim, prover, tape, log)
         if not run.verdict.accepted:
             return log.reject(prefix + name, len(run.transcripts), run.verdict.rejection_round)
         point = run.final_point
         oracle = prover.assignment_query
-        # the prover reads fresh copies: the verifier's point is never handed out
+        # the prover is handed fresh elements of each read point
         reads = [
-            _read_assignment(oracle, [FieldElement(x.value, fld) for x in q], log, fld)
+            _read_assignment(oracle, tuple(map(fld, q)), log, fld)
             for q in read_points(spec, point)
         ]
-        if None in reads or summand_value(spec, point, reads).value != run.final_expected.value:
+        if None in reads or summand_value(spec, point, reads) != run.final_expected:
             return log.reject(prefix + name, spec.num_vars, 0)
         log.close(prefix + name, spec.num_vars, True)
     return None

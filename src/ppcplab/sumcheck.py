@@ -3,18 +3,19 @@ random-bit / proof-bit metering.
 
 One round: the prover supplies a univariate polynomial g'_i for the current
 variable; the verifier checks g'_i(0) + g'_i(1) against the running claim,
-draws a random field element r_i, and continues with the claim g'_i(r_i).
-The round wire is plain ints: claims and challenges go out as residues mod
-p, and round i comes back as a tuple of d_i + 1 residues, the proof symbols
-it is metered for.  After the last round the caller performs the final
-direct evaluation, since only the caller knows which factors it computes
-itself and which it must read from the proof.  The statement a prover
-receives (``SummandSpec``) is plain data: the table-committed prover
-compiles its ``ProductPlan`` from it and folds that, and the reference
-prover (``honest_round_poly``) sums the statement's ``summand_value`` over an
-assignment oracle point by point.
+draws a random residue r_i mod p, and continues with the claim g'_i(r_i).
+The verifier keeps residues, plain ints, and the round wire carries them:
+claims and challenges go out as residues, and round i comes back as a tuple
+of d_i + 1 residues, the proof symbols it is metered for.  Only the
+assignment oracle speaks ``FieldElement``s: the prover is handed fresh ones.
+After the last round the caller performs the final direct evaluation, since
+only the caller knows which factors it computes itself and which it must
+read from the proof.  The statement a prover receives (``SummandSpec``) is
+plain data: the table-committed prover compiles its ``ProductPlan`` from it
+and folds that, and the reference prover (``honest_round_poly``) sums the
+statement's ``summand_value`` over an assignment oracle point by point.
 
-Field elements are drawn by rejection sampling from ceil(log2 p)-bit blocks;
+Residues are drawn by rejection sampling from ceil(log2 p)-bit blocks;
 rejected blocks still count toward the bits drawn (and are tracked separately
 so closed-form bit counts can be checked exactly).
 """
@@ -40,6 +41,7 @@ from .arithmetize import (
 )
 from .field import FieldElement, PrimeField, UniPoly, interpolate, node_inverse
 
+# a point on the oracle wire: fresh elements the prover may keep
 Point = tuple[FieldElement, ...]
 
 _SEED_MASK = (1 << 64) - 1
@@ -132,29 +134,26 @@ class MeterSnapshot:
     oracle_queries: int
 
 
-def draw_field_element(tape: RandomTape, fld: PrimeField, meter: ResourceMeter) -> FieldElement:
+def draw_field_element(tape: RandomTape, fld: PrimeField, meter: ResourceMeter) -> int:
+    """A uniform residue mod p, metered."""
     before = tape.bits_drawn
     v = tape.draw_int(fld.modulus)
     meter.random_bits += tape.bits_drawn - before
-    return fld(v)
+    return v
 
 
 @dataclass(frozen=True)
 class RoundTranscript:
     """A verified round: the d + 1 coefficient residues the verifier read and
-    the degree bound d, then the challenge and the new running claim.  The
-    residues are the round's message itself, a tuple of ints, which nobody
-    can change; ``claimed`` builds a fresh ``UniPoly`` of them on each read."""
+    the degree bound d, then the challenge and the new running claim, all
+    residues mod p.  The coefficients are the round's message itself, a
+    tuple of ints, which nobody can change."""
 
     index: int
     coeffs: tuple[int, ...]
     bound: int
-    challenge: FieldElement
-    running: FieldElement
-
-    @property
-    def claimed(self) -> UniPoly:
-        return UniPoly(tuple(map(self.challenge.field, self.coeffs)), self.bound)
+    challenge: int
+    running: int
 
 
 @dataclass(frozen=True)
@@ -207,9 +206,12 @@ class ProverStrategy(ABC):
 
 @dataclass(frozen=True)
 class SumcheckRun:
+    """A run's verdict and transcripts; the final point is its challenges,
+    and ``final_expected`` the last running claim (None on a rejection)."""
+
     verdict: Verdict
-    final_point: Point
-    final_expected: Optional[FieldElement]
+    final_point: tuple[int, ...]
+    final_expected: Optional[int]
     transcripts: tuple[RoundTranscript, ...]
 
 
@@ -253,7 +255,7 @@ def _horner(coeffs: Sequence[int], x: int, p: int) -> int:
 
 def run_sumcheck(
     spec: SummandSpec,
-    claim: FieldElement,
+    claim: int,
     prover: ProverStrategy,
     tape: RandomTape,
     meter: ResourceMeter,
@@ -265,15 +267,12 @@ def run_sumcheck(
     of d_i + 1 plain ints in [0, p), or an exception) is a rejection at that
     round, never a crash; an exception in ``begin_sumcheck`` is a malformed
     first round.  The verifier evaluates the coefficients itself and compares
-    plain ints.  The final direct evaluation is left to the caller, which
-    receives the fully instantiated point and the last running claim: the
-    prover only ever held their residues, which are ints.
+    residues.  The final direct evaluation is left to the caller, which
+    receives the fully instantiated point and the last running claim.
     """
     fld = spec.field
     p = fld.modulus
-    if claim.field.modulus != p:
-        raise ValueError("claim must live in the summand's field")
-    a = claim.value % p
+    a = claim % p
     try:
         prover.begin_sumcheck(spec, a)
         started = True
@@ -288,36 +287,29 @@ def run_sumcheck(
         coeffs = _proof_coeffs(poly, d, p)
         # g(0) + g(1) is the constant coefficient plus the sum of all of them
         if coeffs is None or (coeffs[0] + sum(coeffs)) % p != a:
-            return SumcheckRun(
-                Verdict(False, meter.snapshot(), rejection_round=i),
-                tuple([t.challenge for t in transcripts]),
-                None,
-                tuple(transcripts),
-            )
+            verdict = Verdict(False, meter.snapshot(), rejection_round=i)
+            return SumcheckRun(verdict, challenges, None, tuple(transcripts))
         r = draw_field_element(tape, fld, meter)
-        a = _horner(coeffs, r.value, p)
-        challenges += (r.value,)
-        transcripts.append(RoundTranscript(i, coeffs, d, r, fld(a)))
-    return SumcheckRun(
-        Verdict(True, meter.snapshot()),
-        tuple([t.challenge for t in transcripts]),
-        fld(a),
-        tuple(transcripts),
-    )
+        a = _horner(coeffs, r, p)
+        challenges += (r,)
+        transcripts.append(RoundTranscript(i, coeffs, d, r, a))
+    return SumcheckRun(Verdict(True, meter.snapshot()), challenges, a, tuple(transcripts))
 
 
 def honest_round_poly(
     spec: SummandSpec,
     oracle: Callable[[Point], FieldElement],
-    prefix: Sequence[FieldElement],
+    prefix: Sequence[int],
     i: int,
 ) -> UniPoly:
     """Exact round polynomial of ``spec`` over the assignment ``oracle``, by
     direct partial summation.
 
-    Evaluates the partial sum at the d_i + 1 points 0..d_i and interpolates.
-    Exponential in the number of free variables; intended for small summands
-    and as the reference the fast prover is checked against.
+    ``prefix`` holds the residues r_1..r_{i-1}.  Evaluates the partial sum
+    at the d_i + 1 points 0..d_i, handing the oracle fresh elements of every
+    read point and summing residues, and interpolates.  Exponential in the
+    number of free variables; intended for small summands and as the
+    reference the fast prover is checked against.
     """
     if len(prefix) != i - 1:
         raise ValueError("prefix must instantiate exactly the first i-1 variables")
@@ -326,13 +318,13 @@ def honest_round_poly(
     free = spec.num_vars - i
     pts = []
     for t in range(d + 1):
-        tv = fld(t)
-        total = fld.zero
+        total = 0
         for mask in range(1 << free):
-            suffix = tuple(fld((mask >> (free - 1 - j)) & 1) for j in range(free))
-            pt = tuple(prefix) + (tv,) + suffix
-            total = total + summand_value(spec, pt, [oracle(q) for q in read_points(spec, pt)])
-        pts.append((tv, total))
+            suffix = tuple((mask >> (free - 1 - j)) & 1 for j in range(free))
+            pt = tuple(prefix) + (t,) + suffix
+            reads = [oracle(tuple(map(fld, q))).value for q in read_points(spec, pt)]
+            total += summand_value(spec, pt, reads)
+        pts.append((fld(t), fld(total)))
     return interpolate(pts)
 
 
@@ -512,7 +504,7 @@ class GenericHonestProver(ProverStrategy):
 
     def round_poly(self, i: int, challenges: tuple[int, ...], claim: int) -> tuple[int, ...]:
         spec = self._spec
-        poly = honest_round_poly(spec, self._oracle, tuple(map(spec.field, challenges)), i)
+        poly = honest_round_poly(spec, self._oracle, challenges, i)
         return tuple([c.value for c in poly.padded(spec.degree_bounds[i - 1]).coeffs])
 
     def assignment_query(self, point: Point) -> FieldElement:
@@ -543,7 +535,8 @@ class TableCommittedProver(ProverStrategy):
         return tuple([sum(map(mul, row, vals)) % p for row in node_inverse(p, d)])
 
     def assignment_query(self, point: Point) -> FieldElement:
-        return mle_eval(self.table, point)
+        fld = point[0].field
+        return FieldElement(mle_eval(self.table, [x.value for x in point], fld.modulus), fld)
 
 
 def table_committed_prover(table: BooleanTable) -> TableCommittedProver:

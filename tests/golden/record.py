@@ -192,14 +192,10 @@ def captured_sumchecks() -> Iterator[list]:
 
 
 def transcript_text(run) -> str:
-    rounds = [
-        [t.index, [c.value for c in t.claimed.coeffs], t.challenge.value, t.running.value]
-        for t in run.transcripts
-    ]
-    final = None if run.final_expected is None else run.final_expected.value
+    rounds = [[t.index, list(t.coeffs), t.challenge, t.running] for t in run.transcripts]
     return json.dumps(
-        {"verdict": repr(run.verdict), "point": [v.value for v in run.final_point],
-         "final": final, "rounds": rounds}
+        {"verdict": repr(run.verdict), "point": list(run.final_point),
+         "final": run.final_expected, "rounds": rounds}
     )
 
 

@@ -295,14 +295,14 @@ def test_criterion_7_multilinearity_power():
             reps = 5 * m
             fld = PrimeField(select_prime(9 * m, 3, 0.5))
             table = BooleanTable.from_true_codes([1, 2, (1 << m) - 2], m)
-            exact = lambda pt: mle_eval(table, pt)
+            exact = lambda pt: fld(mle_eval(table, [x.value for x in pt], fld.modulus))
             for s in range(1000):
                 ok, _ = multilinearity_test(
                     exact, m, reps, RandomTape(derive_seed(9000 + m, s)), ResourceMeter(), fld
                 )
                 assert ok  # 100 percent pass rate
 
-            planted = lambda pt: mle_eval(table, pt) + pt[0] * pt[0]
+            planted = lambda pt: fld(mle_eval(table, [x.value for x in pt], fld.modulus)) + pt[0] * pt[0]
             rejected = 0
             trials = 2000
             for s in range(trials):

@@ -15,17 +15,18 @@ from ppcplab.arithmetize import (
     read_points,
     summand_value,
 )
-from ppcplab.field import FieldElement, PrimeField, interpolate
+from ppcplab.field import PrimeField, interpolate
 from ppcplab.formula import Assignment, ClassMismatchError, ClassTag, WeightedFormula, eval_clause
 from ppcplab.sumcheck import RandomTape
 
 
 F109 = PrimeField(109)
+P = F109.modulus
 
 
-def cube_points(fld, q):
+def cube_points(q):
     for mask in range(1 << q):
-        yield tuple(fld((mask >> (q - 1 - j)) & 1) for j in range(q))
+        yield tuple((mask >> (q - 1 - j)) & 1 for j in range(q))
 
 
 def evaluate(spec, oracle, point):
@@ -34,10 +35,7 @@ def evaluate(spec, oracle, point):
 
 
 def cube_sum(spec, oracle):
-    total = spec.field.zero
-    for pt in cube_points(spec.field, spec.num_vars):
-        total = total + evaluate(spec, oracle, pt)
-    return total
+    return sum(evaluate(spec, oracle, pt) for pt in cube_points(spec.num_vars)) % spec.field.modulus
 
 
 def draw_weights(fld, m, seed):
@@ -45,29 +43,28 @@ def draw_weights(fld, m, seed):
     return [tape.draw_int(fld.modulus) for _ in range(m)]
 
 
-def weight_at(fld, weights, z):
+def weight_at(weights, z, p=P):
     """Multilinear extension of the clause weight prod_j r_j^{z_j} at z."""
-    acc = fld.one
+    acc = 1
     for zj, r in zip(z, weights):
-        acc = acc * (fld.one - zj + fld(r) * zj)
+        acc = acc * (1 - zj + r * zj) % p
     return acc
 
 
-def oracle_from_table(table):
-    return lambda point: mle_eval(table, point)
+def oracle_from_table(table, p=P):
+    return lambda point: mle_eval(table, point, p)
 
 
-def mle_reference(table, point):
+def mle_reference(table, point, p):
     """The per-coordinate product definition: over every 1-cell, the product
     of x_j or 1 - x_j by its bits, reduced at each step."""
-    fld = point[0].field
-    total = fld.zero
+    total = 0
     for code, v in enumerate(table.values):
         if v:
-            acc = fld.one
+            acc = 1
             for bit, x in zip(code_bits(code, table.arity), point):
-                acc = acc * (x if bit else fld.one - x)
-            total = total + acc
+                acc = acc * (x if bit else 1 - x) % p
+            total = (total + acc) % p
     return total
 
 
@@ -84,49 +81,51 @@ def tables_and_points(draw):
         values = draw(st.lists(st.integers(0, 1), min_size=1 << m, max_size=1 << m))
     else:
         values = [int(fill == "one")] * (1 << m)
-    fld = PrimeField(draw(PRIMES))
-    point = tuple(fld(draw(st.integers(0, fld.modulus - 1))) for _ in range(m))
-    return BooleanTable(m, tuple(values)), point
+    p = draw(PRIMES)
+    point = tuple(draw(st.integers(0, p - 1)) for _ in range(m))
+    return BooleanTable(m, tuple(values)), point, p
+
+
+def collinear(vals, p=P):
+    return (vals[2] - vals[1]) % p == (vals[1] - vals[0]) % p
 
 
 class TestMleEval:
     @given(tables_and_points())
     @settings(max_examples=150, deadline=None)
     def test_matches_the_per_coordinate_definition(self, case):
-        table, point = case
-        got = mle_eval(table, point)
-        assert type(got) is FieldElement and got.field == point[0].field
-        assert got == mle_reference(table, point)
+        table, point, p = case
+        got = mle_eval(table, point, p)
+        assert type(got) is int and 0 <= got < p
+        assert got == mle_reference(table, point, p)
 
     @given(n=st.integers(0, 1 << 12), p=PRIMES, seed=st.integers(0, 2**32))
     @settings(max_examples=12, deadline=None)
     def test_real_variable_block_at_m12(self, n, p, seed):
         # the verifier's weight-stage block: codes 0..n-1 of the 12-cube
         table = BooleanTable.from_true_codes(range(n), 12)
-        fld = PrimeField(p)
         rng = random.Random(seed)
-        point = tuple(fld(rng.randrange(p)) for _ in range(12))
-        assert mle_eval(table, point) == mle_reference(table, point)
+        point = tuple(rng.randrange(p) for _ in range(12))
+        assert mle_eval(table, point, p) == mle_reference(table, point, p)
 
     def test_single_variable_example(self):
-        F = PrimeField(5)
         table = BooleanTable(1, (1, 0))
-        assert mle_eval(table, (F(2),)) == F(4)  # 1*(1-2) mod 5
+        assert mle_eval(table, (2,), 5) == 4  # 1*(1-2) mod 5
 
     def test_agrees_on_boolean_points(self):
         table = BooleanTable(3, (0, 1, 1, 0, 1, 0, 0, 1))
-        for pt in cube_points(F109, 3):
-            code = sum(int(pt[j].value) << (2 - j) for j in range(3))
-            assert mle_eval(table, pt).value == table.values[code]
+        for pt in cube_points(3):
+            code = sum(pt[j] << (2 - j) for j in range(3))
+            assert mle_eval(table, pt, P) == table.values[code]
 
     def test_all_ones_table_constant(self):
         table = BooleanTable(2, (1, 1, 1, 1))
         for vals in ((7, 9), (0, 64), (33, 33)):
-            assert mle_eval(table, (F109(vals[0]), F109(vals[1]))) == F109.one
+            assert mle_eval(table, vals, P) == 1
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
-            mle_eval(BooleanTable(2, (0, 0, 0, 1)), (F109(1),))
+            mle_eval(BooleanTable(2, (0, 0, 0, 1)), (1,), P)
 
     def test_table_and_complement_sum_to_one(self):
         # the extensions of a table and of its complement add up to the
@@ -137,21 +136,21 @@ class TestMleEval:
         )
         tape = RandomTape(3)
         for _ in range(50):
-            pt = tuple(F109(tape.draw_int(109)) for _ in range(4))
-            assert (mle_eval(sparse, pt) + mle_eval(dense, pt)) == F109.one
+            pt = tuple(tape.draw_int(109) for _ in range(4))
+            assert (mle_eval(sparse, pt, P) + mle_eval(dense, pt, P)) % P == 1
 
     def test_multilinear_exhaustive_small(self):
         # along every axis three points must be collinear
         for q in (1, 2, 3):
             table = BooleanTable.from_true_codes(range(0, 1 << q, 2), q)
             for axis in range(q):
-                base = [F109(7 + 3 * j) for j in range(q)]
+                base = [7 + 3 * j for j in range(q)]
                 vals = []
                 for t in (0, 1, 2):
                     pt = list(base)
-                    pt[axis] = F109(t)
-                    vals.append(mle_eval(table, tuple(pt)))
-                assert vals[2] - vals[1] == vals[1] - vals[0]
+                    pt[axis] = t
+                    vals.append(mle_eval(table, tuple(pt), P))
+                assert collinear(vals)
 
     @given(seed=st.integers(0, 10**6), q=st.integers(2, 8))
     @settings(max_examples=40)
@@ -159,21 +158,21 @@ class TestMleEval:
         tape = RandomTape(seed)
         table = BooleanTable(q, tuple(tape.draw_int(2) for _ in range(1 << q)))
         axis = tape.draw_int(q)
-        base = [F109(tape.draw_int(109)) for _ in range(q)]
+        base = [tape.draw_int(109) for _ in range(q)]
         vals = []
         for t in (0, 1, 2):
             pt = list(base)
-            pt[axis] = F109(t)
-            vals.append(mle_eval(table, tuple(pt)))
-        assert vals[2] - vals[1] == vals[1] - vals[0]
+            pt[axis] = t
+            vals.append(mle_eval(table, tuple(pt), P))
+        assert collinear(vals)
 
     def test_uniqueness_equal_tables(self):
         a = BooleanTable(3, (1, 0, 0, 1, 0, 1, 1, 0))
         b = BooleanTable.from_true_codes([0, 3, 5, 6], 3)
         tape = RandomTape(11)
         for _ in range(100):
-            pt = tuple(F109(tape.draw_int(109)) for _ in range(3))
-            assert mle_eval(a, pt) == mle_eval(b, pt)
+            pt = tuple(tape.draw_int(109) for _ in range(3))
+            assert mle_eval(a, pt, P) == mle_eval(b, pt, P)
 
 
 class TestClauseIndicator:
@@ -183,42 +182,40 @@ class TestClauseIndicator:
     def test_indicator_on_matching_booleans(self):
         f = WeightedFormula(3, ((-1, -2), (-1, -3)), ClassTag.G12N, 1)
         m = f.m
-        fld = F109
         for c in range(f.num_clauses):
-            z = tuple(fld(b) for b in code_bits(c, m))
+            z = code_bits(c, m)
             var_code = abs(f.clauses[c][0]) - 1
-            x = tuple(fld(b) for b in code_bits(var_code, m))
-            assert clause_indicator_eval(f, 1, z, x) == fld.one
+            x = code_bits(var_code, m)
+            assert clause_indicator_eval(f, 1, z, x, P) == 1
 
     def test_indicator_zero_on_other_variables(self):
         f = WeightedFormula(3, ((-1, -2),), ClassTag.G12N, 1)
-        z = tuple(F109(b) for b in code_bits(0, f.m))
-        x = tuple(F109(b) for b in code_bits(2, f.m))  # variable 3, not in position 1
-        assert clause_indicator_eval(f, 1, z, x) == F109.zero
+        z = code_bits(0, f.m)
+        x = code_bits(2, f.m)  # variable 3, not in position 1
+        assert clause_indicator_eval(f, 1, z, x, P) == 0
 
     def test_restricted_factor_shape_101(self):
         f = self.F6
         assert f.m == 3
-        z = tuple(F109(b) for b in code_bits(0, 3))
+        z = code_bits(0, 3)
         for a, b, c in ((2, 3, 5), (10, 0, 1), (7, 7, 7)):
-            x = (F109(a), F109(b), F109(c))
-            expected = F109(a) * (F109.one - F109(b)) * F109(c)
-            assert clause_indicator_eval(f, 1, z, x) == expected
+            expected = a * (1 - b) * c % P
+            assert clause_indicator_eval(f, 1, z, (a, b, c), P) == expected
 
     def test_position_validation(self):
         f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 1)
-        z = (F109(0),)
+        z = (0,)
         with pytest.raises(ValueError):
-            clause_indicator_eval(f, 0, z, z)
+            clause_indicator_eval(f, 0, z, z, P)
         with pytest.raises(ValueError):
-            clause_indicator_eval(f, 3, z, z)
+            clause_indicator_eval(f, 3, z, z, P)
 
     def test_unit_clause_padding_repeats_variable(self):
         f = WeightedFormula(2, ((-2,),), ClassTag.G12N, 1)
-        z = (F109(0),)
-        x = (F109(1),)  # code of variable 2
-        assert clause_indicator_eval(f, 1, z, x) == F109.one
-        assert clause_indicator_eval(f, 2, z, x) == F109.one
+        z = (0,)
+        x = (1,)  # code of variable 2
+        assert clause_indicator_eval(f, 1, z, x, P) == 1
+        assert clause_indicator_eval(f, 2, z, x, P) == 1
 
 
 class TestW1Summand:
@@ -228,10 +225,10 @@ class TestW1Summand:
         weights = draw_weights(F109, m, 5)
         table = BooleanTable.from_assignment({1, 2}, m)
         spec = build_w1_summand(f, F109, weights)
-        z = tuple(F109(b) for b in code_bits(0, m))
-        x1 = tuple(F109(b) for b in code_bits(0, m))
-        x2 = tuple(F109(b) for b in code_bits(1, m))
-        expected = weight_at(F109, weights, z)  # w(z) * 1 * 1 * 1 * 1
+        z = code_bits(0, m)
+        x1 = code_bits(0, m)
+        x2 = code_bits(1, m)
+        expected = weight_at(weights, z)  # w(z) * 1 * 1 * 1 * 1
         assert evaluate(spec, oracle_from_table(table), z + x1 + x2) == expected
 
     def test_satisfying_assignment_sums_to_zero(self):
@@ -239,17 +236,17 @@ class TestW1Summand:
         weights = draw_weights(F109, f.m, 9)
         table = BooleanTable.from_assignment({1}, f.m)
         spec = build_w1_summand(f, F109, weights)
-        assert cube_sum(spec, oracle_from_table(table)) == F109.zero
+        assert cube_sum(spec, oracle_from_table(table)) == 0
 
     def test_violating_assignment_total_is_clause_weight(self):
         f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 2)
         weights = draw_weights(F109, f.m, 42)
         table = BooleanTable.from_assignment({1, 2}, f.m)
         spec = build_w1_summand(f, F109, weights)
-        z0 = tuple(F109(b) for b in code_bits(0, f.m))
+        z0 = code_bits(0, f.m)
         total = cube_sum(spec, oracle_from_table(table))
-        assert total == weight_at(F109, weights, z0)
-        assert total.value != 0
+        assert total == weight_at(weights, z0)
+        assert total != 0
 
     def test_class_mismatch(self):
         f = WeightedFormula(2, ((1, 2),), ClassTag.G21P, 1)
@@ -260,7 +257,6 @@ class TestW1Summand:
         # per clause, sum over (x1, x2) of the indicator product is nonzero
         # exactly when the clause is violated
         pool = [(-1, -2), (-2, -3), (-1, -3), (-2,)]
-        fld = F109
         for cls in itertools.combinations_with_replacement(pool, 2):
             f = WeightedFormula(3, cls, ClassTag.G12N, 1)
             m = f.m
@@ -269,15 +265,15 @@ class TestW1Summand:
                 table = BooleanTable.from_assignment(trues, m)
                 a = Assignment(frozenset(trues))
                 for c in range(f.num_clauses):
-                    z = tuple(fld(b) for b in code_bits(c, m))
-                    total = fld.zero
-                    for x1 in cube_points(fld, m):
-                        c1 = clause_indicator_eval(f, 1, z, x1) * mle_eval(table, x1)
-                        if c1.value == 0:
+                    z = code_bits(c, m)
+                    total = 0
+                    for x1 in cube_points(m):
+                        c1 = clause_indicator_eval(f, 1, z, x1, P) * mle_eval(table, x1, P) % P
+                        if c1 == 0:
                             continue
-                        for x2 in cube_points(fld, m):
-                            total = total + c1 * clause_indicator_eval(f, 2, z, x2) * mle_eval(table, x2)
-                    assert (total.value == 0) == eval_clause(f, c, a)
+                        for x2 in cube_points(m):
+                            total += c1 * clause_indicator_eval(f, 2, z, x2, P) * mle_eval(table, x2, P)
+                    assert (total % P == 0) == eval_clause(f, c, a)
 
     def test_random_weight_separation(self):
         # non-satisfying table: the weighted total misses zero except with
@@ -318,12 +314,12 @@ class TestW1Summand:
         tape = RandomTape(4)
         for var in range(spec.num_vars):
             d = spec.degree_bounds[var]
-            others = [F109(tape.draw_int(109)) for _ in range(spec.num_vars)]
+            others = [tape.draw_int(109) for _ in range(spec.num_vars)]
             samples = []
             for t in range(d + 2):
                 pt = list(others)
-                pt[var] = F109(t)
-                samples.append((F109(t), evaluate(spec, oracle_from_table(table), tuple(pt))))
+                pt[var] = t
+                samples.append((F109(t), F109(evaluate(spec, oracle_from_table(table), tuple(pt)))))
             poly = interpolate(samples[: d + 1])
             assert poly.evaluate(samples[-1][0]) == samples[-1][1]
 
@@ -335,10 +331,10 @@ class TestW2Summand:
         weights = draw_weights(F109, m, 8)
         table = BooleanTable.from_true_codes([], m)
         spec = build_w2_summand(f, F109, weights, 2)
-        z = tuple(F109(b) for b in code_bits(0, m))
-        x1 = tuple(F109(b) for b in code_bits(0, m))
-        x2 = tuple(F109(b) for b in code_bits(1, m))
-        assert evaluate(spec, oracle_from_table(table), z + x1 + x2) == weight_at(F109, weights, z)
+        z = code_bits(0, m)
+        x1 = code_bits(0, m)
+        x2 = code_bits(1, m)
+        assert evaluate(spec, oracle_from_table(table), z + x1 + x2) == weight_at(weights, z)
 
     def test_satisfied_clause_zeroes_all_terms(self):
         f = WeightedFormula(2, ((1, 2),), ClassTag.G21P, 1)
@@ -346,7 +342,7 @@ class TestW2Summand:
         weights = draw_weights(F109, m, 8)
         table = BooleanTable.from_assignment({1}, m)
         spec = build_w2_summand(f, F109, weights, 2)
-        assert cube_sum(spec, oracle_from_table(table)) == F109.zero
+        assert cube_sum(spec, oracle_from_table(table)) == 0
 
     def test_padding_invariance(self):
         f = WeightedFormula(2, ((1, 2),), ClassTag.G21P, 1)
@@ -373,18 +369,18 @@ class TestWeightSummand:
     def test_counts_trues(self):
         table = BooleanTable.from_assignment({1}, 2)
         spec = build_weight_summand(2, F109)
-        assert cube_sum(spec, oracle_from_table(table)) == F109.one
+        assert cube_sum(spec, oracle_from_table(table)) == 1
 
     def test_block_restriction(self):
         table = BooleanTable.from_assignment({1, 2, 3}, 2)
         block = BooleanTable.from_assignment({2, 3}, 2)
         spec = build_weight_summand(2, F109, block)
-        assert cube_sum(spec, oracle_from_table(table)) == F109(2)
+        assert cube_sum(spec, oracle_from_table(table)) == 2
 
     def test_empty_assignment(self):
         table = BooleanTable.from_true_codes([], 2)
         spec = build_weight_summand(2, F109)
-        assert cube_sum(spec, oracle_from_table(table)) == F109.zero
+        assert cube_sum(spec, oracle_from_table(table)) == 0
 
     def test_block_arity_mismatch(self):
         with pytest.raises(ValueError):

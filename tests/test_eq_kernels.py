@@ -30,7 +30,6 @@ from ppcplab.arithmetize import (
     clause_indicator_eval,
     code_bits,
     compile_plan,
-    mle_eval,
 )
 from ppcplab.field import PrimeField
 from ppcplab.formula import ClassTag, WeightedFormula, derived_m
@@ -55,11 +54,14 @@ def padded_formulas(draw, max_vars=6, max_clauses=6, max_len=5):
     return WeightedFormula(n, tuple(clauses), tag, 1, m), L
 
 
+P = FLD.modulus
+
+
 def chi(code, point):
-    """Cube indicator of ``code`` (MSB-first) at a field point."""
-    acc = FLD.one
+    """Cube indicator of ``code`` (MSB-first) at a point of residues."""
+    acc = 1
     for bit, x in zip(code_bits(code, len(point)), point):
-        acc = acc * (x if bit else FLD.one - x)
+        acc = acc * (x if bit else 1 - x) % P
     return acc
 
 
@@ -68,19 +70,14 @@ def var_code(clause, position):
 
 
 def indicator_reference(formula, position, z, x):
-    total = FLD.zero
+    total = 0
     for c, clause in enumerate(formula.clauses):
-        total = total + chi(c, z) * chi(var_code(clause, position), x)
-    return total
+        total += chi(c, z) * chi(var_code(clause, position), x)
+    return total % P
 
 
 def random_point(rng, m):
-    return tuple(FLD(rng.randrange(FLD.modulus)) for _ in range(m))
-
-
-def residues(point):
-    """A point as the round wire and the folder take it: plain ints."""
-    return tuple(x.value for x in point)
+    return tuple(rng.randrange(P) for _ in range(m))
 
 
 def random_weights(rng, m):
@@ -101,7 +98,8 @@ def random_spec(formula, L, rng):
 
 
 def table_oracle(table):
-    return lambda q: mle_eval(table, q)
+    """The element oracle of a table's multilinear extension."""
+    return TableCommittedProver(table).assignment_query
 
 
 @given(padded_formulas(), st.integers(0, 2**32))
@@ -112,7 +110,7 @@ def test_clause_indicator_matches_per_clause_definition(case, seed):
     for position in range(1, L + 1):
         z, x = random_point(rng, formula.m), random_point(rng, formula.m)
         expected = indicator_reference(formula, position, z, x)
-        assert clause_indicator_eval(formula, position, z, x) == expected
+        assert clause_indicator_eval(formula, position, z, x, P) == expected
 
 
 @given(padded_formulas(), st.integers(0, 2**32))
@@ -124,12 +122,11 @@ def test_tail_tables_match_per_clause_definition(case, seed):
     spec, table = random_spec(formula, L, rng)
     plan = compile_plan(spec, table)
     z_star = random_point(rng, m)
-    tails = plan.build_tails(residues(z_star))
+    tails = plan.build_tails(z_star)
     assert len(tails) == plan.num_tails == L
     for position, (ctab, factor) in enumerate(tails, start=1):
         for x in range(1 << m):
-            cube_x = tuple(FLD(b) for b in code_bits(x, m))
-            assert ctab[x] == indicator_reference(formula, position, z_star, cube_x).value
+            assert ctab[x] == indicator_reference(formula, position, z_star, code_bits(x, m))
         negated = formula.class_tag is ClassTag.G12N
         assert factor == [v if negated else 1 - v for v in table.values]
 
@@ -146,10 +143,10 @@ def test_compiled_head_proxies_are_tail_sums(case, seed):
     plan = compile_plan(spec, table)
     z_star = random_point(rng, m)
     proxies = plan.head_tables[plan.num_standalone :]
-    for proxy, tail in zip(proxies, plan.build_tails(residues(z_star)), strict=True):
-        extension = sum((chi(c, z_star) * v for c, v in enumerate(proxy)), FLD.zero)
-        cube_sum = sum(math.prod(column) for column in zip(*tail)) % FLD.modulus
-        assert extension.value == cube_sum
+    for proxy, tail in zip(proxies, plan.build_tails(z_star), strict=True):
+        extension = sum(chi(c, z_star) * v for c, v in enumerate(proxy)) % P
+        cube_sum = sum(math.prod(column) for column in zip(*tail)) % P
+        assert extension == cube_sum
 
 
 @given(padded_formulas(max_vars=4, max_clauses=3, max_len=3), st.integers(0, 2**32))
@@ -163,10 +160,10 @@ def test_round_values_match_honest_round_poly(case, seed):
     challenges = ()
     for i in range(1, spec.num_vars + 1):
         d = spec.degree_bounds[i - 1]
-        folder.sync(residues(challenges))
+        folder.sync(challenges)
         reference = honest_round_poly(spec, table_oracle(table), challenges, i)
         assert folder.round_values(d) == [reference.evaluate(FLD(t)).value for t in range(d + 1)]
-        challenges += (FLD(rng.randrange(FLD.modulus)),)
+        challenges += (rng.randrange(P),)
 
 
 @given(padded_formulas(max_vars=4, max_clauses=3, max_len=3), st.integers(0, 2**32))
@@ -190,7 +187,7 @@ def test_kept_steps_never_outlive_a_reset(case, seed):
             prefix = random_point(rng, rng.randrange(spec.num_vars))
         i = len(prefix) + 1
         d = spec.degree_bounds[i - 1]
-        folder.sync(residues(prefix))
+        folder.sync(prefix)
         reference = honest_round_poly(spec, table_oracle(table), prefix, i)
         assert folder.round_values(d) == [reference.evaluate(FLD(t)).value for t in range(d + 1)]
 
@@ -234,13 +231,13 @@ def test_table_prover_round_poly_matches_honest_round_poly(case, seed):
     challenges = ()
     for i in range(1, spec.num_vars + 1):
         d = spec.degree_bounds[i - 1]
-        poly = prover.round_poly(i, residues(challenges), 0)
+        poly = prover.round_poly(i, challenges, 0)
         reference = honest_round_poly(spec, table_oracle(table), challenges, i).padded(d)
         # exactly the wire format: d + 1 plain ints in [0, p)
         assert type(poly) is tuple and len(poly) == d + 1
         assert all(type(c) is int and 0 <= c < FLD.modulus for c in poly)
         assert list(poly) == [c.value for c in reference.coeffs]
-        challenges += (FLD(rng.randrange(FLD.modulus)),)
+        challenges += (rng.randrange(P),)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +289,10 @@ def assert_rounds_match_honest(spec, table, seed):
     challenges = ()
     for i in range(1, spec.num_vars + 1):
         d = spec.degree_bounds[i - 1]
-        poly = prover.round_poly(i, residues(challenges), 0)
+        poly = prover.round_poly(i, challenges, 0)
         reference = honest_round_poly(spec, table_oracle(table), challenges, i).padded(d)
         assert list(poly) == [c.value for c in reference.coeffs], i
-        challenges += (FLD(rng.randrange(FLD.modulus)),)
+        challenges += (rng.randrange(P),)
 
 
 @st.composite
@@ -353,7 +350,7 @@ def test_windowed_clause_indicator_matches_per_clause_definition(case, seed):
     for position in range(1, L + 1):
         z, x = random_point(rng, formula.m), random_point(rng, formula.m)
         expected = indicator_reference(formula, position, z, x)
-        assert clause_indicator_eval(formula, position, z, x) == expected
+        assert clause_indicator_eval(formula, position, z, x, P) == expected
 
 
 @st.composite
@@ -439,7 +436,7 @@ def test_split_clause_indicator_matches_per_clause_definition(m, tag):
         for position in range(1, L + 2 if tag is ClassTag.G21P else 3):
             z, x = random_point(rng, m), random_point(rng, m)
             expected = indicator_reference(formula, position, z, x)
-            assert clause_indicator_eval(formula, position, z, x) == expected
+            assert clause_indicator_eval(formula, position, z, x, P) == expected
 
 
 @st.composite

@@ -4,8 +4,8 @@ is not exactly a ``FieldElement`` of the run's field holding a plain int, are
 rejected at the stage and round that read them, and no prover-supplied method
 decides a check.  What the verifier hands the prover is data too: a statement
 with no code and no field element in it, a field that refuses writes, plain
-ints and tuples of them on the round wire, and fresh copies of the points it
-reads the assignment oracle at."""
+ints and tuples of them on the round wire, and fresh elements of the points
+it reads the assignment oracle at."""
 
 import dataclasses
 import types
@@ -20,7 +20,8 @@ from ppcplab.arithmetize import (
     _formula_codes,
     clause_indicator_eval,
     compile_plan,
-    mle_eval,
+    read_points,
+    summand_value,
 )
 from ppcplab.awsat import enumerate_universal, honest_branch_tables, verify_awsat
 from ppcplab.field import FieldElement, PrimeField, UniPoly
@@ -124,7 +125,7 @@ ROUND_MESSAGES = {
 
 @pytest.mark.parametrize("make", ROUND_MESSAGES.values(), ids=ROUND_MESSAGES.keys())
 def test_sumcheck_rejects_values_that_are_not_exact(make):
-    honest = run_sumcheck(WIRE_SPEC, F109.one, GenericHonestProver(product_oracle), RandomTape(3), ResourceMeter())
+    honest = run_sumcheck(WIRE_SPEC, 1, GenericHonestProver(product_oracle), RandomTape(3), ResourceMeter())
     assert honest.verdict.accepted
     for bad in (1, 2):
 
@@ -134,7 +135,7 @@ def test_sumcheck_rejects_values_that_are_not_exact(make):
                 return make(g, F109.modulus) if i == bad else g
 
         meter = ResourceMeter()
-        run = run_sumcheck(WIRE_SPEC, F109.one, Hostile(product_oracle), RandomTape(3), meter)
+        run = run_sumcheck(WIRE_SPEC, 1, Hostile(product_oracle), RandomTape(3), meter)
         assert (run.verdict.accepted, run.verdict.rejection_round) == (False, bad)
         # (d + 1) * ceil(log2 p) proof bits for every round read, this one too
         assert meter.proof_bits == bad * 3 * F109.bits
@@ -162,7 +163,7 @@ def test_a_round_message_passes_round_1_only_as_a_consistent_tuple_of_residues(m
             return message if i == 1 else super().round_poly(i, challenges, claim)
 
     meter = ResourceMeter()
-    run = run_sumcheck(WIRE_SPEC, F109.one, OneMessage(product_oracle), RandomTape(3), meter)
+    run = run_sumcheck(WIRE_SPEC, 1, OneMessage(product_oracle), RandomTape(3), meter)
     exact = (
         type(message) is tuple and len(message) == 3
         and all(type(c) is int and 0 <= c < F109.modulus for c in message)
@@ -177,7 +178,7 @@ def test_multilinearity_test_rejects_subclass_answers():
     table = BooleanTable.from_true_codes([1, 2], 2)
 
     def oracle(q):
-        v = mle_eval(table, q)
+        v = TableCommittedProver(table).assignment_query(q)
         return AlwaysEqual(v.value, v.field)
 
     ok, rep = multilinearity_test(oracle, 2, 5, RandomTape(1), ResourceMeter(), F109)
@@ -306,7 +307,7 @@ def test_base_exception_is_not_swallowed():
             raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
-        run_sumcheck(product_spec(F109), F109.one, Interrupting(product_oracle), RandomTape(3), ResourceMeter())
+        run_sumcheck(product_spec(F109), 1, Interrupting(product_oracle), RandomTape(3), ResourceMeter())
 
 
 # -- writes into what the spec and the plan expose -------------------------------
@@ -446,24 +447,25 @@ def test_statements_hold_no_code_and_no_field_elements(name):
 
 
 class WeightRewriter(TableCommittedProver):
-    """``AdaptiveCheater``'s round messages over a committed table.  If it can
-    reach the verifier's clause weights (an object whose ``r`` is a tuple of
-    field elements) and the formula from the statement, then at the main
-    stage's last final read it rewrites r_1 so that the final check holds."""
+    """``AdaptiveCheater``'s round messages and answers over a committed
+    table.  At the main stage's last final read it computes, from residues,
+    the clause weight r_1 that would make the final check hold, and tries
+    every plain write of it it can reach from the statement: the
+    ``weights`` attribute of every object that has one, and entry 0 of every
+    sequence equal to the weights.  Each attempt is counted, and each forged
+    weight tuple is checked to pass the final check; its errors are its
+    own, so its answers stay the cheater's."""
 
     def __init__(self, table):
         super().__init__(table)
         self.cheater = AdaptiveCheater(TableCommittedProver(table))
-        self.weights = None
+        self.spec = None
+        self.attempts = 0
+        self.forgeries = []
 
     def begin_sumcheck(self, spec, claim):
         self.cheater.begin_sumcheck(spec, claim)
-        found = _reachable([spec])
-        weights = [o for o in found if type(getattr(o, "r", None)) is tuple]
-        formulas = [o for o in found if isinstance(o, WeightedFormula)]
-        self.weights = weights[0] if weights and formulas else None
-        self.formula = formulas[0] if formulas else None
-        self.num_vars = spec.num_vars
+        self.spec = spec
         self.reads = []
 
     def round_poly(self, i, challenges, current_claim):
@@ -472,35 +474,59 @@ class WeightRewriter(TableCommittedProver):
         return self.last
 
     def assignment_query(self, point):
-        value = mle_eval(self.table, point)
-        if self.weights is not None:
-            self.reads.append((point, value))
-            if len(self.reads) == self.num_vars // self.formula.m - 1:
-                self._rewrite(point[-1])
+        value = self.cheater.assignment_query(point)
+        if self.spec is not None and self.spec.formula is not None:
+            self.reads.append(([x.value for x in point], value.value))
+            if len(self.reads) == self.spec.padded_len:
+                self._forge(point[-1].value)
         return value
 
-    def _rewrite(self, last_challenge):
-        m, r = self.formula.m, self.weights.r
-        fld = r[0].field
-        z = (tuple(map(fld, self.challenges)) + (last_challenge,))[:m]
-        product = fld.one
+    def _forge(self, last_challenge):
+        spec = self.spec
+        formula, p, r = spec.formula, spec.field.modulus, spec.weights
+        z = self.challenges[: formula.m]
+        negated = formula.class_tag is ClassTag.G12N
+        product = 1
         for i, (x, a) in enumerate(self.reads, start=1):
-            product = product * clause_indicator_eval(self.formula, i, z, x) * a
+            product = product * clause_indicator_eval(formula, i, z, x, p) * (a if negated else 1 - a) % p
         for zj, rj in zip(z[1:], r[1:]):
-            product = product * (fld.one - zj + rj * zj)
-        if product.value == 0 or z[0].value == 0:
+            product = product * (1 - zj + rj * zj) % p
+        if product == 0 or z[0] == 0:
             return
-        target = sum((c * last_challenge**j for j, c in enumerate(self.last)), fld.zero) / product
-        r[0].value = ((target - (fld.one - z[0])) / z[0]).value
+        target = sum(c * pow(last_challenge, j, p) for j, c in enumerate(self.last)) % p
+        # w(z) = (1 - z_1 + r_1 z_1) * prod_{j > 1} (1 - z_j + r_j z_j)
+        r1 = (target * pow(product, -1, p) - (1 - z[0])) * pow(z[0], -1, p) % p
+        forged = (r1, *r[1:])
+        point = (*self.challenges, last_challenge)
+        reads = [a for _, a in self.reads]
+        self.forgeries.append(summand_value(dataclasses.replace(spec, weights=forged), point, reads) == target)
+        for obj in _reachable([spec]):
+            writes = []
+            if hasattr(obj, "weights"):
+                writes.append(lambda: setattr(obj, "weights", forged))
+            if isinstance(obj, (tuple, list)) and obj == r:
+                writes.append(lambda: obj.__setitem__(0, r1))
+            for write in writes:
+                self.attempts += 1
+                try:
+                    write()
+                except Exception:
+                    pass
 
 
 def test_weight_rewriter_gains_nothing_over_the_adaptive_cheater():
     f = parse_pwsat("p pwsat g12n 3 3 2\n-1 -2 0\n-2 -3 0\n-1 -3 0\n")
     table = BooleanTable.from_true_codes(range(f.k), f.m)
+    attempts, forgeries = 0, []
     for seed in range(100):
-        rewriter = verify_w1(f, WeightRewriter(table), RandomTape(seed))
+        rewriter = WeightRewriter(table)
+        verdict = verify_w1(f, rewriter, RandomTape(seed))
         cheater = verify_w1(f, AdaptiveCheater(TableCommittedProver(table)), RandomTape(seed))
-        assert rewriter == cheater, seed  # verdicts compare meters and stage reports too
+        assert verdict == cheater, seed  # verdicts compare meters and stage reports too
+        attempts += rewriter.attempts
+        forgeries += rewriter.forgeries
+    # had any write landed, its forged weights would have passed the check
+    assert attempts > 0 and forgeries and all(forgeries)
 
 
 class FieldMutator(TableCommittedProver):
@@ -578,14 +604,13 @@ def test_rewriting_handed_challenges_changes_no_verdict():
 
 def test_the_verifier_hands_out_none_of_its_own_elements(monkeypatch):
     # the round wire carries exact ints and int tuples only, equal to the
-    # verifier's claims and challenges; the read points are field elements
-    # that are none of the final point's, the last running claim's and the
-    # transcripts' of any sum-check in the run
+    # verifier's claims and challenges; the verifier keeps residues only, and
+    # each final read point is fresh elements of one of its read points
     runs = []
 
-    def capture(*args):
-        runs.append(run_sumcheck(*args))
-        return runs[-1]
+    def capture(spec, *args):
+        runs.append((spec, run_sumcheck(spec, *args)))
+        return runs[-1][1]
 
     wire, points = [], []
 
@@ -599,31 +624,33 @@ def test_the_verifier_hands_out_none_of_its_own_elements(monkeypatch):
             return super().round_poly(i, challenges, claim)
 
         def assignment_query(self, point):
-            points.extend(point)
+            if wire:
+                points.append(point)
             return super().assignment_query(point)
 
     monkeypatch.setattr(pcpverify, "run_sumcheck", capture)
     table = BooleanTable.from_assignment({1, 3}, REWRITE_FORMULA.m)
     assert verify_w1(REWRITE_FORMULA, Recorder(table), RandomTape(4)).accepted
-    assert [run.verdict.accepted for run in runs] == [True, True]
+    assert [run.verdict.accepted for _, run in runs] == [True, True]
     assert all(type(i) is int and _wire_data(c) and _wire_data(a) for i, c, a in wire)
     # each round gets the verifier's challenges so far and running claim
     handed = [(c, a) for i, c, a in wire if i > 0]
     expected = [
-        (tuple(t.challenge.value for t in run.transcripts[: i - 1]),
-         run.transcripts[i - 2].running.value if i > 1 else claim)
-        for run, claim in zip(runs, (0, REWRITE_FORMULA.k))
+        (tuple(t.challenge for t in run.transcripts[: i - 1]),
+         run.transcripts[i - 2].running if i > 1 else claim)
+        for (_, run), claim in zip(runs, (0, REWRITE_FORMULA.k))
         for i in range(1, len(run.transcripts) + 1)
     ]
     assert handed == expected
-    kept = [
-        x
-        for run in runs
-        for x in [*run.final_point, run.final_expected]
-        + [e for t in run.transcripts for e in (t.challenge, t.running)]
-    ]
-    assert all(type(x) is FieldElement for x in kept + points)
-    assert not {id(x) for x in kept} & {id(x) for x in points}
+    for _, run in runs:
+        kept = [run.final_point, run.final_expected]
+        kept += [x for t in run.transcripts for x in (t.coeffs, t.challenge, t.running)]
+        assert all(_wire_data(x) for x in kept)
+    reads = [q for spec, run in runs for q in read_points(spec, run.final_point)]
+    assert [tuple(x.value for x in q) for q in points] == reads
+    elements = [x for q in points for x in q]
+    assert all(type(x) is FieldElement for x in elements)
+    assert len({id(x) for x in elements}) == len(elements)
 
 
 class PolyKeeper(TableCommittedProver):
@@ -638,10 +665,6 @@ class PolyKeeper(TableCommittedProver):
         return self.sent[-1]
 
 
-def _coefficients(runs):
-    return [[[c.value for c in t.claimed.coeffs] for t in run.transcripts] for run in runs]
-
-
 def test_rewriting_sent_round_polynomials_after_the_verdict_changes_no_transcript(monkeypatch):
     runs = []
 
@@ -653,15 +676,18 @@ def test_rewriting_sent_round_polynomials_after_the_verdict_changes_no_transcrip
     table = BooleanTable.from_assignment({1, 3}, REWRITE_FORMULA.m)
     prover = PolyKeeper(table)
     assert verify_w1(REWRITE_FORMULA, prover, RandomTape(1)).accepted
-    recorded = _coefficients(runs)
-    assert recorded[0][0] == [0, 0, 0, 0]
-    # what the prover sent is a tuple of ints, which it cannot rewrite; the
-    # polynomials a reader is given are fresh objects on every read, so
-    # rewriting them reaches no transcript either
+    transcripts = [t for run in runs for t in run.transcripts]
+    recorded = [(t.coeffs, t.challenge, t.running) for t in transcripts]
+    assert transcripts[0].coeffs == (0, 0, 0, 0)
+    # what the prover sent is a tuple of ints, which it cannot rewrite, and
+    # the transcript keeps that very tuple; a transcript refuses writes
     assert all(_wire_data(g) for g in prover.sent)
-    for run in runs:
-        for t in run.transcripts:
-            for c in t.claimed.coeffs:
-                c.value = 7
-    assert _coefficients(runs) == recorded
-    assert runs[0].transcripts[0].claimed is not runs[0].transcripts[0].claimed
+    assert [t.coeffs for t in transcripts] == prover.sent
+    for g in prover.sent:
+        with pytest.raises(TypeError):
+            g[0] = 7
+    for t in transcripts:
+        for name in ("coeffs", "challenge", "running"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, 7)
+    assert [(t.coeffs, t.challenge, t.running) for t in transcripts] == recorded

@@ -2,8 +2,8 @@ import dataclasses
 
 import pytest
 
-from ppcplab.arithmetize import BooleanTable, mle_eval
-from ppcplab.field import PrimeField
+from ppcplab.arithmetize import BooleanTable
+from ppcplab.field import FieldElement, PrimeField
 from ppcplab.formula import (
     ClassMismatchError,
     ClassTag,
@@ -148,7 +148,7 @@ class TestMultilinearityTest:
 
     def test_exact_mle_always_passes(self):
         table = BooleanTable.from_true_codes([1, 4], 3)
-        oracle = lambda pt: mle_eval(table, pt)
+        oracle = table_committed_prover(table).assignment_query
         for seed in range(200):
             ok, _, _, _, _ = self.run_oracle(oracle, 3, 15, seed)
             assert ok
@@ -163,7 +163,7 @@ class TestMultilinearityTest:
         table = BooleanTable.from_true_codes([0, 3], 3)
 
         def oracle(pt):
-            return mle_eval(table, pt) + pt[0] * pt[0]
+            return table_committed_prover(table).assignment_query(pt) + pt[0] * pt[0]
 
         rejected = 0
         trials = 400
@@ -176,7 +176,7 @@ class TestMultilinearityTest:
 
     def test_per_rep_bit_accounting(self):
         table = BooleanTable.from_true_codes([2], 3)
-        oracle = lambda pt: mle_eval(table, pt)
+        oracle = table_committed_prover(table).assignment_query
         m, reps = 3, 15
         ok, _, meter, tape, fld = self.run_oracle(oracle, m, reps, 1)
         assert ok
@@ -377,3 +377,34 @@ class TestQuantifiedCompleteness:
         for seed in range(1000):
             verdict = verify_w1(f, table_committed_prover(table), RandomTape(derive_seed(31, seed)))
             assert verdict.accepted, seed
+
+
+# (text, verifier, true set, elements built): the verifier computes on
+# residues and builds a FieldElement only for the prover.
+BOUNDARY_RUNS = {
+    "w1": (YES_TEXT, verify_w1, {1}, 79),
+    "w2": ("p pwsat g21p 3 2 1\n1 2 3 0\n2 3 0\n", verify_w2, {2}, 82),
+}
+
+
+@pytest.mark.parametrize("text, verify, true_set, built", BOUNDARY_RUNS.values(), ids=BOUNDARY_RUNS.keys())
+def test_field_elements_are_built_only_on_the_oracle_wire(monkeypatch, text, verify, true_set, built):
+    created = []
+    init = FieldElement.__init__
+
+    def counting_init(self, value, field):
+        created.append(value)
+        init(self, value, field)
+
+    f = parse_pwsat(text)
+    prover = table_committed_prover(BooleanTable.from_assignment(true_set, f.m))
+    monkeypatch.setattr(FieldElement, "__init__", counting_init)
+    verdict = verify(f, prover, RandomTape(5))
+    monkeypatch.undo()
+    assert verdict.accepted
+    params = w1_parameters(f)
+    m, L, reps = params.m, params.padded_len, params.reps
+    # per multilinearity repetition m - 1 shared coordinates and three axis
+    # values; the L main-stage read points and the weight-stage read point,
+    # m coordinates each; and one answer per oracle query
+    assert len(created) == reps * (m + 2) + (L + 1) * m + verdict.meter.oracle_queries == built

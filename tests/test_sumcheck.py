@@ -14,7 +14,7 @@ from ppcplab.arithmetize import (
     read_points,
     summand_value,
 )
-from ppcplab.field import PrimeField
+from ppcplab.field import FieldElement, PrimeField
 from ppcplab.formula import ClassTag, WeightedFormula
 from ppcplab.sumcheck import (
     AdaptiveCheater,
@@ -80,8 +80,15 @@ def product_oracle(pt):
 
 
 def evaluate(spec, oracle, point):
-    """The summand at ``point``, reading ``oracle`` where the statement says."""
-    return summand_value(spec, point, [oracle(q) for q in read_points(spec, point)])
+    """The summand at the residue point ``point``, handing ``oracle`` fresh
+    elements where the statement reads and taking its answers' residues."""
+    reads = [oracle(tuple(map(spec.field, q))).value for q in read_points(spec, point)]
+    return summand_value(spec, point, reads)
+
+
+def table_oracle(table):
+    """The element oracle of a table's multilinear extension."""
+    return TableCommittedProver(table).assignment_query
 
 
 def draw_weights(tape, m):
@@ -159,31 +166,31 @@ class TestRandomTape:
 class TestRunSumcheck:
     def test_zero_spec_true_claim_accepts(self):
         spec = const_zero_spec(F109)
-        run = run_sumcheck(spec, F109.zero, GenericHonestProver(zero_oracle), RandomTape(1), ResourceMeter())
+        run = run_sumcheck(spec, 0, GenericHonestProver(zero_oracle), RandomTape(1), ResourceMeter())
         assert run.verdict.accepted
-        assert run.final_expected == F109.zero
+        assert run.final_expected == 0
         assert evaluate(spec, zero_oracle, run.final_point) == run.final_expected
 
     def test_zero_spec_false_claim_rejects_round_one(self):
         spec = const_zero_spec(F109)
-        run = run_sumcheck(spec, F109.one, GenericHonestProver(zero_oracle), RandomTape(1), ResourceMeter())
+        run = run_sumcheck(spec, 1, GenericHonestProver(zero_oracle), RandomTape(1), ResourceMeter())
         assert not run.verdict.accepted
         assert run.verdict.rejection_round == 1
 
     def test_product_spec_accepts_and_g1_is_x(self):
         spec = product_spec(F109)
         for seed in range(10):
-            run = run_sumcheck(spec, F109.one, GenericHonestProver(product_oracle), RandomTape(seed), ResourceMeter())
+            run = run_sumcheck(spec, 1, GenericHonestProver(product_oracle), RandomTape(seed), ResourceMeter())
             assert run.verdict.accepted
-            g1 = run.transcripts[0].claimed
-            assert [c.value for c in g1.coeffs] == [0, 1]
+            assert run.transcripts[0].coeffs == (0, 1)
+            assert run.final_point == tuple(t.challenge for t in run.transcripts)
             # caller's final direct evaluation
             assert evaluate(spec, product_oracle, run.final_point) == run.final_expected
 
     def test_completeness_exhaustive_all_challenges(self):
         spec = product_spec(F5)
         for r1, r2 in itertools.product(range(5), repeat=2):
-            run = run_sumcheck(spec, F5.one, GenericHonestProver(product_oracle), ScriptedTape([r1, r2]), ResourceMeter())
+            run = run_sumcheck(spec, 1, GenericHonestProver(product_oracle), ScriptedTape([r1, r2]), ResourceMeter())
             assert run.verdict.accepted
             assert evaluate(spec, product_oracle, run.final_point) == run.final_expected
 
@@ -193,7 +200,7 @@ class TestRunSumcheck:
                 return (0, 1, 0, 0)  # d=1 expected
 
         spec = product_spec(F109)
-        run = run_sumcheck(spec, F109.one, OverlongProver(product_oracle), RandomTape(0), ResourceMeter())
+        run = run_sumcheck(spec, 1, OverlongProver(product_oracle), RandomTape(0), ResourceMeter())
         assert not run.verdict.accepted
         assert run.verdict.rejection_round == 1
 
@@ -201,7 +208,7 @@ class TestRunSumcheck:
         spec = product_spec(F109)
         tape = RandomTape(5)
         meter = ResourceMeter()
-        run_sumcheck(spec, F109.one, GenericHonestProver(product_oracle), tape, meter)
+        run_sumcheck(spec, 1, GenericHonestProver(product_oracle), tape, meter)
         assert meter.proof_bits == (1 + 1) * 7 * 2  # (d+1) coeffs per round, 7 bits each
         assert meter.random_bits == tape.bits_drawn
         assert meter.random_bits - tape.overhead_bits == 2 * 7
@@ -209,7 +216,7 @@ class TestRunSumcheck:
     def test_replay_determinism(self):
         spec = product_spec(F109)
         runs = [
-            run_sumcheck(spec, F109.one, GenericHonestProver(product_oracle), RandomTape(99), ResourceMeter())
+            run_sumcheck(spec, 1, GenericHonestProver(product_oracle), RandomTape(99), ResourceMeter())
             for _ in range(2)
         ]
         assert runs[0].verdict == runs[1].verdict
@@ -218,9 +225,9 @@ class TestRunSumcheck:
 
     def test_transcript_running_value_invariant(self):
         spec = product_spec(F109)
-        run = run_sumcheck(spec, F109.one, GenericHonestProver(product_oracle), RandomTape(2), ResourceMeter())
+        run = run_sumcheck(spec, 1, GenericHonestProver(product_oracle), RandomTape(2), ResourceMeter())
         for t in run.transcripts:
-            assert t.claimed.evaluate(t.challenge) == t.running
+            assert sum(c * t.challenge**j for j, c in enumerate(t.coeffs)) % 109 == t.running
 
 
 class TestHonestRoundPoly:
@@ -240,27 +247,25 @@ class TestHonestRoundPoly:
         f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 2)
         tape = RandomTape(42)
         table = BooleanTable.from_assignment({1, 2}, f.m)
-        oracle = lambda p: mle_eval(table, p)  # noqa: E731
+        oracle = table_oracle(table)
         spec = build_w1_summand(f, F109, draw_weights(tape, f.m))
         poly = honest_round_poly(spec, oracle, (), 1)
-        total = F109.zero
+        total = 0
         for mask in range(1 << spec.num_vars):
-            pt = tuple(
-                F109((mask >> (spec.num_vars - 1 - j)) & 1) for j in range(spec.num_vars)
-            )
-            total = total + evaluate(spec, oracle, pt)
-        assert poly.evaluate(F109(0)) + poly.evaluate(F109(1)) == total
+            pt = tuple((mask >> (spec.num_vars - 1 - j)) & 1 for j in range(spec.num_vars))
+            total += evaluate(spec, oracle, pt)
+        assert poly.evaluate(F109(0)) + poly.evaluate(F109(1)) == total % 109
 
     def test_prefix_length_validated(self):
         spec = product_spec(F109)
         with pytest.raises(ValueError):
-            honest_round_poly(spec, product_oracle, (F109(1),), 1)
+            honest_round_poly(spec, product_oracle, (1,), 1)
 
 
 class TestPlanFolderMatchesGenericProver:
     def check_spec(self, spec, table, seed):
         committed = TableCommittedProver(table)
-        generic = GenericHonestProver(lambda p: mle_eval(table, p))
+        generic = GenericHonestProver(table_oracle(table))
         claim = 0
         committed.begin_sumcheck(spec, claim)
         generic.begin_sumcheck(spec, claim)
@@ -328,7 +333,7 @@ class TestAdaptiveCheater:
         spec = const_zero_spec(F5)
         accepted = 0
         for r in range(5):
-            run = run_sumcheck(spec, F5.one, adaptive_cheater(GenericHonestProver(zero_oracle)),
+            run = run_sumcheck(spec, 1, adaptive_cheater(GenericHonestProver(zero_oracle)),
                                ScriptedTape([r]), ResourceMeter())
             assert run.verdict.accepted  # round checks always pass
             if evaluate(spec, zero_oracle, run.final_point) == run.final_expected:
@@ -339,13 +344,13 @@ class TestAdaptiveCheater:
         # q=6 rounds of degree <= 3 over p=109 with a false claim
         f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 2)
         table = BooleanTable.from_assignment({1, 2}, f.m)
-        oracle = lambda p: mle_eval(table, p)  # noqa: E731
+        oracle = table_oracle(table)
         trials, accepted = 2000, 0
         for seed in range(trials):
             tape = RandomTape(derive_seed(1234, seed))
             spec = build_w1_summand(f, F109, draw_weights(tape, f.m))
             prover = adaptive_cheater(TableCommittedProver(table))
-            run = run_sumcheck(spec, F109.zero, prover, tape, ResourceMeter())
+            run = run_sumcheck(spec, 0, prover, tape, ResourceMeter())
             if run.verdict.accepted and evaluate(spec, oracle, run.final_point) == run.final_expected:
                 accepted += 1
         q, d, p = 6, 3, 109
@@ -358,22 +363,23 @@ class TestTableCommittedProver:
         table = BooleanTable.from_assignment(set(), 2)  # weight 0
         spec = build_weight_summand(2, F109)
         prover = table_committed_prover(table)
-        run = run_sumcheck(spec, F109.one, prover, RandomTape(8), ResourceMeter())
+        run = run_sumcheck(spec, 1, prover, RandomTape(8), ResourceMeter())
         assert not run.verdict.accepted
         assert run.verdict.rejection_round == 1
 
     def test_true_weight_accepted(self):
         table = BooleanTable.from_assignment({1, 2}, 2)
         spec = build_weight_summand(2, F109)
-        run = run_sumcheck(spec, F109(2), table_committed_prover(table), RandomTape(8), ResourceMeter())
+        run = run_sumcheck(spec, 2, table_committed_prover(table), RandomTape(8), ResourceMeter())
         assert run.verdict.accepted
-        assert mle_eval(table, run.final_point) == run.final_expected
+        assert mle_eval(table, run.final_point, 109) == run.final_expected
 
     def test_assignment_queries_answered_by_mle(self):
         table = BooleanTable.from_assignment({2}, 2)
         prover = table_committed_prover(table)
-        pt = (F109(3), F109(11))
-        assert prover.assignment_query(pt) == mle_eval(table, pt)
+        answer = prover.assignment_query((F109(3), F109(11)))
+        assert type(answer) is FieldElement and answer.field == F109
+        assert answer.value == mle_eval(table, (3, 11), 109)
 
 
 class TestRandomGarbageProver:
@@ -383,5 +389,5 @@ class TestRandomGarbageProver:
         prover.begin_sumcheck(spec, 1)
         poly = prover.round_poly(1, (), 1)
         assert type(poly) is tuple and len(poly) == 2
-        run = run_sumcheck(spec, F109.one, RandomGarbageProver(7), RandomTape(1), ResourceMeter())
+        run = run_sumcheck(spec, 1, RandomGarbageProver(7), RandomTape(1), ResourceMeter())
         assert run.verdict.accepted in (True, False)  # never crashes
