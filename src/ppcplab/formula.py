@@ -69,15 +69,18 @@ def _clause_problem(lits: tuple[int, ...], num_vars: int, tag: ClassTag) -> Opti
     parser."""
     if not lits:
         return "empty clause"
-    for lit in lits:
-        if lit == 0 or not 1 <= abs(lit) <= num_vars:
-            return f"literal {lit} out of range (num_vars={num_vars})"
+    # min and max decide every check below; formulas of thousands of
+    # clauses are built per operation
+    lo, hi = min(lits), max(lits)
+    if lo < -num_vars or hi > num_vars or 0 in lits:
+        bad = next(lit for lit in lits if lit == 0 or abs(lit) > num_vars)
+        return f"literal {bad} out of range (num_vars={num_vars})"
     if tag is ClassTag.G12N:
         if len(lits) > 2:
             return f"g12n clauses carry at most 2 literals: {lits}"
-        if any(lit > 0 for lit in lits):
+        if hi > 0:
             return f"positive literal in g12n clause: {lits}"
-    elif any(lit < 0 for lit in lits):
+    elif lo < 0:
         return f"negative literal in g21p clause: {lits}"
     return None
 
