@@ -6,7 +6,9 @@ counts are dummy slots).  The module builds the functions over Z_p whose
 boolean-cube totals witness satisfiability and assignment weight; points,
 oracle reads and values are residues mod p, plain ints:
 
-  * ``mle_eval``              the unique multilinear extension of a boolean table,
+  * ``mle_line``              the unique multilinear extension of a boolean table
+                              at the points of one axis-parallel line, affine
+                              there (``mle_eval`` at one point),
   * ``clause_indicator_eval`` the extension of "x codes the variable at a given
                               position of clause z".
 
@@ -120,31 +122,54 @@ def code_window(top_code: int) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def _factor_index(ones: tuple[int, ...], arity: int) -> tuple[tuple[int, ...], ...]:
-    """For each true code, the positions of its ``arity`` cube-indicator
-    factors in xs + [1 - x for x in xs]: j where bit j is 1, arity + j where
-    it is 0 (MSB first).  Keyed by the true codes, not the table, so a table
-    holds no index and the key hashes only its few true codes; built on first
-    use, since setup builds many tables that are never evaluated."""
-    return tuple(
-        [
-            tuple([j if (code >> (arity - 1 - j)) & 1 else arity + j for j in range(arity)])
-            for code in ones
-        ]
-    )
+def _line_index(
+    ones: tuple[int, ...], arity: int, axis: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """For the true codes whose bit ``axis`` is 0, then for those where it is
+    1: the positions of each code's arity - 1 shared cube-indicator factors in
+    xs + [1 - x for x in xs], xs being the coordinates off the axis: j where
+    the code's bit is 1, arity - 1 + j where it is 0 (MSB first).  Keyed by
+    the true codes, not the table, so a table holds no index and the key
+    hashes only its few true codes; built on first use, since setup builds
+    many tables that are never evaluated."""
+    shared = arity - 1
+    split: tuple[list, list] = ([], [])
+    for code in ones:
+        bits = [(code >> (arity - 1 - j)) & 1 for j in range(arity)]
+        on_axis = bits.pop(axis)
+        split[on_axis].append(tuple([j if b else shared + j for j, b in enumerate(bits)]))
+    return tuple(split[0]), tuple(split[1])
+
+
+def mle_line(
+    table: BooleanTable,
+    head: Sequence[int],
+    tail: Sequence[int],
+    ts: Sequence[int],
+    p: int,
+) -> tuple[int, ...]:
+    """The multilinear extension of ``table`` at head + (t,) + tail for each t
+    of ``ts``, mod p: points of one axis-parallel line, the axis being
+    coordinate len(head).  The extension is the sum, over the table's
+    1-cells, of their cube indicators.  Each indicator is one product of the
+    m - 1 looked-up shared factors, x_j or 1 - x_j, added to s0 or s1 by the
+    code's axis bit; the line is affine in t, s0 + t (s1 - s0)."""
+    shared = [*head, *tail]
+    if len(shared) + 1 != table.arity:
+        raise ValueError(f"line has {len(shared) + 1} coordinates, table arity is {table.arity}")
+    get = (shared + [1 - x for x in shared]).__getitem__
+    zeros, ones = _line_index(table.ones(), table.arity, len(head))
+    s0 = sum([math.prod(map(get, idx)) for idx in zeros]) % p
+    s1 = sum([math.prod(map(get, idx)) for idx in ones]) % p
+    return tuple([(s0 + t * (s1 - s0)) % p for t in ts])
 
 
 def mle_eval(table: BooleanTable, point: Sequence[int], p: int) -> int:
     """Evaluate the multilinear extension of ``table`` at a point of Z_p^m:
-    the sum, over the table's 1-cells, of their cube indicators there, mod p.
-    Each indicator is one product of m looked-up factors, x_j or 1 - x_j,
-    reduced once at the end; the factor positions come from the table's
-    cached index of its true codes."""
+    ``mle_line`` on the line through the point along its last coordinate."""
     if len(point) != table.arity:
         raise ValueError(f"point has {len(point)} coordinates, table arity is {table.arity}")
-    get = (list(point) + [1 - x for x in point]).__getitem__
-    index = _factor_index(table.ones(), table.arity)
-    return sum([math.prod(map(get, idx)) for idx in index]) % p
+    return mle_line(table, point[:-1], (), point[-1:], p)[0]
 
 
 # From this many coordinates on, an eq or weight tensor is built (or summed

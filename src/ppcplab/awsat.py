@@ -276,7 +276,7 @@ def verify_awsat(
     branches = enumerate_universal(instance)
     m = instance.formula.m
     params = awsat_parameters(instance, cfg)
-    fld = PrimeField(params.prime)
+    fld, prover_field = PrimeField(params.prime), PrimeField(params.prime)
     weight_checks = [
         (f"weight{i + 1}", kw, BooleanTable.from_true_codes([v - 1 for v in block], m))
         for i, (block, kw) in enumerate(zip(instance.blocks, instance.block_weights))
@@ -291,7 +291,7 @@ def verify_awsat(
         if prover is None:
             return log.reject(prefix + "tables", 0)
         rejected = run_g12n_protocol(
-            reduced, prover, tape, log, fld, params, weight_checks, prefix=prefix,
+            reduced, prover, tape, log, fld, prover_field, params, weight_checks, prefix=prefix,
         )
         if rejected is not None:
             return rejected

@@ -23,8 +23,10 @@ class FieldMismatchError(ValueError):
     """Operands live in different prime fields."""
 
 
+@functools.lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the fixed witness set is exact below 3.3e24."""
+    """Deterministic Miller-Rabin; the fixed witness set is exact below 3.3e24.
+    Memoised: every verification builds its fields over one of a few primes."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -76,9 +78,9 @@ def select_prime(total_rounds: int, degree_bound: int, epsilon: float | int | Fr
 class PrimeField:
     """The field Z_p.  Calling the field with an integer produces an element.
 
-    Frozen: the verifier meters proof and random bits by ``bits`` and hands
-    its field to the prover, so no attribute can be written after
-    construction."""
+    Refuses plain attribute writes.  A forced write (``object.__setattr__``)
+    still lands, so the verifier meters by a field it never hands out and
+    gives the prover a field of its own."""
 
     __slots__ = ("modulus", "bits")
 

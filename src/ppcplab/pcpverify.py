@@ -6,7 +6,8 @@ positive-CNF protocol at padded length L = 2 with literal factor A(x) in
 place of 1 - A(x) (see ``arithmetize.summand_value``).  ``run_protocol``
 stages one pass, in this fixed order so transcripts replay:
 
-  1. multilinearity test of the proof's assignment oracle,
+  1. multilinearity test of the proof's assignment oracle, one line read
+     (three points of an axis-parallel line) per repetition,
   2. draw the m random clause weights,
   3. main sum-check over (z, x_1..x_L) with claim 0 (the instance is
      satisfied),
@@ -17,10 +18,14 @@ Stages 3 and 4 are one loop.  Each stage builds its statement (a frozen
 sum-check on it, reads the assignment oracle at the statement's
 ``read_points`` (L metered reads in the main stage, one in a weight stage)
 and checks ``summand_value`` there against the last running claim.  That is
-the only final check.  The verifier keeps residues mod p, plain ints.  The
-prover receives the statement, its field, claims and challenges as ints, and
-fresh ``FieldElement``s of every point it answers at, so nothing it writes
-reaches a check.  An honest prover compiles its own plan from the statement.
+the only final check.  The verifier keeps residues mod p, plain ints, and
+computes and meters by a field it never hands out.  The prover receives its
+own copy of each statement, over a second field of the same modulus built
+once per verifier call, claims and challenges as ints, and fresh
+``FieldElement``s of that field at every point it answers at.  The verifier
+reads nothing it hands out, so nothing the prover writes, even past a
+frozen class, reaches a check or a meter.  An honest prover compiles its own
+plan from the statement.
 
 ``verify_w1`` and ``verify_w2`` run one pass with a weight check over the real
 variables; the branch protocol in ``awsat`` runs one pass per universal
@@ -115,39 +120,45 @@ def _read_assignment(
 
 
 def multilinearity_test(
-    oracle: Callable[[Point], FieldElement],
+    prover: ProverStrategy,
     m: int,
     reps: int,
     tape: RandomTape,
     meter: ResourceMeter,
     fld: PrimeField,
+    prover_field: Optional[PrimeField] = None,
 ) -> tuple[bool, Optional[int]]:
     """Axis-parallel three-point collinearity test.
 
-    Each repetition draws an axis, a point, and three distinct coordinates,
-    then checks the oracle's restriction is affine there.  Per repetition:
-    ceil(log2 m) + (m + 3) * ceil(log2 p) ideal random bits and
-    3 * ceil(log2 p) proof bits.  Rejects on the first failing repetition;
-    an answer that is not a well-formed element of Z_p, or a query that
-    raises, fails its repetition.
+    Each repetition draws a line (``RandomTape.draw_line``): an axis, a point
+    for the other coordinates and three distinct axis values.  It asks the
+    prover for the three values at once (``line_query``, handed fresh
+    elements of ``prover_field``, default a new field of the same modulus)
+    and checks that the oracle's restriction is affine there.  Per repetition:
+    ceil(log2 m) + (m + 3) * ceil(log2 p) ideal random bits and three reads
+    of ceil(log2 p) proof bits, metered by ``fld`` whatever comes back.
+    Rejects on the first failing repetition; an answer that is not exactly a
+    tuple of three well-formed elements of Z_p, or a query that raises,
+    fails its repetition.
     """
-    p = fld.modulus
+    p, bits = fld.modulus, fld.bits
+    handed = PrimeField(p) if prover_field is None else prover_field
     for rep in range(1, reps + 1):
         before = tape.bits_drawn
-        axis = tape.draw_int(m)
-        *coords, t0 = tape.draw_ints(p, m + 1)
-        t1 = tape.draw_int_excluding(p, {t0})
-        t2 = tape.draw_int_excluding(p, {t0, t1})
+        head, tail, ts = tape.draw_line(m, p)
         meter.random_bits += tape.bits_drawn - before
-        # the three points share every coordinate but the axis
-        head = tuple([FieldElement(v, fld) for v in coords[:axis]])
-        tail = tuple([FieldElement(v, fld) for v in coords[axis + 1 :]])
-        values = [
-            _read_assignment(oracle, head + (FieldElement(t, fld),) + tail, meter, fld)
-            for t in (t0, t1, t2)
-        ]
-        f0, f1, f2 = values
-        if None in values or (f2 - f0) * (t1 - t0) % p != (f1 - f0) * (t2 - t0) % p:
+        meter.proof_bits += 3 * bits
+        meter.oracle_queries += 3
+        answers = ask_prover(
+            prover.line_query,
+            tuple([FieldElement(v, handed) for v in head]),
+            tuple([FieldElement(v, handed) for v in tail]),
+            tuple([FieldElement(t, handed) for t in ts]),
+        )
+        ok = type(answers) is tuple and len(answers) == 3
+        f0, f1, f2 = [proof_int(a, p) for a in answers] if ok else (None,) * 3
+        t0, t1, t2 = ts
+        if None in (f0, f1, f2) or (f2 - f0) * (t1 - t0) % p != (f1 - f0) * (t2 - t0) % p:
             return False, rep
     return True, None
 
@@ -238,12 +249,18 @@ def run_protocol(
     tape: RandomTape,
     log: _StageLog,
     fld: PrimeField,
+    prover_field: PrimeField,
     params: ProtocolParameters,
     weight_checks: Sequence[WeightCheck],
     prefix: str = "",
 ) -> Optional[Verdict]:
     """One full clause-product verification pass over an existing log: the
     rejecting verdict, or None when every stage accepts.
+
+    The verifier computes and meters by ``fld``, which it never hands out.
+    Every element and statement the prover is handed is over
+    ``prover_field``, one per verifier call, of which the verifier reads
+    nothing.
 
     Shared between the plain verifiers (one weight check over the real
     variables) and the branch protocol (one weight check per odd block).  A
@@ -252,7 +269,7 @@ def run_protocol(
     content.
     """
     m, L, reps = formula.m, params.padded_len, params.reps
-    ok, rep = multilinearity_test(prover.assignment_query, m, reps, tape, log, fld)
+    ok, rep = multilinearity_test(prover, m, reps, tape, log, fld, prover_field)
     if not ok:
         return log.reject(prefix + "mltest", rep, rep)
     log.close(prefix + "mltest", reps, True)
@@ -267,14 +284,14 @@ def run_protocol(
             spec = build_w1_summand(formula, fld, weights)
         else:
             spec = build_w2_summand(formula, fld, weights, L)
-        run = run_sumcheck(spec, claim, prover, tape, log)
+        run = run_sumcheck(spec, claim, prover, tape, log, prover_field)
         if not run.verdict.accepted:
             return log.reject(prefix + name, len(run.transcripts), run.verdict.rejection_round)
         point = run.final_point
         oracle = prover.assignment_query
         # the prover is handed fresh elements of each read point
         reads = [
-            _read_assignment(oracle, tuple(map(fld, q)), log, fld)
+            _read_assignment(oracle, tuple(map(prover_field, q)), log, fld)
             for q in read_points(spec, point)
         ]
         if None in reads or summand_value(spec, point, reads) != run.final_expected:
@@ -302,8 +319,9 @@ def _verify(
 ) -> Verdict:
     params = protocol_parameters(formula, config)
     log = _StageLog()
+    fld, prover_field = PrimeField(params.prime), PrimeField(params.prime)
     return run_protocol(
-        formula, prover, tape, log, PrimeField(params.prime), params,
+        formula, prover, tape, log, fld, prover_field, params,
         [("weight", formula.k, _real_block(formula.num_vars, formula.m))],
     ) or log.verdict()
 

@@ -7,7 +7,8 @@ draws a random residue r_i mod p, and continues with the claim g'_i(r_i).
 The verifier keeps residues, plain ints, and the round wire carries them:
 claims and challenges go out as residues, and round i comes back as a tuple
 of d_i + 1 residues, the proof symbols it is metered for.  Only the
-assignment oracle speaks ``FieldElement``s: the prover is handed fresh ones.
+assignment oracle speaks ``FieldElement``s, at one point or at the three
+points of an axis-parallel line: the prover is handed fresh ones.
 After the last round the caller performs the final direct evaluation, since
 only the caller knows which factors it computes itself and which it must
 read from the proof.  The statement a prover receives (``SummandSpec``) is
@@ -22,10 +23,11 @@ so closed-form bit counts can be checked exactly).
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import add, mul, sub
 from typing import Callable, Optional, Sequence
 
@@ -36,6 +38,7 @@ from .arithmetize import (
     _tensor,
     compile_plan,
     mle_eval,
+    mle_line,
     read_points,
     summand_value,
 )
@@ -81,38 +84,50 @@ class RandomTape:
                 return v
             self.overhead_bits += width
 
-    def draw_ints(self, n: int, k: int) -> list[int]:
-        """k uniform values in [0, n): the same generator calls, values,
-        ``bits_drawn`` and ``overhead_bits`` as k calls to ``draw_int(n)``,
-        with the k first attempts drawn in one pass."""
-        if n < 1:
-            raise ValueError("n must be positive")
-        if n == 1:
-            return [0] * k
-        width = (n - 1).bit_length()
+    def draw_line(
+        self, m: int, p: int
+    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, int, int]]:
+        """A random axis-parallel line of Z_p^m and three distinct points on
+        it: the coordinates before the axis, those after it, and three
+        distinct axis values t0, t1, t2.
+
+        The same generator calls, values, ``bits_drawn`` and
+        ``overhead_bits`` as ``draw_int(m)`` for the axis, m + 1 calls to
+        ``draw_int(p)`` for the m coordinates and t0 (the axis's own
+        coordinate is drawn and dropped), then ``draw_int(p)`` until a value
+        new to the axis comes up, for t1 and for t2: rejected and repeated
+        values count as overhead.  The first m + 1 field attempts are drawn
+        in one pass."""
+        if m < 1 or p < 3:
+            raise ValueError("a line needs m >= 1 and three distinct values mod p")
         getrandbits = self._rng.getrandbits
-        out = [v for v in [getrandbits(width) for _ in range(k)] if v < n]
-        attempts = k
-        while len(out) < k:
+        axis = drawn = 0
+        if m > 1:
+            width = (m - 1).bit_length()
+            axis = getrandbits(width)
+            drawn = width
+            while axis >= m:
+                axis = getrandbits(width)
+                drawn += width
+            self.overhead_bits += drawn - width
+        width = (p - 1).bit_length()
+        vals = [v for v in [getrandbits(width) for _ in range(m + 1)] if v < p]
+        attempts = m + 1
+        while len(vals) <= m:
             v = getrandbits(width)
             attempts += 1
-            if v < n:
-                out.append(v)
-        self.bits_drawn += attempts * width
-        self.overhead_bits += (attempts - k) * width
-        return out
-
-    def draw_int_excluding(self, n: int, exclude) -> int:
-        """Uniform value in [0, n) outside ``exclude``; discarded hits count as
-        overhead."""
-        if n <= len(exclude):
-            raise ValueError("no admissible values remain")
-        width = (n - 1).bit_length() if n > 1 else 0
-        while True:
-            v = self.draw_int(n)
-            if v not in exclude:
-                return v
-            self.overhead_bits += width
+            if v < p:
+                vals.append(v)
+        t0 = t1 = t2 = vals[m]
+        while t1 == t0 or t1 >= p:
+            t1 = getrandbits(width)
+            attempts += 1
+        while t2 == t0 or t2 == t1 or t2 >= p:
+            t2 = getrandbits(width)
+            attempts += 1
+        self.bits_drawn += drawn + attempts * width
+        self.overhead_bits += (attempts - m - 3) * width
+        return tuple(vals[:axis]), tuple(vals[axis + 1 : m]), (t0, t1, t2)
 
 
 class ResourceMeter:
@@ -186,10 +201,19 @@ class ProverStrategy(ABC):
     """Source of round polynomials and assignment values.
 
     ``begin_sumcheck`` is invoked at the start of each sum-check instance so a
-    single strategy can serve the multi-stage verifier.  The claim, the
-    challenges r_1..r_{i-1} and the running claim are residues mod p, and
-    round i's answer is a tuple of exactly d_i + 1 plain ints in [0, p),
-    lowest degree first.
+    single strategy can serve the multi-stage verifier; the statement it
+    receives is the prover's own copy.  The claim, the challenges
+    r_1..r_{i-1} and the running claim are residues mod p, and round i's
+    answer is a tuple of exactly d_i + 1 plain ints in [0, p), lowest degree
+    first.
+
+    ``assignment_query`` answers the assignment oracle at one point of fresh
+    ``FieldElement``s with a ``FieldElement`` of the same field.
+    ``line_query(head, tail, ts)`` answers it at the three points
+    head + (t,) + tail, t in ``ts``, of one axis-parallel line, with exactly
+    a tuple of three such elements; the multilinearity test asks each of its
+    repetitions this way.  By default it asks ``assignment_query`` point by
+    point, so a point-by-point prover need not define it.
     """
 
     def begin_sumcheck(self, spec: SummandSpec, claim: int) -> None:
@@ -202,6 +226,9 @@ class ProverStrategy(ABC):
     @abstractmethod
     def assignment_query(self, point: Point) -> FieldElement:
         ...
+
+    def line_query(self, head: Point, tail: Point, ts: Point) -> tuple[FieldElement, ...]:
+        return tuple([self.assignment_query(head + (t,) + tail) for t in ts])
 
 
 @dataclass(frozen=True)
@@ -259,6 +286,7 @@ def run_sumcheck(
     prover: ProverStrategy,
     tape: RandomTape,
     meter: ResourceMeter,
+    prover_field: Optional[PrimeField] = None,
 ) -> SumcheckRun:
     """Drive the round protocol for ``spec`` against ``prover``.
 
@@ -269,12 +297,25 @@ def run_sumcheck(
     first round.  The verifier evaluates the coefficients itself and compares
     residues.  The final direct evaluation is left to the caller, which
     receives the fully instantiated point and the last running claim.
+
+    ``begin_sumcheck`` is handed a copy of ``spec`` over ``prover_field``
+    (default: a new field of the same modulus) with shallow copies of its
+    formula and block, so no write the prover forces into what it is handed
+    reaches the statement, the field or the bit width the verifier meters by.
+    The copies are made without revalidation: they hash and compare equal to
+    the originals, so the formula's cached code arrays serve them.
     """
     fld = spec.field
     p = fld.modulus
     a = claim % p
+    handout = replace(
+        spec,
+        field=prover_field if prover_field is not None else PrimeField(p),
+        formula=copy.copy(spec.formula),
+        block=copy.copy(spec.block),
+    )
     try:
-        prover.begin_sumcheck(spec, a)
+        prover.begin_sumcheck(handout, a)
         started = True
     except Exception:
         started = False
@@ -514,7 +555,8 @@ class GenericHonestProver(ProverStrategy):
 class TableCommittedProver(ProverStrategy):
     """Prover committed to one assignment table: round polynomials come from
     folding the plan it compiles from each statement over the table's exact
-    multilinear extension, queries from direct evaluation."""
+    multilinear extension, queries from direct evaluation (a line's three
+    points from one ``mle_line``)."""
 
     def __init__(self, table: BooleanTable):
         self.table = table
@@ -537,6 +579,14 @@ class TableCommittedProver(ProverStrategy):
     def assignment_query(self, point: Point) -> FieldElement:
         fld = point[0].field
         return FieldElement(mle_eval(self.table, [x.value for x in point], fld.modulus), fld)
+
+    def line_query(self, head: Point, tail: Point, ts: Point) -> tuple[FieldElement, ...]:
+        fld = ts[0].field
+        values = mle_line(
+            self.table, [x.value for x in head], [x.value for x in tail],
+            [t.value for t in ts], fld.modulus,
+        )
+        return tuple([FieldElement(v, fld) for v in values])
 
 
 def table_committed_prover(table: BooleanTable) -> TableCommittedProver:
@@ -566,6 +616,9 @@ class AdaptiveCheater(ProverStrategy):
 
     def assignment_query(self, point: Point) -> FieldElement:
         return self.base.assignment_query(point)
+
+    def line_query(self, head: Point, tail: Point, ts: Point) -> tuple[FieldElement, ...]:
+        return self.base.line_query(head, tail, ts)
 
 
 def adaptive_cheater(base: ProverStrategy) -> AdaptiveCheater:

@@ -49,6 +49,7 @@ from ppcplab.reductions import (
     independent_set_to_wsat,
 )
 from ppcplab.sumcheck import (
+    GenericHonestProver,
     RandomTape,
     ResourceMeter,
     adaptive_cheater,
@@ -296,18 +297,20 @@ def test_criterion_7_multilinearity_power():
             fld = PrimeField(select_prime(9 * m, 3, 0.5))
             table = BooleanTable.from_true_codes([1, 2, (1 << m) - 2], m)
             exact = lambda pt: fld(mle_eval(table, [x.value for x in pt], fld.modulus))
+            prover = GenericHonestProver(exact)
             for s in range(1000):
                 ok, _ = multilinearity_test(
-                    exact, m, reps, RandomTape(derive_seed(9000 + m, s)), ResourceMeter(), fld
+                    prover, m, reps, RandomTape(derive_seed(9000 + m, s)), ResourceMeter(), fld
                 )
                 assert ok  # 100 percent pass rate
 
             planted = lambda pt: fld(mle_eval(table, [x.value for x in pt], fld.modulus)) + pt[0] * pt[0]
+            prover = GenericHonestProver(planted)
             rejected = 0
             trials = 2000
             for s in range(trials):
                 ok, _ = multilinearity_test(
-                    planted, m, reps, RandomTape(derive_seed(9500 + m, s)), ResourceMeter(), fld
+                    prover, m, reps, RandomTape(derive_seed(9500 + m, s)), ResourceMeter(), fld
                 )
                 rejected += not ok
             floor = 1 - (1 - 1 / m) ** reps - 0.02

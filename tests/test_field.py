@@ -118,6 +118,15 @@ class TestFieldArithmetic:
         assert PrimeField(109).bits == 7
         assert PrimeField(3001).bits == 12
 
+    def test_primality_is_memoised_in_a_bounded_cache(self):
+        # every verification builds two fields over one of a few primes
+        PrimeField(1000003)
+        before = is_prime.cache_info()
+        PrimeField(1000003)
+        after = is_prime.cache_info()
+        assert after.hits == before.hits + 1 and after.misses == before.misses
+        assert after.maxsize is not None
+
 
 class TestInterpolate:
     def test_two_points_z5(self):

@@ -3,9 +3,11 @@ exactly a tuple of d + 1 plain ints in [0, p), and an assignment answer that
 is not exactly a ``FieldElement`` of the run's field holding a plain int, are
 rejected at the stage and round that read them, and no prover-supplied method
 decides a check.  What the verifier hands the prover is data too: a statement
-with no code and no field element in it, a field that refuses writes, plain
-ints and tuples of them on the round wire, and fresh elements of the points
-it reads the assignment oracle at."""
+with no code and no field element in it, a field that refuses plain writes,
+plain ints and tuples of them on the round wire, and fresh elements of the
+points it reads the assignment oracle at.  The statement is the prover's own
+copy and the field is its own, so a write it forces into either reaches no
+check and no meter."""
 
 import dataclasses
 import types
@@ -27,6 +29,7 @@ from ppcplab.awsat import enumerate_universal, honest_branch_tables, verify_awsa
 from ppcplab.field import FieldElement, PrimeField, UniPoly
 from ppcplab.formula import AwsatInstance, ClassTag, WeightedFormula, parse_pwsat
 from ppcplab.pcpverify import multilinearity_test, verify_w1, verify_w2
+from ppcplab.reductions import gen_planted_yes_with_witness
 from ppcplab.sumcheck import (
     AdaptiveCheater,
     GenericHonestProver,
@@ -181,8 +184,63 @@ def test_multilinearity_test_rejects_subclass_answers():
         v = TableCommittedProver(table).assignment_query(q)
         return AlwaysEqual(v.value, v.field)
 
-    ok, rep = multilinearity_test(oracle, 2, 5, RandomTape(1), ResourceMeter(), F109)
+    prover = GenericHonestProver(oracle)
+    ok, rep = multilinearity_test(prover, 2, 5, RandomTape(1), ResourceMeter(), F109)
     assert (ok, rep) == (False, 1)
+
+
+def _raise(answers):
+    raise RuntimeError("prover fault")
+
+
+# Malformed line answers, each made from the honest answer a (a tuple of
+# three elements of Z_109, the field of YES_TEXT's run).
+LINE_ANSWERS = {
+    "list": list,
+    "pair": lambda a: a[:2],
+    "four": lambda a: a + a[:1],
+    "tuple_subclass": TupleSub,
+    "none": lambda a: None,
+    "raise": _raise,
+    "always_equal_element": lambda a: (a[0], AlwaysEqual(a[1].value, a[1].field), a[2]),
+    "wrong_field_element": lambda a: (a[0], a[1], PrimeField(113)(a[2].value)),
+    "int_element": lambda a: (a[0].value, a[1], a[2]),
+    "int": lambda a: a[0].value,
+}
+
+
+class LineMalformer(TableCommittedProver):
+    """An honest table prover whose line answer at multilinearity repetition
+    ``rep`` is ``malform`` of the honest one."""
+
+    def __init__(self, table, malform, rep):
+        super().__init__(table)
+        self.malform, self.rep, self.asked = malform, rep, 0
+
+    def line_query(self, head, tail, ts):
+        self.asked += 1
+        honest = super().line_query(head, tail, ts)
+        return self.malform(honest) if self.asked == self.rep else honest
+
+
+@pytest.mark.parametrize("rep", [1, 2])
+def test_a_malformed_line_answer_fails_its_repetition(rep):
+    f = parse_pwsat(YES_TEXT)
+    honest = verify_w1(f, TableCommittedProver(YES_TABLE), RandomTape(3))
+    assert honest.accepted and honest.stages[0].name == "mltest"
+    prime = pcpverify.protocol_parameters(f).prime
+    assert prime == 109
+    bits = (prime - 1).bit_length()
+    verdicts = {}
+    for name, malform in LINE_ANSWERS.items():
+        verdict = verify_w1(f, LineMalformer(YES_TABLE, malform, rep), RandomTape(3))
+        assert (verdict.accepted, verdict.stage, verdict.rejection_round) == (False, "mltest", rep), name
+        # three reads metered per repetition asked, whatever came back
+        report = verdict.stages[0]
+        assert (report.oracle_queries, report.proof_bits) == (3 * rep, 3 * rep * bits), name
+        verdicts[name] = verdict
+    # and every malformation is the same rejection, meters and reports included
+    assert len(set(verdicts.values())) == 1
 
 
 class SubclassFinalReads(TableCommittedProver):
@@ -218,10 +276,11 @@ YES_TABLE = BooleanTable.from_assignment({1}, 2)
 
 class FaultyProver(TableCommittedProver):
     """An honest table prover that fails once in ``callback`` during sum-check
-    number ``sumcheck`` (0 = the multilinearity test, before any sum-check;
-    1 = main; 2 = weight), at round ``round`` for ``round_poly``.  It fails by
-    raising, or with ``raises=False`` by answering ``None`` (a malformed
-    answer); ``begin_sumcheck`` can only raise."""
+    number ``sumcheck`` (0 = the multilinearity test, before any sum-check,
+    which asks ``line_query``; 1 = main; 2 = weight), at round ``round`` for
+    ``round_poly``.  It fails by raising, or with ``raises=False`` by
+    answering ``None`` (a malformed answer); ``begin_sumcheck`` can only
+    raise."""
 
     def __init__(self, table, callback, sumcheck, round=1, raises=True):
         super().__init__(table)
@@ -250,14 +309,19 @@ class FaultyProver(TableCommittedProver):
             return self._fail()
         return super().assignment_query(point)
 
+    def line_query(self, head, tail, ts):
+        if self.fault[0] == "line_query" and self.fault[1] == self.sumchecks:
+            return self._fail()
+        return super().line_query(head, tail, ts)
+
 
 # (instance, table, fault) -> (stage, rejection_round).  The no-instance's
 # honest table fails the main sum-check's first round, so later stages never run.
 FAULTS = {
-    "no/mltest_query": (NO_TEXT, NO_TABLE, ("assignment_query", 0), ("mltest", 1)),
+    "no/mltest_query": (NO_TEXT, NO_TABLE, ("line_query", 0), ("mltest", 1)),
     "no/main_begin": (NO_TEXT, NO_TABLE, ("begin_sumcheck", 1), ("main", 1)),
     "no/main_round1": (NO_TEXT, NO_TABLE, ("round_poly", 1, 1), ("main", 1)),
-    "yes/mltest_query": (YES_TEXT, YES_TABLE, ("assignment_query", 0), ("mltest", 1)),
+    "yes/mltest_query": (YES_TEXT, YES_TABLE, ("line_query", 0), ("mltest", 1)),
     "yes/main_begin": (YES_TEXT, YES_TABLE, ("begin_sumcheck", 1), ("main", 1)),
     "yes/main_round1": (YES_TEXT, YES_TABLE, ("round_poly", 1, 1), ("main", 1)),
     "yes/main_round5": (YES_TEXT, YES_TABLE, ("round_poly", 1, 5), ("main", 5)),
@@ -452,16 +516,20 @@ class WeightRewriter(TableCommittedProver):
     the clause weight r_1 that would make the final check hold, and tries
     every plain write of it it can reach from the statement: the
     ``weights`` attribute of every object that has one, and entry 0 of every
-    sequence equal to the weights.  Each attempt is counted, and each forged
-    weight tuple is checked to pass the final check; its errors are its
-    own, so its answers stay the cheater's."""
+    sequence equal to the weights.  With ``force`` the attribute is written
+    with ``object.__setattr__``, past the frozen dataclass.  Each attempt is
+    counted, each forged weight tuple is checked to pass the final check,
+    and each write that landed in the statement it holds is counted; its
+    errors are its own, so its answers stay the cheater's."""
 
-    def __init__(self, table):
+    def __init__(self, table, force=False):
         super().__init__(table)
         self.cheater = AdaptiveCheater(TableCommittedProver(table))
         self.spec = None
+        self.force = force
         self.attempts = 0
         self.forgeries = []
+        self.landed = 0
 
     def begin_sumcheck(self, spec, claim):
         self.cheater.begin_sumcheck(spec, claim)
@@ -503,7 +571,8 @@ class WeightRewriter(TableCommittedProver):
         for obj in _reachable([spec]):
             writes = []
             if hasattr(obj, "weights"):
-                writes.append(lambda: setattr(obj, "weights", forged))
+                assign = object.__setattr__ if self.force else setattr
+                writes.append(lambda: assign(obj, "weights", forged))
             if isinstance(obj, (tuple, list)) and obj == r:
                 writes.append(lambda: obj.__setitem__(0, r1))
             for write in writes:
@@ -512,6 +581,7 @@ class WeightRewriter(TableCommittedProver):
                     write()
                 except Exception:
                     pass
+        self.landed += spec.weights == forged
 
 
 def test_weight_rewriter_gains_nothing_over_the_adaptive_cheater():
@@ -527,6 +597,46 @@ def test_weight_rewriter_gains_nothing_over_the_adaptive_cheater():
         forgeries += rewriter.forgeries
     # had any write landed, its forged weights would have passed the check
     assert attempts > 0 and forgeries and all(forgeries)
+
+
+def test_forced_weight_writes_land_only_in_the_provers_copy():
+    f = parse_pwsat("p pwsat g12n 3 3 2\n-1 -2 0\n-2 -3 0\n-1 -3 0\n")
+    table = BooleanTable.from_true_codes(range(f.k), f.m)
+    forgeries, landed = [], 0
+    for seed in range(100):
+        rewriter = WeightRewriter(table, force=True)
+        verdict = verify_w1(f, rewriter, RandomTape(seed))
+        cheater = verify_w1(f, AdaptiveCheater(TableCommittedProver(table)), RandomTape(seed))
+        assert verdict == cheater, seed
+        forgeries += rewriter.forgeries
+        landed += rewriter.landed
+    # every forgery would pass the final check, and each write landed, in
+    # the statement the rewriter was handed
+    assert forgeries and all(forgeries) and landed == len(forgeries)
+
+
+class BitsMutator(TableCommittedProver):
+    """Forces the bit width of the field it is handed to 1, then proves
+    honestly."""
+
+    def begin_sumcheck(self, spec, claim):
+        object.__setattr__(spec.field, "bits", 1)
+        super().begin_sumcheck(spec, claim)
+
+
+def test_a_forced_write_into_the_handed_field_moves_no_meter():
+    formula, witness = gen_planted_yes_with_witness(8, 2, 10, 3)
+    table = BooleanTable.from_assignment(witness.true_set, formula.m)
+    honest = verify_w1(formula, TableCommittedProver(table), RandomTape(1))
+    assert honest.accepted and honest.meter.proof_bits == 920
+    mutator = BitsMutator(table)
+    assert verify_w1(formula, mutator, RandomTape(1)) == honest
+    assert mutator._spec.field.bits == 1
+    # one handed field serves every branch pass of an alternation
+    tables = honest_branch_tables(AWSAT_L3)
+    expected = verify_awsat(AWSAT_L3, tables, TableCommittedProver, RandomTape(2))
+    assert expected.accepted
+    assert verify_awsat(AWSAT_L3, tables, BitsMutator, RandomTape(2)) == expected
 
 
 class FieldMutator(TableCommittedProver):

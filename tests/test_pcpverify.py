@@ -26,6 +26,7 @@ from ppcplab.pcpverify import (
     w2_proof_bits,
 )
 from ppcplab.sumcheck import (
+    GenericHonestProver,
     RandomTape,
     ResourceMeter,
     adaptive_cheater,
@@ -143,7 +144,7 @@ class TestMultilinearityTest:
         fld = PrimeField(prime)
         tape = RandomTape(seed)
         meter = ResourceMeter()
-        ok, rep = multilinearity_test(oracle, m, reps, tape, meter, fld)
+        ok, rep = multilinearity_test(GenericHonestProver(oracle), m, reps, tape, meter, fld)
         return ok, rep, meter, tape, fld
 
     def test_exact_mle_always_passes(self):

@@ -1,7 +1,8 @@
 import itertools
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ppcplab.arithmetize import (
     BooleanTable,
@@ -14,7 +15,7 @@ from ppcplab.arithmetize import (
     read_points,
     summand_value,
 )
-from ppcplab.field import FieldElement, PrimeField
+from ppcplab.field import FieldElement, PrimeField, is_prime
 from ppcplab.formula import ClassTag, WeightedFormula
 from ppcplab.sumcheck import (
     AdaptiveCheater,
@@ -50,12 +51,6 @@ class ScriptedTape:
         if n > 1:
             self.bits_drawn += (n - 1).bit_length()
         return v
-
-    def draw_int_excluding(self, n, exclude):
-        while True:
-            v = self.draw_int(n)
-            if v not in exclude:
-                return v
 
 
 # Toy summands: a block-free weight statement is the oracle itself, so the
@@ -95,6 +90,50 @@ def draw_weights(tape, m):
     return [tape.draw_int(109) for _ in range(m)]
 
 
+def line_reference(tape, m, p):
+    """``RandomTape.draw_line`` from ``draw_int`` calls: the axis, m + 1 field
+    draws (the axis's own coordinate dropped, the last one t0), then draws
+    until a value new to the axis comes up, for t1 and t2; a repeated value
+    counts as overhead."""
+    axis = tape.draw_int(m)
+    *coords, t0 = [tape.draw_int(p) for _ in range(m + 1)]
+    ts = [t0]
+    while len(ts) < 3:
+        v = tape.draw_int(p)
+        if v in ts:
+            tape.overhead_bits += (p - 1).bit_length()
+        else:
+            ts.append(v)
+    return tuple(coords[:axis]), tuple(coords[axis + 1 :]), tuple(ts)
+
+
+PRIMES = [q for q in range(3, 10008) if is_prime(q)]
+
+
+@st.composite
+def table_lines(draw):
+    """A table of arity 1..8 with 0..6 true codes, an axis, a point off the
+    axis and three axis values, over a prime p in 3..10007."""
+    arity = draw(st.integers(1, 8))
+    codes = draw(st.lists(st.integers(0, (1 << arity) - 1), max_size=6, unique=True))
+    p = draw(st.sampled_from(PRIMES))
+    axis = draw(st.integers(0, arity - 1))
+    coords = draw(st.lists(st.integers(0, p - 1), min_size=arity - 1, max_size=arity - 1))
+    ts = draw(st.lists(st.integers(0, p - 1), min_size=3, max_size=3))
+    table = BooleanTable.from_true_codes(codes, arity)
+    return table, tuple(coords[:axis]), tuple(coords[axis:]), tuple(ts), p
+
+
+def indicator_sum(table, point, p):
+    """The multilinear extension by its definition: the cube indicators of
+    the true codes, summed."""
+    m = table.arity
+    return sum(
+        math.prod([x if (c >> (m - 1 - j)) & 1 else 1 - x for j, x in enumerate(point)])
+        for c in table.ones()
+    ) % p
+
+
 class TestRandomTape:
     def test_replay_determinism(self):
         a = RandomTape(42)
@@ -120,35 +159,33 @@ class TestRandomTape:
         assert tape.bits_drawn == accepted_bits + tape.overhead_bits
         assert tape.overhead_bits > 0
 
-    def test_excluding(self):
-        tape = RandomTape(7)
-        seen = {tape.draw_int(5)}
-        v = tape.draw_int_excluding(5, seen)
-        assert v not in seen
-        with pytest.raises(ValueError):
-            tape.draw_int_excluding(1, {0})
-
     @given(
-        n=st.one_of(
-            st.just(1),
-            st.integers(0, 40).map(lambda w: 1 << w),
-            st.integers(0, 40).map(lambda w: (1 << w) + 1),
-            st.integers(1, 10**6),
+        m=st.integers(1, 12),
+        p=st.one_of(
+            st.just(3),
+            st.integers(2, 40).map(lambda w: 1 << w),
+            st.integers(1, 40).map(lambda w: (1 << w) + 1),
+            st.integers(3, 10**6),
         ),
-        k=st.integers(0, 12),
         seed=st.integers(0, 2**32),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_draw_ints_is_k_calls_to_draw_int(self, n, k, seed):
-        batch, single = RandomTape(seed), RandomTape(seed)
-        assert batch.draw_ints(n, k) == [single.draw_int(n) for _ in range(k)]
-        assert (batch.bits_drawn, batch.overhead_bits) == (single.bits_drawn, single.overhead_bits)
-        # and the generator is left where the k calls leave it
-        assert batch.draw_int(1 << 32) == single.draw_int(1 << 32)
+    @example(m=1, p=3, seed=0)
+    @example(m=1, p=1009, seed=5)
+    @settings(max_examples=300, deadline=None)
+    def test_draw_line_is_its_draw_int_reference(self, m, p, seed):
+        fast, reference = RandomTape(seed), RandomTape(seed)
+        head, tail, ts = fast.draw_line(m, p)
+        assert (head, tail, ts) == line_reference(reference, m, p)
+        assert len(head) + len(tail) == m - 1 and len(set(ts)) == 3
+        assert all(0 <= v < p for v in head + tail + ts)
+        assert (fast.bits_drawn, fast.overhead_bits) == (reference.bits_drawn, reference.overhead_bits)
+        # and the generator is left where the reference leaves it
+        assert fast.draw_int(1 << 32) == reference.draw_int(1 << 32)
 
-    def test_draw_ints_needs_a_positive_range(self):
-        with pytest.raises(ValueError):
-            RandomTape(0).draw_ints(0, 3)
+    def test_draw_line_needs_a_line(self):
+        for m, p in ((0, 109), (3, 2), (3, 1)):
+            with pytest.raises(ValueError):
+                RandomTape(0).draw_line(m, p)
 
     def test_monotone_counter(self):
         tape = RandomTape(3)
@@ -380,6 +417,23 @@ class TestTableCommittedProver:
         answer = prover.assignment_query((F109(3), F109(11)))
         assert type(answer) is FieldElement and answer.field == F109
         assert answer.value == mle_eval(table, (3, 11), 109)
+
+    @given(line=table_lines())
+    @example(line=(BooleanTable.from_true_codes([], 3), (5,), (6,), (0, 1, 2), 7))
+    @example(line=(BooleanTable.from_true_codes([0, 1], 1), (), (), (3, 0, 1), 5))
+    @settings(max_examples=300, deadline=None)
+    def test_line_query_is_three_assignment_queries(self, line):
+        table, head, tail, ts, p = line
+        fld = PrimeField(p)
+        prover = TableCommittedProver(table)
+        handed = [tuple(map(fld, vals)) for vals in (head, tail, ts)]
+        answers = prover.line_query(*handed)
+        assert type(answers) is tuple and len(answers) == 3
+        assert all(type(a) is FieldElement and a.field is fld for a in answers)
+        points = [head + (t,) + tail for t in ts]
+        queried = [prover.assignment_query(tuple(map(fld, q))) for q in points]
+        assert [a.value for a in answers] == [a.value for a in queried]
+        assert [a.value for a in answers] == [indicator_sum(table, q, p) for q in points]
 
 
 class TestRandomGarbageProver:
