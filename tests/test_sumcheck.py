@@ -182,6 +182,29 @@ class TestRandomTape:
         # and the generator is left where the reference leaves it
         assert fast.draw_int(1 << 32) == reference.draw_int(1 << 32)
 
+    def test_draw_ints_is_k_calls_to_draw_int(self):
+        # p = 5 has width 3, so rejections are frequent; the coordinates of
+        # the line are m - 1 of the m + 1 draw_int(p) calls after the axis
+        for seed in range(50):
+            m = 1 + seed % 7
+            fast, reference = RandomTape(seed), RandomTape(seed)
+            head, tail, (t0, _, _) = fast.draw_line(m, 5)
+            axis = reference.draw_int(m)
+            draws = [reference.draw_int(5) for _ in range(m + 1)]
+            assert head + tail == tuple(draws[:axis] + draws[axis + 1 : m])
+            assert t0 == draws[m]
+            assert len(head) == axis
+
+    def test_excluding(self):
+        # over Z_3 the three distinct axis values are the whole field, and
+        # every repeated value drawn on the way is overhead
+        for seed in range(100):
+            tape = RandomTape(seed)
+            _, _, ts = tape.draw_line(2, 3)
+            assert sorted(ts) == [0, 1, 2]
+            accepted = 1 + (2 + 1 + 2) * 2  # the axis, then m + 1 + 2 field values
+            assert tape.bits_drawn == accepted + tape.overhead_bits
+
     def test_draw_line_needs_a_line(self):
         for m, p in ((0, 109), (3, 2), (3, 1)):
             with pytest.raises(ValueError):
