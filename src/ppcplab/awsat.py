@@ -38,7 +38,7 @@ from .pcpverify import (
     verify_w1,
     _StageLog,
 )
-from .sumcheck import ProverStrategy, RandomTape, Verdict, ask_prover
+from .sumcheck import ProverStrategy, RandomTape, Verdict
 
 ProverFactory = Callable[[BooleanTable], ProverStrategy]
 
@@ -238,7 +238,10 @@ def _branch_prover(
         table = tables.merge(branch, instance)
     except MissingTableError:
         return None
-    prover = ask_prover(prover_factory, table)
+    try:
+        prover = prover_factory(table)
+    except Exception:  # a factory fault is a malformed proof, as in ask_prover
+        return None
     return prover if issubclass(type(prover), ProverStrategy) else None
 
 
@@ -276,7 +279,7 @@ def verify_awsat(
     branches = enumerate_universal(instance)
     m = instance.formula.m
     params = awsat_parameters(instance, cfg)
-    fld, prover_field = PrimeField(params.prime), PrimeField(params.prime)
+    fld = PrimeField(params.prime)
     weight_checks = [
         (f"weight{i + 1}", kw, BooleanTable.from_true_codes([v - 1 for v in block], m))
         for i, (block, kw) in enumerate(zip(instance.blocks, instance.block_weights))
@@ -291,7 +294,7 @@ def verify_awsat(
         if prover is None:
             return log.reject(prefix + "tables", 0)
         rejected = run_g12n_protocol(
-            reduced, prover, tape, log, fld, prover_field, params, weight_checks, prefix=prefix,
+            reduced, prover, tape, log, fld, params, weight_checks, prefix=prefix,
         )
         if rejected is not None:
             return rejected

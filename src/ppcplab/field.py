@@ -1,8 +1,11 @@
-"""Prime-field arithmetic, univariate polynomials, and soundness-driven prime selection.
+"""Prime fields, the Lagrange reference for univariate polynomials, and
+soundness-driven prime selection.
 
-All protocol arithmetic happens in Z_p.  The prime is picked per verifier run
-so that (total rounds) * (max round degree) / p stays below the configured
-soundness target, with one union-bound term per round of every sub-protocol.
+All protocol arithmetic happens on residues mod p, plain ints.  The prime is
+picked per verifier run so that (total rounds) * (max round degree) / p stays
+below the configured soundness target, with one union-bound term per round of
+every sub-protocol.  ``FieldElement`` is the value type of the reference path
+only (``interpolate`` and ``UniPoly``), and has no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -76,11 +79,12 @@ def select_prime(total_rounds: int, degree_bound: int, epsilon: float | int | Fr
 
 
 class PrimeField:
-    """The field Z_p.  Calling the field with an integer produces an element.
+    """The field Z_p: its modulus and ``bits``, the width ceil(log2 p) of one
+    residue.  Calling the field with an integer produces an element.
 
     Refuses plain attribute writes.  A forced write (``object.__setattr__``)
-    still lands, so the verifier meters by a field it never hands out and
-    gives the prover a field of its own."""
+    still lands, so the verifier meters by a field it never hands out, and
+    each sum-check hands the prover a field of its own."""
 
     __slots__ = ("modulus", "bits")
 
@@ -106,10 +110,6 @@ class PrimeField:
     def zero(self) -> "FieldElement":
         return FieldElement(0, self)
 
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.modulus == self.modulus
 
@@ -121,71 +121,14 @@ class PrimeField:
 
 
 class FieldElement:
-    """An integer reduced mod p, tied to its field."""
+    """An integer reduced mod p, tied to its field: the values of
+    ``interpolate`` and ``UniPoly``, which compute on ``.value``."""
 
     __slots__ = ("value", "field")
 
     def __init__(self, value: int, field: PrimeField):
         self.value = value % field.modulus
         self.field = field
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field.modulus != self.field.modulus:
-                raise FieldMismatchError(
-                    f"mixed fields Z_{self.field.modulus} and Z_{other.field.modulus}"
-                )
-            return other
-        if isinstance(other, int):
-            return FieldElement(other, self.field)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + other.value, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - other.value, self.field)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(other.value - self.value, self.field)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * other.value, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.field)
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inv() ** (-exponent)
-        return FieldElement(pow(self.value, exponent, self.field.modulus), self.field)
-
-    def inv(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return FieldElement(pow(self.value, self.field.modulus - 2, self.field.modulus), self.field)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):

@@ -20,12 +20,12 @@ sum-check on it, reads the assignment oracle at the statement's
 and checks ``summand_value`` there against the last running claim.  That is
 the only final check.  The verifier keeps residues mod p, plain ints, and
 computes and meters by a field it never hands out.  The prover receives its
-own copy of each statement, over a second field of the same modulus built
-once per verifier call, claims and challenges as ints, and fresh
-``FieldElement``s of that field at every point it answers at.  The verifier
-reads nothing it hands out, so nothing the prover writes, even past a
-frozen class, reaches a check or a meter.  An honest prover compiles its own
-plan from the statement.
+own copy of each statement, over a field of its own, and residues on both
+wires: claims and challenges, and every point it answers at, with p.  It
+answers with residues too, read only if exactly plain ints in [0, p)
+(``sumcheck.proof_residues``).  The verifier reads nothing it hands out, so
+nothing the prover writes, even past a frozen class, reaches a check or a
+meter.  An honest prover compiles its own plan from the statement.
 
 ``verify_w1`` and ``verify_w2`` run one pass with a weight check over the real
 variables; the branch protocol in ``awsat`` runs one pass per universal
@@ -45,10 +45,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .arithmetize import (
     BooleanTable,
+    Point,
     build_w1_summand,
     build_w2_summand,
     build_weight_summand,
@@ -57,7 +58,7 @@ from .arithmetize import (
     read_points,
     summand_value,
 )
-from .field import FieldElement, PrimeField, select_prime
+from .field import PrimeField, select_prime
 from .formula import (
     ClassMismatchError,
     ClassTag,
@@ -67,7 +68,6 @@ from .formula import (
 )
 from .reductions import gen_planted_yes_with_witness
 from .sumcheck import (
-    Point,
     ProverStrategy,
     RandomTape,
     ResourceMeter,
@@ -77,7 +77,7 @@ from .sumcheck import (
     ask_prover,
     derive_seed,
     draw_field_element,
-    proof_int,
+    proof_residues,
     run_sumcheck,
     table_committed_prover,
     RandomGarbageProver,
@@ -105,18 +105,20 @@ class VerifierConfig:
 
 
 def _read_assignment(
-    oracle: Callable[[Point], FieldElement],
-    point: Point,
+    prover: ProverStrategy,
+    points: Sequence[Point],
     meter: ResourceMeter,
     fld: PrimeField,
-) -> Optional[int]:
-    """One metered read of the assignment oracle at ``point``, elements the
-    prover may keep: ceil(log2 p) proof bits and one query, whatever comes
-    back.  Returns the answer's residue, or None for a malformed answer or a
-    query that raises."""
-    meter.proof_bits += fld.bits
-    meter.oracle_queries += 1
-    return proof_int(ask_prover(oracle, point), fld.modulus)
+) -> Optional[tuple[int, ...]]:
+    """Metered reads of the assignment oracle, one ``assignment_query`` per
+    point: ceil(log2 p) proof bits and one query each, whatever comes back.
+    Returns the residues read, or None if any answer is malformed or any
+    query raises."""
+    p = fld.modulus
+    meter.proof_bits += len(points) * fld.bits
+    meter.oracle_queries += len(points)
+    answers = tuple([ask_prover(prover, "assignment_query", q, p) for q in points])
+    return proof_residues(answers, len(points), p)
 
 
 def multilinearity_test(
@@ -126,39 +128,29 @@ def multilinearity_test(
     tape: RandomTape,
     meter: ResourceMeter,
     fld: PrimeField,
-    prover_field: Optional[PrimeField] = None,
 ) -> tuple[bool, Optional[int]]:
     """Axis-parallel three-point collinearity test.
 
     Each repetition draws a line (``RandomTape.draw_line``): an axis, a point
     for the other coordinates and three distinct axis values.  It asks the
-    prover for the three values at once (``line_query``, handed fresh
-    elements of ``prover_field``, default a new field of the same modulus)
-    and checks that the oracle's restriction is affine there.  Per repetition:
-    ceil(log2 m) + (m + 3) * ceil(log2 p) ideal random bits and three reads
-    of ceil(log2 p) proof bits, metered by ``fld`` whatever comes back.
-    Rejects on the first failing repetition; an answer that is not exactly a
-    tuple of three well-formed elements of Z_p, or a query that raises,
-    fails its repetition.
+    prover for the three values at once (``line_query``, handed the
+    residues and p) and checks that the oracle's restriction is affine
+    there.  Per repetition: ceil(log2 m) + (m + 3) * ceil(log2 p) ideal
+    random bits and three reads of ceil(log2 p) proof bits, metered by
+    ``fld`` whatever comes back.  Rejects on the first failing repetition;
+    an answer that is not exactly a tuple of three plain ints in [0, p), or
+    a query that raises, fails its repetition.
     """
     p, bits = fld.modulus, fld.bits
-    handed = PrimeField(p) if prover_field is None else prover_field
     for rep in range(1, reps + 1):
         before = tape.bits_drawn
         head, tail, ts = tape.draw_line(m, p)
         meter.random_bits += tape.bits_drawn - before
         meter.proof_bits += 3 * bits
         meter.oracle_queries += 3
-        answers = ask_prover(
-            prover.line_query,
-            tuple([FieldElement(v, handed) for v in head]),
-            tuple([FieldElement(v, handed) for v in tail]),
-            tuple([FieldElement(t, handed) for t in ts]),
-        )
-        ok = type(answers) is tuple and len(answers) == 3
-        f0, f1, f2 = [proof_int(a, p) for a in answers] if ok else (None,) * 3
+        f = proof_residues(ask_prover(prover, "line_query", head, tail, ts, p), 3, p)
         t0, t1, t2 = ts
-        if None in (f0, f1, f2) or (f2 - f0) * (t1 - t0) % p != (f1 - f0) * (t2 - t0) % p:
+        if f is None or (f[2] - f[0]) * (t1 - t0) % p != (f[1] - f[0]) * (t2 - t0) % p:
             return False, rep
     return True, None
 
@@ -249,7 +241,6 @@ def run_protocol(
     tape: RandomTape,
     log: _StageLog,
     fld: PrimeField,
-    prover_field: PrimeField,
     params: ProtocolParameters,
     weight_checks: Sequence[WeightCheck],
     prefix: str = "",
@@ -257,10 +248,10 @@ def run_protocol(
     """One full clause-product verification pass over an existing log: the
     rejecting verdict, or None when every stage accepts.
 
-    The verifier computes and meters by ``fld``, which it never hands out.
-    Every element and statement the prover is handed is over
-    ``prover_field``, one per verifier call, of which the verifier reads
-    nothing.
+    The verifier computes and meters by ``fld``, which it never hands out:
+    each statement the prover is handed is over a field of its own
+    (``run_sumcheck``), and every point it is asked at is a tuple of
+    residues.
 
     Shared between the plain verifiers (one weight check over the real
     variables) and the branch protocol (one weight check per odd block).  A
@@ -269,7 +260,7 @@ def run_protocol(
     content.
     """
     m, L, reps = formula.m, params.padded_len, params.reps
-    ok, rep = multilinearity_test(prover, m, reps, tape, log, fld, prover_field)
+    ok, rep = multilinearity_test(prover, m, reps, tape, log, fld)
     if not ok:
         return log.reject(prefix + "mltest", rep, rep)
     log.close(prefix + "mltest", reps, True)
@@ -284,17 +275,12 @@ def run_protocol(
             spec = build_w1_summand(formula, fld, weights)
         else:
             spec = build_w2_summand(formula, fld, weights, L)
-        run = run_sumcheck(spec, claim, prover, tape, log, prover_field)
+        run = run_sumcheck(spec, claim, prover, tape, log)
         if not run.verdict.accepted:
             return log.reject(prefix + name, len(run.transcripts), run.verdict.rejection_round)
         point = run.final_point
-        oracle = prover.assignment_query
-        # the prover is handed fresh elements of each read point
-        reads = [
-            _read_assignment(oracle, tuple(map(prover_field, q)), log, fld)
-            for q in read_points(spec, point)
-        ]
-        if None in reads or summand_value(spec, point, reads) != run.final_expected:
+        reads = _read_assignment(prover, read_points(spec, point), log, fld)
+        if reads is None or summand_value(spec, point, reads) != run.final_expected:
             return log.reject(prefix + name, spec.num_vars, 0)
         log.close(prefix + name, spec.num_vars, True)
     return None
@@ -319,9 +305,8 @@ def _verify(
 ) -> Verdict:
     params = protocol_parameters(formula, config)
     log = _StageLog()
-    fld, prover_field = PrimeField(params.prime), PrimeField(params.prime)
     return run_protocol(
-        formula, prover, tape, log, fld, prover_field, params,
+        formula, prover, tape, log, PrimeField(params.prime), params,
         [("weight", formula.k, _real_block(formula.num_vars, formula.m))],
     ) or log.verdict()
 

@@ -4,17 +4,18 @@ random-bit / proof-bit metering.
 One round: the prover supplies a univariate polynomial g'_i for the current
 variable; the verifier checks g'_i(0) + g'_i(1) against the running claim,
 draws a random residue r_i mod p, and continues with the claim g'_i(r_i).
-The verifier keeps residues, plain ints, and the round wire carries them:
-claims and challenges go out as residues, and round i comes back as a tuple
-of d_i + 1 residues, the proof symbols it is metered for.  Only the
-assignment oracle speaks ``FieldElement``s, at one point or at the three
-points of an axis-parallel line: the prover is handed fresh ones.
-After the last round the caller performs the final direct evaluation, since
-only the caller knows which factors it computes itself and which it must
-read from the proof.  The statement a prover receives (``SummandSpec``) is
+The verifier keeps residues, plain ints, and both wires carry them: claims,
+challenges and read points go out as residues, with p; round i comes back as
+a tuple of d_i + 1 residues, an assignment read as one residue and a line
+read (three points of an axis-parallel line) as a tuple of three, the proof
+symbols each is metered for.  ``proof_residues`` is the one check of what
+comes back.  After the last round the caller performs the final direct
+evaluation, since only the caller knows which factors it computes itself and
+which it must read from the proof.  The statement a prover receives (``SummandSpec``) is
 plain data: the table-committed prover compiles its ``ProductPlan`` from it
 and folds that, and the reference prover (``honest_round_poly``) sums the
-statement's ``summand_value`` over an assignment oracle point by point.
+statement's ``summand_value`` over an assignment oracle point by point and
+interpolates (the one user of ``FieldElement``).
 
 Residues are drawn by rejection sampling from ceil(log2 p)-bit blocks;
 rejected blocks still count toward the bits drawn (and are tracked separately
@@ -33,6 +34,7 @@ from typing import Callable, Optional, Sequence
 
 from .arithmetize import (
     BooleanTable,
+    Point,
     ProductPlan,
     SummandSpec,
     _tensor,
@@ -42,10 +44,7 @@ from .arithmetize import (
     read_points,
     summand_value,
 )
-from .field import FieldElement, PrimeField, UniPoly, interpolate, node_inverse
-
-# a point on the oracle wire: fresh elements the prover may keep
-Point = tuple[FieldElement, ...]
+from .field import PrimeField, UniPoly, interpolate, node_inverse
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -207,13 +206,15 @@ class ProverStrategy(ABC):
     answer is a tuple of exactly d_i + 1 plain ints in [0, p), lowest degree
     first.
 
-    ``assignment_query`` answers the assignment oracle at one point of fresh
-    ``FieldElement``s with a ``FieldElement`` of the same field.
-    ``line_query(head, tail, ts)`` answers it at the three points
+    ``assignment_query(point, p)`` answers the assignment oracle at a tuple
+    of residues mod p with exactly one plain int in [0, p).
+    ``line_query(head, tail, ts, p)`` answers it at the three points
     head + (t,) + tail, t in ``ts``, of one axis-parallel line, with exactly
-    a tuple of three such elements; the multilinearity test asks each of its
-    repetitions this way.  By default it asks ``assignment_query`` point by
-    point, so a point-by-point prover need not define it.
+    a tuple of three such ints; the multilinearity test asks each of its
+    repetitions this way, before any statement (and so any field) is handed
+    out, which is why p travels with the query.  By default it asks
+    ``assignment_query`` point by point, so a point-by-point prover need not
+    define it.
     """
 
     def begin_sumcheck(self, spec: SummandSpec, claim: int) -> None:
@@ -224,11 +225,11 @@ class ProverStrategy(ABC):
         ...
 
     @abstractmethod
-    def assignment_query(self, point: Point) -> FieldElement:
+    def assignment_query(self, point: Point, p: int) -> int:
         ...
 
-    def line_query(self, head: Point, tail: Point, ts: Point) -> tuple[FieldElement, ...]:
-        return tuple([self.assignment_query(head + (t,) + tail) for t in ts])
+    def line_query(self, head: Point, tail: Point, ts: Point, p: int) -> tuple[int, ...]:
+        return tuple([self.assignment_query(head + (t,) + tail, p) for t in ts])
 
 
 @dataclass(frozen=True)
@@ -242,33 +243,23 @@ class SumcheckRun:
     transcripts: tuple[RoundTranscript, ...]
 
 
-def proof_int(value, p: int) -> Optional[int]:
-    """The residue mod p of a prover-supplied field element, or None unless it
-    is exactly a ``FieldElement`` of exactly a ``PrimeField`` of modulus p
-    holding a plain ``int``.  The verifier computes only on what this returns,
-    so no method of a prover-supplied object ever runs on its side."""
-    if type(value) is not FieldElement or type(value.value) is not int:
-        return None
-    fld = value.field
-    if type(fld) is not PrimeField or type(fld.modulus) is not int or fld.modulus != p:
-        return None
-    return value.value % p
+def proof_residues(message, n: int, p: int) -> Optional[tuple[int, ...]]:
+    """A prover's message if it is exactly a tuple of n plain ints in [0, p),
+    else None: the one check of a round message, a line read and the final
+    reads.  A plain tuple of plain ints has no overridable method and cannot
+    change after it is read, so the verifier computes on it directly and no
+    method of a prover-supplied object ever runs on its side."""
+    ok = type(message) is tuple and len(message) == n
+    return message if ok and all([type(c) is int and 0 <= c < p for c in message]) else None
 
 
-def _proof_coeffs(poly, degree: int, p: int) -> Optional[tuple[int, ...]]:
-    """A round message if it is exactly a tuple of degree + 1 plain ints in
-    [0, p), else None.  A plain tuple of plain ints has no overridable
-    method and cannot change after it is read."""
-    ok = type(poly) is tuple and len(poly) == degree + 1
-    return poly if ok and all([type(c) is int and 0 <= c < p for c in poly]) else None
-
-
-def ask_prover(callback: Callable, *args):
-    """What a prover callback returns, or None if it raises.  To the verifier
-    a prover exception is a malformed answer; only ``Exception`` is caught, so
-    an interrupt still ends the run."""
+def ask_prover(prover, name: str, *args):
+    """What the prover's method ``name`` returns, or None if looking it up or
+    calling it raises.  To the verifier a prover exception is a malformed
+    answer; only ``Exception`` is caught, so an interrupt still ends the
+    run."""
     try:
-        return callback(*args)
+        return getattr(prover, name)(*args)
     except Exception:
         return None
 
@@ -286,7 +277,6 @@ def run_sumcheck(
     prover: ProverStrategy,
     tape: RandomTape,
     meter: ResourceMeter,
-    prover_field: Optional[PrimeField] = None,
 ) -> SumcheckRun:
     """Drive the round protocol for ``spec`` against ``prover``.
 
@@ -298,10 +288,10 @@ def run_sumcheck(
     residues.  The final direct evaluation is left to the caller, which
     receives the fully instantiated point and the last running claim.
 
-    ``begin_sumcheck`` is handed a copy of ``spec`` over ``prover_field``
-    (default: a new field of the same modulus) with shallow copies of its
-    formula and block, so no write the prover forces into what it is handed
-    reaches the statement, the field or the bit width the verifier meters by.
+    ``begin_sumcheck`` is handed a copy of ``spec`` over a new field of the
+    same modulus, with shallow copies of its formula and block, so no write
+    the prover forces into what it is handed reaches the statement, the field
+    or the bit width the verifier meters by.
     The copies are made without revalidation: they hash and compare equal to
     the originals, so the formula's cached code arrays serve them.
     """
@@ -310,7 +300,7 @@ def run_sumcheck(
     a = claim % p
     handout = replace(
         spec,
-        field=prover_field if prover_field is not None else PrimeField(p),
+        field=PrimeField(p),
         formula=copy.copy(spec.formula),
         block=copy.copy(spec.block),
     )
@@ -323,9 +313,9 @@ def run_sumcheck(
     transcripts: list[RoundTranscript] = []
     for i in range(1, spec.num_vars + 1):
         d = spec.degree_bounds[i - 1]
-        poly = ask_prover(prover.round_poly, i, challenges, a) if started else None
+        poly = ask_prover(prover, "round_poly", i, challenges, a) if started else None
         meter.proof_bits += (d + 1) * fld.bits
-        coeffs = _proof_coeffs(poly, d, p)
+        coeffs = proof_residues(poly, d + 1, p)
         # g(0) + g(1) is the constant coefficient plus the sum of all of them
         if coeffs is None or (coeffs[0] + sum(coeffs)) % p != a:
             verdict = Verdict(False, meter.snapshot(), rejection_round=i)
@@ -339,7 +329,7 @@ def run_sumcheck(
 
 def honest_round_poly(
     spec: SummandSpec,
-    oracle: Callable[[Point], FieldElement],
+    oracle: Callable[[Point, int], int],
     prefix: Sequence[int],
     i: int,
 ) -> UniPoly:
@@ -347,14 +337,15 @@ def honest_round_poly(
     direct partial summation.
 
     ``prefix`` holds the residues r_1..r_{i-1}.  Evaluates the partial sum
-    at the d_i + 1 points 0..d_i, handing the oracle fresh elements of every
-    read point and summing residues, and interpolates.  Exponential in the
-    number of free variables; intended for small summands and as the
-    reference the fast prover is checked against.
+    at the d_i + 1 points 0..d_i, asking ``oracle(point, p)`` for a residue
+    at every read point, and interpolates.  Exponential in the number of
+    free variables; intended for small summands and as the reference the
+    fast prover is checked against.
     """
     if len(prefix) != i - 1:
         raise ValueError("prefix must instantiate exactly the first i-1 variables")
     fld = spec.field
+    p = fld.modulus
     d = spec.degree_bounds[i - 1]
     free = spec.num_vars - i
     pts = []
@@ -363,7 +354,7 @@ def honest_round_poly(
         for mask in range(1 << free):
             suffix = tuple((mask >> (free - 1 - j)) & 1 for j in range(free))
             pt = tuple(prefix) + (t,) + suffix
-            reads = [oracle(tuple(map(fld, q))).value for q in read_points(spec, pt)]
+            reads = [oracle(q, p) for q in read_points(spec, pt)]
             total += summand_value(spec, pt, reads)
         pts.append((fld(t), fld(total)))
     return interpolate(pts)
@@ -536,7 +527,7 @@ class GenericHonestProver(ProverStrategy):
     summation of the statement's summand (``honest_round_poly``, padded to
     the wire's d + 1 residues); exponential, for small specs."""
 
-    def __init__(self, assignment_oracle: Callable[[Point], FieldElement]):
+    def __init__(self, assignment_oracle: Callable[[Point, int], int]):
         self._oracle = assignment_oracle
         self._spec: Optional[SummandSpec] = None
 
@@ -548,8 +539,8 @@ class GenericHonestProver(ProverStrategy):
         poly = honest_round_poly(spec, self._oracle, challenges, i)
         return tuple([c.value for c in poly.padded(spec.degree_bounds[i - 1]).coeffs])
 
-    def assignment_query(self, point: Point) -> FieldElement:
-        return self._oracle(tuple(point))
+    def assignment_query(self, point: Point, p: int) -> int:
+        return self._oracle(point, p)
 
 
 class TableCommittedProver(ProverStrategy):
@@ -576,17 +567,11 @@ class TableCommittedProver(ProverStrategy):
         # d + 1 of them, trailing zeros included, as the wire format wants
         return tuple([sum(map(mul, row, vals)) % p for row in node_inverse(p, d)])
 
-    def assignment_query(self, point: Point) -> FieldElement:
-        fld = point[0].field
-        return FieldElement(mle_eval(self.table, [x.value for x in point], fld.modulus), fld)
+    def assignment_query(self, point: Point, p: int) -> int:
+        return mle_eval(self.table, point, p)
 
-    def line_query(self, head: Point, tail: Point, ts: Point) -> tuple[FieldElement, ...]:
-        fld = ts[0].field
-        values = mle_line(
-            self.table, [x.value for x in head], [x.value for x in tail],
-            [t.value for t in ts], fld.modulus,
-        )
-        return tuple([FieldElement(v, fld) for v in values])
+    def line_query(self, head: Point, tail: Point, ts: Point, p: int) -> tuple[int, ...]:
+        return mle_line(self.table, head, tail, ts, p)
 
 
 def table_committed_prover(table: BooleanTable) -> TableCommittedProver:
@@ -614,11 +599,11 @@ class AdaptiveCheater(ProverStrategy):
             return honest
         return (honest[0], (honest[1] + delta) % self._p, *honest[2:])
 
-    def assignment_query(self, point: Point) -> FieldElement:
-        return self.base.assignment_query(point)
+    def assignment_query(self, point: Point, p: int) -> int:
+        return self.base.assignment_query(point, p)
 
-    def line_query(self, head: Point, tail: Point, ts: Point) -> tuple[FieldElement, ...]:
-        return self.base.line_query(head, tail, ts)
+    def line_query(self, head: Point, tail: Point, ts: Point, p: int) -> tuple[int, ...]:
+        return self.base.line_query(head, tail, ts, p)
 
 
 def adaptive_cheater(base: ProverStrategy) -> AdaptiveCheater:
@@ -640,6 +625,5 @@ class RandomGarbageProver(ProverStrategy):
         p = self._spec.field.modulus
         return tuple([self._rng.randrange(p) for _ in range(self._spec.degree_bounds[i - 1] + 1)])
 
-    def assignment_query(self, point: Point) -> FieldElement:
-        fld = point[0].field
-        return fld(self._rng.randrange(fld.modulus))
+    def assignment_query(self, point: Point, p: int) -> int:
+        return self._rng.randrange(p)

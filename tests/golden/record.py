@@ -373,7 +373,7 @@ def bits_records() -> list[Record]:
 
 class MalformedFinalReads(TableCommittedProver):
     """Honest until the main sum-check starts; from then on every assignment
-    answer is a plain int instead of a field element."""
+    answer is out of range: the residue plus p."""
 
     def __init__(self, table: BooleanTable):
         super().__init__(table)
@@ -383,9 +383,9 @@ class MalformedFinalReads(TableCommittedProver):
         super().begin_sumcheck(spec, claim)
         self._started = True
 
-    def assignment_query(self, point):
-        value = super().assignment_query(point)
-        return value.value if self._started else value
+    def assignment_query(self, point, p):
+        value = super().assignment_query(point, p)
+        return value + p if self._started else value
 
 
 def malformed_records() -> list[Record]:

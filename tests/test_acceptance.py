@@ -296,7 +296,7 @@ def test_criterion_7_multilinearity_power():
             reps = 5 * m
             fld = PrimeField(select_prime(9 * m, 3, 0.5))
             table = BooleanTable.from_true_codes([1, 2, (1 << m) - 2], m)
-            exact = lambda pt: fld(mle_eval(table, [x.value for x in pt], fld.modulus))
+            exact = lambda pt, p: mle_eval(table, pt, p)
             prover = GenericHonestProver(exact)
             for s in range(1000):
                 ok, _ = multilinearity_test(
@@ -304,7 +304,7 @@ def test_criterion_7_multilinearity_power():
                 )
                 assert ok  # 100 percent pass rate
 
-            planted = lambda pt: fld(mle_eval(table, [x.value for x in pt], fld.modulus)) + pt[0] * pt[0]
+            planted = lambda pt, p: (mle_eval(table, pt, p) + pt[0] * pt[0]) % p
             prover = GenericHonestProver(planted)
             rejected = 0
             trials = 2000

@@ -98,7 +98,7 @@ def random_spec(formula, L, rng):
 
 
 def table_oracle(table):
-    """The element oracle of a table's multilinear extension."""
+    """The residue oracle of a table's multilinear extension."""
     return TableCommittedProver(table).assignment_query
 
 

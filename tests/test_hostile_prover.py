@@ -1,13 +1,12 @@
 """The verifier treats the proof as data.  A round message that is not
-exactly a tuple of d + 1 plain ints in [0, p), and an assignment answer that
-is not exactly a ``FieldElement`` of the run's field holding a plain int, are
-rejected at the stage and round that read them, and no prover-supplied method
-decides a check.  What the verifier hands the prover is data too: a statement
-with no code and no field element in it, a field that refuses plain writes,
-plain ints and tuples of them on the round wire, and fresh elements of the
-points it reads the assignment oracle at.  The statement is the prover's own
-copy and the field is its own, so a write it forces into either reaches no
-check and no meter."""
+exactly a tuple of d + 1 plain ints in [0, p), an assignment answer that is
+not exactly a plain int in [0, p) and a line answer that is not exactly a
+tuple of three of them are rejected at the stage and round that read them,
+and no prover-supplied method decides a check.  What the verifier hands the
+prover is data too: a statement with no code and no field element in it, a
+field that refuses plain writes, and plain ints and tuples of them on both
+wires.  The statement is the prover's own copy and the field is its own, so
+a write it forces into either reaches no check and no meter."""
 
 import dataclasses
 import types
@@ -50,8 +49,8 @@ def product_spec(fld):
     return SummandSpec(2, (1, 1), fld)
 
 
-def product_oracle(pt):
-    return pt[0] * pt[1]
+def product_oracle(pt, p):
+    return pt[0] * pt[1] % p
 
 
 # h = x1 * x2 declared at degree 2 per variable: every honest round message
@@ -60,10 +59,8 @@ def product_oracle(pt):
 WIRE_SPEC = SummandSpec(2, (2, 2), F109)
 
 
-class AlwaysEqual(FieldElement):
-    """Reports equality with everything."""
-
-    __slots__ = ()
+class AlwaysEqual(int):
+    """An int that reports equality with everything and is its own residue."""
 
     def __eq__(self, other):
         return True
@@ -71,7 +68,10 @@ class AlwaysEqual(FieldElement):
     def __ne__(self, other):
         return False
 
-    __hash__ = FieldElement.__hash__
+    def __mod__(self, other):
+        return self
+
+    __hash__ = int.__hash__
 
 
 class IntSub(int):
@@ -84,8 +84,8 @@ class TupleSub(tuple):
 
 class SubclassProver(ProverStrategy):
     """Round messages that claim claim/2 as a constant, so g(0) + g(1)
-    matches every claim, in int-subclass entries; assignment answers are
-    ``AlwaysEqual``."""
+    matches every claim, in int-subclass entries; every assignment answer is
+    ``AlwaysEqual(1)``."""
 
     def begin_sumcheck(self, spec, claim):
         self.spec = spec
@@ -95,8 +95,8 @@ class SubclassProver(ProverStrategy):
         half = claim * pow(2, -1, p) % p
         return (IntSub(half),) + (IntSub(0),) * self.spec.degree_bounds[i - 1]
 
-    def assignment_query(self, point):
-        return AlwaysEqual(1, point[0].field)
+    def assignment_query(self, point, p):
+        return AlwaysEqual(1)
 
 
 def test_subclass_prover_never_accepted():
@@ -180,72 +180,113 @@ def test_a_round_message_passes_round_1_only_as_a_consistent_tuple_of_residues(m
 def test_multilinearity_test_rejects_subclass_answers():
     table = BooleanTable.from_true_codes([1, 2], 2)
 
-    def oracle(q):
-        v = TableCommittedProver(table).assignment_query(q)
-        return AlwaysEqual(v.value, v.field)
+    def oracle(q, p):
+        return AlwaysEqual(TableCommittedProver(table).assignment_query(q, p))
 
     prover = GenericHonestProver(oracle)
     ok, rep = multilinearity_test(prover, 2, 5, RandomTape(1), ResourceMeter(), F109)
     assert (ok, rep) == (False, 1)
 
 
-def _raise(answers):
+def _raise(*answer):
     raise RuntimeError("prover fault")
 
 
-# Malformed line answers, each made from the honest answer a (a tuple of
-# three elements of Z_109, the field of YES_TEXT's run).
-LINE_ANSWERS = {
-    "list": list,
-    "pair": lambda a: a[:2],
-    "four": lambda a: a + a[:1],
-    "tuple_subclass": TupleSub,
-    "none": lambda a: None,
+# Malformed answers on the int wire.  A point answer is made from the honest
+# residue v mod p; all but the bool and None are v itself to a lenient
+# reader, so only the type and range check rejects them.
+POINT_ANSWERS = {
+    "bool": lambda v, p: True,
+    "eq_mod_subclass": lambda v, p: AlwaysEqual(v),
+    "p_above": lambda v, p: v + p,
+    "negative": lambda v, p: v - p,
+    "float": lambda v, p: float(v),
+    "field_element": lambda v, p: FieldElement(v, PrimeField(p)),
+    "none": lambda v, p: None,
     "raise": _raise,
-    "always_equal_element": lambda a: (a[0], AlwaysEqual(a[1].value, a[1].field), a[2]),
-    "wrong_field_element": lambda a: (a[0], a[1], PrimeField(113)(a[2].value)),
-    "int_element": lambda a: (a[0].value, a[1], a[2]),
-    "int": lambda a: a[0].value,
+}
+
+# A line answer is made from the honest tuple a of three residues: the
+# malformations of the tuple, then each point malformation in its middle
+# entry.
+LINE_ANSWERS = {
+    "list": lambda a, p: list(a),
+    "pair": lambda a, p: a[:2],
+    "four": lambda a, p: a + a[:1],
+    "tuple_subclass": lambda a, p: TupleSub(a),
+    "bool_entry": lambda a, p: a[:2] + (True,),
+    **{
+        f"entry_{name}": lambda a, p, bad=bad: (a[0], bad(a[1], p), a[2])
+        for name, bad in POINT_ANSWERS.items()
+    },
 }
 
 
-class LineMalformer(TableCommittedProver):
-    """An honest table prover whose line answer at multilinearity repetition
-    ``rep`` is ``malform`` of the honest one."""
+class Malformer(TableCommittedProver):
+    """An honest table prover whose answers at one read site are ``malform``
+    of the honest ones: ``("line", rep)`` is the line read of multilinearity
+    repetition rep, ``("point", k)`` every final read of sum-check k (1 =
+    main, 2 = weight)."""
 
-    def __init__(self, table, malform, rep):
+    def __init__(self, table, malform, site):
         super().__init__(table)
-        self.malform, self.rep, self.asked = malform, rep, 0
+        self.malform, self.site = malform, site
+        self.lines = self.sumchecks = 0
 
-    def line_query(self, head, tail, ts):
-        self.asked += 1
-        honest = super().line_query(head, tail, ts)
-        return self.malform(honest) if self.asked == self.rep else honest
+    def begin_sumcheck(self, spec, claim):
+        self.sumchecks += 1
+        super().begin_sumcheck(spec, claim)
+
+    def line_query(self, head, tail, ts, p):
+        self.lines += 1
+        honest = super().line_query(head, tail, ts, p)
+        return self.malform(honest, p) if self.site == ("line", self.lines) else honest
+
+    def assignment_query(self, point, p):
+        honest = super().assignment_query(point, p)
+        return self.malform(honest, p) if self.site == ("point", self.sumchecks) else honest
+
+
+def _malformed_verdicts(site, answers):
+    """YES_TEXT's verdicts with each of ``answers`` at ``site``, after
+    checking the honest run and its prime."""
+    f = parse_pwsat(YES_TEXT)
+    honest = verify_w1(f, TableCommittedProver(YES_TABLE), RandomTape(3))
+    assert honest.accepted and [s.name for s in honest.stages] == ["mltest", "main", "weight"]
+    assert pcpverify.protocol_parameters(f).prime == 109
+    return {
+        name: verify_w1(f, Malformer(YES_TABLE, malform, site), RandomTape(3))
+        for name, malform in answers.items()
+    }
 
 
 @pytest.mark.parametrize("rep", [1, 2])
 def test_a_malformed_line_answer_fails_its_repetition(rep):
-    f = parse_pwsat(YES_TEXT)
-    honest = verify_w1(f, TableCommittedProver(YES_TABLE), RandomTape(3))
-    assert honest.accepted and honest.stages[0].name == "mltest"
-    prime = pcpverify.protocol_parameters(f).prime
-    assert prime == 109
-    bits = (prime - 1).bit_length()
-    verdicts = {}
-    for name, malform in LINE_ANSWERS.items():
-        verdict = verify_w1(f, LineMalformer(YES_TABLE, malform, rep), RandomTape(3))
+    bits = (109 - 1).bit_length()
+    verdicts = _malformed_verdicts(("line", rep), LINE_ANSWERS)
+    for name, verdict in verdicts.items():
         assert (verdict.accepted, verdict.stage, verdict.rejection_round) == (False, "mltest", rep), name
         # three reads metered per repetition asked, whatever came back
         report = verdict.stages[0]
         assert (report.oracle_queries, report.proof_bits) == (3 * rep, 3 * rep * bits), name
-        verdicts[name] = verdict
     # and every malformation is the same rejection, meters and reports included
+    assert len(set(verdicts.values())) == 1
+
+
+@pytest.mark.parametrize("sumcheck, stage, reads", [(1, "main", 2), (2, "weight", 1)], ids=["main", "weight"])
+def test_a_malformed_final_read_is_rejected_at_its_stage(sumcheck, stage, reads):
+    verdicts = _malformed_verdicts(("point", sumcheck), POINT_ANSWERS)
+    for name, verdict in verdicts.items():
+        assert (verdict.accepted, verdict.stage, verdict.rejection_round) == (False, stage, 0), name
+        # every read of the final check metered, whatever came back
+        report = verdict.stages[-1]
+        assert (report.name, report.oracle_queries) == (stage, reads), name
     assert len(set(verdicts.values())) == 1
 
 
 class SubclassFinalReads(TableCommittedProver):
     """Honest round polynomials; once the main sum-check starts, every
-    assignment answer is the true value wrapped in ``AlwaysEqual``."""
+    assignment answer is the true residue as an ``AlwaysEqual``."""
 
     def __init__(self, table):
         super().__init__(table)
@@ -255,9 +296,9 @@ class SubclassFinalReads(TableCommittedProver):
         super().begin_sumcheck(spec, claim)
         self._started = True
 
-    def assignment_query(self, point):
-        v = super().assignment_query(point)
-        return AlwaysEqual(v.value, v.field) if self._started else v
+    def assignment_query(self, point, p):
+        v = super().assignment_query(point, p)
+        return AlwaysEqual(v) if self._started else v
 
 
 def test_final_read_rejects_subclass_answers():
@@ -304,15 +345,15 @@ class FaultyProver(TableCommittedProver):
             return self._fail()
         return super().round_poly(i, challenges, current_claim)
 
-    def assignment_query(self, point):
+    def assignment_query(self, point, p):
         if self.fault[0] == "assignment_query" and self.fault[1] == self.sumchecks:
             return self._fail()
-        return super().assignment_query(point)
+        return super().assignment_query(point, p)
 
-    def line_query(self, head, tail, ts):
+    def line_query(self, head, tail, ts, p):
         if self.fault[0] == "line_query" and self.fault[1] == self.sumchecks:
             return self._fail()
-        return super().line_query(head, tail, ts)
+        return super().line_query(head, tail, ts, p)
 
 
 # (instance, table, fault) -> (stage, rejection_round).  The no-instance's
@@ -355,7 +396,31 @@ def test_prover_exception_is_a_rejection_at_its_stage(text, table, fault, expect
     assert raised == malformed  # verdicts compare meters and stage reports too
 
 
-def _no_oracle(point):
+def _raising_lookup(prover):
+    raise ZeroDivisionError("prover fault")
+
+
+# method -> (the FaultyProver fault raising where it is first asked, the
+# rejection it gives)
+LOOKUP_FAULTS = {
+    "line_query": (("line_query", 0), ("mltest", 1)),
+    "round_poly": (("round_poly", 1, 1), ("main", 1)),
+    "assignment_query": (("assignment_query", 1), ("main", 0)),
+}
+
+
+@pytest.mark.parametrize("name, fault, expected", [(k, *v) for k, v in LOOKUP_FAULTS.items()], ids=LOOKUP_FAULTS.keys())
+def test_a_method_whose_lookup_raises_is_a_raising_method(name, fault, expected):
+    # the verifier looks each prover method up inside the boundary that
+    # turns a prover exception into a malformed answer
+    hostile = type("LookupFault", (TableCommittedProver,), {name: property(_raising_lookup)})
+    f = parse_pwsat(YES_TEXT)
+    verdict = verify_w1(f, hostile(YES_TABLE), RandomTape(5))
+    assert (verdict.accepted, verdict.stage, verdict.rejection_round) == (False, *expected)
+    assert verdict == verify_w1(f, FaultyProver(YES_TABLE, *fault), RandomTape(5))
+
+
+def _no_oracle(point, p):
     raise RuntimeError("no assignment oracle attached")
 
 
@@ -541,12 +606,12 @@ class WeightRewriter(TableCommittedProver):
         self.last = self.cheater.round_poly(i, challenges, current_claim)
         return self.last
 
-    def assignment_query(self, point):
-        value = self.cheater.assignment_query(point)
+    def assignment_query(self, point, p):
+        value = self.cheater.assignment_query(point, p)
         if self.spec is not None and self.spec.formula is not None:
-            self.reads.append(([x.value for x in point], value.value))
+            self.reads.append((point, value))
             if len(self.reads) == self.spec.padded_len:
-                self._forge(point[-1].value)
+                self._forge(point[-1])
         return value
 
     def _forge(self, last_challenge):
@@ -671,16 +736,17 @@ def _wire_data(value):
 
 
 class HandedRewriter(TableCommittedProver):
-    """An honest table prover that keeps what the round wire hands it (the
-    claims, the challenge tuples and the running claims) and, at each final
-    read, sets ``.value = 0`` on every coordinate of every read point it has
-    been handed so far.  Multilinearity queries come before any round and
-    are answered without rewriting."""
+    """An honest table prover that keeps what both wires hand it: the
+    claims, the challenge tuples and the running claims, each line's head,
+    tail and axis values, each read point, and p.  At each final read it
+    tries to zero every coordinate of every read point it has been handed
+    so far; each write a tuple refuses is counted."""
 
     def __init__(self, table):
         super().__init__(table)
         self.wire = []
         self.handed = []
+        self.refused = 0
 
     def begin_sumcheck(self, spec, claim):
         self.wire.append(claim)
@@ -690,13 +756,20 @@ class HandedRewriter(TableCommittedProver):
         self.wire += [challenges, claim]
         return super().round_poly(i, challenges, claim)
 
-    def assignment_query(self, point):
-        value = super().assignment_query(point)
-        if self.wire:
-            self.handed += point
-            for x in self.handed:
-                x.value = 0
-        return value
+    def line_query(self, head, tail, ts, p):
+        self.wire += [head, tail, ts, p]
+        return super().line_query(head, tail, ts, p)
+
+    def assignment_query(self, point, p):
+        self.wire.append(p)
+        self.handed.append(point)
+        for q in self.handed:
+            for j in range(len(q)):
+                try:
+                    q[j] = 0
+                except TypeError:
+                    self.refused += 1
+        return super().assignment_query(point, p)
 
 
 REWRITE_FORMULA = WeightedFormula(3, ((-1, -2), (-2, -3)), ClassTag.G12N, 2)
@@ -708,14 +781,16 @@ def test_rewriting_handed_challenges_changes_no_verdict():
         honest = verify_w1(REWRITE_FORMULA, TableCommittedProver(table), RandomTape(seed))
         rewriter = HandedRewriter(table)
         assert verify_w1(REWRITE_FORMULA, rewriter, RandomTape(seed)) == honest, seed
-        assert honest.accepted and rewriter.handed
+        assert honest.accepted and rewriter.refused
         assert all(_wire_data(w) for w in rewriter.wire), seed
+        assert all(type(q) is tuple and _wire_data(q) for q in rewriter.handed), seed
 
 
 def test_the_verifier_hands_out_none_of_its_own_elements(monkeypatch):
     # the round wire carries exact ints and int tuples only, equal to the
     # verifier's claims and challenges; the verifier keeps residues only, and
-    # each final read point is fresh elements of one of its read points
+    # each final read point is an exact tuple of exact ints, one of its read
+    # points, handed with the exact int p
     runs = []
 
     def capture(spec, *args):
@@ -733,10 +808,9 @@ def test_the_verifier_hands_out_none_of_its_own_elements(monkeypatch):
             wire.append((i, challenges, claim))
             return super().round_poly(i, challenges, claim)
 
-        def assignment_query(self, point):
-            if wire:
-                points.append(point)
-            return super().assignment_query(point)
+        def assignment_query(self, point, p):
+            points.append((point, p))
+            return super().assignment_query(point, p)
 
     monkeypatch.setattr(pcpverify, "run_sumcheck", capture)
     table = BooleanTable.from_assignment({1, 3}, REWRITE_FORMULA.m)
@@ -757,10 +831,10 @@ def test_the_verifier_hands_out_none_of_its_own_elements(monkeypatch):
         kept += [x for t in run.transcripts for x in (t.coeffs, t.challenge, t.running)]
         assert all(_wire_data(x) for x in kept)
     reads = [q for spec, run in runs for q in read_points(spec, run.final_point)]
-    assert [tuple(x.value for x in q) for q in points] == reads
-    elements = [x for q in points for x in q]
-    assert all(type(x) is FieldElement for x in elements)
-    assert len({id(x) for x in elements}) == len(elements)
+    assert [q for q, _ in points] == reads
+    assert all(type(q) is tuple and _wire_data(q) for q, _ in points)
+    prime = pcpverify.protocol_parameters(REWRITE_FORMULA).prime
+    assert all(type(p) is int and p == prime for _, p in points)
 
 
 class PolyKeeper(TableCommittedProver):

@@ -3,8 +3,10 @@ import dataclasses
 import pytest
 
 from ppcplab.arithmetize import BooleanTable
+from ppcplab.awsat import honest_branch_tables, verify_awsat
 from ppcplab.field import FieldElement, PrimeField
 from ppcplab.formula import (
+    AwsatInstance,
     ClassMismatchError,
     ClassTag,
     WeightedFormula,
@@ -155,16 +157,15 @@ class TestMultilinearityTest:
             assert ok
 
     def test_constant_oracle_passes(self):
-        fld = PrimeField(1009)
-        oracle = lambda pt: fld(7)
+        oracle = lambda pt, p: 7
         ok, _, _, _, _ = self.run_oracle(oracle, 3, 15, 4)
         assert ok
 
     def test_planted_quadratic_rejected_when_axis_hit(self):
         table = BooleanTable.from_true_codes([0, 3], 3)
 
-        def oracle(pt):
-            return table_committed_prover(table).assignment_query(pt) + pt[0] * pt[0]
+        def oracle(pt, p):
+            return (table_committed_prover(table).assignment_query(pt, p) + pt[0] * pt[0]) % p
 
         rejected = 0
         trials = 400
@@ -187,10 +188,8 @@ class TestMultilinearityTest:
         assert meter.oracle_queries == reps * 3
 
     def test_rejection_short_circuits(self):
-        fld = PrimeField(1009)
-
-        def oracle(pt):
-            return pt[0] * pt[0]  # quadratic along axis 0, m=1 always hits
+        def oracle(pt, p):
+            return pt[0] * pt[0] % p  # quadratic along axis 0, m=1 always hits
 
         ok, rep, meter, _, _ = self.run_oracle(oracle, 1, 10, 0)
         assert not ok
@@ -380,32 +379,54 @@ class TestQuantifiedCompleteness:
             assert verdict.accepted, seed
 
 
-# (text, verifier, true set, elements built): the verifier computes on
-# residues and builds a FieldElement only for the prover.
+AWSAT_L3 = AwsatInstance(
+    WeightedFormula(4, ((-2, -3),), ClassTag.G12N, 3), ((1,), (2, 3), (4,)), (1, 1, 1)
+)
+
+
+def _honest_w1():
+    f = parse_pwsat(YES_TEXT)
+    return verify_w1(f, table_committed_prover(BooleanTable.from_assignment({1}, f.m)), RandomTape(5))
+
+
+def _honest_w2():
+    f = parse_pwsat("p pwsat g21p 3 2 1\n1 2 3 0\n2 3 0\n")
+    return verify_w2(f, table_committed_prover(BooleanTable.from_assignment({2}, f.m)), RandomTape(5))
+
+
+def _honest_awsat():
+    tables = honest_branch_tables(AWSAT_L3)
+    return verify_awsat(AWSAT_L3, tables, table_committed_prover, RandomTape(5))
+
+
+# (run, sum-checks run): the verifier computes on residues and both wires
+# carry residues, so an honest run builds no FieldElement; it builds one
+# PrimeField per verifier call, plus one per sum-check for the statement it
+# hands the prover.  The l = 3 alternation has two branches of one main and
+# two weight checks.
 BOUNDARY_RUNS = {
-    "w1": (YES_TEXT, verify_w1, {1}, 79),
-    "w2": ("p pwsat g21p 3 2 1\n1 2 3 0\n2 3 0\n", verify_w2, {2}, 82),
+    "w1": (_honest_w1, 2),
+    "w2": (_honest_w2, 2),
+    "awsat_l3": (_honest_awsat, 6),
 }
 
 
-@pytest.mark.parametrize("text, verify, true_set, built", BOUNDARY_RUNS.values(), ids=BOUNDARY_RUNS.keys())
-def test_field_elements_are_built_only_on_the_oracle_wire(monkeypatch, text, verify, true_set, built):
-    created = []
-    init = FieldElement.__init__
+@pytest.mark.parametrize("run, sumchecks", BOUNDARY_RUNS.values(), ids=BOUNDARY_RUNS.keys())
+def test_field_elements_are_built_only_on_the_oracle_wire(monkeypatch, run, sumchecks):
+    created = {FieldElement: 0, PrimeField: 0}
 
-    def counting_init(self, value, field):
-        created.append(value)
-        init(self, value, field)
+    def counting(cls):
+        init = cls.__init__
 
-    f = parse_pwsat(text)
-    prover = table_committed_prover(BooleanTable.from_assignment(true_set, f.m))
-    monkeypatch.setattr(FieldElement, "__init__", counting_init)
-    verdict = verify(f, prover, RandomTape(5))
+        def counting_init(self, *args):
+            created[cls] += 1
+            init(self, *args)
+
+        return counting_init
+
+    for cls in created:
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    verdict = run()
     monkeypatch.undo()
     assert verdict.accepted
-    params = w1_parameters(f)
-    m, L, reps = params.m, params.padded_len, params.reps
-    # per multilinearity repetition m - 1 shared coordinates and three axis
-    # values; the L main-stage read points and the weight-stage read point,
-    # m coordinates each; and one answer per oracle query
-    assert len(created) == reps * (m + 2) + (L + 1) * m + verdict.meter.oracle_queries == built
+    assert created == {FieldElement: 0, PrimeField: 1 + sumchecks}

@@ -15,7 +15,7 @@ from ppcplab.arithmetize import (
     read_points,
     summand_value,
 )
-from ppcplab.field import FieldElement, PrimeField, is_prime
+from ppcplab.field import PrimeField, is_prime
 from ppcplab.formula import ClassTag, WeightedFormula
 from ppcplab.sumcheck import (
     AdaptiveCheater,
@@ -61,8 +61,8 @@ def const_zero_spec(fld, q=1, bound=1):
     return SummandSpec(q, (bound,) * q, fld)
 
 
-def zero_oracle(pt):
-    return pt[0].field.zero
+def zero_oracle(pt, p):
+    return 0
 
 
 def product_spec(fld):
@@ -70,19 +70,19 @@ def product_spec(fld):
     return SummandSpec(2, (1, 1), fld)
 
 
-def product_oracle(pt):
-    return pt[0] * pt[1]
+def product_oracle(pt, p):
+    return pt[0] * pt[1] % p
 
 
 def evaluate(spec, oracle, point):
-    """The summand at the residue point ``point``, handing ``oracle`` fresh
-    elements where the statement reads and taking its answers' residues."""
-    reads = [oracle(tuple(map(spec.field, q))).value for q in read_points(spec, point)]
-    return summand_value(spec, point, reads)
+    """The summand at the residue point ``point``, reading ``oracle`` where
+    the statement reads."""
+    p = spec.field.modulus
+    return summand_value(spec, point, [oracle(q, p) for q in read_points(spec, point)])
 
 
 def table_oracle(table):
-    """The element oracle of a table's multilinear extension."""
+    """The residue oracle of a table's multilinear extension."""
     return TableCommittedProver(table).assignment_query
 
 
@@ -294,13 +294,13 @@ class TestHonestRoundPoly:
     def test_constant_spec_round_one(self):
         c = 9
         spec = SummandSpec(3, (1, 1, 1), F109)
-        poly = honest_round_poly(spec, lambda pt: F109(c), (), 1)
+        poly = honest_round_poly(spec, lambda pt, p: c, (), 1)
         assert poly.degree <= 0
         assert poly.coeffs[0].value == c * 4 % 109  # c * 2^(q-1)
 
     def test_identity_spec(self):
         spec = SummandSpec(1, (1,), F109)
-        poly = honest_round_poly(spec, lambda pt: pt[0], (), 1)
+        poly = honest_round_poly(spec, lambda pt, p: pt[0], (), 1)
         assert [c.value for c in poly.coeffs] == [0, 1]
 
     def test_w1_round_one_matches_brute_force_total(self):
@@ -314,7 +314,7 @@ class TestHonestRoundPoly:
         for mask in range(1 << spec.num_vars):
             pt = tuple((mask >> (spec.num_vars - 1 - j)) & 1 for j in range(spec.num_vars))
             total += evaluate(spec, oracle, pt)
-        assert poly.evaluate(F109(0)) + poly.evaluate(F109(1)) == total % 109
+        assert (poly.evaluate(F109(0)).value + poly.evaluate(F109(1)).value) % 109 == total % 109
 
     def test_prefix_length_validated(self):
         spec = product_spec(F109)
@@ -437,9 +437,8 @@ class TestTableCommittedProver:
     def test_assignment_queries_answered_by_mle(self):
         table = BooleanTable.from_assignment({2}, 2)
         prover = table_committed_prover(table)
-        answer = prover.assignment_query((F109(3), F109(11)))
-        assert type(answer) is FieldElement and answer.field == F109
-        assert answer.value == mle_eval(table, (3, 11), 109)
+        answer = prover.assignment_query((3, 11), 109)
+        assert type(answer) is int and answer == mle_eval(table, (3, 11), 109)
 
     @given(line=table_lines())
     @example(line=(BooleanTable.from_true_codes([], 3), (5,), (6,), (0, 1, 2), 7))
@@ -447,16 +446,13 @@ class TestTableCommittedProver:
     @settings(max_examples=300, deadline=None)
     def test_line_query_is_three_assignment_queries(self, line):
         table, head, tail, ts, p = line
-        fld = PrimeField(p)
         prover = TableCommittedProver(table)
-        handed = [tuple(map(fld, vals)) for vals in (head, tail, ts)]
-        answers = prover.line_query(*handed)
+        answers = prover.line_query(head, tail, ts, p)
         assert type(answers) is tuple and len(answers) == 3
-        assert all(type(a) is FieldElement and a.field is fld for a in answers)
+        assert all(type(a) is int and 0 <= a < p for a in answers)
         points = [head + (t,) + tail for t in ts]
-        queried = [prover.assignment_query(tuple(map(fld, q))) for q in points]
-        assert [a.value for a in answers] == [a.value for a in queried]
-        assert [a.value for a in answers] == [indicator_sum(table, q, p) for q in points]
+        assert list(answers) == [prover.assignment_query(q, p) for q in points]
+        assert list(answers) == [indicator_sum(table, q, p) for q in points]
 
 
 class TestRandomGarbageProver:
