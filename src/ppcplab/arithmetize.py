@@ -56,6 +56,7 @@ constant (widened to cover the highest true code of the committed tables).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from operator import mul
@@ -87,10 +88,12 @@ class BooleanTable:
             raise ValueError("arity must be at least 1")
         if len(self.values) != 1 << self.arity:
             raise ValueError(f"expected {1 << self.arity} entries, got {len(self.values)}")
-        if any(v not in (0, 1) for v in self.values):
+        # (0, 1).__contains__ compares by ==, like ``in``: True, False and
+        # 1.0 pass, and an unhashable entry is a ValueError, not a TypeError
+        if not all(map((0, 1).__contains__, self.values)):
             raise ValueError("table entries must be 0 or 1")
         object.__setattr__(
-            self, "_ones", tuple(c for c, v in enumerate(self.values) if v)
+            self, "_ones", tuple(itertools.compress(range(len(self.values)), self.values))
         )
 
     @classmethod

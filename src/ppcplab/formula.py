@@ -69,8 +69,9 @@ def _clause_problem(lits: tuple[int, ...], num_vars: int, tag: ClassTag) -> Opti
     parser."""
     if not lits:
         return "empty clause"
-    # min and max decide every check below; formulas of thousands of
-    # clauses are built per operation
+    # whether a clause passes depends only on its min, max and length (a 0
+    # between min and max breaks the sign check), so one stand-in clause
+    # can speak for a whole formula: _first_clause_problem
     lo, hi = min(lits), max(lits)
     if lo < -num_vars or hi > num_vars or 0 in lits:
         bad = next(lit for lit in lits if lit == 0 or abs(lit) > num_vars)
@@ -83,6 +84,29 @@ def _clause_problem(lits: tuple[int, ...], num_vars: int, tag: ClassTag) -> Opti
     elif lo < 0:
         return f"negative literal in g21p clause: {lits}"
     return None
+
+
+def _first_clause_problem(
+    clauses: tuple[tuple[int, ...], ...], longest: int, num_vars: int, tag: ClassTag
+) -> Optional[str]:
+    """The problem of the first clause that breaks the clause rule, or None.
+
+    Whole-formula passes decide whether there is one: no clause may be
+    empty, and one stand-in clause must keep the rule.  It holds the least
+    and the greatest literal and is as long as the longest clause (at least
+    2), so it breaks the rule iff some clause does.  A literal 0 needs no
+    pass of its own: the sign rule leaves it the least or the greatest
+    literal, or breaks anyway.  Only on a break are the clauses walked, to
+    name the first bad one."""
+    if all(clauses):
+        lits = tuple(itertools.chain.from_iterable(clauses))
+        if not lits:
+            return None
+        hi = max(lits)
+        stand_in = (min(lits), hi, *(hi,) * (longest - 2))
+        if _clause_problem(stand_in, num_vars, tag) is None:
+            return None
+    return next(filter(None, (_clause_problem(cl, num_vars, tag) for cl in clauses)))
 
 
 def derived_m(num_vars: int, num_clauses: int) -> int:
@@ -110,21 +134,22 @@ class WeightedFormula:
     _hash: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(tuple(cl) for cl in self.clauses))
+        clauses = tuple(map(tuple, self.clauses))
+        object.__setattr__(self, "clauses", clauses)
         if self.num_vars < 1:
             raise ValueError("num_vars must be at least 1")
         if self.k < 0:
             raise ValueError("k must be nonnegative")
-        for cl in self.clauses:
-            problem = _clause_problem(cl, self.num_vars, self.class_tag)
-            if problem is not None:
-                raise ValueError(problem)
-        low = derived_m(self.num_vars, len(self.clauses))
+        longest = max(map(len, clauses), default=1)
+        problem = _first_clause_problem(clauses, longest, self.num_vars, self.class_tag)
+        if problem is not None:
+            raise ValueError(problem)
+        low = derived_m(self.num_vars, len(clauses))
         if self.m is None:
             object.__setattr__(self, "m", low)
         elif self.m < low:
             raise ValueError(f"explicit m={self.m} below derived minimum {low}")
-        object.__setattr__(self, "_max_len", max(map(len, self.clauses), default=1))
+        object.__setattr__(self, "_max_len", longest)
         # ints and tuples only: unlike a str hash, this one is the same in
         # every process, so it stays valid in a copy carried elsewhere
         key = (self.num_vars, self.clauses, self.class_tag is ClassTag.G12N, self.k, self.m)
@@ -173,7 +198,16 @@ def eval_clause(formula: WeightedFormula, clause_index: int, assignment: Assignm
 
 
 def satisfies(formula: WeightedFormula, assignment: Assignment) -> bool:
-    return all(eval_clause(formula, i, assignment) for i in range(formula.num_clauses))
+    """True iff every clause holds: one pass over the clauses with the
+    literal rule of ``eval_clause``."""
+    true_set = assignment.true_set
+    for clause in formula.clauses:
+        for lit in clause:
+            if lit > 0 and lit in true_set or lit < 0 and -lit not in true_set:
+                break
+        else:
+            return False
+    return True
 
 
 def brute_force_wsat(formula: WeightedFormula) -> tuple[bool, Optional[Assignment]]:

@@ -88,30 +88,31 @@ def independent_set_to_wsat(g: Graph, k: int) -> WeightedFormula:
     return WeightedFormula(num_vars=g.n, clauses=clauses, class_tag=ClassTag.G12N, k=k)
 
 
-def _legal_pairs(n: int, planted: set[int]) -> list[tuple[int, int]]:
-    return [
-        (u, v)
-        for u, v in itertools.combinations(range(1, n + 1), 2)
-        if not (u in planted and v in planted)
-    ]
-
-
 def gen_planted_yes_with_witness(n: int, k: int, num_clauses: int, seed: int):
     """Planted yes-instance plus its hidden witness.
 
     A weight-k set S is fixed first; only clauses with at most one endpoint in
-    S are emitted, so S satisfies every clause by construction."""
+    S are emitted, so S satisfies every clause by construction.  A pair
+    u < v is coded as the int u·(n+1)+v, and the legal codes are listed in
+    the order of ``itertools.combinations``.  ``rng.sample`` picks by index,
+    so it picks the same pairs as from a list of pair tuples of that length
+    and order, and the codes sort as the pairs do, since v <= n."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     rng = random.Random(seed)
     planted = set(rng.sample(range(1, n + 1), k))
-    legal = _legal_pairs(n, planted)
+    w = n + 1
+    legal = [
+        u * w + v
+        for u, v in itertools.combinations(range(1, n + 1), 2)
+        if not (u in planted and v in planted)
+    ]
     if num_clauses > len(legal):
         raise ValueError(
             f"only {len(legal)} clauses avoid the planted set, {num_clauses} requested"
         )
     chosen = sorted(rng.sample(legal, num_clauses))
-    clauses = tuple((-u, -v) for u, v in chosen)
+    clauses = tuple([(-u, -v) for u, v in map(divmod, chosen, itertools.repeat(w))])
     formula = WeightedFormula(num_vars=n, clauses=clauses, class_tag=ClassTag.G12N, k=k)
     return formula, Assignment(frozenset(planted))
 

@@ -394,6 +394,18 @@ class TestBooleanTable:
         with pytest.raises(ValueError):
             BooleanTable(2, (0, 1))
 
+    @pytest.mark.parametrize("entry", [2, -1, 0.5, "1", None, []], ids=repr)
+    def test_entries_other_than_0_and_1_raise_value_error(self, entry):
+        with pytest.raises(ValueError, match="table entries must be 0 or 1"):
+            BooleanTable(2, (0, 1, entry, 1))
+
+    def test_bools_and_float_one_are_entries(self):
+        t = BooleanTable(2, (True, False, 1.0, 0))
+        assert t.ones() == (0, 2)
+        assert t.values == (True, False, 1.0, 0)
+        values = tuple(random.Random(5).choice((0, 1)) for _ in range(1 << 6))
+        assert BooleanTable(6, values).ones() == tuple(c for c, v in enumerate(values) if v)
+
     def test_from_assignment_codes(self):
         t = BooleanTable.from_assignment({1, 3}, 2)
         assert t.values == (1, 0, 1, 0)

@@ -15,6 +15,7 @@ from ppcplab.formula import (
     PwsatParseError,
     UNSAT,
     WeightedFormula,
+    _clause_problem,
     brute_force_awsat,
     brute_force_wsat,
     derived_m,
@@ -100,6 +101,58 @@ def test_parser_and_data_model_share_one_clause_rule(tag, n, clause):
         parse_pwsat(text)
     assert parsed.value.line_no == 2
     assert str(parsed.value) == f"line 2: {built.value}"
+
+
+
+# each turns a valid clause of the class over num_vars variables into a bad one
+# (a list is no fault: it is stored as a tuple)
+CLAUSE_FAULTS = {
+    "empty": lambda draw, tag, n, cl: (),
+    "zero": lambda draw, tag, n, cl: cl[:-1] + (0,),
+    "beyond": lambda draw, tag, n, cl: cl[:-1] + ((1 if tag is ClassTag.G21P else -1)
+                                                 * draw(st.integers(n + 1, n + 3)),),
+    "wrong_sign": lambda draw, tag, n, cl: cl[:-1] + (-cl[-1],),
+    "g12n_three": lambda draw, tag, n, cl: (-1, -1, -min(2, n)) if tag is ClassTag.G12N else cl,
+    "list": lambda draw, tag, n, cl: list(cl),
+}
+
+
+@st.composite
+def clause_lists(draw):
+    """(class, num_vars, clauses): valid clauses of the class, with a
+    planted fault from CLAUSE_FAULTS at each of up to two random indices."""
+    tag = draw(st.sampled_from(ClassTag))
+    n = draw(st.integers(1, 6))
+    sign, top = (-1, 2) if tag is ClassTag.G12N else (1, 4)
+    literal = st.integers(1, n).map(lambda v: sign * v)
+    valid = draw(st.lists(st.lists(literal, min_size=1, max_size=top).map(tuple), max_size=8))
+    clauses = list(valid)
+    if valid:
+        for _ in range(draw(st.integers(0, 2))):
+            at = draw(st.integers(0, len(valid) - 1))
+            fault = CLAUSE_FAULTS[draw(st.sampled_from(sorted(CLAUSE_FAULTS)))]
+            clauses[at] = fault(draw, tag, n, valid[at])
+    return tag, n, clauses
+
+
+@given(clause_lists())
+@settings(max_examples=250)
+def test_whole_formula_check_names_the_first_bad_clause(case):
+    tag, n, clauses = case
+    walk = (_clause_problem(tuple(cl), n, tag) for cl in clauses)
+    first = next((problem for problem in walk if problem is not None), None)
+    if first is not None:
+        with pytest.raises(ValueError) as err:
+            WeightedFormula(n, clauses, tag, 1)
+        assert str(err.value) == first
+        return
+    f = WeightedFormula(n, clauses, tag, 1)
+    as_tuples = tuple(map(tuple, clauses))
+    reference = WeightedFormula(n, as_tuples, tag, 1)
+    assert f.clauses == as_tuples
+    assert f.m == derived_m(n, len(clauses))
+    assert f.max_clause_len == max(map(len, as_tuples), default=1)
+    assert f == reference and hash(f) == hash(reference)
 
 
 class TestAwsatParse:
@@ -196,6 +249,16 @@ class TestSatisfiesMatchesEvalClause:
             f = WeightedFormula(4, cls, ClassTag.G12N, 1)
             for bits in itertools.product((0, 1), repeat=4):
                 a = Assignment(frozenset(i + 1 for i in range(4) if bits[i]))
+                per_clause = all(eval_clause(f, i, a) for i in range(f.num_clauses))
+                assert satisfies(f, a) == per_clause
+
+    def test_exhaustive_small_g21p(self):
+        # formulas of up to 3 positive clauses of length 1..3 over 5 vars
+        pool = [(1,), (5,), (1, 2), (2, 4), (3, 5), (1, 3, 5), (2, 3, 4)]
+        for cls in itertools.combinations_with_replacement(pool, 3):
+            f = WeightedFormula(5, cls, ClassTag.G21P, 1)
+            for bits in itertools.product((0, 1), repeat=5):
+                a = Assignment(frozenset(i + 1 for i in range(5) if bits[i]))
                 per_clause = all(eval_clause(f, i, a) for i in range(f.num_clauses))
                 assert satisfies(f, a) == per_clause
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -108,6 +109,52 @@ class TestPlantedGenerator:
     def test_seed_determinism(self):
         assert gen_planted_yes(10, 3, 12, 5) == gen_planted_yes(10, 3, 12, 5)
         assert gen_planted_yes(10, 3, 12, 5) != gen_planted_yes(10, 3, 12, 6)
+
+    @staticmethod
+    def tuple_pair_generator(n, k, num_clauses, seed):
+        """The generator as it was written with pair tuples: the legal pairs
+        listed in combinations order, sampled, sorted and negated."""
+        rng = random.Random(seed)
+        planted = set(rng.sample(range(1, n + 1), k))
+        legal = [
+            (u, v)
+            for u, v in itertools.combinations(range(1, n + 1), 2)
+            if not (u in planted and v in planted)
+        ]
+        if num_clauses > len(legal):
+            raise ValueError(
+                f"only {len(legal)} clauses avoid the planted set, {num_clauses} requested"
+            )
+        chosen = sorted(rng.sample(legal, num_clauses))
+        return tuple((-u, -v) for u, v in chosen), frozenset(planted)
+
+    # (100, 3, 4000) is the honest_large W1 size; (6, 2, 6, 11) and
+    # (20, 3, 60, 81) are the golden corpus instances
+    @pytest.mark.parametrize("n, k, num_clauses, seeds", [
+        (100, 3, 4000, range(3)),
+        (6, 2, 6, [11]),
+        (20, 3, 60, [81]),
+        (2, 0, 1, range(3)),
+        (2, 2, 0, range(3)),
+        (5, 5, 0, range(3)),
+        (7, 3, 18, range(10)),
+        (12, 1, 40, range(10)),
+        (30, 6, 200, range(5)),
+    ])
+    def test_int_codes_pick_what_pair_tuples_picked(self, n, k, num_clauses, seeds):
+        for seed in seeds:
+            clauses, planted = self.tuple_pair_generator(n, k, num_clauses, seed)
+            f, witness = gen_planted_yes_with_witness(n, k, num_clauses, seed)
+            assert f.clauses == clauses and witness.true_set == planted
+            assert (f.num_vars, f.k, f.class_tag) == (n, k, ClassTag.G12N)
+
+    @pytest.mark.parametrize("n, k, num_clauses", [(4, 4, 1), (6, 2, 15), (100, 3, 4948)])
+    def test_too_many_clauses_message_is_unchanged(self, n, k, num_clauses):
+        with pytest.raises(ValueError) as expected:
+            self.tuple_pair_generator(n, k, num_clauses, 0)
+        with pytest.raises(ValueError) as got:
+            gen_planted_yes_with_witness(n, k, num_clauses, 0)
+        assert str(got.value) == str(expected.value)
 
 
 class TestRandomGenerator:
