@@ -39,8 +39,8 @@ Points are evaluated through eq tables: the eq table of a point lists
 chi_c(point) for every code c of the m-cube, an MSB-first tensor product
 (the clause-weight table is another), built as the outer product of two
 half-width tensors from m = 6 on.  With v_i(c), the code of the variable at
-position i of clause c, taken from the formula's cached code arrays (one
-tuple per position), the clause indicator is sum_c eq_z[c] * eq_x[v_i(c)]
+position i of clause c, taken from the code arrays the statement carries
+(one tuple per position), the clause indicator is sum_c eq_z[c] * eq_x[v_i(c)]
 over the real clauses, summed row by row over the two halves of z so eq_z
 is never built; the plan's head proxies look the literal factor up at
 v_i(c), and each tail scatters eq_{z*} into per-variable sums; all L tails
@@ -62,7 +62,6 @@ from dataclasses import dataclass, field as dc_field
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .field import PrimeField
 from .formula import ClassMismatchError, ClassTag, WeightedFormula
 
 Point = tuple[int, ...]
@@ -208,37 +207,18 @@ def _eq_table(point: Sequence[int], p: int) -> list[int]:
     return _tensor([((1 - x) % p, x % p) for x in point], p)
 
 
-@functools.lru_cache(maxsize=8)
-def _formula_codes(formula: WeightedFormula) -> tuple[tuple[int, ...], ...]:
-    """For each position 1..max_clause_len, the code of the variable at that
-    position of every clause; short clauses repeat their last variable.
-    Built once per formula and shared by the honest prover's plan and the
-    verifier's final check, so the arrays are tuples: nobody can write into
-    what the other reads.  The cache is small: each formula's arrays are as
-    long as its clause list."""
-    return tuple(
-        tuple([abs(lits[i] if len(lits) > i else lits[-1]) - 1 for lits in formula.clauses])
-        for i in range(formula.max_clause_len)
-    )
-
-
-def _position_codes(formula: WeightedFormula, position: int) -> tuple[int, ...]:
-    """Code of the variable at a 1-based position of every clause; past the
-    longest clause every clause repeats its last variable."""
-    codes = _formula_codes(formula)
-    return codes[min(position, len(codes)) - 1]
-
-
 def clause_indicator_eval(
-    formula: WeightedFormula,
-    position: int,
+    codes: Sequence[int],
+    num_vars: int,
     z_point: Sequence[int],
     x_point: Sequence[int],
     p: int,
 ) -> int:
     """Multilinear extension over Z_p, jointly in z and x, of the boolean
-    indicator "x is the variable at ``position`` of clause z".  Dummy clause
-    codes contribute nothing.
+    indicator "x is the variable at one position of clause z", given that
+    position's code array: ``codes[c]`` is the code of clause c's variable
+    there, every code below ``num_vars``.  Dummy clause codes contribute
+    nothing.
 
     Every variable code lies below W = code_window(n - 1), so its cube
     indicator is prod (1 - x_j) over the top m - log2 W coordinates times an
@@ -247,20 +227,16 @@ def clause_indicator_eval(
     coordinates and is never built: clause a||b (high part a, low part b)
     contributes eqz_hi[a] * eqz_lo[b] * eq_x[v_i(a||b)], so the sum runs
     row by row, one multiplication by eqz_hi[a] per row."""
-    if position < 1:
-        raise ValueError("positions are 1-based")
-    if formula.class_tag is ClassTag.G12N and position > 2:
-        raise ValueError("g12n clauses have positions 1 and 2 only")
-    m = formula.m
-    if len(z_point) != m or len(x_point) != m:
-        raise ValueError("points must have m coordinates")
-    low = (formula.num_vars - 1).bit_length()
+    m = len(z_point)
+    if len(x_point) != m:
+        raise ValueError("z and x must have the same number of coordinates")
+    low = (num_vars - 1).bit_length()
     eqx = _eq_table(x_point[m - low :], p)
     top = math.prod([1 - x for x in x_point[: m - low]]) % p
     h = _split_at(m)
     eqz_lo = _eq_table(z_point[h:], p)
     width = len(eqz_lo)
-    vals = [eqx[vc] for vc in _position_codes(formula, position)]
+    vals = [eqx[vc] for vc in codes]
     rows = zip(_eq_table(z_point[:h], p), range(0, len(vals), width))
     total = sum([a * sum(map(mul, eqz_lo, vals[j : j + width])) for a, j in rows])
     return total % p * top % p
@@ -300,7 +276,7 @@ class ProductPlan:
     of r_{i+1}..r_{block_vars}.  Such a head is whole-cube.
     """
 
-    field: PrimeField
+    p: int
     block_vars: int
     head_tables: tuple[tuple[int, ...], ...]
     num_standalone: int
@@ -333,22 +309,26 @@ class ProductPlan:
 
 @dataclass(frozen=True)
 class SummandSpec:
-    """One sum-check statement, as plain data the verifier can hand out.
+    """One sum-check statement, as plain data the verifier can hand out:
+    ints, tuples of ints, a formula and a table, nothing callable.
 
     The schedule is the variable count, the per-variable degree bounds and
-    the field.  The summand's data is either a clause product over
-    (z, x_1..x_L), given by the formula, its padded length L and the clause
-    weights r_1..r_m as ints, or, with no formula, the weight summand
-    A(z) * B(z) over z, given by its block table B (None: B is 1).  Only
-    ``read_points``, ``summand_value`` and ``compile_plan`` know the shape
-    this data describes."""
+    the prime p.  The summand's data is either a clause product over
+    (z, x_1..x_L), given by the formula, the clause weights r_1..r_m as ints
+    and ``codes``, one code array per position 1..L (``codes[i - 1][c]`` is
+    the code of the variable at position i of clause c), or, with no
+    formula, the weight summand A(z) * B(z) over z, given by its block
+    table B (None: B is 1).  ``read_points``, ``summand_value`` and
+    ``compile_plan`` read everything they need from these fields, never
+    from a cache, so a statement means the same to whoever holds it and a
+    write into one copy reaches no other."""
 
     num_vars: int
     degree_bounds: tuple[int, ...]
-    field: PrimeField
+    p: int
     formula: Optional[WeightedFormula] = None
-    padded_len: int = 0
     weights: tuple[int, ...] = ()
+    codes: tuple[tuple[int, ...], ...] = ()
     block: Optional[BooleanTable] = None
 
     def __post_init__(self):
@@ -365,7 +345,7 @@ def read_points(spec: SummandSpec, point: Point) -> list[Point]:
     if spec.formula is None:
         return [tuple(point)]
     m = spec.formula.m
-    return [tuple(point[i * m : (i + 1) * m]) for i in range(1, spec.padded_len + 1)]
+    return [tuple(point[i * m : (i + 1) * m]) for i in range(1, len(spec.codes) + 1)]
 
 
 def summand_value(spec: SummandSpec, point: Point, reads: Sequence[int]) -> int:
@@ -378,24 +358,24 @@ def summand_value(spec: SummandSpec, point: Point, reads: Sequence[int]) -> int:
     clause weight prod_j r_j^{z_j}.  The literal factor F is A for negated
     2-CNF and 1 - A for positive CNF: on boolean points it is 1 exactly when
     the clause's literal at x_i is false."""
-    p = spec.field.modulus
+    p = spec.p
     if spec.formula is None:
         return reads[0] * (mle_eval(spec.block, point, p) if spec.block is not None else 1) % p
     formula, m = spec.formula, spec.formula.m
     z = point[:m]
     negated = formula.class_tag is ClassTag.G12N
     val = math.prod([(1 - zj) + r * zj for zj, r in zip(z, spec.weights)]) % p
-    for i, a in enumerate(reads, start=1):
+    for i, (codes_i, a) in enumerate(zip(spec.codes, reads), start=1):
         factor = a if negated else 1 - a
-        val = val * clause_indicator_eval(formula, i, z, point[i * m : (i + 1) * m], p) * factor % p
+        x = point[i * m : (i + 1) * m]
+        val = val * clause_indicator_eval(codes_i, formula.num_vars, z, x, p) * factor % p
     return val
 
 
 def compile_plan(spec: SummandSpec, table: BooleanTable) -> ProductPlan:
     """The honest prover's ProductPlan for ``spec`` over its committed
     assignment table."""
-    fld = spec.field
-    p = fld.modulus
+    p = spec.p
     formula = spec.formula
     m = spec.num_vars if formula is None else formula.m
     if table.arity != m:
@@ -408,7 +388,7 @@ def compile_plan(spec: SummandSpec, table: BooleanTable) -> ProductPlan:
             top = max(top, spec.block.top_code())
         # past the highest true code of A and of B both tables are 0
         return ProductPlan(
-            field=fld,
+            p=p,
             block_vars=m,
             head_tables=tuple(head),
             num_standalone=len(head),
@@ -417,7 +397,7 @@ def compile_plan(spec: SummandSpec, table: BooleanTable) -> ProductPlan:
     size = 1 << m
     negated = formula.class_tag is ClassTag.G12N
     factor = [v if negated else (1 - v) % p for v in table.values]
-    codes = [_position_codes(formula, i) for i in range(1, spec.padded_len + 1)]
+    codes = spec.codes
     dummies = [0] * (size - formula.num_clauses)
     head = [tuple([factor[vc] for vc in codes_i] + dummies) for codes_i in codes]
     # past every variable code and every true code of the table, each
@@ -438,7 +418,7 @@ def compile_plan(spec: SummandSpec, table: BooleanTable) -> ProductPlan:
         return tails
 
     return ProductPlan(
-        field=fld,
+        p=p,
         block_vars=m,
         head_tables=tuple(head),
         num_standalone=0,
@@ -449,10 +429,10 @@ def compile_plan(spec: SummandSpec, table: BooleanTable) -> ProductPlan:
 
 
 def _clause_product_summand(
-    formula: WeightedFormula, fld: PrimeField, weights: Sequence[int], L: int
+    formula: WeightedFormula, p: int, weights: Sequence[int], L: int
 ) -> SummandSpec:
     """Statement over (z, x_1..x_L) whose cube total is the randomly weighted
-    count of unsatisfied clauses.
+    count of unsatisfied clauses, with the code arrays of its L positions.
 
     Clauses shorter than L repeat their last variable; on boolean points the
     repeated factor is 1 exactly when the clause is unsatisfied, so padding
@@ -463,33 +443,35 @@ def _clause_product_summand(
     if len(weights) != m:
         raise ValueError("need one clause weight per code bit")
     bounds = (1 + L,) * m + (2,) * (L * m)
-    residues = tuple([r % fld.modulus for r in weights])
-    return SummandSpec((L + 1) * m, bounds, fld, formula, L, residues)
+    residues = tuple([r % p for r in weights])
+    codes = tuple(
+        tuple([abs(lits[i] if len(lits) > i else lits[-1]) - 1 for lits in formula.clauses])
+        for i in range(L)
+    )
+    return SummandSpec((L + 1) * m, bounds, p, formula, residues, codes)
 
 
-def build_w1_summand(
-    formula: WeightedFormula, fld: PrimeField, weights: Sequence[int]
-) -> SummandSpec:
+def build_w1_summand(formula: WeightedFormula, p: int, weights: Sequence[int]) -> SummandSpec:
     """Negated-2-CNF statement: w(z) * C_1(z,x1) A(x1) * C_2(z,x2) A(x2)."""
     if formula.class_tag is not ClassTag.G12N:
         raise ClassMismatchError("the 2-round-per-variable summand needs class g12n")
-    return _clause_product_summand(formula, fld, weights, 2)
+    return _clause_product_summand(formula, p, weights, 2)
 
 
 def build_w2_summand(
-    formula: WeightedFormula, fld: PrimeField, weights: Sequence[int], padded_len: int
+    formula: WeightedFormula, p: int, weights: Sequence[int], padded_len: int
 ) -> SummandSpec:
     """Positive-CNF statement: w(z) * prod_i C_i(z,xi) (1 - A(xi)), i = 1..L."""
     if formula.class_tag is not ClassTag.G21P:
         raise ClassMismatchError("the positive-clause summand needs class g21p")
-    return _clause_product_summand(formula, fld, weights, padded_len)
+    return _clause_product_summand(formula, p, weights, padded_len)
 
 
 def build_weight_summand(
-    m: int, fld: PrimeField, block_table: Optional[BooleanTable] = None
+    m: int, p: int, block_table: Optional[BooleanTable] = None
 ) -> SummandSpec:
     """Statement A(z) * B(z); its cube total counts the true variables inside
     the block (B is identically 1 when no block is given)."""
     if block_table is not None and block_table.arity != m:
         raise ValueError("block table arity must equal m")
-    return SummandSpec(m, (2,) * m, fld, block=block_table)
+    return SummandSpec(m, (2,) * m, p, block=block_table)

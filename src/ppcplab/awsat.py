@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .arithmetize import BooleanTable
-from .field import PrimeField, select_prime  # select_prime: unused, bench/tracer.py wraps it here
+from .field import select_prime  # unused here; bench/tracer.py wraps this name
 from .formula import (
     Assignment,
     AwsatInstance,
@@ -279,7 +279,6 @@ def verify_awsat(
     branches = enumerate_universal(instance)
     m = instance.formula.m
     params = awsat_parameters(instance, cfg)
-    fld = PrimeField(params.prime)
     weight_checks = [
         (f"weight{i + 1}", kw, BooleanTable.from_true_codes([v - 1 for v in block], m))
         for i, (block, kw) in enumerate(zip(instance.blocks, instance.block_weights))
@@ -294,7 +293,7 @@ def verify_awsat(
         if prover is None:
             return log.reject(prefix + "tables", 0)
         rejected = run_g12n_protocol(
-            reduced, prover, tape, log, fld, params, weight_checks, prefix=prefix,
+            reduced, prover, tape, log, params, weight_checks, prefix=prefix,
         )
         if rejected is not None:
             return rejected

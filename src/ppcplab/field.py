@@ -29,7 +29,8 @@ class FieldMismatchError(ValueError):
 @functools.lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; the fixed witness set is exact below 3.3e24.
-    Memoised: every verification builds its fields over one of a few primes."""
+    Memoised: prime searches and prime overrides ask about the same few
+    numbers again and again."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -79,29 +80,19 @@ def select_prime(total_rounds: int, degree_bound: int, epsilon: float | int | Fr
 
 
 class PrimeField:
-    """The field Z_p: its modulus and ``bits``, the width ceil(log2 p) of one
-    residue.  Calling the field with an integer produces an element.
+    """The field Z_p of the reference path, which makes the ``FieldElement``
+    values of ``interpolate`` and ``UniPoly``: calling the field with an
+    integer produces an element.  No statement, plan or verifier holds one;
+    they carry p as a plain int."""
 
-    Refuses plain attribute writes.  A forced write (``object.__setattr__``)
-    still lands, so the verifier meters by a field it never hands out, and
-    each sum-check hands the prover a field of its own."""
-
-    __slots__ = ("modulus", "bits")
+    __slots__ = ("modulus",)
 
     def __init__(self, modulus: int):
         if modulus > MAX_MODULUS:
             raise ValueError(f"modulus {modulus} exceeds the 2^61 - 1 cap")
         if not is_prime(modulus):
             raise ValueError(f"modulus {modulus} is not prime")
-        object.__setattr__(self, "modulus", modulus)
-        # bits needed to draw one element: ceil(log2 p)
-        object.__setattr__(self, "bits", (modulus - 1).bit_length())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PrimeField is frozen; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"PrimeField is frozen; cannot delete {name!r}")
+        self.modulus = modulus
 
     def __call__(self, value: int) -> "FieldElement":
         return FieldElement(value, self)
@@ -109,12 +100,6 @@ class PrimeField:
     @property
     def zero(self) -> "FieldElement":
         return FieldElement(0, self)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.modulus == self.modulus
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.modulus))
 
     def __repr__(self) -> str:
         return f"PrimeField({self.modulus})"

@@ -19,10 +19,11 @@ sum-check on it, reads the assignment oracle at the statement's
 ``read_points`` (L metered reads in the main stage, one in a weight stage)
 and checks ``summand_value`` there against the last running claim.  That is
 the only final check.  The verifier keeps residues mod p, plain ints, and
-computes and meters by a field it never hands out.  The prover receives its
-own copy of each statement, over a field of its own, and residues on both
-wires: claims and challenges, and every point it answers at, with p.  It
-answers with residues too, read only if exactly plain ints in [0, p)
+computes and meters by the prime of its parameters.  A statement carries p
+and its own clause code arrays, so the final check reads no cache.  The
+prover receives its own copy of each statement and residues on both wires:
+claims and challenges, and every point it answers at, with p.  It answers
+with residues too, read only if exactly plain ints in [0, p)
 (``sumcheck.proof_residues``).  The verifier reads nothing it hands out, so
 nothing the prover writes, even past a frozen class, reaches a check or a
 meter.  An honest prover compiles its own plan from the statement.
@@ -58,7 +59,7 @@ from .arithmetize import (
     read_points,
     summand_value,
 )
-from .field import PrimeField, select_prime
+from .field import MAX_MODULUS, is_prime, select_prime
 from .formula import (
     ClassMismatchError,
     ClassTag,
@@ -108,14 +109,13 @@ def _read_assignment(
     prover: ProverStrategy,
     points: Sequence[Point],
     meter: ResourceMeter,
-    fld: PrimeField,
+    p: int,
 ) -> Optional[tuple[int, ...]]:
     """Metered reads of the assignment oracle, one ``assignment_query`` per
     point: ceil(log2 p) proof bits and one query each, whatever comes back.
     Returns the residues read, or None if any answer is malformed or any
     query raises."""
-    p = fld.modulus
-    meter.proof_bits += len(points) * fld.bits
+    meter.proof_bits += len(points) * (p - 1).bit_length()
     meter.oracle_queries += len(points)
     answers = tuple([ask_prover(prover, "assignment_query", q, p) for q in points])
     return proof_residues(answers, len(points), p)
@@ -127,7 +127,7 @@ def multilinearity_test(
     reps: int,
     tape: RandomTape,
     meter: ResourceMeter,
-    fld: PrimeField,
+    p: int,
 ) -> tuple[bool, Optional[int]]:
     """Axis-parallel three-point collinearity test.
 
@@ -136,12 +136,12 @@ def multilinearity_test(
     prover for the three values at once (``line_query``, handed the
     residues and p) and checks that the oracle's restriction is affine
     there.  Per repetition: ceil(log2 m) + (m + 3) * ceil(log2 p) ideal
-    random bits and three reads of ceil(log2 p) proof bits, metered by
-    ``fld`` whatever comes back.  Rejects on the first failing repetition;
+    random bits and three reads of ceil(log2 p) proof bits, metered whatever
+    comes back.  Rejects on the first failing repetition;
     an answer that is not exactly a tuple of three plain ints in [0, p), or
     a query that raises, fails its repetition.
     """
-    p, bits = fld.modulus, fld.bits
+    bits = (p - 1).bit_length()
     for rep in range(1, reps + 1):
         before = tape.bits_drawn
         head, tail, ts = tape.draw_line(m, p)
@@ -225,6 +225,10 @@ def protocol_parameters(
         # the honest prover interpolates at the nodes 0..degree, which must stay
         # distinct mod p; the multilinearity test needs three distinct coordinates
         raise ValueError(f"prime override {prime} too small for degree {degree} rounds")
+    elif prime > MAX_MODULUS:
+        raise ValueError(f"prime override {prime} exceeds the 2^61 - 1 cap")
+    elif not is_prime(prime):
+        raise ValueError(f"prime override {prime} is not prime")
     return ProtocolParameters(m, L, reps, branches, total, degree, prime)
 
 
@@ -240,7 +244,6 @@ def run_protocol(
     prover: ProverStrategy,
     tape: RandomTape,
     log: _StageLog,
-    fld: PrimeField,
     params: ProtocolParameters,
     weight_checks: Sequence[WeightCheck],
     prefix: str = "",
@@ -248,8 +251,8 @@ def run_protocol(
     """One full clause-product verification pass over an existing log: the
     rejecting verdict, or None when every stage accepts.
 
-    The verifier computes and meters by ``fld``, which it never hands out:
-    each statement the prover is handed is over a field of its own
+    The verifier computes and meters by ``params.prime``: each statement
+    carries it as an int, the prover is handed a copy of each statement
     (``run_sumcheck``), and every point it is asked at is a tuple of
     residues.
 
@@ -259,27 +262,27 @@ def run_protocol(
     any of them, so its metered proof bits never depend on the proof's
     content.
     """
-    m, L, reps = formula.m, params.padded_len, params.reps
-    ok, rep = multilinearity_test(prover, m, reps, tape, log, fld)
+    m, L, reps, p = formula.m, params.padded_len, params.reps, params.prime
+    ok, rep = multilinearity_test(prover, m, reps, tape, log, p)
     if not ok:
         return log.reject(prefix + "mltest", rep, rep)
     log.close(prefix + "mltest", reps, True)
 
-    weights = [draw_field_element(tape, fld, log) for _ in range(m)]
+    weights = [draw_field_element(tape, p, log) for _ in range(m)]
     for name, claim, block_table in [("main", 0, None), *weight_checks]:
         # one statement per stage, built through the module-level names that
         # bench/tracer.py wraps to split the main stage from the weight stage
         if name != "main":
-            spec = build_weight_summand(m, fld, block_table)
+            spec = build_weight_summand(m, p, block_table)
         elif formula.class_tag is ClassTag.G12N:
-            spec = build_w1_summand(formula, fld, weights)
+            spec = build_w1_summand(formula, p, weights)
         else:
-            spec = build_w2_summand(formula, fld, weights, L)
+            spec = build_w2_summand(formula, p, weights, L)
         run = run_sumcheck(spec, claim, prover, tape, log)
         if not run.verdict.accepted:
             return log.reject(prefix + name, len(run.transcripts), run.verdict.rejection_round)
         point = run.final_point
-        reads = _read_assignment(prover, read_points(spec, point), log, fld)
+        reads = _read_assignment(prover, read_points(spec, point), log, p)
         if reads is None or summand_value(spec, point, reads) != run.final_expected:
             return log.reject(prefix + name, spec.num_vars, 0)
         log.close(prefix + name, spec.num_vars, True)
@@ -306,7 +309,7 @@ def _verify(
     params = protocol_parameters(formula, config)
     log = _StageLog()
     return run_protocol(
-        formula, prover, tape, log, PrimeField(params.prime), params,
+        formula, prover, tape, log, params,
         [("weight", formula.k, _real_block(formula.num_vars, formula.m))],
     ) or log.verdict()
 

@@ -148,10 +148,10 @@ class MeterSnapshot:
     oracle_queries: int
 
 
-def draw_field_element(tape: RandomTape, fld: PrimeField, meter: ResourceMeter) -> int:
+def draw_field_element(tape: RandomTape, p: int, meter: ResourceMeter) -> int:
     """A uniform residue mod p, metered."""
     before = tape.bits_drawn
-    v = tape.draw_int(fld.modulus)
+    v = tape.draw_int(p)
     meter.random_bits += tape.bits_drawn - before
     return v
 
@@ -211,8 +211,8 @@ class ProverStrategy(ABC):
     ``line_query(head, tail, ts, p)`` answers it at the three points
     head + (t,) + tail, t in ``ts``, of one axis-parallel line, with exactly
     a tuple of three such ints; the multilinearity test asks each of its
-    repetitions this way, before any statement (and so any field) is handed
-    out, which is why p travels with the query.  By default it asks
+    repetitions this way, before any statement (and so p) is handed out,
+    which is why p travels with the query.  By default it asks
     ``assignment_query`` point by point, so a point-by-point prover need not
     define it.
     """
@@ -288,22 +288,17 @@ def run_sumcheck(
     residues.  The final direct evaluation is left to the caller, which
     receives the fully instantiated point and the last running claim.
 
-    ``begin_sumcheck`` is handed a copy of ``spec`` over a new field of the
-    same modulus, with shallow copies of its formula and block, so no write
-    the prover forces into what it is handed reaches the statement, the field
-    or the bit width the verifier meters by.
-    The copies are made without revalidation: they hash and compare equal to
-    the originals, so the formula's cached code arrays serve them.
+    ``begin_sumcheck`` is handed a copy of ``spec`` with shallow copies of
+    its formula and block, made without revalidation.  Everything else in a
+    statement is an int or a tuple of ints, which nobody can change, and the
+    verifier reads p, the bit width it meters by and the final check's code
+    arrays from its own ``spec`` only, so no write the prover forces into
+    what it is handed reaches a check or a meter.
     """
-    fld = spec.field
-    p = fld.modulus
+    p = spec.p
+    bits = (p - 1).bit_length()
     a = claim % p
-    handout = replace(
-        spec,
-        field=PrimeField(p),
-        formula=copy.copy(spec.formula),
-        block=copy.copy(spec.block),
-    )
+    handout = replace(spec, formula=copy.copy(spec.formula), block=copy.copy(spec.block))
     try:
         prover.begin_sumcheck(handout, a)
         started = True
@@ -314,13 +309,13 @@ def run_sumcheck(
     for i in range(1, spec.num_vars + 1):
         d = spec.degree_bounds[i - 1]
         poly = ask_prover(prover, "round_poly", i, challenges, a) if started else None
-        meter.proof_bits += (d + 1) * fld.bits
+        meter.proof_bits += (d + 1) * bits
         coeffs = proof_residues(poly, d + 1, p)
         # g(0) + g(1) is the constant coefficient plus the sum of all of them
         if coeffs is None or (coeffs[0] + sum(coeffs)) % p != a:
             verdict = Verdict(False, meter.snapshot(), rejection_round=i)
             return SumcheckRun(verdict, challenges, None, tuple(transcripts))
-        r = draw_field_element(tape, fld, meter)
+        r = draw_field_element(tape, p, meter)
         a = _horner(coeffs, r, p)
         challenges += (r,)
         transcripts.append(RoundTranscript(i, coeffs, d, r, a))
@@ -344,8 +339,8 @@ def honest_round_poly(
     """
     if len(prefix) != i - 1:
         raise ValueError("prefix must instantiate exactly the first i-1 variables")
-    fld = spec.field
-    p = fld.modulus
+    p = spec.p
+    fld = PrimeField(p)
     d = spec.degree_bounds[i - 1]
     free = spec.num_vars - i
     pts = []
@@ -406,7 +401,7 @@ class PlanFolder:
 
     def __init__(self, plan: ProductPlan):
         self.plan = plan
-        self._p = plan.field.modulus
+        self._p = plan.p
         if plan.head_weights is not None:
             self._weight_suffix = _tensor([(1, r) for r in plan.head_weights[1:]], self._p)
         self._reset()
@@ -560,7 +555,7 @@ class TableCommittedProver(ProverStrategy):
 
     def round_poly(self, i: int, challenges: tuple[int, ...], claim: int) -> tuple[int, ...]:
         d = self._spec.degree_bounds[i - 1]
-        p = self._spec.field.modulus
+        p = self._spec.p
         self._folder.sync(challenges)
         vals = self._folder.round_values(d)
         # the coefficients are the node inverse times the values at 0..d; all
@@ -589,7 +584,7 @@ class AdaptiveCheater(ProverStrategy):
         self._p = 0
 
     def begin_sumcheck(self, spec: SummandSpec, claim: int) -> None:
-        self._p = spec.field.modulus
+        self._p = spec.p
         self.base.begin_sumcheck(spec, claim)
 
     def round_poly(self, i: int, challenges: tuple[int, ...], claim: int) -> tuple[int, ...]:
@@ -622,7 +617,7 @@ class RandomGarbageProver(ProverStrategy):
         self._spec = spec
 
     def round_poly(self, i: int, challenges: tuple[int, ...], claim: int) -> tuple[int, ...]:
-        p = self._spec.field.modulus
+        p = self._spec.p
         return tuple([self._rng.randrange(p) for _ in range(self._spec.degree_bounds[i - 1] + 1)])
 
     def assignment_query(self, point: Point, p: int) -> int:

@@ -20,7 +20,7 @@ from ppcplab.awsat import (
     verify_awsat,
 )
 from ppcplab.cli import main as cli_main
-from ppcplab.field import PrimeField, select_prime
+from ppcplab.field import select_prime
 from ppcplab.formula import (
     AwsatInstance,
     ClassTag,
@@ -294,13 +294,13 @@ def test_criterion_7_multilinearity_power():
     with criterion(7, "multilinearity test power"):
         for m in (3, 5, 8):
             reps = 5 * m
-            fld = PrimeField(select_prime(9 * m, 3, 0.5))
+            prime = select_prime(9 * m, 3, 0.5)
             table = BooleanTable.from_true_codes([1, 2, (1 << m) - 2], m)
             exact = lambda pt, p: mle_eval(table, pt, p)
             prover = GenericHonestProver(exact)
             for s in range(1000):
                 ok, _ = multilinearity_test(
-                    prover, m, reps, RandomTape(derive_seed(9000 + m, s)), ResourceMeter(), fld
+                    prover, m, reps, RandomTape(derive_seed(9000 + m, s)), ResourceMeter(), prime
                 )
                 assert ok  # 100 percent pass rate
 
@@ -310,7 +310,7 @@ def test_criterion_7_multilinearity_power():
             trials = 2000
             for s in range(trials):
                 ok, _ = multilinearity_test(
-                    prover, m, reps, RandomTape(derive_seed(9500 + m, s)), ResourceMeter(), fld
+                    prover, m, reps, RandomTape(derive_seed(9500 + m, s)), ResourceMeter(), prime
                 )
                 rejected += not ok
             floor = 1 - (1 - 1 / m) ** reps - 0.02

@@ -20,8 +20,8 @@ from ppcplab.formula import Assignment, ClassMismatchError, ClassTag, WeightedFo
 from ppcplab.sumcheck import RandomTape
 
 
-F109 = PrimeField(109)
-P = F109.modulus
+P = 109
+F109 = PrimeField(P)  # the field of the reference interpolation
 
 
 def cube_points(q):
@@ -35,12 +35,17 @@ def evaluate(spec, oracle, point):
 
 
 def cube_sum(spec, oracle):
-    return sum(evaluate(spec, oracle, pt) for pt in cube_points(spec.num_vars)) % spec.field.modulus
+    return sum(evaluate(spec, oracle, pt) for pt in cube_points(spec.num_vars)) % spec.p
 
 
-def draw_weights(fld, m, seed):
+def draw_weights(p, m, seed):
     tape = RandomTape(seed)
-    return [tape.draw_int(fld.modulus) for _ in range(m)]
+    return [tape.draw_int(p) for _ in range(m)]
+
+
+def position_codes(f, position):
+    """The code array of a 1-based position in f's negated-2-CNF statement."""
+    return build_w1_summand(f, P, [0] * f.m).codes[position - 1]
 
 
 def weight_at(weights, z, p=P):
@@ -186,13 +191,13 @@ class TestClauseIndicator:
             z = code_bits(c, m)
             var_code = abs(f.clauses[c][0]) - 1
             x = code_bits(var_code, m)
-            assert clause_indicator_eval(f, 1, z, x, P) == 1
+            assert clause_indicator_eval(position_codes(f, 1), f.num_vars, z, x, P) == 1
 
     def test_indicator_zero_on_other_variables(self):
         f = WeightedFormula(3, ((-1, -2),), ClassTag.G12N, 1)
         z = code_bits(0, f.m)
         x = code_bits(2, f.m)  # variable 3, not in position 1
-        assert clause_indicator_eval(f, 1, z, x, P) == 0
+        assert clause_indicator_eval(position_codes(f, 1), f.num_vars, z, x, P) == 0
 
     def test_restricted_factor_shape_101(self):
         f = self.F6
@@ -200,31 +205,36 @@ class TestClauseIndicator:
         z = code_bits(0, 3)
         for a, b, c in ((2, 3, 5), (10, 0, 1), (7, 7, 7)):
             expected = a * (1 - b) * c % P
-            assert clause_indicator_eval(f, 1, z, (a, b, c), P) == expected
+            assert clause_indicator_eval(position_codes(f, 1), f.num_vars, z, (a, b, c), P) == expected
 
-    def test_position_validation(self):
+    def test_z_and_x_must_have_the_same_width(self):
         f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 1)
-        z = (0,)
         with pytest.raises(ValueError):
-            clause_indicator_eval(f, 0, z, z, P)
-        with pytest.raises(ValueError):
-            clause_indicator_eval(f, 3, z, z, P)
+            clause_indicator_eval(position_codes(f, 1), f.num_vars, (0,), (0, 1), P)
+
+    def test_a_statement_carries_one_code_array_per_position(self):
+        # g12n pads to L = 2: a unit clause repeats its variable, and every
+        # array is a tuple of ints, one code per clause
+        f = WeightedFormula(4, ((-1, -3), (-4,), (-2, -4)), ClassTag.G12N, 1)
+        assert build_w1_summand(f, P, [0] * f.m).codes == ((0, 3, 1), (2, 3, 3))
+        g = WeightedFormula(4, ((1, 3, 2), (4,)), ClassTag.G21P, 1)
+        assert build_w2_summand(g, P, [0] * g.m, 4).codes == ((0, 3), (2, 3), (1, 3), (1, 3))
 
     def test_unit_clause_padding_repeats_variable(self):
         f = WeightedFormula(2, ((-2,),), ClassTag.G12N, 1)
         z = (0,)
         x = (1,)  # code of variable 2
-        assert clause_indicator_eval(f, 1, z, x, P) == 1
-        assert clause_indicator_eval(f, 2, z, x, P) == 1
+        assert clause_indicator_eval(position_codes(f, 1), f.num_vars, z, x, P) == 1
+        assert clause_indicator_eval(position_codes(f, 2), f.num_vars, z, x, P) == 1
 
 
 class TestW1Summand:
     def test_matching_boolean_point_value(self):
         f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 2)
         m = f.m
-        weights = draw_weights(F109, m, 5)
+        weights = draw_weights(P, m, 5)
         table = BooleanTable.from_assignment({1, 2}, m)
-        spec = build_w1_summand(f, F109, weights)
+        spec = build_w1_summand(f, P, weights)
         z = code_bits(0, m)
         x1 = code_bits(0, m)
         x2 = code_bits(1, m)
@@ -233,16 +243,16 @@ class TestW1Summand:
 
     def test_satisfying_assignment_sums_to_zero(self):
         f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 1)
-        weights = draw_weights(F109, f.m, 9)
+        weights = draw_weights(P, f.m, 9)
         table = BooleanTable.from_assignment({1}, f.m)
-        spec = build_w1_summand(f, F109, weights)
+        spec = build_w1_summand(f, P, weights)
         assert cube_sum(spec, oracle_from_table(table)) == 0
 
     def test_violating_assignment_total_is_clause_weight(self):
         f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 2)
-        weights = draw_weights(F109, f.m, 42)
+        weights = draw_weights(P, f.m, 42)
         table = BooleanTable.from_assignment({1, 2}, f.m)
-        spec = build_w1_summand(f, F109, weights)
+        spec = build_w1_summand(f, P, weights)
         z0 = code_bits(0, f.m)
         total = cube_sum(spec, oracle_from_table(table))
         assert total == weight_at(weights, z0)
@@ -251,7 +261,7 @@ class TestW1Summand:
     def test_class_mismatch(self):
         f = WeightedFormula(2, ((1, 2),), ClassTag.G21P, 1)
         with pytest.raises(ClassMismatchError):
-            build_w1_summand(f, F109, draw_weights(F109, f.m, 1))
+            build_w1_summand(f, P, draw_weights(P, f.m, 1))
 
     def test_unsat_iff_property_exhaustive(self):
         # per clause, sum over (x1, x2) of the indicator product is nonzero
@@ -264,15 +274,16 @@ class TestW1Summand:
                 trues = {i + 1 for i in range(3) if bits[i]}
                 table = BooleanTable.from_assignment(trues, m)
                 a = Assignment(frozenset(trues))
+                codes1, codes2 = position_codes(f, 1), position_codes(f, 2)
                 for c in range(f.num_clauses):
                     z = code_bits(c, m)
                     total = 0
                     for x1 in cube_points(m):
-                        c1 = clause_indicator_eval(f, 1, z, x1, P) * mle_eval(table, x1, P) % P
+                        c1 = clause_indicator_eval(codes1, f.num_vars, z, x1, P) * mle_eval(table, x1, P) % P
                         if c1 == 0:
                             continue
                         for x2 in cube_points(m):
-                            total += c1 * clause_indicator_eval(f, 2, z, x2, P) * mle_eval(table, x2, P)
+                            total += c1 * clause_indicator_eval(codes2, f.num_vars, z, x2, P) * mle_eval(table, x2, P)
                     assert (total % P == 0) == eval_clause(f, c, a)
 
     def test_random_weight_separation(self):
@@ -290,7 +301,7 @@ class TestW1Summand:
         zero_hits = 0
         trials = 10_000
         tape = RandomTape(2024)
-        p = F109.modulus
+        p = P
         for _ in range(trials):
             r = [tape.draw_int(p) for _ in range(m)]
             total = 0
@@ -308,9 +319,9 @@ class TestW1Summand:
     def test_degree_bounds_by_interpolation(self):
         f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 1)
         m = f.m
-        weights = draw_weights(F109, m, 77)
+        weights = draw_weights(P, m, 77)
         table = BooleanTable.from_assignment({2}, m)
-        spec = build_w1_summand(f, F109, weights)
+        spec = build_w1_summand(f, P, weights)
         tape = RandomTape(4)
         for var in range(spec.num_vars):
             d = spec.degree_bounds[var]
@@ -328,9 +339,9 @@ class TestW2Summand:
     def test_all_false_assignment_nonzero_at_match(self):
         f = WeightedFormula(2, ((1, 2),), ClassTag.G21P, 1)
         m = f.m
-        weights = draw_weights(F109, m, 8)
+        weights = draw_weights(P, m, 8)
         table = BooleanTable.from_true_codes([], m)
-        spec = build_w2_summand(f, F109, weights, 2)
+        spec = build_w2_summand(f, P, weights, 2)
         z = code_bits(0, m)
         x1 = code_bits(0, m)
         x2 = code_bits(1, m)
@@ -339,52 +350,52 @@ class TestW2Summand:
     def test_satisfied_clause_zeroes_all_terms(self):
         f = WeightedFormula(2, ((1, 2),), ClassTag.G21P, 1)
         m = f.m
-        weights = draw_weights(F109, m, 8)
+        weights = draw_weights(P, m, 8)
         table = BooleanTable.from_assignment({1}, m)
-        spec = build_w2_summand(f, F109, weights, 2)
+        spec = build_w2_summand(f, P, weights, 2)
         assert cube_sum(spec, oracle_from_table(table)) == 0
 
     def test_padding_invariance(self):
         f = WeightedFormula(2, ((1, 2),), ClassTag.G21P, 1)
-        weights = draw_weights(F109, f.m, 21)
+        weights = draw_weights(P, f.m, 21)
         for trues in (set(), {1}, {2}, {1, 2}):
             table = BooleanTable.from_assignment(trues, f.m)
             oracle = oracle_from_table(table)
-            total2 = cube_sum(build_w2_summand(f, F109, weights, 2), oracle)
-            total3 = cube_sum(build_w2_summand(f, F109, weights, 3), oracle)
+            total2 = cube_sum(build_w2_summand(f, P, weights, 2), oracle)
+            total3 = cube_sum(build_w2_summand(f, P, weights, 3), oracle)
             assert total2 == total3
 
     def test_padded_length_too_small(self):
         f = WeightedFormula(3, ((1, 2, 3),), ClassTag.G21P, 1)
         with pytest.raises(ValueError):
-            build_w2_summand(f, F109, draw_weights(F109, f.m, 1), 2)
+            build_w2_summand(f, P, draw_weights(P, f.m, 1), 2)
 
     def test_class_mismatch(self):
         f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 1)
         with pytest.raises(ClassMismatchError):
-            build_w2_summand(f, F109, draw_weights(F109, f.m, 1), 2)
+            build_w2_summand(f, P, draw_weights(P, f.m, 1), 2)
 
 
 class TestWeightSummand:
     def test_counts_trues(self):
         table = BooleanTable.from_assignment({1}, 2)
-        spec = build_weight_summand(2, F109)
+        spec = build_weight_summand(2, P)
         assert cube_sum(spec, oracle_from_table(table)) == 1
 
     def test_block_restriction(self):
         table = BooleanTable.from_assignment({1, 2, 3}, 2)
         block = BooleanTable.from_assignment({2, 3}, 2)
-        spec = build_weight_summand(2, F109, block)
+        spec = build_weight_summand(2, P, block)
         assert cube_sum(spec, oracle_from_table(table)) == 2
 
     def test_empty_assignment(self):
         table = BooleanTable.from_true_codes([], 2)
-        spec = build_weight_summand(2, F109)
+        spec = build_weight_summand(2, P)
         assert cube_sum(spec, oracle_from_table(table)) == 0
 
     def test_block_arity_mismatch(self):
         with pytest.raises(ValueError):
-            build_weight_summand(2, F109, BooleanTable.from_true_codes([], 3))
+            build_weight_summand(2, P, BooleanTable.from_true_codes([], 3))
 
 
 class TestBooleanTable:

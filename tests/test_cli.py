@@ -51,6 +51,14 @@ class TestVerifyCommand:
         wrong = write(tmp_path, "wrong.txt", "1 2\n")
         assert main(["verify", path, "--prover", f"table:{wrong}"]) == 1
 
+    @pytest.mark.parametrize("name, text", [("yes.pwsat", YES_TEXT), ("a.awsat", AWSAT_TEXT)], ids=["w1", "awsat"])
+    @pytest.mark.parametrize("prime, problem", [("161", "not prime"), (str(2**89 - 1), "cap")], ids=["composite", "above_cap"])
+    def test_prime_override_that_is_no_usable_prime_exits_two(self, tmp_path, capsys, name, text, prime, problem):
+        path = write(tmp_path, name, text)
+        assert main(["verify", path, "--prime", prime]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and problem in captured.err
+
     @pytest.mark.parametrize("true_vars", ["5", "1 9", "2 1000"])
     def test_table_variable_past_the_cube_exits_two(self, tmp_path, capsys, true_vars):
         path = write(tmp_path, "yes.pwsat", YES_TEXT)  # m = 2: variables 1..4

@@ -35,7 +35,8 @@ from ppcplab.field import PrimeField
 from ppcplab.formula import ClassTag, WeightedFormula, derived_m
 from ppcplab.sumcheck import PlanFolder, TableCommittedProver, honest_round_poly
 
-FLD = PrimeField(1009)
+P = 1009
+FLD = PrimeField(P)  # the field of the reference interpolation
 
 
 @st.composite
@@ -53,8 +54,6 @@ def padded_formulas(draw, max_vars=6, max_clauses=6, max_len=5):
     assume(len(clauses) < 1 << m)
     return WeightedFormula(n, tuple(clauses), tag, 1, m), L
 
-
-P = FLD.modulus
 
 
 def chi(code, point):
@@ -81,13 +80,20 @@ def random_point(rng, m):
 
 
 def random_weights(rng, m):
-    return [rng.randrange(FLD.modulus) for _ in range(m)]
+    return [rng.randrange(P) for _ in range(m)]
 
 
 def clause_spec(formula, L, weights):
     if formula.class_tag is ClassTag.G12N:
-        return build_w1_summand(formula, FLD, weights)
-    return build_w2_summand(formula, FLD, weights, L)
+        return build_w1_summand(formula, P, weights)
+    return build_w2_summand(formula, P, weights, L)
+
+
+def indicator(formula, L, position, z, x):
+    """``clause_indicator_eval`` over the code array of ``position`` in the
+    formula's statement at padded length L."""
+    codes = clause_spec(formula, L, [0] * formula.m).codes[position - 1]
+    return clause_indicator_eval(codes, formula.num_vars, z, x, P)
 
 
 def random_spec(formula, L, rng):
@@ -110,7 +116,7 @@ def test_clause_indicator_matches_per_clause_definition(case, seed):
     for position in range(1, L + 1):
         z, x = random_point(rng, formula.m), random_point(rng, formula.m)
         expected = indicator_reference(formula, position, z, x)
-        assert clause_indicator_eval(formula, position, z, x, P) == expected
+        assert indicator(formula, L, position, z, x) == expected
 
 
 @given(padded_formulas(), st.integers(0, 2**32))
@@ -204,7 +210,7 @@ def small_specs(draw):
         table = BooleanTable(m, tuple(rng.randrange(2) for _ in range(1 << m)))
         block = draw(st.sampled_from([None, tuple(rng.randrange(2) for _ in range(1 << m))]))
         block_table = None if block is None else BooleanTable(m, block)
-        spec = build_weight_summand(m, FLD, block_table)
+        spec = build_weight_summand(m, P, block_table)
         return kind, spec, table
     tag = ClassTag.G12N if kind == "w1" else ClassTag.G21P
     L = 2 if kind == "w1" else draw(st.integers(1, 5))
@@ -235,7 +241,7 @@ def test_table_prover_round_poly_matches_honest_round_poly(case, seed):
         reference = honest_round_poly(spec, table_oracle(table), challenges, i).padded(d)
         # exactly the wire format: d + 1 plain ints in [0, p)
         assert type(poly) is tuple and len(poly) == d + 1
-        assert all(type(c) is int and 0 <= c < FLD.modulus for c in poly)
+        assert all(type(c) is int and 0 <= c < P for c in poly)
         assert list(poly) == [c.value for c in reference.coeffs]
         challenges += (rng.randrange(P),)
 
@@ -309,7 +315,7 @@ def pinned_specs(draw, table_kind):
         block = draw(st.sampled_from(["none", "real", "random"]))
         block_codes = range(n) if block == "real" else [c for c in range(n) if rng.randrange(2)]
         block_table = None if block == "none" else BooleanTable.from_true_codes(block_codes, m)
-        return kind, build_weight_summand(m, FLD, block_table), table, n
+        return kind, build_weight_summand(m, P, block_table), table, n
     tag = ClassTag.G12N if kind == "w1" else ClassTag.G21P
     formula, L = draw(pinned_formulas(10, tags=(tag,), max_len=4))
     n, m = formula.num_vars, formula.m
@@ -337,7 +343,7 @@ def test_windowed_round_poly_at_padded_length_5():
     # one variable at m = 2, its code and the dummy code 1 true: window 2 of 4
     formula = WeightedFormula(1, ((1,),), ClassTag.G21P, 1, 2)
     table = BooleanTable.from_true_codes([0, 1], 2)
-    spec = build_w2_summand(formula, FLD, (3, 500), 5)
+    spec = build_w2_summand(formula, P, (3, 500), 5)
     assert compile_plan(spec, table).window == 2
     assert_rounds_match_honest(spec, table, 5)
 
@@ -350,7 +356,7 @@ def test_windowed_clause_indicator_matches_per_clause_definition(case, seed):
     for position in range(1, L + 1):
         z, x = random_point(rng, formula.m), random_point(rng, formula.m)
         expected = indicator_reference(formula, position, z, x)
-        assert clause_indicator_eval(formula, position, z, x, P) == expected
+        assert indicator(formula, L, position, z, x) == expected
 
 
 @st.composite
@@ -368,13 +374,13 @@ def windowed_plans(draw):
     num_tails = draw(st.integers(0, 2))
 
     def table(window):
-        const = rng.randrange(FLD.modulus)
-        return [rng.randrange(FLD.modulus) for _ in range(window)] + [const] * (size - window)
+        const = rng.randrange(P)
+        return [rng.randrange(P) for _ in range(window)] + [const] * (size - window)
 
     head = tuple(tuple(table(window)) for _ in range(draw(st.integers(1, 3)) + num_tails))
     tails = [[table(window) for _ in range(draw(st.integers(1, 3)))] for _ in range(num_tails)]
     build_tails = (lambda z_star: tails) if num_tails else None
-    common = dict(field=FLD, block_vars=block_vars, head_tables=head,
+    common = dict(p=P, block_vars=block_vars, head_tables=head,
                   num_standalone=len(head) - num_tails, build_tails=build_tails)
     windowed = ProductPlan(**common, window=window)
     return windowed, ProductPlan(**common)
@@ -391,7 +397,7 @@ def test_windowed_fold_matches_whole_cube_fold(plans, seed):
         a.sync(challenges)
         b.sync(challenges)
         assert a.round_values(3) == b.round_values(3)
-        challenges += (rng.randrange(FLD.modulus),)
+        challenges += (rng.randrange(P),)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +416,7 @@ def doubling_tensor(factors, p):
 @pytest.mark.parametrize("m", range(11))
 def test_split_tensor_matches_doubling(m):
     rng = random.Random(m)
-    for p in (FLD.modulus, 2**61 - 1):
+    for p in (P, 2**61 - 1):
         factors = [(rng.randrange(p), rng.randrange(p)) for _ in range(m)]
         assert _tensor(factors, p) == doubling_tensor(factors, p)
 
@@ -433,10 +439,12 @@ def test_split_clause_indicator_matches_per_clause_definition(m, tag):
     rng = random.Random(100 * m + len(tag.value))
     for _ in range(2):
         formula, L = wide_formula(m, tag, rng)
-        for position in range(1, L + 2 if tag is ClassTag.G21P else 3):
+        # a g21p statement padded past its longest clause repeats last variables
+        L += tag is ClassTag.G21P
+        for position in range(1, L + 1):
             z, x = random_point(rng, m), random_point(rng, m)
             expected = indicator_reference(formula, position, z, x)
-            assert clause_indicator_eval(formula, position, z, x, P) == expected
+            assert indicator(formula, L, position, z, x) == expected
 
 
 @st.composite
@@ -454,22 +462,22 @@ def weight_tensor_plans(draw):
     size = 1 << block_vars
     window = 1 << draw(st.integers(0, block_vars))
     num_tails = draw(st.integers(0, 2))
-    weights = tuple(rng.randrange(1, FLD.modulus) for _ in range(block_vars))
+    weights = tuple(rng.randrange(1, P) for _ in range(block_vars))
     tensor = [1] * size
     for c in range(size):
         for j, bit in enumerate(code_bits(c, block_vars)):
-            tensor[c] = tensor[c] * (weights[j] if bit else 1) % FLD.modulus
+            tensor[c] = tensor[c] * (weights[j] if bit else 1) % P
 
     def table(window):
-        const = rng.randrange(1, FLD.modulus)
-        return [rng.randrange(FLD.modulus) for _ in range(window)] + [const] * (size - window)
+        const = rng.randrange(1, P)
+        return [rng.randrange(P) for _ in range(window)] + [const] * (size - window)
 
     # standalone tables besides the weight tensor, then one proxy per tail
     standalone = draw(st.integers(0 if num_tails else 1, 2))
     head = tuple(tuple(table(size)) for _ in range(standalone + num_tails))
     tails = [[table(window) for _ in range(draw(st.integers(1, 3)))] for _ in range(num_tails)]
     build_tails = (lambda z_star: tails) if num_tails else None
-    common = dict(field=FLD, block_vars=block_vars, build_tails=build_tails)
+    common = dict(p=P, block_vars=block_vars, build_tails=build_tails)
     declared = ProductPlan(
         **common, head_tables=head, num_standalone=standalone, window=window, head_weights=weights
     )
@@ -492,13 +500,13 @@ def test_weight_tensor_head_fold_matches_plain_fold(plans, seed):
         # (twice), and one less (no extrapolation)
         for degree in (head_degree, head_degree + 1, max(head_degree - 1, 1)):
             assert a.round_values(degree) == b.round_values(degree)
-        challenges += (rng.randrange(FLD.modulus),)
+        challenges += (rng.randrange(P),)
 
 
 def test_weight_tensor_head_needs_a_whole_cube_head_with_one_weight_per_variable():
     head = ((1, 1, 1, 1),)
-    ProductPlan(FLD, 2, head, 1, head_weights=(2, 3))
+    ProductPlan(P, 2, head, 1, head_weights=(2, 3))
     with pytest.raises(ValueError):
-        ProductPlan(FLD, 2, head, 1, head_weights=(2,))
+        ProductPlan(P, 2, head, 1, head_weights=(2,))
     with pytest.raises(ValueError):
-        ProductPlan(FLD, 2, (), 0, head_weights=(2, 3))
+        ProductPlan(P, 2, (), 0, head_weights=(2, 3))

@@ -68,8 +68,8 @@ class TestSelectPrime:
 
 
 class TestFieldArithmetic:
-    """The field Z_p itself: its modulus checks and its bit width.  Elements
-    have no arithmetic; the protocol computes on residues."""
+    """The reference field Z_p itself: its modulus checks.  Elements have no
+    arithmetic; the protocol computes on residues."""
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(FieldMismatchError):
@@ -84,13 +84,8 @@ class TestFieldArithmetic:
             PrimeField(2**61 + 15)  # even if prime, outside the cap
         assert MAX_MODULUS == 2**61 - 1
 
-    def test_bits(self):
-        assert PrimeField(2).bits == 1
-        assert PrimeField(109).bits == 7
-        assert PrimeField(3001).bits == 12
-
     def test_primality_is_memoised_in_a_bounded_cache(self):
-        # every verification builds its fields over one of a few primes
+        # prime searches and checks ask about the same few numbers again and again
         PrimeField(1000003)
         before = is_prime.cache_info()
         PrimeField(1000003)

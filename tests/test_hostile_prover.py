@@ -3,22 +3,27 @@ exactly a tuple of d + 1 plain ints in [0, p), an assignment answer that is
 not exactly a plain int in [0, p) and a line answer that is not exactly a
 tuple of three of them are rejected at the stage and round that read them,
 and no prover-supplied method decides a check.  What the verifier hands the
-prover is data too: a statement with no code and no field element in it, a
-field that refuses plain writes, and plain ints and tuples of them on both
-wires.  The statement is the prover's own copy and the field is its own, so
-a write it forces into either reaches no check and no meter."""
+prover is data too: a frozen statement with nothing callable in it, which
+carries p and its own clause code arrays, and plain ints and tuples of them
+on both wires.  The statement is the prover's own copy, and the verifier
+reads its final check from its own statement, never from a cache keyed by
+what the prover holds, so a write the prover forces into its copy reaches
+no check and no meter."""
 
+import ast
 import dataclasses
+import math
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ppcplab
 from ppcplab import pcpverify
 from ppcplab.arithmetize import (
     BooleanTable,
     SummandSpec,
-    _formula_codes,
     clause_indicator_eval,
     compile_plan,
     read_points,
@@ -26,9 +31,9 @@ from ppcplab.arithmetize import (
 )
 from ppcplab.awsat import enumerate_universal, honest_branch_tables, verify_awsat
 from ppcplab.field import FieldElement, PrimeField, UniPoly
-from ppcplab.formula import AwsatInstance, ClassTag, WeightedFormula, parse_pwsat
+from ppcplab.formula import AwsatInstance, ClassTag, WeightedFormula, brute_force_wsat, parse_pwsat
 from ppcplab.pcpverify import multilinearity_test, verify_w1, verify_w2
-from ppcplab.reductions import gen_planted_yes_with_witness
+from ppcplab.reductions import gen_planted_yes_with_witness, gen_random
 from ppcplab.sumcheck import (
     AdaptiveCheater,
     GenericHonestProver,
@@ -36,17 +41,19 @@ from ppcplab.sumcheck import (
     RandomTape,
     ResourceMeter,
     TableCommittedProver,
+    derive_seed,
     run_sumcheck,
 )
 
-F109 = PrimeField(109)
+P = 109
+BITS = (P - 1).bit_length()
 NO_TEXT = "p pwsat g12n 2 1 2\n-1 -2 0\n"
 YES_TEXT = "p pwsat g12n 3 2 1\n-1 -2 0\n-1 -3 0\n"
 
 
-def product_spec(fld):
+def product_spec(p):
     # h(x1, x2) = x1 * x2: a block-free statement is its oracle, product_oracle
-    return SummandSpec(2, (1, 1), fld)
+    return SummandSpec(2, (1, 1), p)
 
 
 def product_oracle(pt, p):
@@ -56,7 +63,7 @@ def product_oracle(pt, p):
 # h = x1 * x2 declared at degree 2 per variable: every honest round message
 # ends in a zero coefficient, so a message one entry short or one entry long
 # still passes g(0) + g(1) = claim if its length is not checked
-WIRE_SPEC = SummandSpec(2, (2, 2), F109)
+WIRE_SPEC = SummandSpec(2, (2, 2), P)
 
 
 class AlwaysEqual(int):
@@ -91,7 +98,7 @@ class SubclassProver(ProverStrategy):
         self.spec = spec
 
     def round_poly(self, i, challenges, claim):
-        p = self.spec.field.modulus
+        p = self.spec.p
         half = claim * pow(2, -1, p) % p
         return (IntSub(half),) + (IntSub(0),) * self.spec.degree_bounds[i - 1]
 
@@ -135,18 +142,18 @@ def test_sumcheck_rejects_values_that_are_not_exact(make):
         class Hostile(GenericHonestProver):
             def round_poly(self, i, challenges, claim):
                 g = super().round_poly(i, challenges, claim)
-                return make(g, F109.modulus) if i == bad else g
+                return make(g, P) if i == bad else g
 
         meter = ResourceMeter()
         run = run_sumcheck(WIRE_SPEC, 1, Hostile(product_oracle), RandomTape(3), meter)
         assert (run.verdict.accepted, run.verdict.rejection_round) == (False, bad)
         # (d + 1) * ceil(log2 p) proof bits for every round read, this one too
-        assert meter.proof_bits == bad * 3 * F109.bits
+        assert meter.proof_bits == bad * 3 * BITS
         assert run.transcripts == honest.transcripts[: bad - 1]
 
 
 ENTRIES = st.one_of(
-    st.integers(-3, 2 * F109.modulus), st.booleans(), st.floats(0, 3), st.builds(IntSub, st.integers(0, 3))
+    st.integers(-3, 2 * P), st.booleans(), st.floats(0, 3), st.builds(IntSub, st.integers(0, 3))
 )
 
 
@@ -169,12 +176,12 @@ def test_a_round_message_passes_round_1_only_as_a_consistent_tuple_of_residues(m
     run = run_sumcheck(WIRE_SPEC, 1, OneMessage(product_oracle), RandomTape(3), meter)
     exact = (
         type(message) is tuple and len(message) == 3
-        and all(type(c) is int and 0 <= c < F109.modulus for c in message)
+        and all(type(c) is int and 0 <= c < P for c in message)
     )
     passed = run.verdict.accepted or run.verdict.rejection_round != 1
-    assert passed == (exact and (2 * message[0] + message[1] + message[2]) % F109.modulus == 1)
+    assert passed == (exact and (2 * message[0] + message[1] + message[2]) % P == 1)
     # round 1 is read and metered either way, round 2 only after round 1 passes
-    assert meter.proof_bits == (2 if passed else 1) * 3 * F109.bits
+    assert meter.proof_bits == (2 if passed else 1) * 3 * BITS
 
 
 def test_multilinearity_test_rejects_subclass_answers():
@@ -184,7 +191,7 @@ def test_multilinearity_test_rejects_subclass_answers():
         return AlwaysEqual(TableCommittedProver(table).assignment_query(q, p))
 
     prover = GenericHonestProver(oracle)
-    ok, rep = multilinearity_test(prover, 2, 5, RandomTape(1), ResourceMeter(), F109)
+    ok, rep = multilinearity_test(prover, 2, 5, RandomTape(1), ResourceMeter(), P)
     assert (ok, rep) == (False, 1)
 
 
@@ -436,7 +443,7 @@ def test_base_exception_is_not_swallowed():
             raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
-        run_sumcheck(product_spec(F109), 1, Interrupting(product_oracle), RandomTape(3), ResourceMeter())
+        run_sumcheck(product_spec(P), 1, Interrupting(product_oracle), RandomTape(3), ResourceMeter())
 
 
 # -- writes into what the spec and the plan expose -------------------------------
@@ -467,13 +474,16 @@ def _reachable(roots):
 class ListWriter(TableCommittedProver):
     """Builds the honest plan of every sum-check, binds its head at a random
     point, then overwrites every list it can reach from the spec, the plan
-    and the tails: entries become 1, and lists of lists become empty."""
+    and the tails: entries become 1, and lists of lists become empty.  It
+    keeps every spec it is handed."""
 
     def __init__(self, table):
         super().__init__(table)
         self.written = 0
+        self.specs = []
 
     def begin_sumcheck(self, spec, claim):
+        self.specs.append(spec)
         plan = compile_plan(spec, self.table)
         roots = [spec, plan]
         if plan.build_tails is not None:
@@ -510,15 +520,109 @@ def test_writes_into_the_plan_never_reach_a_later_run(formula, good, bad, verify
     def honest_runs():
         return [verify(formula, TableCommittedProver(t), RandomTape(8)) for t in tables]
 
-    _formula_codes.cache_clear()
     fresh = honest_runs()
     assert [v.accepted for v in fresh] == [True, False]
     writer = ListWriter(tables[0])
     hostile = verify(formula, writer, RandomTape(8))
     assert writer.written > 0 and not hostile.accepted
     assert honest_runs() == fresh  # verdicts compare meters and stage reports too
-    codes = _formula_codes(formula)
-    assert type(codes) is tuple and all(type(c) is tuple for c in codes)
+    # the code arrays it was handed are tuples of ints: no list to write into
+    codes = [c for spec in writer.specs for c in spec.codes]
+    assert codes and type(writer.specs[0].codes) is tuple and all(map(_wire_data, codes))
+
+
+# -- what the final check reads -------------------------------------------------
+
+
+class CachePoisoner(TableCommittedProver):
+    """A committed table prover that compiles its plan from forged clauses.
+    In ``begin_sumcheck`` it force-writes every clause of its formula copy
+    to (-(n - 1), -n), which its table satisfies, and the matching code
+    arrays into its statement, compiles its plan, then writes the real
+    clauses back, so its copy equals the verifier's formula again.  Its
+    round messages are honest for the forged clauses: were the final check
+    to read clause codes from anything the prover wrote, or from a cache
+    keyed by formula equality, it would agree with them."""
+
+    def begin_sumcheck(self, spec, claim):
+        formula = spec.formula
+        if formula is None:
+            return super().begin_sumcheck(spec, claim)
+        n, real = formula.num_vars, formula.clauses
+        object.__setattr__(formula, "clauses", ((-(n - 1), -n),) * len(real))
+        object.__setattr__(spec, "codes", ((n - 2,) * len(real), (n - 1,) * len(real)))
+        super().begin_sumcheck(spec, claim)
+        object.__setattr__(formula, "clauses", real)
+
+
+def _poison_corpus():
+    """40 distinct g12n no-instances, n = 4..5 and k = 3, so m = 3 and
+    p = 163, none of which the table of codes 0..2 satisfies."""
+    found, seen = [], set()
+    for attempt in range(3000):
+        n, ncl = ((4, 8), (4, 7), (5, 8))[attempt % 3]
+        f = gen_random(n, ncl, 3, derive_seed(6000, attempt), ClassTag.G12N)
+        key = (f.num_vars, tuple(sorted(f.clauses)))
+        if key not in seen and not brute_force_wsat(f)[0]:
+            seen.add(key)
+            found.append(f)
+        if len(found) == 40:
+            return found
+    raise AssertionError(f"only {len(found)} no-instances found")
+
+
+def test_forged_clauses_in_the_provers_copy_never_reach_the_final_check():
+    corpus = _poison_corpus()
+    # the tape, and so the final point, depends on m, p and the seed only:
+    # each instance gets seeds of its own, as in criterion 2
+    runs = [(f, derive_seed(6100 + idx, s)) for idx, f in enumerate(corpus) for s in range(5)]
+    accepted = 0
+    for f, seed in runs:
+        assert (f.m, pcpverify.protocol_parameters(f).prime) == (3, 163)
+        table = BooleanTable.from_true_codes(range(f.k), f.m)
+        accepted += verify_w1(f, CachePoisoner(table), RandomTape(seed)).accepted
+    # criterion 2's bound: every round of the union bound, plus 3 sigma
+    params = pcpverify.protocol_parameters(corpus[0])
+    bound = params.total_rounds * 3 / params.prime + 3 * math.sqrt(0.25 / len(runs))
+    assert accepted / len(runs) <= bound, (accepted, len(runs), bound)
+
+
+def _cached_functions():
+    """(module, function node) for every function in the ppcplab sources
+    under a ``functools.lru_cache`` or ``functools.cache`` decorator, and the
+    names of every class the package defines."""
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(Path(ppcplab.__file__).parent.glob("*.py"))
+    }
+    classes = {n.name for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+    cached = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if ast.unparse(target) in ("functools.lru_cache", "functools.cache", "lru_cache", "cache"):
+                    cached.append((module, node))
+    return cached, classes
+
+
+def test_no_cache_is_keyed_by_a_ppcplab_object():
+    # a cache keyed by an object the prover is handed a copy of serves the
+    # copy's entries to the original: its key must be ints and tuples of ints
+    cached, classes = _cached_functions()
+    names = {f"{module}.{node.name}" for module, node in cached}
+    assert {"arithmetize._line_index", "field.node_inverse", "pcpverify._real_block"} <= names
+    for module, node in cached:
+        a = node.args
+        for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]:
+            if arg is None:
+                continue
+            where = f"{module}.{node.name}({arg.arg})"
+            assert arg.annotation is not None, f"{where} has no annotation"
+            named = {n.id for n in ast.walk(arg.annotation) if isinstance(n, ast.Name)}
+            assert not named & classes, f"{where} is keyed by {sorted(named & classes)}"
 
 
 # -- the statement a prover receives is data -------------------------------------
@@ -567,12 +671,11 @@ def test_statements_hold_no_code_and_no_field_elements(name):
     assert len(specs) == stages
     for spec in specs:
         found = _reachable([spec])
-        # the field is the one callable: a frozen PrimeField, whose call only
-        # makes elements
-        assert all(type(obj) is PrimeField for obj in found if callable(obj))
-        assert not [obj for obj in found if isinstance(obj, FieldElement)]
+        assert not [obj for obj in found if callable(obj)]
+        assert not [obj for obj in found if isinstance(obj, (FieldElement, PrimeField))]
+        assert type(spec.p) is int and all(map(_wire_data, spec.codes))
         with pytest.raises(AttributeError):
-            spec.field.bits = 0
+            spec.p = 0
 
 
 class WeightRewriter(TableCommittedProver):
@@ -610,18 +713,19 @@ class WeightRewriter(TableCommittedProver):
         value = self.cheater.assignment_query(point, p)
         if self.spec is not None and self.spec.formula is not None:
             self.reads.append((point, value))
-            if len(self.reads) == self.spec.padded_len:
+            if len(self.reads) == len(self.spec.codes):
                 self._forge(point[-1])
         return value
 
     def _forge(self, last_challenge):
         spec = self.spec
-        formula, p, r = spec.formula, spec.field.modulus, spec.weights
+        formula, p, r = spec.formula, spec.p, spec.weights
         z = self.challenges[: formula.m]
         negated = formula.class_tag is ClassTag.G12N
         product = 1
-        for i, (x, a) in enumerate(self.reads, start=1):
-            product = product * clause_indicator_eval(formula, i, z, x, p) * (a if negated else 1 - a) % p
+        for codes, (x, a) in zip(spec.codes, self.reads):
+            indicator = clause_indicator_eval(codes, formula.num_vars, z, x, p)
+            product = product * indicator * (a if negated else 1 - a) % p
         for zj, rj in zip(z[1:], r[1:]):
             product = product * (1 - zj + rj * zj) % p
         if product == 0 or z[0] == 0:
@@ -681,12 +785,15 @@ def test_forced_weight_writes_land_only_in_the_provers_copy():
 
 
 class BitsMutator(TableCommittedProver):
-    """Forces the bit width of the field it is handed to 1, then proves
-    honestly."""
+    """Forces the prime of the statement it is handed to 2, which would
+    meter every residue at one bit, then proves honestly over a copy that
+    holds the true prime."""
 
     def begin_sumcheck(self, spec, claim):
-        object.__setattr__(spec.field, "bits", 1)
-        super().begin_sumcheck(spec, claim)
+        p = spec.p
+        object.__setattr__(spec, "p", 2)
+        self.handed = spec
+        super().begin_sumcheck(dataclasses.replace(spec, p=p), claim)
 
 
 def test_a_forced_write_into_the_handed_field_moves_no_meter():
@@ -696,8 +803,8 @@ def test_a_forced_write_into_the_handed_field_moves_no_meter():
     assert honest.accepted and honest.meter.proof_bits == 920
     mutator = BitsMutator(table)
     assert verify_w1(formula, mutator, RandomTape(1)) == honest
-    assert mutator._spec.field.bits == 1
-    # one handed field serves every branch pass of an alternation
+    assert mutator.handed.p == 2
+    # nor in any branch pass of an alternation
     tables = honest_branch_tables(AWSAT_L3)
     expected = verify_awsat(AWSAT_L3, tables, TableCommittedProver, RandomTape(2))
     assert expected.accepted
@@ -705,11 +812,12 @@ def test_a_forced_write_into_the_handed_field_moves_no_meter():
 
 
 class FieldMutator(TableCommittedProver):
-    """Zeroes the bit width of the field it is handed, then proves honestly."""
+    """Zeroes the prime of the statement it is handed with a plain write,
+    then proves honestly."""
 
     def begin_sumcheck(self, spec, claim):
-        self.field = spec.field
-        spec.field.bits = 0
+        self.spec = spec
+        spec.p = 0
         super().begin_sumcheck(spec, claim)
 
 
@@ -724,7 +832,8 @@ def test_field_mutator_is_a_raising_begin_sumcheck():
     verdict = verify_w1(f, mutator, RandomTape(5))
     assert verdict == verify_w1(f, RaisingBegin(NO_TABLE), RandomTape(5))
     assert (verdict.stage, verdict.rejection_round) == ("main", 1)
-    assert mutator.field.bits == (mutator.field.modulus - 1).bit_length()
+    # the frozen statement refused the write
+    assert mutator.spec.p == pcpverify.protocol_parameters(f).prime
 
 
 # -- what the prover is handed is its own ----------------------------------------

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from ppcplab.arithmetize import BooleanTable
-from ppcplab.awsat import honest_branch_tables, verify_awsat
+from ppcplab.awsat import awsat_parameters, honest_branch_tables, verify_awsat
 from ppcplab.field import FieldElement, PrimeField
 from ppcplab.formula import (
     AwsatInstance,
@@ -143,11 +143,10 @@ class TestMeterClosedForms:
 
 class TestMultilinearityTest:
     def run_oracle(self, oracle, m, reps, seed, prime=1009):
-        fld = PrimeField(prime)
         tape = RandomTape(seed)
         meter = ResourceMeter()
-        ok, rep = multilinearity_test(GenericHonestProver(oracle), m, reps, tape, meter, fld)
-        return ok, rep, meter, tape, fld
+        ok, rep = multilinearity_test(GenericHonestProver(oracle), m, reps, tape, meter, prime)
+        return ok, rep, meter, tape, (prime - 1).bit_length()
 
     def test_exact_mle_always_passes(self):
         table = BooleanTable.from_true_codes([1, 4], 3)
@@ -180,11 +179,11 @@ class TestMultilinearityTest:
         table = BooleanTable.from_true_codes([2], 3)
         oracle = table_committed_prover(table).assignment_query
         m, reps = 3, 15
-        ok, _, meter, tape, fld = self.run_oracle(oracle, m, reps, 1)
-        assert ok
-        ideal = reps * ((m - 1).bit_length() + (m + 3) * fld.bits)
+        ok, _, meter, tape, bits = self.run_oracle(oracle, m, reps, 1)
+        assert ok and bits == 10
+        ideal = reps * ((m - 1).bit_length() + (m + 3) * bits)
         assert meter.random_bits == ideal + tape.overhead_bits
-        assert meter.proof_bits == reps * 3 * fld.bits
+        assert meter.proof_bits == reps * 3 * bits
         assert meter.oracle_queries == reps * 3
 
     def test_rejection_short_circuits(self):
@@ -367,6 +366,15 @@ class TestVerifierConfig:
         verdict = verify_w1(f, honest_prover_for(f), RandomTape(1), cfg)
         assert verdict.accepted
 
+    @pytest.mark.parametrize("prime, problem", [(161, "not prime"), (2**89 - 1, "cap")], ids=["composite", "above_cap"])
+    def test_prime_override_must_be_a_prime_below_the_cap(self, prime, problem):
+        # 161 = 7 * 23; 2^89 - 1 is prime but past the cap
+        cfg = VerifierConfig(explicit_prime=prime)
+        with pytest.raises(ValueError, match=problem):
+            w1_parameters(parse_pwsat(YES_TEXT), cfg)
+        with pytest.raises(ValueError, match=problem):
+            awsat_parameters(AWSAT_L3, cfg)
+
 
 class TestQuantifiedCompleteness:
     def test_thousand_seeds_single_instance(self):
@@ -399,20 +407,18 @@ def _honest_awsat():
     return verify_awsat(AWSAT_L3, tables, table_committed_prover, RandomTape(5))
 
 
-# (run, sum-checks run): the verifier computes on residues and both wires
-# carry residues, so an honest run builds no FieldElement; it builds one
-# PrimeField per verifier call, plus one per sum-check for the statement it
-# hands the prover.  The l = 3 alternation has two branches of one main and
-# two weight checks.
+# The verifier computes on residues, both wires carry residues and every
+# statement carries p as an int, so an honest run builds no FieldElement and
+# no PrimeField: only the reference path (interpolate, UniPoly) makes them.
 BOUNDARY_RUNS = {
-    "w1": (_honest_w1, 2),
-    "w2": (_honest_w2, 2),
-    "awsat_l3": (_honest_awsat, 6),
+    "w1": _honest_w1,
+    "w2": _honest_w2,
+    "awsat_l3": _honest_awsat,
 }
 
 
-@pytest.mark.parametrize("run, sumchecks", BOUNDARY_RUNS.values(), ids=BOUNDARY_RUNS.keys())
-def test_field_elements_are_built_only_on_the_oracle_wire(monkeypatch, run, sumchecks):
+@pytest.mark.parametrize("run", BOUNDARY_RUNS.values(), ids=BOUNDARY_RUNS.keys())
+def test_field_elements_are_built_only_on_the_oracle_wire(monkeypatch, run):
     created = {FieldElement: 0, PrimeField: 0}
 
     def counting(cls):
@@ -429,4 +435,4 @@ def test_field_elements_are_built_only_on_the_oracle_wire(monkeypatch, run, sumc
     verdict = run()
     monkeypatch.undo()
     assert verdict.accepted
-    assert created == {FieldElement: 0, PrimeField: 1 + sumchecks}
+    assert created == {FieldElement: 0, PrimeField: 0}

@@ -32,8 +32,7 @@ from ppcplab.sumcheck import (
     table_committed_prover,
 )
 
-F5 = PrimeField(5)
-F109 = PrimeField(109)
+F109 = PrimeField(109)  # the field of the reference polynomials
 
 
 class ScriptedTape:
@@ -57,17 +56,17 @@ class ScriptedTape:
 # oracle of a GenericHonestProver is the summand.
 
 
-def const_zero_spec(fld, q=1, bound=1):
-    return SummandSpec(q, (bound,) * q, fld)
+def const_zero_spec(p, q=1, bound=1):
+    return SummandSpec(q, (bound,) * q, p)
 
 
 def zero_oracle(pt, p):
     return 0
 
 
-def product_spec(fld):
+def product_spec(p):
     # h(x1, x2) = x1 * x2, through product_oracle
-    return SummandSpec(2, (1, 1), fld)
+    return SummandSpec(2, (1, 1), p)
 
 
 def product_oracle(pt, p):
@@ -77,7 +76,7 @@ def product_oracle(pt, p):
 def evaluate(spec, oracle, point):
     """The summand at the residue point ``point``, reading ``oracle`` where
     the statement reads."""
-    p = spec.field.modulus
+    p = spec.p
     return summand_value(spec, point, [oracle(q, p) for q in read_points(spec, point)])
 
 
@@ -225,20 +224,20 @@ class TestRandomTape:
 
 class TestRunSumcheck:
     def test_zero_spec_true_claim_accepts(self):
-        spec = const_zero_spec(F109)
+        spec = const_zero_spec(109)
         run = run_sumcheck(spec, 0, GenericHonestProver(zero_oracle), RandomTape(1), ResourceMeter())
         assert run.verdict.accepted
         assert run.final_expected == 0
         assert evaluate(spec, zero_oracle, run.final_point) == run.final_expected
 
     def test_zero_spec_false_claim_rejects_round_one(self):
-        spec = const_zero_spec(F109)
+        spec = const_zero_spec(109)
         run = run_sumcheck(spec, 1, GenericHonestProver(zero_oracle), RandomTape(1), ResourceMeter())
         assert not run.verdict.accepted
         assert run.verdict.rejection_round == 1
 
     def test_product_spec_accepts_and_g1_is_x(self):
-        spec = product_spec(F109)
+        spec = product_spec(109)
         for seed in range(10):
             run = run_sumcheck(spec, 1, GenericHonestProver(product_oracle), RandomTape(seed), ResourceMeter())
             assert run.verdict.accepted
@@ -248,7 +247,7 @@ class TestRunSumcheck:
             assert evaluate(spec, product_oracle, run.final_point) == run.final_expected
 
     def test_completeness_exhaustive_all_challenges(self):
-        spec = product_spec(F5)
+        spec = product_spec(5)
         for r1, r2 in itertools.product(range(5), repeat=2):
             run = run_sumcheck(spec, 1, GenericHonestProver(product_oracle), ScriptedTape([r1, r2]), ResourceMeter())
             assert run.verdict.accepted
@@ -259,13 +258,13 @@ class TestRunSumcheck:
             def round_poly(self, i, challenges, claim):
                 return (0, 1, 0, 0)  # d=1 expected
 
-        spec = product_spec(F109)
+        spec = product_spec(109)
         run = run_sumcheck(spec, 1, OverlongProver(product_oracle), RandomTape(0), ResourceMeter())
         assert not run.verdict.accepted
         assert run.verdict.rejection_round == 1
 
     def test_metering_exact(self):
-        spec = product_spec(F109)
+        spec = product_spec(109)
         tape = RandomTape(5)
         meter = ResourceMeter()
         run_sumcheck(spec, 1, GenericHonestProver(product_oracle), tape, meter)
@@ -274,7 +273,7 @@ class TestRunSumcheck:
         assert meter.random_bits - tape.overhead_bits == 2 * 7
 
     def test_replay_determinism(self):
-        spec = product_spec(F109)
+        spec = product_spec(109)
         runs = [
             run_sumcheck(spec, 1, GenericHonestProver(product_oracle), RandomTape(99), ResourceMeter())
             for _ in range(2)
@@ -284,7 +283,7 @@ class TestRunSumcheck:
         assert runs[0].transcripts == runs[1].transcripts
 
     def test_transcript_running_value_invariant(self):
-        spec = product_spec(F109)
+        spec = product_spec(109)
         run = run_sumcheck(spec, 1, GenericHonestProver(product_oracle), RandomTape(2), ResourceMeter())
         for t in run.transcripts:
             assert sum(c * t.challenge**j for j, c in enumerate(t.coeffs)) % 109 == t.running
@@ -293,13 +292,13 @@ class TestRunSumcheck:
 class TestHonestRoundPoly:
     def test_constant_spec_round_one(self):
         c = 9
-        spec = SummandSpec(3, (1, 1, 1), F109)
+        spec = SummandSpec(3, (1, 1, 1), 109)
         poly = honest_round_poly(spec, lambda pt, p: c, (), 1)
         assert poly.degree <= 0
         assert poly.coeffs[0].value == c * 4 % 109  # c * 2^(q-1)
 
     def test_identity_spec(self):
-        spec = SummandSpec(1, (1,), F109)
+        spec = SummandSpec(1, (1,), 109)
         poly = honest_round_poly(spec, lambda pt, p: pt[0], (), 1)
         assert [c.value for c in poly.coeffs] == [0, 1]
 
@@ -308,7 +307,7 @@ class TestHonestRoundPoly:
         tape = RandomTape(42)
         table = BooleanTable.from_assignment({1, 2}, f.m)
         oracle = table_oracle(table)
-        spec = build_w1_summand(f, F109, draw_weights(tape, f.m))
+        spec = build_w1_summand(f, 109, draw_weights(tape, f.m))
         poly = honest_round_poly(spec, oracle, (), 1)
         total = 0
         for mask in range(1 << spec.num_vars):
@@ -317,7 +316,7 @@ class TestHonestRoundPoly:
         assert (poly.evaluate(F109(0)).value + poly.evaluate(F109(1)).value) % 109 == total % 109
 
     def test_prefix_length_validated(self):
-        spec = product_spec(F109)
+        spec = product_spec(109)
         with pytest.raises(ValueError):
             honest_round_poly(spec, product_oracle, (1,), 1)
 
@@ -343,27 +342,27 @@ class TestPlanFolderMatchesGenericProver:
         f = WeightedFormula(3, ((-1, -2), (-2, -3), (-1,)), ClassTag.G12N, 1)
         tape = RandomTape(17)
         table = BooleanTable.from_assignment({2}, f.m)
-        spec = build_w1_summand(f, F109, draw_weights(tape, f.m))
+        spec = build_w1_summand(f, 109, draw_weights(tape, f.m))
         self.check_spec(spec, table, 23)
 
     def test_w2_plan(self):
         f = WeightedFormula(3, ((1, 2, 3), (2,)), ClassTag.G21P, 1)
         tape = RandomTape(18)
         table = BooleanTable.from_assignment({2}, f.m)
-        spec = build_w2_summand(f, F109, draw_weights(tape, f.m), 3)
+        spec = build_w2_summand(f, 109, draw_weights(tape, f.m), 3)
         self.check_spec(spec, table, 29)
 
     def test_weight_plan_with_block(self):
         table = BooleanTable.from_assignment({1, 3}, 2)
         block = BooleanTable.from_true_codes([0, 1, 2], 2)
-        spec = build_weight_summand(2, F109, block)
+        spec = build_weight_summand(2, 109, block)
         self.check_spec(spec, table, 31)
 
     def test_folder_restarts_on_prefix_change(self):
         f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 1)
         tape = RandomTape(4)
         table = BooleanTable.from_assignment({1}, f.m)
-        spec = build_w1_summand(f, F109, draw_weights(tape, f.m))
+        spec = build_w1_summand(f, 109, draw_weights(tape, f.m))
         folder = PlanFolder(compile_plan(spec, table))
         folder.sync((3, 7))
         v1 = folder.round_values(spec.degree_bounds[2])
@@ -374,7 +373,7 @@ class TestPlanFolderMatchesGenericProver:
 
 class TestAdaptiveCheater:
     def test_true_claim_behaves_honestly(self):
-        spec = product_spec(F109)
+        spec = product_spec(109)
         honest = GenericHonestProver(product_oracle)
         cheater = AdaptiveCheater(GenericHonestProver(product_oracle))
         honest.begin_sumcheck(spec, 1)
@@ -382,7 +381,7 @@ class TestAdaptiveCheater:
         assert cheater.round_poly(1, (), 1) == honest.round_poly(1, (), 1)
 
     def test_zero_spec_false_claim_linear_lie(self):
-        spec = const_zero_spec(F5)
+        spec = const_zero_spec(5)
         cheater = adaptive_cheater(GenericHonestProver(zero_oracle))
         cheater.begin_sumcheck(spec, 1)
         assert cheater.round_poly(1, (), 1) == (0, 1)  # g'(t) = t
@@ -390,7 +389,7 @@ class TestAdaptiveCheater:
     def test_exhaust_all_challenges_p5(self):
         # claim 1 on an identically-zero summand: accepted iff the final direct
         # evaluation matches, i.e. iff the challenge is 0; probability 1/p
-        spec = const_zero_spec(F5)
+        spec = const_zero_spec(5)
         accepted = 0
         for r in range(5):
             run = run_sumcheck(spec, 1, adaptive_cheater(GenericHonestProver(zero_oracle)),
@@ -408,7 +407,7 @@ class TestAdaptiveCheater:
         trials, accepted = 2000, 0
         for seed in range(trials):
             tape = RandomTape(derive_seed(1234, seed))
-            spec = build_w1_summand(f, F109, draw_weights(tape, f.m))
+            spec = build_w1_summand(f, 109, draw_weights(tape, f.m))
             prover = adaptive_cheater(TableCommittedProver(table))
             run = run_sumcheck(spec, 0, prover, tape, ResourceMeter())
             if run.verdict.accepted and evaluate(spec, oracle, run.final_point) == run.final_expected:
@@ -421,7 +420,7 @@ class TestAdaptiveCheater:
 class TestTableCommittedProver:
     def test_wrong_weight_rejected_at_round_one(self):
         table = BooleanTable.from_assignment(set(), 2)  # weight 0
-        spec = build_weight_summand(2, F109)
+        spec = build_weight_summand(2, 109)
         prover = table_committed_prover(table)
         run = run_sumcheck(spec, 1, prover, RandomTape(8), ResourceMeter())
         assert not run.verdict.accepted
@@ -429,7 +428,7 @@ class TestTableCommittedProver:
 
     def test_true_weight_accepted(self):
         table = BooleanTable.from_assignment({1, 2}, 2)
-        spec = build_weight_summand(2, F109)
+        spec = build_weight_summand(2, 109)
         run = run_sumcheck(spec, 2, table_committed_prover(table), RandomTape(8), ResourceMeter())
         assert run.verdict.accepted
         assert mle_eval(table, run.final_point, 109) == run.final_expected
@@ -457,7 +456,7 @@ class TestTableCommittedProver:
 
 class TestRandomGarbageProver:
     def test_emits_valid_but_wrong_polys(self):
-        spec = product_spec(F109)
+        spec = product_spec(109)
         prover = RandomGarbageProver(7)
         prover.begin_sumcheck(spec, 1)
         poly = prover.round_poly(1, (), 1)
