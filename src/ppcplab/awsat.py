@@ -7,10 +7,12 @@ odd-block tables, and runs the negated-2-CNF protocol with one weight
 sum-check per odd block.  The proof accepts only if every branch accepts.
 
 Table discipline: the table for odd block j is keyed by the universal choices
-in blocks below j only, so two branches sharing a universal prefix are forced
-to receive identical existential answers; this is what makes the quantifier
-semantics sound.  With a single block the run delegates verbatim to the plain
-W[1] verifier, so the l = 1 transcript is identical to verify_w1's.
+in blocks below j only, and the verifier reads the proof once, into tables of
+its own, before any branch runs.  So two branches sharing a universal prefix
+receive identical existential answers, whatever the prover does between
+branches; this is what makes the quantifier semantics sound.  With a single
+block the run delegates verbatim to the plain W[1] verifier, so the l = 1
+transcript is identical to verify_w1's.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .formula import (
     Assignment,
     AwsatInstance,
     GuardError,
-    UNSAT,
     satisfies,
     simplify,
 )
@@ -41,10 +42,6 @@ from .pcpverify import (
 from .sumcheck import ProverStrategy, RandomTape, Verdict
 
 ProverFactory = Callable[[BooleanTable], ProverStrategy]
-
-
-class MissingTableError(ValueError):
-    """The proof lacks a table for some (block, prefix) pair."""
 
 
 def _choices_key(pairs) -> str:
@@ -105,22 +102,19 @@ class BranchProofTables:
 
     tables: dict[tuple[int, str], BooleanTable]
 
-    def lookup(self, block_j: int, prefix_key: str) -> BooleanTable:
-        table = self.tables.get((block_j, prefix_key))
-        if table is None:
-            raise MissingTableError(f"no table for block {block_j}, prefix {prefix_key!r}")
-        return table
-
-    def merge(self, branch: UniversalBranch, instance: AwsatInstance) -> BooleanTable:
+    def merge(self, branch: UniversalBranch, instance: AwsatInstance) -> Optional[BooleanTable]:
         """Branch assignment oracle: the union of this branch's odd-block
-        tables, masked so block j's table only speaks for block j's codes."""
+        tables, masked so block j's table only speaks for block j's codes;
+        None when some odd block has no table for the branch's prefix."""
         m = instance.formula.m
         values = [0] * (1 << m)
         for i in range(instance.l):
             block_j = i + 1
             if block_j % 2 == 0:
                 continue
-            table = self.lookup(block_j, branch.prefix_key(block_j))
+            table = self.tables.get((block_j, branch.prefix_key(block_j)))
+            if table is None:
+                return None
             for v in instance.blocks[i]:
                 values[v - 1] = table.values[v - 1]
         return BooleanTable(m, tuple(values))
@@ -199,19 +193,39 @@ def awsat_parameters(
     )
 
 
-def _well_formed(tables, m: int) -> bool:
-    """Whether a proof is exactly a ``BranchProofTables`` holding exactly a
-    dict of exactly ``BooleanTable``s of arity m, each with a tuple of 2^m
-    plain ints 0 or 1 as values (all that ``merge`` reads of a table): only
-    such a proof is read, so no method of a prover-supplied object runs on
-    the verifier's side."""
-    if type(tables) is not BranchProofTables or type(tables.tables) is not dict:
-        return False
-    return all(
-        type(t) is BooleanTable and type(t.values) is tuple and len(t.values) == 1 << m
-        and all(type(v) is int and 0 <= v <= 1 for v in t.values)
-        for t in tables.tables.values()
-    )
+def _plain_attr(obj, cls, name: str):
+    """Attribute ``name`` of ``obj``, or None unless ``obj`` is exactly a
+    ``cls`` whose attributes sit in a plain dict under plain str names:
+    reading it runs no method of ``obj``, of its type or of its names."""
+    attrs = vars(obj) if type(obj) is cls else None
+    if type(attrs) is not dict or not all(type(key) is str for key in attrs):
+        return None
+    return attrs.get(name)
+
+
+def _read_proof(tables, m: int) -> BranchProofTables:
+    """The proof, read once into a ``BranchProofTables`` of the verifier's
+    own tables: one with no tables unless the proof is exactly a
+    ``BranchProofTables`` holding exactly a dict, whose keys are exactly
+    tuples of a plain int and a plain str and whose values are exactly
+    ``BooleanTable``s with a tuple of 2^m plain ints 0 or 1 as values (all
+    that ``merge`` reads).  Attributes are read through ``_plain_attr``, so
+    no prover code runs here, and each table is rebuilt from its values, so
+    nothing the prover does to its objects later reaches a branch."""
+    entries = _plain_attr(tables, BranchProofTables, "tables")
+    if type(entries) is not dict:
+        return BranchProofTables({})
+    copied = {}
+    for key, table in entries.items():
+        values = _plain_attr(table, BooleanTable, "values")
+        if not (
+            type(key) is tuple and len(key) == 2 and type(key[0]) is int and type(key[1]) is str
+            and type(values) is tuple and len(values) == 1 << m
+            and all(type(v) is int and 0 <= v <= 1 for v in values)
+        ):
+            return BranchProofTables({})
+        copied[key] = BooleanTable(m, values)
+    return BranchProofTables(copied)
 
 
 def _infeasible_verdict(instance: AwsatInstance, log: _StageLog) -> Optional[Verdict]:
@@ -234,9 +248,8 @@ def _branch_prover(
     """The prover for one branch, or None when the proof has no table for it
     or the factory raises or returns anything but a ``ProverStrategy``:
     either way the branch has no proof to check."""
-    try:
-        table = tables.merge(branch, instance)
-    except MissingTableError:
+    table = tables.merge(branch, instance)
+    if table is None:
         return None
     try:
         prover = prover_factory(table)
@@ -259,13 +272,14 @@ def verify_awsat(
     substitution already falsifies a clause rejects the proof outright, as
     does a missing prefix table or a ``prover_factory`` that raises or
     returns no ``ProverStrategy`` (a rejection at ``b{idx}.tables`` with 0
-    rounds).  A proof that is not well formed (``_well_formed``) reads as
-    one with no tables."""
+    rounds).  The proof is read once, before the first branch, into tables
+    the verifier owns (``_read_proof``): a proof that is not well formed
+    reads as one with no tables, and a proof rewritten after that read,
+    say by ``prover_factory``, changes no branch's oracle."""
     if instance.l % 2 == 0:
         raise ValueError("verification needs an odd number of blocks; use pad_to_odd first")
     cfg = config or VerifierConfig()
-    if not _well_formed(tables, instance.formula.m):
-        tables = BranchProofTables({})
+    tables = _read_proof(tables, instance.formula.m)
     log = _StageLog()
     degenerate = _infeasible_verdict(instance, log)
     if degenerate is not None:
@@ -287,7 +301,7 @@ def verify_awsat(
     for idx, branch in enumerate(branches):
         prefix = f"b{idx}."
         reduced = simplify(instance.formula, branch.substitution(instance))
-        if reduced is UNSAT:
+        if reduced is None:
             return log.reject(prefix + "simplify", 0)
         prover = _branch_prover(tables, branch, instance, prover_factory)
         if prover is None:

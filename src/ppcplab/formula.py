@@ -46,23 +46,6 @@ class ClassTag(str, Enum):
     G21P = "g21p"  # unbounded CNF, all literals positive
 
 
-class _UnsatMarker:
-    """Sentinel returned by simplify when a substitution falsifies a clause."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNSAT"
-
-
-UNSAT = _UnsatMarker()
-
-
 def _clause_problem(lits: tuple[int, ...], num_vars: int, tag: ClassTag) -> Optional[str]:
     """What is wrong with a clause of class ``tag`` over variables
     1..num_vars, or None: the one clause rule of the data model and the
@@ -122,7 +105,7 @@ class WeightedFormula:
     value; a stable m is what keeps proof tables comparable when a formula is
     simplified inside the branch protocol.
 
-    The longest clause length and the hash are computed once, at construction.
+    The longest clause length is computed once, at construction.
     """
 
     num_vars: int
@@ -131,7 +114,6 @@ class WeightedFormula:
     k: int
     m: Optional[int] = None
     _max_len: int = dc_field(init=False, repr=False, compare=False)
-    _hash: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         clauses = tuple(map(tuple, self.clauses))
@@ -150,13 +132,6 @@ class WeightedFormula:
         elif self.m < low:
             raise ValueError(f"explicit m={self.m} below derived minimum {low}")
         object.__setattr__(self, "_max_len", longest)
-        # ints and tuples only: unlike a str hash, this one is the same in
-        # every process, so it stays valid in a copy carried elsewhere
-        key = (self.num_vars, self.clauses, self.class_tag is ClassTag.G12N, self.k, self.m)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def num_clauses(self) -> int:
@@ -223,12 +198,12 @@ def brute_force_wsat(formula: WeightedFormula) -> tuple[bool, Optional[Assignmen
     return False, None
 
 
-def simplify(formula: WeightedFormula, partial: Mapping[int, bool]):
-    """Substitute a partial assignment and reduce the formula.
+def simplify(formula: WeightedFormula, partial: Mapping[int, bool]) -> Optional[WeightedFormula]:
+    """Substitute a partial assignment and reduce the formula, or None when
+    the substitution falsifies a clause outright.
 
-    Satisfied clauses are dropped; a g12n clause surviving with one literal is
-    re-encoded as a repeated-literal pair so every clause stays binary.  A
-    clause falsified outright yields the UNSAT marker.  The weight target
+    Satisfied clauses are dropped and falsified literals drop out of the
+    rest, so a g12n clause may keep a single literal.  The weight target
     drops by the number of variables the partial assignment makes true, and m
     is pinned to the parent's value.
     """
@@ -248,9 +223,7 @@ def simplify(formula: WeightedFormula, partial: Mapping[int, bool]):
         if satisfied:
             continue
         if not lits:
-            return UNSAT
-        if formula.class_tag is ClassTag.G12N and len(lits) == 1 and len(cl) == 2:
-            lits = [lits[0], lits[0]]
+            return None
         kept.append(tuple(lits))
     assigned_true = sum(1 for v in partial.values() if v)
     return WeightedFormula(
@@ -268,7 +241,8 @@ class AwsatInstance:
 
     Blocks alternate exists/forall starting existential.  Construction admits
     any l >= 1 (an even l is what pad_to_odd consumes); protocol entry points
-    demand odd l.
+    demand odd l.  The checks here are the one statement of the block rules:
+    ``parse_awsat`` reports their failures as parse errors.
     """
 
     formula: WeightedFormula
@@ -279,18 +253,19 @@ class AwsatInstance:
         object.__setattr__(self, "blocks", tuple(tuple(sorted(b)) for b in self.blocks))
         object.__setattr__(self, "block_weights", tuple(self.block_weights))
         if self.formula.class_tag is not ClassTag.G12N:
-            raise ClassMismatchError("alternating instances use the g12n class")
+            raise ClassMismatchError("awsat instances use the g12n class")
         if len(self.blocks) < 1:
-            raise ValueError("at least one block is required")
+            raise ValueError("awsat instance declares no blocks")
         if len(self.blocks) != len(self.block_weights):
             raise ValueError("one weight per block is required")
         if any(kw < 0 for kw in self.block_weights):
             raise ValueError("block weights must be nonnegative")
         flat = [v for b in self.blocks for v in b]
         if sorted(flat) != list(range(1, self.formula.num_vars + 1)):
-            raise ValueError("blocks must partition the variables exactly")
-        if sum(self.block_weights) != self.formula.k:
-            raise ValueError("block weights must sum to k")
+            raise ValueError("blocks must cover every variable exactly once")
+        total = sum(self.block_weights)
+        if total != self.formula.k:
+            raise ValueError(f"block weights sum to {total}, header k={self.formula.k}")
 
     @property
     def l(self) -> int:
@@ -408,22 +383,16 @@ def parse_pwsat(text: str) -> WeightedFormula:
 def parse_awsat(text: str) -> AwsatInstance:
     """Parse an awsat instance: pwsat header/clauses plus block lines."""
     (tag, num_vars, _, k), clauses, block_lines, last = _parse_lines(text, allow_blocks=True)
-    if tag is not ClassTag.G12N:
-        raise PwsatParseError(last, "awsat instances use the g12n class")
-    if not block_lines:
-        raise PwsatParseError(last, "awsat instance declares no blocks")
-    l = max(block_lines)
+    l = max(block_lines, default=0)
     if sorted(block_lines) != list(range(1, l + 1)):
         raise PwsatParseError(last, "block indices must be contiguous from 1")
     blocks = tuple(block_lines[i][1] for i in range(1, l + 1))
     block_weights = tuple(block_lines[i][0] for i in range(1, l + 1))
-    covered = sorted(v for b in blocks for v in b)
-    if covered != list(range(1, num_vars + 1)):
-        raise PwsatParseError(last, "blocks must cover every variable exactly once")
-    if sum(block_weights) != k:
-        raise PwsatParseError(last, f"block weights sum to {sum(block_weights)}, header k={k}")
     formula = WeightedFormula(num_vars=num_vars, clauses=clauses, class_tag=tag, k=k)
-    return AwsatInstance(formula=formula, blocks=blocks, block_weights=block_weights)
+    try:
+        return AwsatInstance(formula=formula, blocks=blocks, block_weights=block_weights)
+    except ValueError as err:
+        raise PwsatParseError(last, str(err)) from None
 
 
 def render_pwsat(formula: WeightedFormula) -> str:

@@ -3,7 +3,6 @@ import pytest
 from ppcplab.arithmetize import BooleanTable
 from ppcplab.awsat import (
     BranchProofTables,
-    MissingTableError,
     enumerate_universal,
     honest_branch_tables,
     pad_to_odd,
@@ -338,9 +337,50 @@ def _forged(table, values):
     return forged
 
 
+class StrSub(str):
+    pass
+
+
+class LookalikeKey:
+    """Hashes like and equals the key ``(1, "")``: a dict lookup of that key
+    would run this ``__eq__``."""
+
+    def __hash__(self):
+        return hash((1, ""))
+
+    def __eq__(self, other):
+        return other == (1, "")
+
+
+class LoudName(str):
+    """An attribute name that hashes like the name it shadows; once armed,
+    comparing it means the verifier ran prover code."""
+
+    def __hash__(self):
+        return hash(self.shadows)
+
+    def __eq__(self, other):
+        if self.armed:
+            raise AssertionError("the verifier compared a prover-supplied attribute name")
+        return str.__eq__(self, other)
+
+
+def _loud(obj, shadows):
+    """A copy of ``obj`` whose attribute dict holds a LoudName, ahead of the
+    attribute ``shadows``, so a lookup of ``shadows`` compares it first."""
+    name = LoudName("note")
+    name.shadows, name.armed = shadows, False
+    loud = object.__new__(type(obj))
+    object.__setattr__(loud, name, None)
+    for attr, value in vars(obj).items():
+        object.__setattr__(loud, attr, value)
+    name.armed = True
+    return loud
+
+
 def _malformations(instance):
-    """(name, proof): the honest tables with one entry replaced, or in the
-    wrong container."""
+    """(name, proof): the honest tables with one entry or one key replaced,
+    or in the wrong container."""
     honest = honest_branch_tables(instance)
     key = sorted(honest.tables)[-1]
     m = instance.formula.m
@@ -352,8 +392,15 @@ def _malformations(instance):
         "forged_values": _forged(honest.tables[key], LoudValues(honest.tables[key].values)),
         "forged_short": _forged(honest.tables[key], honest.tables[key].values[:-1]),
         "forged_entry": _forged(honest.tables[key], (2,) + honest.tables[key].values[1:]),
+        "loud_name": _loud(honest.tables[key], "values"),
     }
     out = [(name, BranchProofTables({**honest.tables, key: bad})) for name, bad in entries.items()]
+    # block 1's key, (1, ""), replaced by keys that hash and compare equal to it
+    first = honest.tables[(1, "")]
+    rest = {k: t for k, t in honest.tables.items() if k != (1, "")}
+    keys = {"str_subclass_key": (1, StrSub("")), "bool_index_key": (True, ""), "lookalike_key": LookalikeKey()}
+    out += [(name, BranchProofTables({bad: first, **rest})) for name, bad in keys.items()]
+    out.append(("proof_loud_name", _loud(BranchProofTables(dict(honest.tables)), "tables")))
     out.append(("subclass", MergeOverride(dict(honest.tables))))
     out.append(("dict_subclass", BranchProofTables(DictSub(honest.tables))))
     out.append(("not_tables", dict(honest.tables)))
@@ -376,3 +423,39 @@ def test_malformed_branch_proof_rejects_at_tables(inst, proof):
     # the verdict, meters and stage reports of a proof with no tables
     missing = verify_awsat(inst, BranchProofTables({}), table_committed_prover, RandomTape(0))
     assert verdict == missing
+
+
+# Block 1's answer would have to depend on block 2's later choice: pick 2
+# when the universal player picks 3, pick 1 when it picks 4.
+LATER_CHOICE_NO = AwsatInstance(
+    WeightedFormula(4, ((-1, -3), (-2, -4)), ClassTag.G12N, 2), ((1, 2), (3, 4), ()), (1, 1, 0)
+)
+
+
+@pytest.mark.parametrize("rewrite", ["swap_entry", "write_values"])
+def test_proof_rewritten_after_the_read_reaches_no_branch(rewrite):
+    inst = LATER_CHOICE_NO
+    assert brute_force_awsat(inst) is False
+    m = inst.formula.m
+    later = BooleanTable.from_assignment({1}, m)
+
+    def proof():
+        # right for branch 0 (universal choice 3), wrong for branch 1
+        empty = BooleanTable.from_assignment((), m)
+        first = BooleanTable.from_assignment({2}, m)
+        return BranchProofTables({(1, ""): first, (3, "2:3"): empty, (3, "2:4"): empty})
+
+    for seed in range(20):
+        plain = verify_awsat(inst, proof(), table_committed_prover, RandomTape(seed))
+        assert not plain.accepted
+        cheat = proof()
+
+        def factory(table):
+            # after branch 0's oracle is merged, make block 1 answer 1
+            if rewrite == "swap_entry":
+                cheat.tables[(1, "")] = later
+            else:
+                object.__setattr__(cheat.tables[(1, "")], "values", later.values)
+            return table_committed_prover(table)
+
+        assert verify_awsat(inst, cheat, factory, RandomTape(seed)) == plain
