@@ -68,6 +68,13 @@ def parse_graph(text: str) -> Graph:
     return Graph(n, frozenset(edges))
 
 
+def _negations(n: int) -> list[int]:
+    """-v at index v, for v = 0..n: clauses take their negated literals from
+    this list, so a formula holds one int object per variable, not one per
+    literal."""
+    return [-v for v in range(n + 1)]
+
+
 def has_independent_set(g: Graph, k: int) -> bool:
     """Brute-force ground truth used to validate the reduction."""
     if k > g.n:
@@ -84,7 +91,8 @@ def independent_set_to_wsat(g: Graph, k: int) -> WeightedFormula:
     the output has a satisfying assignment of weight exactly k."""
     if k > g.n:
         raise ValueError(f"k={k} exceeds the vertex count {g.n}")
-    clauses = tuple((-u, -v) for u, v in sorted(g.edges))
+    neg = _negations(g.n)
+    clauses = tuple((neg[u], neg[v]) for u, v in sorted(g.edges))
     return WeightedFormula(num_vars=g.n, clauses=clauses, class_tag=ClassTag.G12N, k=k)
 
 
@@ -112,7 +120,8 @@ def gen_planted_yes_with_witness(n: int, k: int, num_clauses: int, seed: int):
             f"only {len(legal)} clauses avoid the planted set, {num_clauses} requested"
         )
     chosen = sorted(rng.sample(legal, num_clauses))
-    clauses = tuple([(-u, -v) for u, v in map(divmod, chosen, itertools.repeat(w))])
+    neg = _negations(n)
+    clauses = tuple([(neg[u], neg[v]) for u, v in map(divmod, chosen, itertools.repeat(w))])
     formula = WeightedFormula(num_vars=n, clauses=clauses, class_tag=ClassTag.G12N, k=k)
     return formula, Assignment(frozenset(planted))
 
@@ -139,9 +148,10 @@ def gen_random(
         if n < 2:
             raise ValueError("binary clauses need at least two variables")
         pairs = list(itertools.combinations(range(1, n + 1), 2))
+        neg = _negations(n)
         for _ in range(num_clauses):
             u, v = rng.choice(pairs)
-            clauses.append((-u, -v))
+            clauses.append((neg[u], neg[v]))
     else:
         top = min(max_len, n)
         for _ in range(num_clauses):
@@ -178,8 +188,9 @@ def gen_random_awsat(
         blocks.append(tuple(sorted(order[at : at + size])))
         at += size
     pairs = list(itertools.combinations(range(1, n + 1), 2))
+    neg = _negations(n)
     clauses = tuple(
-        (-u, -v) for u, v in (rng.choice(pairs) for _ in range(num_clauses))
+        (neg[u], neg[v]) for u, v in (rng.choice(pairs) for _ in range(num_clauses))
     )
     formula = WeightedFormula(
         num_vars=n, clauses=clauses, class_tag=ClassTag.G12N, k=sum(block_weights)

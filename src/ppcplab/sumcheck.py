@@ -369,28 +369,38 @@ class PlanFolder:
     """Folds a ProductPlan's factor tables as challenges bind variables.
 
     Every factor is multilinear in each variable of its block, so binding
-    a variable at r is the exact affine map lo + r * (hi - lo) per entry,
-    and the per-round sums over the remaining cube are exactly the honest
-    round polynomial values.  ``round_values`` needs the lo halves and the
-    steps hi - lo anyway, and keeps them, so the bind of its round is one
-    pass of (a + r * d) % p; a reset or the next block drops them.
+    a variable at r is the exact affine map a + r * (b - a) from each lo-half
+    entry a and its hi-half partner b, one pass per table, and the per-round
+    sums over the remaining cube are exactly the honest round polynomial
+    values.  A block of one or two tables (of a compiled plan: every tail,
+    every weight statement, a clause-code head at L <= 2) sums its round as
+    coefficients: with steps da = a1 - a0 and db = b1 - b0 over the lo and
+    hi halves, sum (a0 + t da)(b0 + t db) is c0 + c1 t + c2 t^2 with
+    c0 = sum a0 b0, c1 = sum (a0 db + da b0) and c2 = sum da db (with one
+    table, c0 = sum a0 and c1 = sum da), and the round values at
+    t = 0..degree are read off them.  A block of three or more tables (a
+    W2 head at L >= 3) sums the tables' product at each point t instead.
 
     Of each block the plan's window applies to, only the window is held:
     the first W entries of every table plus the constant it holds past W
     (a weight-tensor head is whole-cube).  While the remaining cube
     is larger than W, the current variable is a top code bit, so the window
     lies in the lo half and the hi half is all constants: binding maps each
-    window entry a to a + r * (c - a), and the (half - W) constant entries of
-    the lo half add (half - W) * prod(c) to every round value.  Once the cube
-    has shrunk to W, the plain fold takes over.
+    window entry a to a + r * (c - a), the coefficients need only the
+    window's sums (and, for two tables, the sum of their product), and the
+    (half - W) constant entries of the lo half add (half - W) * prod(c) to
+    every round value.  Once the cube has shrunk to W, the plain fold takes
+    over.
 
     A head with a declared weight tensor (``head_weights``) folds its tables
     only.  In head round i the round value at t is (1 - t + r_i t) * s * q(t):
     s is the product of the bound weight factors and q sums the tensor's
-    unbound suffix w[:half] times the tables.  w[:half] is a prefix of the
-    tensor of r_2..r_m, built once.  q has one degree less than the round
-    polynomial, so it is summed at one point fewer, and its last value comes
-    from its coefficients (the cached node inverse) by Horner's rule.
+    unbound suffix w[:half] times the tables, so the lo and hi halves of
+    the first table are weighted by it before they are summed.  w[:half]
+    is a prefix of the tensor of r_2..r_m, built once.  q has one degree
+    less than the round polynomial, so the point path sums it at one point
+    fewer and takes its last value from its coefficients (the cached node
+    inverse) by Horner's rule.
 
     Each block's round values carry the product of every other block's bound
     value as a multiplier.  Once the head is bound at z*, its proxy scalars
@@ -410,7 +420,8 @@ class PlanFolder:
         plan = self.plan
         self._bound: list[int] = []
         self._scale = 1
-        self._load(plan.head_tables, plan.window if plan.head_weights is None else None)
+        self._weights = plan.head_weights  # the current block's, None past the head
+        self._load(plan.head_tables, plan.window if self._weights is None else None)
         self._stage = 0  # 0 = head block, j >= 1 = tail j-1
         self._mult = 1
 
@@ -420,7 +431,6 @@ class PlanFolder:
         (else None).  Tables are never written to, only replaced, so they are
         not copied."""
         self._size = len(tables[0])
-        self._kept = None
         if window is None or window >= self._size:
             self._tables, self._consts = tables, None
         else:
@@ -434,64 +444,110 @@ class PlanFolder:
         for v in vals[len(self._bound) :]:
             self._bind(v)
 
-    def _split(self) -> tuple[list, list, list]:
-        """The lo and hi halves of every table in the current variable (hi
-        is all constants while the window lies in the lo half), and hi - lo."""
+    def round_values(self, degree: int) -> list[int]:
+        """Values of the current round polynomial at t = 0..degree."""
+        p = self._p
+        if len(self._tables) > 2:
+            q = self._point_sums(degree)
+        else:
+            c0, c1, c2 = self._coefficients()
+            q = [c0 + t * (c1 + t * c2) for t in range(degree + 1)]
+        if self._weights is None:
+            return [v * self._mult % p for v in q]
+        r, scale = self._weights[len(self._bound)], self._scale
+        return [(1 - t + r * t) * scale * v % p for t, v in enumerate(q)]
+
+    def _coefficients(self) -> tuple[int, int, int]:
+        """c0, c1, c2 of the current round's cube sum over one or two tables
+        (c2 = 0 for one), mod p; in a weighted head the first table's halves
+        carry the weight suffix."""
+        p = self._p
+        tables, consts = self._tables, self._consts
+        if consts is not None:
+            # each window entry a steps to its table's constant c; the lo
+            # half's other (half - W) entries hold c and do not move
+            width = len(tables[0])
+            spare = (self._size >> 1) - width
+            if len(tables) == 1:
+                s, c = sum(tables[0]), consts[0]
+                return (s + spare * c) % p, (width * c - s) % p, 0
+            (a, b), (ca, cb) = tables, consts
+            sab, both = sum(map(mul, a, b)), ca * cb
+            cross = cb * sum(a) + ca * sum(b)
+            return (sab + spare * both) % p, (cross - 2 * sab) % p, (width * both - cross + sab) % p
+        half = self._size >> 1
+        a = tables[0]
+        lo, hi = a[:half], a[half:]
+        if self._weights is not None:
+            # map stops at the halves' end: w[:half] without the slice
+            w = self._weight_suffix
+            lo, hi = map(mul, w, lo), map(mul, w, hi)
+        if len(tables) == 1:
+            s0 = sum(lo)
+            return s0 % p, (sum(hi) - s0) % p, 0
+        b = tables[1]
+        c0 = c1 = c2 = 0
+        # zip stops at the end of b's hi half, so b0 runs over its lo half
+        for a0, a1, b0, b1 in zip(lo, hi, b, b[half:]):
+            da, db = a1 - a0, b1 - b0
+            c0 += a0 * b0
+            c1 += a0 * db + da * b0
+            c2 += da * db
+        return c0 % p, c1 % p, c2 % p
+
+    def _point_sums(self, degree: int) -> list[int]:
+        """The round's cube sums at t = 0..degree for three or more tables:
+        the tables' entrywise product summed at each point, every point's
+        tables one step past the last.  A weighted head's q is summed at
+        one point more than its own degree and extended by Horner's rule."""
+        p = self._p
         tables, consts = self._tables, self._consts
         if consts is None:
-            half = len(tables[0]) >> 1
-            lo, hi = [tbl[:half] for tbl in tables], [tbl[half:] for tbl in tables]
+            half = self._size >> 1
+            lo, hi = [t[:half] for t in tables], [t[half:] for t in tables]
+            rest = 0
         else:
-            lo, hi = tables, [[c] * len(tbl) for tbl, c in zip(tables, consts)]
-        return lo, hi, [list(map(sub, h, l)) for l, h in zip(lo, hi)]
-
-    def round_values(self, degree: int) -> list[int]:
-        """Values of the current round polynomial at t = 0..degree.  The
-        halves and steps are kept for this round's ``_bind``."""
-        p = self._p
-        lo, hi, step = self._kept = self._split()
-        rest = 0
-        if self._consts is not None:
-            rest = ((self._size >> 1) - len(lo[0])) * math.prod(self._consts)
-        weights = self.plan.head_weights if self._stage == 0 else None
-        if weights is None:
+            lo, hi = tables, [[c] * len(t) for t, c in zip(tables, consts)]
+            rest = ((self._size >> 1) - len(lo[0])) * math.prod(consts)
+        if self._weights is None:
             fixed, points = [], degree + 1
         else:
-            # weight-tensor head (whole-cube, so rest is 0 and the multiplier
-            # 1): every slice also holds the unbound suffix, and q has degree
-            # len(lo)
+            # whole-cube, so rest is 0; q has degree len(lo)
             fixed, points = [self._weight_suffix[: len(lo[0])]], min(degree, len(lo)) + 1
-        out = []
+        step = [list(map(sub, h, l)) for l, h in zip(lo, hi)]
+        out, cur = [], lo
         for t in range(points):
-            if t == 0:
-                cur = lo
-            elif t == 1:
+            if t == 1:
                 cur = hi
-            else:
+            elif t > 1:
                 cur = [list(map(add, c, s)) for c, s in zip(cur, step)]
-            out.append((_product_sum(fixed + cur, p) + rest) * self._mult % p)
-        if weights is None:
-            return out
-        # q's values past its own degree, from its coefficients
-        coeffs = [sum(map(mul, row, out)) % p for row in node_inverse(p, len(out) - 1)]
-        out += [_horner(coeffs, t, p) for t in range(len(out), degree + 1)]
-        r, scale = weights[len(self._bound)], self._scale
-        return [(1 - t + r * t) * scale * q % p for t, q in enumerate(out)]
+            out.append((_product_sum(fixed + cur, p) + rest) % p)
+        if len(out) <= degree:
+            # q's values past its own degree, from its coefficients
+            coeffs = [sum(map(mul, row, out)) % p for row in node_inverse(p, len(out) - 1)]
+            out += [_horner(coeffs, t, p) for t in range(len(out), degree + 1)]
+        return out
 
     def _bind(self, r: int) -> None:
-        """Bind the current variable at r: entry a of a lo half, with step d,
-        becomes (a + r * d) % p.  The halves and steps are the ones this
-        round's ``round_values`` kept, if it ran."""
+        """Bind the current variable at r: one pass of (a + r * (b - a)) % p
+        per table, b the hi-half partner of the lo-half entry a, or the
+        table's constant while the window lies in the lo half."""
         p = self._p
         half = self._size >> 1
-        if self._stage == 0 and self.plan.head_weights is not None:
-            w = self.plan.head_weights[len(self._bound)]
+        if self._weights is not None:
+            w = self._weights[len(self._bound)]
             self._scale = self._scale * (1 - r + w * r) % p
-        lo, _, step = self._kept or self._split()
-        self._kept = None
-        self._tables = [[(a + r * d) % p for a, d in zip(l, s)] for l, s in zip(lo, step)]
-        if self._consts is not None and half == len(self._tables[0]):
-            self._consts = None
+        if self._consts is None:
+            # zip stops at the end of the hi half, so a runs over the lo half
+            self._tables = [
+                [(a + r * (b - a)) % p for a, b in zip(t, t[half:])] for t in self._tables
+            ]
+        else:
+            self._tables = [
+                [(a + r * (c - a)) % p for a in t] for t, c in zip(self._tables, self._consts)
+            ]
+            if half == len(self._tables[0]):
+                self._consts = None
         self._size = half
         self._bound.append(r % p)
         if half == 1:
@@ -512,6 +568,7 @@ class PlanFolder:
             if self._stage == plan.num_tails:
                 return
         self._stage += 1
+        self._weights = None
         self._load(self._tail_tables[self._stage - 1], plan.window)
         others = self._blocks[: self._stage] + self._blocks[self._stage + 1 :]
         self._mult = math.prod(others) % p

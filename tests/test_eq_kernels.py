@@ -4,7 +4,10 @@ The clause indicator and the prover's tail tables are evaluated through
 2^m eq tables and code arrays; here they are checked against the
 definition sum_c chi_c(z) * chi_{v_i(c)}(x), computed clause by clause, and
 the folded round values and the table-committed prover's round polynomials
-(coefficients from the cached node inverse) against ``honest_round_poly``.  Formulas are small,
+(coefficients from the cached node inverse) against ``honest_round_poly``,
+the round values at every round of every block shape the folder takes:
+weight statements of one and two tables, windowed or whole, and clause
+statements whose heads hold one, two and three tables.  Formulas are small,
 carry dummy clause codes (num_clauses < 2^m) and short clauses that repeat
 their last variable up to the padded length L.  The split kernels are checked
 on both sides of their width threshold: ``_tensor`` against plain doubling,
@@ -155,6 +158,21 @@ def test_compiled_head_proxies_are_tail_sums(case, seed):
         assert extension == cube_sum
 
 
+def assert_every_round_matches(spec, table, rng):
+    """The folder's round values are the reference polynomial's values at
+    t = 0..d_i in every round, along random challenges."""
+    folder = PlanFolder(compile_plan(spec, table))
+    oracle = table_oracle(table)
+    challenges = ()
+    for i in range(1, spec.num_vars + 1):
+        d = spec.degree_bounds[i - 1]
+        folder.sync(challenges)
+        reference = honest_round_poly(spec, oracle, challenges, i)
+        expected = [reference.evaluate(FLD(t)).value for t in range(d + 1)]
+        assert folder.round_values(d) == expected, i
+        challenges += (rng.randrange(P),)
+
+
 @given(padded_formulas(max_vars=4, max_clauses=3, max_len=3), st.integers(0, 2**32))
 @settings(max_examples=30, deadline=None)
 def test_round_values_match_honest_round_poly(case, seed):
@@ -162,21 +180,15 @@ def test_round_values_match_honest_round_poly(case, seed):
     assume((L + 1) * formula.m <= 8)
     rng = random.Random(seed)
     spec, table = random_spec(formula, L, rng)
-    folder = PlanFolder(compile_plan(spec, table))
-    challenges = ()
-    for i in range(1, spec.num_vars + 1):
-        d = spec.degree_bounds[i - 1]
-        folder.sync(challenges)
-        reference = honest_round_poly(spec, table_oracle(table), challenges, i)
-        assert folder.round_values(d) == [reference.evaluate(FLD(t)).value for t in range(d + 1)]
-        challenges += (rng.randrange(P),)
+    assert_every_round_matches(spec, table, rng)
 
 
 @given(padded_formulas(max_vars=4, max_clauses=3, max_len=3), st.integers(0, 2**32))
 @settings(max_examples=40, deadline=None)
-def test_kept_steps_never_outlive_a_reset(case, seed):
-    # round_values keeps its lo halves and steps for the next bind; a sync
-    # that changes the prefix resets the folder, and the kept lists with it
+def test_a_changed_prefix_resets_the_fold(case, seed):
+    # a sync that extends the bound prefix binds the new challenges; one
+    # that departs from it resets the folder to the plan's tables and binds
+    # the new prefix afresh: either way the round values are the reference's
     formula, L = case
     assume((L + 1) * formula.m <= 8)
     rng = random.Random(seed)
@@ -185,7 +197,7 @@ def test_kept_steps_never_outlive_a_reset(case, seed):
     prefix = ()
     for _ in range(6):
         if rng.randrange(2) and len(prefix) < spec.num_vars - 1:
-            # the next round, or a later one (a bind with nothing kept)
+            # the next round, or a later one (two binds in one sync)
             extra = min(rng.randint(1, 2), spec.num_vars - 1 - len(prefix))
             prefix += random_point(rng, extra)
         else:
@@ -196,6 +208,77 @@ def test_kept_steps_never_outlive_a_reset(case, seed):
         folder.sync(prefix)
         reference = honest_round_poly(spec, table_oracle(table), prefix, i)
         assert folder.round_values(d) == [reference.evaluate(FLD(t)).value for t in range(d + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Every block shape the folder takes, against the reference at every round
+# ---------------------------------------------------------------------------
+
+
+def low_codes(rng, m, bits):
+    """A table of the m-cube, true at a random subset of the codes below
+    2^bits."""
+    return BooleanTable.from_true_codes([c for c in range(1 << bits) if rng.randrange(2)], m)
+
+
+@pytest.mark.parametrize("with_block", [False, True], ids=["one_table", "two_tables"])
+@pytest.mark.parametrize("m", range(1, 6))
+def test_weight_statement_rounds_match_honest_round_poly(m, with_block):
+    # A(z) alone is a one-table block, A(z) * B(z) a two-table one; with
+    # every true code below 2^bits the window is at most 2^bits, so each
+    # bits < m folds its first rounds on the window and its constants
+    rng = random.Random(10 * m + with_block)
+    for bits in range(m + 1):
+        for _ in range(3):
+            table = low_codes(rng, m, bits)
+            block = low_codes(rng, m, bits) if with_block else None
+            spec = build_weight_summand(m, P, block)
+            plan = compile_plan(spec, table)
+            assert len(plan.head_tables) == 1 + with_block and plan.window <= 1 << bits
+            assert_every_round_matches(spec, table, rng)
+
+
+def shaped_formula(rng, tag, L, n, m):
+    """Up to 2^m random clauses of 1..L of the n variables, at pinned m."""
+    clauses = []
+    for _ in range(rng.randint(1, 1 << m)):
+        chosen = rng.sample(range(1, n + 1), rng.randint(1, min(L, n)))
+        clauses.append(tuple(-v for v in chosen) if tag is ClassTag.G12N else tuple(chosen))
+    return WeightedFormula(n, tuple(clauses), tag, 1, m)
+
+
+# (tag, L, n, m): the head holds L tables beside the weight tensor, and
+# each tail two; n variables at 2^m codes give the tails a window of 2^m
+# or less over a table true only at variable codes
+CLAUSE_SHAPES = {
+    "one_table_head": (ClassTag.G21P, 1, 3, 3),
+    "one_table_head_narrow_window": (ClassTag.G21P, 1, 2, 4),
+    "two_table_head_w1": (ClassTag.G12N, 2, 2, 2),
+    "two_table_head_w2": (ClassTag.G21P, 2, 2, 2),
+    "three_table_head": (ClassTag.G21P, 3, 2, 2),
+}
+
+
+@pytest.mark.parametrize("shape", CLAUSE_SHAPES)
+def test_clause_statement_rounds_match_honest_round_poly(shape):
+    # a table true only at variable codes keeps the tails' window below
+    # the cube (the constants path); a random table widens it to the cube
+    tag, L, n, m = CLAUSE_SHAPES[shape]
+    rng = random.Random(shape)
+    for trial in range(4):
+        formula = shaped_formula(rng, tag, L, n, m)
+        if trial % 2:
+            table = BooleanTable(m, tuple(rng.randrange(2) for _ in range(1 << m)))
+        else:
+            true_set = {v for v in range(1, n + 1) if rng.randrange(2)}
+            table = BooleanTable.from_assignment(true_set, m)
+        spec = clause_spec(formula, L, random_weights(rng, m))
+        plan = compile_plan(spec, table)
+        assert len(plan.head_tables) == L and plan.head_weights is not None
+        assert all(len(tail) == 2 for tail in plan.build_tails((0,) * m))
+        if trial % 2 == 0:
+            assert plan.window < 1 << m
+        assert_every_round_matches(spec, table, rng)
 
 
 @st.composite

@@ -18,6 +18,10 @@ from ppcplab.reductions import (
 from ppcplab.formula import satisfies
 
 
+def distinct_literal_objects(formula):
+    return len({id(lit) for clause in formula.clauses for lit in clause})
+
+
 def triangle():
     return Graph(3, frozenset({(1, 2), (2, 3), (1, 3)}))
 
@@ -148,6 +152,14 @@ class TestPlantedGenerator:
             assert f.clauses == clauses and witness.true_set == planted
             assert (f.num_vars, f.k, f.class_tag) == (n, k, ClassTag.G12N)
 
+    def test_literals_are_shared_ints(self):
+        # every literal comes from one list of the n negated variables, so a
+        # 4000-clause formula (the honest_large W1 size) holds at most n int
+        # objects for its 8000 literals, and the same clauses as before
+        f, _ = gen_planted_yes_with_witness(100, 3, 4000, 1)
+        assert distinct_literal_objects(f) <= f.num_vars
+        assert f.clauses == self.tuple_pair_generator(100, 3, 4000, 1)[0]
+
     @pytest.mark.parametrize("n, k, num_clauses", [(4, 4, 1), (6, 2, 15), (100, 3, 4948)])
     def test_too_many_clauses_message_is_unchanged(self, n, k, num_clauses):
         with pytest.raises(ValueError) as expected:
@@ -182,6 +194,19 @@ class TestRandomGenerator:
         assert inst.l == 3
         assert sorted(v for b in inst.blocks for v in b) == list(range(1, 7))
         assert inst.formula.k == 3
+
+    def test_negated_literals_are_shared_ints(self):
+        rng = random.Random(7)
+        pairs = list(itertools.combinations(range(1, 61), 2))
+        g = Graph(60, frozenset(rng.sample(pairs, 400)))
+        reduced = independent_set_to_wsat(g, 3)
+        assert reduced.clauses == tuple((-u, -v) for u, v in sorted(g.edges))
+        for f in (
+            reduced,
+            gen_random(24, 300, 2, 5, ClassTag.G12N),
+            gen_random_awsat(40, (20, 20), (1, 1), 500, 2).formula,
+        ):
+            assert distinct_literal_objects(f) <= f.num_vars
 
     def test_awsat_generator_validation(self):
         with pytest.raises(ValueError):
