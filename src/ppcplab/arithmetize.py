@@ -260,7 +260,7 @@ class ProductPlan:
     at z* must equal the cube sum of the product of tail i's tables at z*.
     A folder takes each unbound tail's sum from its bound proxy and never
     sums the tail itself, so a plan that breaks the contract folds to wrong
-    round values.
+    round polynomials.
 
     ``window`` (None: the whole block cube) declares the variable-code
     window W of every block but a weight-tensor head: a power of two past

@@ -371,15 +371,16 @@ class PlanFolder:
     Every factor is multilinear in each variable of its block, so binding
     a variable at r is the exact affine map a + r * (b - a) from each lo-half
     entry a and its hi-half partner b, one pass per table, and the per-round
-    sums over the remaining cube are exactly the honest round polynomial
-    values.  A block of one or two tables (of a compiled plan: every tail,
-    every weight statement, a clause-code head at L <= 2) sums its round as
-    coefficients: with steps da = a1 - a0 and db = b1 - b0 over the lo and
-    hi halves, sum (a0 + t da)(b0 + t db) is c0 + c1 t + c2 t^2 with
-    c0 = sum a0 b0, c1 = sum (a0 db + da b0) and c2 = sum da db (with one
-    table, c0 = sum a0 and c1 = sum da), and the round values at
-    t = 0..degree are read off them.  A block of three or more tables (a
-    W2 head at L >= 3) sums the tables' product at each point t instead.
+    sums over the remaining cube are exactly the honest round polynomial,
+    which ``round_values`` returns as its coefficients.  A block of one or
+    two tables (of a compiled plan: every tail, every weight statement, a
+    clause-code head at L <= 2) sums its round as coefficients directly:
+    with steps da = a1 - a0 and db = b1 - b0 over the lo and hi halves,
+    sum (a0 + t da)(b0 + t db) is c0 + c1 t + c2 t^2 with c0 = sum a0 b0,
+    c1 = sum (a0 db + da b0) and c2 = sum da db (with one table, c0 = sum a0
+    and c1 = sum da).  A block of k >= 3 tables (a W2 head at L >= 3) sums
+    the tables' product at t = 0..k instead, and the cached node inverse
+    turns those k + 1 sums into coefficients.
 
     Of each block the plan's window applies to, only the window is held:
     the first W entries of every table plus the constant it holds past W
@@ -389,24 +390,23 @@ class PlanFolder:
     window entry a to a + r * (c - a), the coefficients need only the
     window's sums (and, for two tables, the sum of their product), and the
     (half - W) constant entries of the lo half add (half - W) * prod(c) to
-    every round value.  Once the cube has shrunk to W, the plain fold takes
-    over.
+    the constant coefficient.  Once the cube has shrunk to W, the plain fold
+    takes over.
 
     A head with a declared weight tensor (``head_weights``) folds its tables
-    only.  In head round i the round value at t is (1 - t + r_i t) * s * q(t):
-    s is the product of the bound weight factors and q sums the tensor's
-    unbound suffix w[:half] times the tables, so the lo and hi halves of
-    the first table are weighted by it before they are summed.  w[:half]
-    is a prefix of the tensor of r_2..r_m, built once.  q has one degree
-    less than the round polynomial, so the point path sums it at one point
-    fewer and takes its last value from its coefficients (the cached node
-    inverse) by Horner's rule.
+    only.  Head round i's polynomial is (1 + (r_i - 1) t) * s * q(t): s is
+    the product of the bound weight factors and q sums the tensor's unbound
+    suffix w[:half] times the tables, so the lo and hi halves of the first
+    table are weighted by it before they are summed.  w[:half] is a prefix
+    of the tensor of r_2..r_m, built once.
 
-    Each block's round values carry the product of every other block's bound
-    value as a multiplier.  Once the head is bound at z*, its proxy scalars
-    already are the tails' cube sums (``ProductPlan``'s contract), so the
-    folder keeps one list of block values: the head value, then each tail's
-    bound proxy until that tail is bound, and its value after that.
+    Each block's round polynomial is scaled by one multiplier: s in the
+    head, which has no other block's value to carry, and in a tail the
+    product of every other block's bound value.  Once the head is bound at
+    z*, its proxy scalars already are the tails' cube sums (``ProductPlan``'s
+    contract), so the folder keeps one list of block values: the head value,
+    then each tail's bound proxy until that tail is bound, and its value
+    after that.
     """
 
     def __init__(self, plan: ProductPlan):
@@ -418,12 +418,11 @@ class PlanFolder:
 
     def _reset(self):
         plan = self.plan
-        self._bound: list[int] = []
-        self._scale = 1
+        self._bound: tuple[int, ...] = ()
+        self._mult = 1
         self._weights = plan.head_weights  # the current block's, None past the head
         self._load(plan.head_tables, plan.window if self._weights is None else None)
         self._stage = 0  # 0 = head block, j >= 1 = tail j-1
-        self._mult = 1
 
     def _load(self, tables: Sequence[Sequence[int]], window: Optional[int]) -> None:
         """Hold the first ``window`` entries of each table and, when the
@@ -437,30 +436,30 @@ class PlanFolder:
             self._tables = [t[:window] for t in tables]
             self._consts = [t[window] for t in tables]
 
-    def sync(self, challenges: Sequence[int]) -> None:
-        vals = list(challenges)
-        if vals[: len(self._bound)] != self._bound:
+    def sync(self, challenges: tuple[int, ...]) -> None:
+        """Bind the challenges past the bound prefix, after a reset if the
+        prefix itself changed."""
+        if challenges[: len(self._bound)] != self._bound:
             self._reset()
-        for v in vals[len(self._bound) :]:
-            self._bind(v)
+        for r in challenges[len(self._bound) :]:
+            self._bind(r)
 
     def round_values(self, degree: int) -> list[int]:
-        """Values of the current round polynomial at t = 0..degree."""
+        """The current round polynomial's degree + 1 coefficients mod p,
+        lowest first."""
         p = self._p
-        if len(self._tables) > 2:
-            q = self._point_sums(degree)
-        else:
-            c0, c1, c2 = self._coefficients()
-            q = [c0 + t * (c1 + t * c2) for t in range(degree + 1)]
-        if self._weights is None:
-            return [v * self._mult % p for v in q]
-        r, scale = self._weights[len(self._bound)], self._scale
-        return [(1 - t + r * t) * scale * v % p for t, v in enumerate(q)]
+        q = self._point_sums() if len(self._tables) > 2 else self._coefficients()
+        if self._weights is not None:
+            # times 1 + (r_i - 1) t
+            step = self._weights[len(self._bound)] - 1
+            q = [a + step * b for a, b in zip(q + [0], [0] + q)]
+        mult = self._mult
+        return [c * mult % p for c in q] + [0] * (degree + 1 - len(q))
 
-    def _coefficients(self) -> tuple[int, int, int]:
-        """c0, c1, c2 of the current round's cube sum over one or two tables
-        (c2 = 0 for one), mod p; in a weighted head the first table's halves
-        carry the weight suffix."""
+    def _coefficients(self) -> list[int]:
+        """c0, c1 (and c2, for two tables) of the current round's cube sum
+        over one or two tables, mod p; in a weighted head the first table's
+        halves carry the weight suffix."""
         p = self._p
         tables, consts = self._tables, self._consts
         if consts is not None:
@@ -470,11 +469,13 @@ class PlanFolder:
             spare = (self._size >> 1) - width
             if len(tables) == 1:
                 s, c = sum(tables[0]), consts[0]
-                return (s + spare * c) % p, (width * c - s) % p, 0
+                return [(s + spare * c) % p, (width * c - s) % p]
             (a, b), (ca, cb) = tables, consts
             sab, both = sum(map(mul, a, b)), ca * cb
             cross = cb * sum(a) + ca * sum(b)
-            return (sab + spare * both) % p, (cross - 2 * sab) % p, (width * both - cross + sab) % p
+            return [
+                (sab + spare * both) % p, (cross - 2 * sab) % p, (width * both - cross + sab) % p
+            ]
         half = self._size >> 1
         a = tables[0]
         lo, hi = a[:half], a[half:]
@@ -484,7 +485,7 @@ class PlanFolder:
             lo, hi = map(mul, w, lo), map(mul, w, hi)
         if len(tables) == 1:
             s0 = sum(lo)
-            return s0 % p, (sum(hi) - s0) % p, 0
+            return [s0 % p, (sum(hi) - s0) % p]
         b = tables[1]
         c0 = c1 = c2 = 0
         # zip stops at the end of b's hi half, so b0 runs over its lo half
@@ -493,13 +494,12 @@ class PlanFolder:
             c0 += a0 * b0
             c1 += a0 * db + da * b0
             c2 += da * db
-        return c0 % p, c1 % p, c2 % p
+        return [c0 % p, c1 % p, c2 % p]
 
-    def _point_sums(self, degree: int) -> list[int]:
-        """The round's cube sums at t = 0..degree for three or more tables:
-        the tables' entrywise product summed at each point, every point's
-        tables one step past the last.  A weighted head's q is summed at
-        one point more than its own degree and extended by Horner's rule."""
+    def _point_sums(self) -> list[int]:
+        """q's k + 1 coefficients for k >= 3 tables: the tables' entrywise
+        product summed at t = 0..k, every point's tables one step past the
+        last, times the cached node inverse."""
         p = self._p
         tables, consts = self._tables, self._consts
         if consts is None:
@@ -509,24 +509,17 @@ class PlanFolder:
         else:
             lo, hi = tables, [[c] * len(t) for t, c in zip(tables, consts)]
             rest = ((self._size >> 1) - len(lo[0])) * math.prod(consts)
-        if self._weights is None:
-            fixed, points = [], degree + 1
-        else:
-            # whole-cube, so rest is 0; q has degree len(lo)
-            fixed, points = [self._weight_suffix[: len(lo[0])]], min(degree, len(lo)) + 1
+        # a weighted head is whole-cube, so rest is 0 there
+        fixed = [] if self._weights is None else [self._weight_suffix[: len(lo[0])]]
         step = [list(map(sub, h, l)) for l, h in zip(lo, hi)]
-        out, cur = [], lo
-        for t in range(points):
+        sums, cur = [], lo
+        for t in range(len(lo) + 1):
             if t == 1:
                 cur = hi
             elif t > 1:
                 cur = [list(map(add, c, s)) for c, s in zip(cur, step)]
-            out.append((_product_sum(fixed + cur, p) + rest) % p)
-        if len(out) <= degree:
-            # q's values past its own degree, from its coefficients
-            coeffs = [sum(map(mul, row, out)) % p for row in node_inverse(p, len(out) - 1)]
-            out += [_horner(coeffs, t, p) for t in range(len(out), degree + 1)]
-        return out
+            sums.append(_product_sum(fixed + cur, p) + rest)
+        return [sum(map(mul, row, sums)) % p for row in node_inverse(p, len(lo))]
 
     def _bind(self, r: int) -> None:
         """Bind the current variable at r: one pass of (a + r * (b - a)) % p
@@ -536,7 +529,7 @@ class PlanFolder:
         half = self._size >> 1
         if self._weights is not None:
             w = self._weights[len(self._bound)]
-            self._scale = self._scale * (1 - r + w * r) % p
+            self._mult = self._mult * (1 - r + w * r) % p
         if self._consts is None:
             # zip stops at the end of the hi half, so a runs over the lo half
             self._tables = [
@@ -549,7 +542,7 @@ class PlanFolder:
             if half == len(self._tables[0]):
                 self._consts = None
         self._size = half
-        self._bound.append(r % p)
+        self._bound += (r % p,)
         if half == 1:
             self._advance()
 
@@ -558,7 +551,7 @@ class PlanFolder:
         plan = self.plan
         scalars = [tbl[0] for tbl in self._tables]
         if self._stage == 0:
-            head = self._scale * math.prod(scalars[: plan.num_standalone]) % p
+            head = self._mult * math.prod(scalars[: plan.num_standalone]) % p
             self._blocks = [head, *scalars[plan.num_standalone :]]
             if not plan.num_tails:
                 return
@@ -611,13 +604,8 @@ class TableCommittedProver(ProverStrategy):
         self._folder = PlanFolder(compile_plan(spec, self.table))
 
     def round_poly(self, i: int, challenges: tuple[int, ...], claim: int) -> tuple[int, ...]:
-        d = self._spec.degree_bounds[i - 1]
-        p = self._spec.p
         self._folder.sync(challenges)
-        vals = self._folder.round_values(d)
-        # the coefficients are the node inverse times the values at 0..d; all
-        # d + 1 of them, trailing zeros included, as the wire format wants
-        return tuple([sum(map(mul, row, vals)) % p for row in node_inverse(p, d)])
+        return tuple(self._folder.round_values(self._spec.degree_bounds[i - 1]))
 
     def assignment_query(self, point: Point, p: int) -> int:
         return mle_eval(self.table, point, p)

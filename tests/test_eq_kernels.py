@@ -3,9 +3,9 @@
 The clause indicator and the prover's tail tables are evaluated through
 2^m eq tables and code arrays; here they are checked against the
 definition sum_c chi_c(z) * chi_{v_i(c)}(x), computed clause by clause, and
-the folded round values and the table-committed prover's round polynomials
-(coefficients from the cached node inverse) against ``honest_round_poly``,
-the round values at every round of every block shape the folder takes:
+the folder's and the table-committed prover's round polynomials against
+``honest_round_poly``, coefficient by coefficient, at every round of every
+block shape the folder takes:
 weight statements of one and two tables, windowed or whole, and clause
 statements whose heads hold one, two and three tables.  Formulas are small,
 carry dummy clause codes (num_clauses < 2^m) and short clauses that repeat
@@ -34,12 +34,10 @@ from ppcplab.arithmetize import (
     code_bits,
     compile_plan,
 )
-from ppcplab.field import PrimeField
 from ppcplab.formula import ClassTag, WeightedFormula, derived_m
 from ppcplab.sumcheck import PlanFolder, TableCommittedProver, honest_round_poly
 
 P = 1009
-FLD = PrimeField(P)  # the field of the reference interpolation
 
 
 @st.composite
@@ -159,17 +157,16 @@ def test_compiled_head_proxies_are_tail_sums(case, seed):
 
 
 def assert_every_round_matches(spec, table, rng):
-    """The folder's round values are the reference polynomial's values at
-    t = 0..d_i in every round, along random challenges."""
+    """The folder's round polynomial is the reference polynomial's d_i + 1
+    coefficients in every round, along random challenges."""
     folder = PlanFolder(compile_plan(spec, table))
     oracle = table_oracle(table)
     challenges = ()
     for i in range(1, spec.num_vars + 1):
         d = spec.degree_bounds[i - 1]
         folder.sync(challenges)
-        reference = honest_round_poly(spec, oracle, challenges, i)
-        expected = [reference.evaluate(FLD(t)).value for t in range(d + 1)]
-        assert folder.round_values(d) == expected, i
+        reference = honest_round_poly(spec, oracle, challenges, i).padded(d)
+        assert folder.round_values(d) == [c.value for c in reference.coeffs], i
         challenges += (rng.randrange(P),)
 
 
@@ -188,7 +185,7 @@ def test_round_values_match_honest_round_poly(case, seed):
 def test_a_changed_prefix_resets_the_fold(case, seed):
     # a sync that extends the bound prefix binds the new challenges; one
     # that departs from it resets the folder to the plan's tables and binds
-    # the new prefix afresh: either way the round values are the reference's
+    # the new prefix afresh: either way the round polynomial is the reference's
     formula, L = case
     assume((L + 1) * formula.m <= 8)
     rng = random.Random(seed)
@@ -206,8 +203,8 @@ def test_a_changed_prefix_resets_the_fold(case, seed):
         i = len(prefix) + 1
         d = spec.degree_bounds[i - 1]
         folder.sync(prefix)
-        reference = honest_round_poly(spec, table_oracle(table), prefix, i)
-        assert folder.round_values(d) == [reference.evaluate(FLD(t)).value for t in range(d + 1)]
+        reference = honest_round_poly(spec, table_oracle(table), prefix, i).padded(d)
+        assert folder.round_values(d) == [c.value for c in reference.coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +576,8 @@ def test_weight_tensor_head_fold_matches_plain_fold(plans, seed):
     for _ in range(declared.num_vars):
         a.sync(challenges)
         b.sync(challenges)
-        # the product's own degree (q extrapolated once), one more than it
-        # (twice), and one less (no extrapolation)
-        for degree in (head_degree, head_degree + 1, max(head_degree - 1, 1)):
+        # the product's own degree, and one more than it (one zero pad)
+        for degree in (head_degree, head_degree + 1):
             assert a.round_values(degree) == b.round_values(degree)
         challenges += (rng.randrange(P),)
 
