@@ -126,21 +126,22 @@ def code_window(top_code: int) -> int:
 @functools.lru_cache(maxsize=256)
 def _line_index(
     ones: tuple[int, ...], arity: int, axis: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """For the true codes whose bit ``axis`` is 0, then for those where it is
-    1: the positions of each code's arity - 1 shared cube-indicator factors in
-    xs + [1 - x for x in xs], xs being the coordinates off the axis: j where
-    the code's bit is 1, arity - 1 + j where it is 0 (MSB first).  Keyed by
-    the true codes, not the table, so a table holds no index and the key
-    hashes only its few true codes; built on first use, since setup builds
-    many tables that are never evaluated."""
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """How many true codes have bit ``axis`` 0, and for those codes, then
+    for the ones where it is 1: the positions of each code's arity - 1
+    shared cube-indicator factors in xs + [1 - x for x in xs], xs being the
+    coordinates off the axis: j where the code's bit is 1, arity - 1 + j
+    where it is 0 (MSB first).  Keyed by the true codes, not the table, so a
+    table holds no index and the key hashes only its few true codes; built
+    on first use, since setup builds many tables that are never
+    evaluated."""
     shared = arity - 1
     split: tuple[list, list] = ([], [])
     for code in ones:
         bits = [(code >> (arity - 1 - j)) & 1 for j in range(arity)]
         on_axis = bits.pop(axis)
         split[on_axis].append(tuple([j if b else shared + j for j, b in enumerate(bits)]))
-    return tuple(split[0]), tuple(split[1])
+    return len(split[0]), tuple(split[0] + split[1])
 
 
 def mle_line(
@@ -154,16 +155,17 @@ def mle_line(
     of ``ts``, mod p: points of one axis-parallel line, the axis being
     coordinate len(head).  The extension is the sum, over the table's
     1-cells, of their cube indicators.  Each indicator is one product of the
-    m - 1 looked-up shared factors, x_j or 1 - x_j, added to s0 or s1 by the
-    code's axis bit; the line is affine in t, s0 + t (s1 - s0)."""
+    m - 1 looked-up shared factors, x_j or 1 - x_j, summed into s0 or s1 by
+    the code's axis bit; the line is affine in t, s0 + t (s1 - s0)."""
     shared = [*head, *tail]
     if len(shared) + 1 != table.arity:
         raise ValueError(f"line has {len(shared) + 1} coordinates, table arity is {table.arity}")
     get = (shared + [1 - x for x in shared]).__getitem__
-    zeros, ones = _line_index(table.ones(), table.arity, len(head))
-    s0 = sum([math.prod(map(get, idx)) for idx in zeros]) % p
-    s1 = sum([math.prod(map(get, idx)) for idx in ones]) % p
-    return tuple([(s0 + t * (s1 - s0)) % p for t in ts])
+    zeros, index = _line_index(table.ones(), table.arity, len(head))
+    prods = [math.prod(map(get, idx)) for idx in index]
+    s0 = sum(prods[:zeros])
+    step = sum(prods[zeros:]) - s0
+    return tuple([(s0 + t * step) % p for t in ts])
 
 
 def mle_eval(table: BooleanTable, point: Sequence[int], p: int) -> int:

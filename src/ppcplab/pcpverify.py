@@ -139,20 +139,23 @@ def multilinearity_test(
     random bits and three reads of ceil(log2 p) proof bits, metered whatever
     comes back.  Rejects on the first failing repetition;
     an answer that is not exactly a tuple of three plain ints in [0, p), or
-    a query that raises, fails its repetition.
+    a query that raises, fails its repetition.  The meters move once, at
+    the end, by the bits drawn over the test and by the reads of every
+    repetition that ran, the rejecting one included.
     """
-    bits = (p - 1).bit_length()
+    start = tape.bits_drawn
+    ran, failed = reps, None
     for rep in range(1, reps + 1):
-        before = tape.bits_drawn
         head, tail, ts = tape.draw_line(m, p)
-        meter.random_bits += tape.bits_drawn - before
-        meter.proof_bits += 3 * bits
-        meter.oracle_queries += 3
         f = proof_residues(ask_prover(prover, "line_query", head, tail, ts, p), 3, p)
         t0, t1, t2 = ts
         if f is None or (f[2] - f[0]) * (t1 - t0) % p != (f[1] - f[0]) * (t2 - t0) % p:
-            return False, rep
-    return True, None
+            ran = failed = rep
+            break
+    meter.random_bits += tape.bits_drawn - start
+    meter.proof_bits += 3 * ran * (p - 1).bit_length()
+    meter.oracle_queries += 3 * ran
+    return failed is None, failed
 
 
 class _StageLog(ResourceMeter):

@@ -24,13 +24,12 @@ so closed-form bit counts can be checked exactly).
 
 from __future__ import annotations
 
-import copy
 import math
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass
 from operator import add, mul, sub
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .arithmetize import (
     BooleanTable,
@@ -156,18 +155,23 @@ def draw_field_element(tape: RandomTape, p: int, meter: ResourceMeter) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class RoundTranscript:
+class RoundTranscript(NamedTuple):
     """A verified round: the d + 1 coefficient residues the verifier read and
     the degree bound d, then the challenge and the new running claim, all
     residues mod p.  The coefficients are the round's message itself, a
-    tuple of ints, which nobody can change."""
+    tuple of ints, which nobody can change.  A named tuple, so neither a
+    plain write nor ``object.__setattr__`` changes a field (a plain write
+    raises ``FrozenInstanceError``, as a frozen dataclass's does), and equal
+    to the plain tuple of its fields."""
 
     index: int
     coeffs: tuple[int, ...]
     bound: int
     challenge: int
     running: int
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 @dataclass(frozen=True)
@@ -249,8 +253,12 @@ def proof_residues(message, n: int, p: int) -> Optional[tuple[int, ...]]:
     reads.  A plain tuple of plain ints has no overridable method and cannot
     change after it is read, so the verifier computes on it directly and no
     method of a prover-supplied object ever runs on its side."""
-    ok = type(message) is tuple and len(message) == n
-    return message if ok and all([type(c) is int and 0 <= c < p for c in message]) else None
+    if type(message) is not tuple or len(message) != n:
+        return None
+    for c in message:
+        if type(c) is not int or not 0 <= c < p:
+            return None
+    return message
 
 
 def ask_prover(prover, name: str, *args):
@@ -271,6 +279,18 @@ def _horner(coeffs: Sequence[int], x: int, p: int) -> int:
     return acc
 
 
+def _shallow_copy(obj, **fields):
+    """A new object of ``obj``'s class holding its attributes, ``fields``
+    replaced, made without ``__init__`` or ``__post_init__``; None stays
+    None.  ``copy.copy`` of a frozen dataclass makes the same object the
+    long way round, through ``__reduce_ex__``."""
+    if obj is None:
+        return None
+    new = object.__new__(type(obj))
+    new.__dict__.update(obj.__dict__, **fields)
+    return new
+
+
 def run_sumcheck(
     spec: SummandSpec,
     claim: int,
@@ -288,17 +308,20 @@ def run_sumcheck(
     residues.  The final direct evaluation is left to the caller, which
     receives the fully instantiated point and the last running claim.
 
-    ``begin_sumcheck`` is handed a copy of ``spec`` with shallow copies of
-    its formula and block, made without revalidation.  Everything else in a
-    statement is an int or a tuple of ints, which nobody can change, and the
-    verifier reads p, the bit width it meters by and the final check's code
-    arrays from its own ``spec`` only, so no write the prover forces into
-    what it is handed reaches a check or a meter.
+    ``begin_sumcheck`` is handed a shallow copy of ``spec`` holding shallow
+    copies of its formula and block (``_shallow_copy``: new objects, no
+    revalidation).  Everything else in a statement is an int or a tuple of
+    ints, which nobody can change, and the verifier reads p, the bit width
+    it meters by and the final check's code arrays from its own ``spec``
+    only, so no write the prover forces into what it is handed reaches a
+    check or a meter.
     """
     p = spec.p
     bits = (p - 1).bit_length()
     a = claim % p
-    handout = replace(spec, formula=copy.copy(spec.formula), block=copy.copy(spec.block))
+    handout = _shallow_copy(
+        spec, formula=_shallow_copy(spec.formula), block=_shallow_copy(spec.block)
+    )
     try:
         prover.begin_sumcheck(handout, a)
         started = True

@@ -480,6 +480,27 @@ def test_windowed_fold_matches_whole_cube_fold(plans, seed):
         challenges += (rng.randrange(P),)
 
 
+@given(windowed_plans(), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_round_values_pad_to_the_degree_bound(plans, seed):
+    # a block of k tables has degree k, so at the plan's largest block size
+    # some block's answer needs no pad; one degree more pads every answer
+    # with one zero
+    windowed, whole = plans
+    tails = windowed.build_tails(()) if windowed.num_tails else []
+    bound = max(len(tables) for tables in [windowed.head_tables, *tails])
+    rng = random.Random(seed)
+    a, b = PlanFolder(windowed), PlanFolder(whole)
+    challenges = ()
+    for _ in range(windowed.num_vars):
+        a.sync(challenges)
+        b.sync(challenges)
+        exact, padded = a.round_values(bound), a.round_values(bound + 1)
+        assert len(exact) == bound + 1 and padded == exact + [0]
+        assert b.round_values(bound) == exact and b.round_values(bound + 1) == padded
+        challenges += (rng.randrange(P),)
+
+
 # ---------------------------------------------------------------------------
 # Split eq kernels and the weight-tensor head, on both sides of the split width
 # ---------------------------------------------------------------------------

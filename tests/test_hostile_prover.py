@@ -678,6 +678,29 @@ def test_statements_hold_no_code_and_no_field_elements(name):
             spec.p = 0
 
 
+@pytest.mark.parametrize("name", ["verify_w1", "verify_w2", "verify_awsat"])
+def test_each_statement_is_handed_out_as_a_new_equal_copy(monkeypatch, name):
+    # main and weight statements alike: the prover's statement, and its
+    # formula and block where present, are new objects equal to the
+    # verifier's own
+    stated = []
+
+    def capture(spec, *args):
+        stated.append(spec)
+        return run_sumcheck(spec, *args)
+
+    monkeypatch.setattr(pcpverify, "run_sumcheck", capture)
+    handed = _recorded_statements(name)
+    assert len(handed) == len(stated)
+    assert {s.formula is None for s in stated} == {True, False}
+    for mine, theirs in zip(stated, handed):
+        assert theirs is not mine and theirs == mine
+        for part in ("formula", "block"):
+            if getattr(mine, part) is not None:
+                assert getattr(theirs, part) is not getattr(mine, part)
+                assert getattr(theirs, part) == getattr(mine, part)
+
+
 class WeightRewriter(TableCommittedProver):
     """``AdaptiveCheater``'s round messages and answers over a committed
     table.  At the main stage's last final read it computes, from residues,

@@ -195,6 +195,21 @@ class TestMultilinearityTest:
         assert rep == 1
         assert meter.oracle_queries == 3
 
+    def test_rejection_at_a_later_repetition_meters_the_repetitions_that_ran(self):
+        # the planted quadratic at m=3 first fails repetition 4 at seed 0:
+        # that repetition and the three before it are metered, random bits
+        # included, and the eleven after it are not
+        table = BooleanTable.from_true_codes([0, 3], 3)
+
+        def oracle(pt, p):
+            return (table_committed_prover(table).assignment_query(pt, p) + pt[0] * pt[0]) % p
+
+        ok, rep, meter, tape, bits = self.run_oracle(oracle, 3, 15, 0)
+        assert not ok and 2 <= rep < 15
+        assert meter.random_bits == tape.bits_drawn
+        assert meter.proof_bits == 3 * bits * rep
+        assert meter.oracle_queries == 3 * rep
+
 
 class TestVerifyW2:
     def test_yes_instance_accepts(self):
