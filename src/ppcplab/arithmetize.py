@@ -75,22 +75,26 @@ def code_bits(code: int, width: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class BooleanTable:
     """Dense truth table over the m-cube; entry ``values[code]`` is f at the
-    MSB-first bit pattern of ``code``."""
+    MSB-first bit pattern of ``code``, stored as a plain int 0 or 1 whatever
+    equal value (True, 1.0) it was given as."""
 
     arity: int
     values: tuple[int, ...]
     _ones: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
         if self.arity < 1:
             raise ValueError("arity must be at least 1")
-        if len(self.values) != 1 << self.arity:
-            raise ValueError(f"expected {1 << self.arity} entries, got {len(self.values)}")
-        # (0, 1).__contains__ compares by ==, like ``in``: True, False and
-        # 1.0 pass, and an unhashable entry is a ValueError, not a TypeError
-        if not all(map((0, 1).__contains__, self.values)):
-            raise ValueError("table entries must be 0 or 1")
+        # (0, 1).index compares by ==, like ``in``: True, False and 1.0 map
+        # to the plain ints 0 and 1, which is what a prover folds and sends,
+        # and an unhashable entry is a ValueError, not a TypeError
+        try:
+            values = tuple(map((0, 1).index, self.values))
+        except ValueError:
+            raise ValueError("table entries must be 0 or 1") from None
+        if len(values) != 1 << self.arity:
+            raise ValueError(f"expected {1 << self.arity} entries, got {len(values)}")
+        object.__setattr__(self, "values", values)
         object.__setattr__(
             self, "_ones", tuple(itertools.compress(range(len(self.values)), self.values))
         )
@@ -102,7 +106,7 @@ class BooleanTable:
             if not 0 <= c < len(values):
                 raise ValueError(f"code {c} outside the cube codes 0..{len(values) - 1}")
             values[c] = 1
-        return cls(arity, tuple(values))
+        return cls(arity, values)
 
     @classmethod
     def from_assignment(cls, true_set, arity: int) -> "BooleanTable":

@@ -24,10 +24,12 @@ so closed-form bit counts can be checked exactly).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from abc import ABC, abstractmethod
 from dataclasses import FrozenInstanceError, dataclass
+from itertools import compress, repeat
 from operator import add, mul, sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -378,6 +380,28 @@ def honest_round_poly(
     return interpolate(pts)
 
 
+# A whole-cube block of two tables, each at least 15/16 zeros, folds over
+# its nonzero entries from this many entries on.  Folding a weighted
+# two-table head through all its rounds that way, against the dense fold:
+# at 1/16 ones per table, +1% at 128 entries and -13% at 256; at 1/8 ones,
+# +11% at 256 (hence the zero share); at 3% ones, +33% at 16 entries and
+# -15% at 128.  One table gains nothing at 1/16 ones (its dense round is
+# two C-level sums), so it stays dense.
+_SPARSE_MIN = 256
+
+
+@functools.lru_cache(maxsize=8)
+def _indices(size: int) -> tuple[int, ...]:
+    """0..size-1, kept: ``compress`` over a range makes an int per entry."""
+    return tuple(range(size))
+
+
+def _nonzeros(table: Sequence[int]) -> dict[int, int]:
+    """The nonzero entries of a table, by index."""
+    idx = list(compress(_indices(len(table)), table))
+    return dict(zip(idx, map(table.__getitem__, idx)))
+
+
 def _product_sum(tables: Sequence[Sequence[int]], p: int) -> int:
     """Sum over the cube of the entrywise product of equal-length tables, mod
     p: one nested ``map(mul)`` and a single reduction at the end (the
@@ -416,12 +440,28 @@ class PlanFolder:
     the constant coefficient.  Once the cube has shrunk to W, the plain fold
     takes over.
 
+    A whole-cube block of two tables, each at least 15/16 zeros and at
+    least ``_SPARSE_MIN`` entries long, starts in the sparse phase, chosen
+    from the tables alone.  Of a compiled plan that is a W1 head, whose
+    clause-code tables are nonzero only at the clauses touching a true
+    variable, and a two-table weight statement or W1 tail whose true codes
+    reach the top half of the cube.  Each table is then a dict of its
+    nonzero entries; a round sums c0, c1 and c2 over the co-support only,
+    the indices j < half where both tables are nonzero at j or j + half,
+    and a bind merges each nonzero entry into its index below half.  Once a
+    bind leaves no more entries than the tables' nonzero entries number,
+    the block goes back to dense lists and the plain fold.
+
     A head with a declared weight tensor (``head_weights``) folds its tables
     only.  Head round i's polynomial is (1 + (r_i - 1) t) * s * q(t): s is
     the product of the bound weight factors and q sums the tensor's unbound
     suffix w[:half] times the tables, so the lo and hi halves of the first
     table are weighted by it before they are summed.  w[:half] is a prefix
-    of the tensor of r_2..r_m, built once.
+    of the tensor of r_2..r_m.  A dense head builds its w[:half] once, when
+    it is loaded, and each later round reads a prefix of it.  A sparse head
+    never builds the whole tensor: it reads each w[j] it needs as the
+    product of an entry of the tensor's high half and one of its low half,
+    and builds w[:half] only when it turns dense.
 
     Each block's round polynomial is scaled by one multiplier: s in the
     head, which has no other block's value to carry, and in a tail the
@@ -435,8 +475,9 @@ class PlanFolder:
     def __init__(self, plan: ProductPlan):
         self.plan = plan
         self._p = plan.p
-        if plan.head_weights is not None:
-            self._weight_suffix = _tensor([(1, r) for r in plan.head_weights[1:]], self._p)
+        # w[:half] of the first dense head round, and w's two halves
+        self._prefix: Optional[list[int]] = None
+        self._halves: Optional[tuple[list[int], list[int], int]] = None
         self._reset()
 
     def _reset(self):
@@ -450,14 +491,25 @@ class PlanFolder:
     def _load(self, tables: Sequence[Sequence[int]], window: Optional[int]) -> None:
         """Hold the first ``window`` entries of each table and, when the
         window is short of the cube, the constant every table holds past it
-        (else None).  Tables are never written to, only replaced, so they are
-        not copied."""
-        self._size = len(tables[0])
-        if window is None or window >= self._size:
-            self._tables, self._consts = tables, None
-        else:
+        (else None); or, for a whole-cube block the sparse phase takes, each
+        table's nonzero entries.  Tables are never written to, only
+        replaced, so they are not copied."""
+        self._size = size = len(tables[0])
+        self._sparse = False
+        if window is not None and window < size:
             self._tables = [t[:window] for t in tables]
             self._consts = [t[window] for t in tables]
+            return
+        self._tables, self._consts = tables, None
+        if (
+            size >= _SPARSE_MIN
+            and len(tables) == 2
+            and all(16 * t.count(0) >= 15 * size for t in tables)
+        ):
+            self._tables = [_nonzeros(t) for t in tables]
+            self._sparse = True
+        elif self._weights is not None:
+            self._keep_prefix()
 
     def sync(self, challenges: tuple[int, ...]) -> None:
         """Bind the challenges past the bound prefix, after a reset if the
@@ -471,7 +523,12 @@ class PlanFolder:
         """The current round polynomial's degree + 1 coefficients mod p,
         lowest first."""
         p = self._p
-        q = self._point_sums() if len(self._tables) > 2 else self._coefficients()
+        if self._sparse:
+            q = self._sparse_coefficients()
+        elif len(self._tables) > 2:
+            q = self._point_sums()
+        else:
+            q = self._coefficients()
         if self._weights is not None:
             # times 1 + (r_i - 1) t
             step = self._weights[len(self._bound)] - 1
@@ -504,7 +561,7 @@ class PlanFolder:
         lo, hi = a[:half], a[half:]
         if self._weights is not None:
             # map stops at the halves' end: w[:half] without the slice
-            w = self._weight_suffix
+            w = self._prefix
             lo, hi = map(mul, w, lo), map(mul, w, hi)
         if len(tables) == 1:
             s0 = sum(lo)
@@ -518,6 +575,50 @@ class PlanFolder:
             c1 += a0 * db + da * b0
             c2 += da * db
         return [c0 % p, c1 % p, c2 % p]
+
+    def _sparse_coefficients(self) -> list[int]:
+        """``_coefficients`` of two tables over their co-support: the indices
+        j < half where both tables are nonzero at j or at j + half, since at
+        any other j one of them is 0 at both and the j-th terms vanish.  In a
+        weighted head the first table's lo and hi entries carry w[j]."""
+        p = self._p
+        half = self._size >> 1
+        mask = half - 1
+        a, b = self._tables
+        cosupport = {j & mask for j in a}.intersection([j & mask for j in b])
+        weights = repeat(1) if self._weights is None else self._weights_at(cosupport)
+        ga, gb = a.get, b.get
+        c0 = c1 = c2 = 0
+        for j, w in zip(cosupport, weights):
+            a0, a1, b0, b1 = w * ga(j, 0), w * ga(j | half, 0), gb(j, 0), gb(j | half, 0)
+            da, db = a1 - a0, b1 - b0
+            c0 += a0 * b0
+            c1 += a0 * db + da * b0
+            c2 += da * db
+        return [c0 % p, c1 % p, c2 % p]
+
+    def _weights_at(self, indices: set[int]) -> list[int]:
+        """w[j] for each j of ``indices``, the product of one entry of the
+        high and one of the low half of the tensor of r_2..r_m (every
+        round's w[:half] is a prefix of it), which is never built whole."""
+        if self._halves is None:
+            rest = [(1, r) for r in self._weights[1:]]
+            h = len(rest) // 2
+            self._halves = (
+                _tensor(rest[:h], self._p), _tensor(rest[h:], self._p), len(rest) - h
+            )
+        high, low, shift = self._halves
+        mask = (1 << shift) - 1
+        return [high[j >> shift] * low[j & mask] for j in indices]
+
+    def _keep_prefix(self) -> None:
+        """Keep w[:half], the tensor of r_{i+1}..r_m in round i, for the
+        dense rounds from this one on, each of which reads a prefix of it; a
+        longer one kept from before a reset serves as it is."""
+        if self._prefix is None or len(self._prefix) < self._size >> 1:
+            self._prefix = _tensor(
+                [(1, r) for r in self._weights[len(self._bound) + 1 :]], self._p
+            )
 
     def _point_sums(self) -> list[int]:
         """q's k + 1 coefficients for k >= 3 tables: the tables' entrywise
@@ -533,7 +634,7 @@ class PlanFolder:
             lo, hi = tables, [[c] * len(t) for t, c in zip(tables, consts)]
             rest = ((self._size >> 1) - len(lo[0])) * math.prod(consts)
         # a weighted head is whole-cube, so rest is 0 there
-        fixed = [] if self._weights is None else [self._weight_suffix[: len(lo[0])]]
+        fixed = [] if self._weights is None else [self._prefix]
         step = [list(map(sub, h, l)) for l, h in zip(lo, hi)]
         sums, cur = [], lo
         for t in range(len(lo) + 1):
@@ -547,13 +648,17 @@ class PlanFolder:
     def _bind(self, r: int) -> None:
         """Bind the current variable at r: one pass of (a + r * (b - a)) % p
         per table, b the hi-half partner of the lo-half entry a, or the
-        table's constant while the window lies in the lo half."""
+        table's constant while the window lies in the lo half; in the sparse
+        phase, over each table's nonzero entries, turning dense once the
+        block holds no more entries than they number."""
         p = self._p
         half = self._size >> 1
         if self._weights is not None:
             w = self._weights[len(self._bound)]
             self._mult = self._mult * (1 - r + w * r) % p
-        if self._consts is None:
+        if self._sparse:
+            self._tables = [self._sparse_bind(t, r, half) for t in self._tables]
+        elif self._consts is None:
             # zip stops at the end of the hi half, so a runs over the lo half
             self._tables = [
                 [(a + r * (b - a)) % p for a, b in zip(t, t[half:])] for t in self._tables
@@ -566,8 +671,37 @@ class PlanFolder:
                 self._consts = None
         self._size = half
         self._bound += (r % p,)
+        if self._sparse and half <= max(1, sum(map(len, self._tables))):
+            self._densify()
         if half == 1:
             self._advance()
+
+    def _sparse_bind(self, t: dict[int, int], r: int, half: int) -> dict[int, int]:
+        """(a + r * (b - a)) % p, as (1 - r) a + r b, at every index j < half
+        where the table is nonzero at j or at j + half."""
+        p = self._p
+        s = (1 - r) % p
+        out = {j: s * a % p for j, a in t.items() if j < half}
+        get = out.get
+        for j, b in t.items():
+            if j >= half:
+                j ^= half
+                out[j] = (get(j, 0) + r * b) % p
+        return out
+
+    def _densify(self) -> None:
+        """Back to dense tables, and in a weighted head to the weight prefix
+        the dense rounds read."""
+        dense = []
+        for t in self._tables:
+            row = [0] * self._size
+            for j, v in t.items():
+                row[j] = v
+            dense.append(row)
+        self._tables = dense
+        self._sparse = False
+        if self._weights is not None:
+            self._keep_prefix()
 
     def _advance(self) -> None:
         p = self._p

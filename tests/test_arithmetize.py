@@ -414,6 +414,7 @@ class TestBooleanTable:
         t = BooleanTable(2, (True, False, 1.0, 0))
         assert t.ones() == (0, 2)
         assert t.values == (True, False, 1.0, 0)
+        assert all(type(v) is int for v in t.values)
         values = tuple(random.Random(5).choice((0, 1)) for _ in range(1 << 6))
         assert BooleanTable(6, values).ones() == tuple(c for c, v in enumerate(values) if v)
 

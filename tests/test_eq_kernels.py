@@ -13,8 +13,12 @@ their last variable up to the padded length L.  The split kernels are checked
 on both sides of their width threshold: ``_tensor`` against plain doubling,
 the clause indicator at pinned m = 4..9 with clauses in many rows, and a fold
 whose head declares a weight tensor against the same plan with the tensor as
-a plain head table.  The compiled plans' head proxies are checked against
-their tails' cube sums, the contract the folder takes the tail sums from.
+a plain head table.  Blocks of two mostly-zero tables, which the folder folds
+over their nonzero entries for a while, are checked against the reference
+and against the same plans with an all-ones table added, which fold densely,
+along with the rounds at which the folder turns dense.  The compiled plans'
+head proxies are checked against their tails' cube sums, the contract the
+folder takes the tail sums from.
 """
 
 import math
@@ -35,7 +39,7 @@ from ppcplab.arithmetize import (
     compile_plan,
 )
 from ppcplab.formula import ClassTag, WeightedFormula, derived_m
-from ppcplab.sumcheck import PlanFolder, TableCommittedProver, honest_round_poly
+from ppcplab.sumcheck import _SPARSE_MIN, PlanFolder, TableCommittedProver, honest_round_poly
 
 P = 1009
 
@@ -610,3 +614,152 @@ def test_weight_tensor_head_needs_a_whole_cube_head_with_one_weight_per_variable
         ProductPlan(P, 2, head, 1, head_weights=(2,))
     with pytest.raises(ValueError):
         ProductPlan(P, 2, (), 0, head_weights=(2, 3))
+
+
+# ---------------------------------------------------------------------------
+# The sparse phase: whole-cube blocks of two mostly-zero tables
+# ---------------------------------------------------------------------------
+
+
+def expected_phases(tables):
+    """Per round of a whole-cube block, whether the folder folds it over its
+    nonzero entries: from round 1 if the block holds two tables of at least
+    ``_SPARSE_MIN`` entries, each at least 15/16 zeros, until a bind leaves
+    the block no more entries than the tables hold nonzero positions,
+    counted after j and j + half merge."""
+    size = len(tables[0])
+    sparse = (
+        size >= _SPARSE_MIN
+        and len(tables) == 2
+        and all(16 * list(t).count(0) >= 15 * size for t in tables)
+    )
+    supports = [{j for j, v in enumerate(t) if v} for t in tables]
+    phases = []
+    while size > 1:
+        phases.append(sparse)
+        size >>= 1
+        supports = [{j % size for j in s} for s in supports]
+        sparse = sparse and size > max(1, sum(map(len, supports)))
+    return phases
+
+
+def few_ones(rng, size, ones, top=False):
+    """A 0/1 table of ``size`` entries with ``ones`` ones at random codes,
+    the top code among them when ``top``."""
+    codes = rng.sample(range(size - top), ones - top) + [size - 1] * top
+    return BooleanTable.from_true_codes(codes, size.bit_length() - 1)
+
+
+@pytest.mark.parametrize("with_block", [False, True], ids=["one_table", "two_tables"])
+@pytest.mark.parametrize("m", [7, 8, 9])
+def test_sparse_weight_statement_rounds_match_honest_round_poly(m, with_block):
+    # true codes at the cube's top code make the window the whole cube, so
+    # from 2^8 entries on a two-table block starts in the sparse phase; one
+    # table stays dense, and so does a block of 2^7 entries
+    rng = random.Random(100 * m + with_block)
+    size = 1 << m
+    for ones in (2, 9, size // 16):
+        table = few_ones(rng, size, ones, top=True)
+        block = few_ones(rng, size, ones, top=True) if with_block else None
+        spec = build_weight_summand(m, P, block)
+        plan = compile_plan(spec, table)
+        assert plan.window == size
+        phases = expected_phases(plan.head_tables)
+        # a sixteenth of the codes true densifies on the way
+        assert phases[0] == (with_block and m >= 8)
+        assert ones < size // 16 or not phases[-1]
+        folder = PlanFolder(plan)
+        oracle = table_oracle(table)
+        challenges = ()
+        for i in range(1, m + 1):
+            folder.sync(challenges)
+            assert folder._sparse == phases[i - 1], i
+            reference = honest_round_poly(spec, oracle, challenges, i).padded(2)
+            assert folder.round_values(2) == [c.value for c in reference.coeffs], i
+            challenges += (rng.randrange(P),)
+
+
+@st.composite
+def sparse_head_plans(draw):
+    """(plan, the same plan with an all-ones table in front of its head and
+    of each tail): blocks of one to three 0/1 tables over 2^7..2^9 codes,
+    each holding a few ones, exactly a sixteenth, one more or none, so the
+    sizes and zero counts fall on both sides of the folder's selection
+    rule; with or without a weight tensor and with up to two tails (no
+    window).  An all-ones table leaves every product unchanged but puts
+    three tables in a two-table block, which the folder sums at points,
+    and a dense one beside a one-table block: the reference folds every
+    block densely."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    block_vars = draw(st.integers(7, 9))
+    size = 1 << block_vars
+    counts = {"few": lambda: rng.randint(1, size // 16), "sixteenth": lambda: size // 16,
+              "over": lambda: size // 16 + 1, "none": lambda: 0}
+
+    def table():
+        kind = draw(st.sampled_from(["few", "few", "sixteenth", "over", "none"]))
+        return few_ones(rng, size, counts[kind]()).values
+
+    head_size = draw(st.sampled_from([2, 2, 1, 3]))
+    num_tails = draw(st.integers(0, min(2, head_size)))
+    head = tuple(table() for _ in range(head_size))
+    tails = [[list(table()) for _ in range(draw(st.integers(1, 2)))] for _ in range(num_tails)]
+    ones = [1] * size
+    dense_tails = [[ones, *tail] for tail in tails]
+    weighted = draw(st.booleans())
+    weights = tuple(rng.randrange(1, P) for _ in range(block_vars)) if weighted else None
+    common = dict(p=P, block_vars=block_vars, head_weights=weights)
+    standalone = head_size - num_tails
+    plan = ProductPlan(
+        **common, head_tables=head, num_standalone=standalone,
+        build_tails=(lambda z_star: tails) if num_tails else None,
+    )
+    dense = ProductPlan(
+        **common, head_tables=(tuple(ones), *head), num_standalone=standalone + 1,
+        build_tails=(lambda z_star: dense_tails) if num_tails else None,
+    )
+    return plan, dense
+
+
+@given(sparse_head_plans(), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_sparse_fold_matches_dense_fold(plans, seed):
+    # every block at its own degree (no pad) and one more, against the
+    # dense fold one degree up, whose top coefficient is 0; each block
+    # takes the phase expected_phases gives
+    plan, dense = plans
+    rng = random.Random(seed)
+    tails = plan.build_tails(()) if plan.num_tails else []
+    blocks = [plan.head_tables, *tails]
+    a, b = PlanFolder(plan), PlanFolder(dense)
+    challenges = ()
+    for block, tables in enumerate(blocks):
+        phases = expected_phases(tables)
+        degree = len(tables) + (block == 0 and plan.head_weights is not None)
+        for i in range(plan.block_vars):
+            a.sync(challenges)
+            b.sync(challenges)
+            assert a._sparse == phases[i] and not b._sparse, (block, i)
+            for d in (degree, degree + 1):
+                assert b.round_values(d + 1) == a.round_values(d) + [0], (block, i)
+            challenges += (rng.randrange(P),)
+
+
+def test_a_changed_prefix_resets_into_the_sparse_phase():
+    rng = random.Random(7)
+    size = 1 << 9
+    head = (few_ones(rng, size, 20).values, few_ones(rng, size, 30).values)
+    weights = tuple(rng.randrange(1, P) for _ in range(9))
+    common = dict(p=P, block_vars=9, head_weights=weights)
+    plan = ProductPlan(**common, head_tables=head, num_standalone=2)
+    dense = ProductPlan(**common, head_tables=((1,) * size, *head), num_standalone=3)
+    phases = expected_phases(head)
+    assert phases[:3] == [True] * 3 and not phases[-1]
+    a, b = PlanFolder(plan), PlanFolder(dense)
+    # past the sparse phase, then back to a prefix of each length below it
+    for prefix in [random_point(rng, 8), *(random_point(rng, n) for n in range(3))]:
+        a.sync(prefix)
+        b.sync(prefix)
+        assert a._sparse == phases[len(prefix)]
+        for d in (3, 4):
+            assert b.round_values(d + 1) == a.round_values(d) + [0]

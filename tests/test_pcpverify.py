@@ -27,6 +27,7 @@ from ppcplab.pcpverify import (
     w2_parameters,
     w2_proof_bits,
 )
+from ppcplab.reductions import gen_planted_yes_with_witness
 from ppcplab.sumcheck import (
     GenericHonestProver,
     RandomTape,
@@ -55,6 +56,14 @@ class TestVerifyW1:
         for seed in range(40):
             verdict = verify_w1(f, table_committed_prover(prover_table), RandomTape(seed))
             assert verdict.accepted, seed
+
+    @pytest.mark.parametrize("entry", [int, bool, float])
+    def test_witness_table_of_equal_entries_accepts(self, entry):
+        # 1.0 and True are table entries; the prover must still send ints
+        formula, witness = gen_planted_yes_with_witness(8, 2, 6, 5)
+        codes = BooleanTable.from_assignment(witness.true_set, formula.m).values
+        table = BooleanTable(formula.m, tuple(map(entry, codes)))
+        assert verify_w1(formula, table_committed_prover(table), RandomTape(1)).accepted
 
     def test_no_instance_adaptive_cheater_bounded(self):
         f = parse_pwsat(NO_TEXT)
