@@ -380,7 +380,12 @@ def summand_value(spec: SummandSpec, point: Point, reads: Sequence[int]) -> int:
 
 def compile_plan(spec: SummandSpec, table: BooleanTable) -> ProductPlan:
     """The honest prover's ProductPlan for ``spec`` over its committed
-    assignment table."""
+    assignment table.  A clause statement's head holds, per position, the
+    literal factor F(A) at each clause's variable code beside the declared
+    clause-weight tensor (at L >= 3 a block the folder sums as products of
+    coefficient lists).  Tail i, built once the head is bound at z*,
+    scatters the eq tensor of z* into per-code sums, reduced once, beside
+    F."""
     p = spec.p
     formula = spec.formula
     m = spec.num_vars if formula is None else formula.m
@@ -401,8 +406,9 @@ def compile_plan(spec: SummandSpec, table: BooleanTable) -> ProductPlan:
             window=code_window(top),
         )
     size = 1 << m
-    negated = formula.class_tag is ClassTag.G12N
-    factor = [v if negated else (1 - v) % p for v in table.values]
+    # table entries are 0 and 1, so 1 - v needs no reduction
+    values = table.values
+    factor = list(values) if formula.class_tag is ClassTag.G12N else [1 - v for v in values]
     codes = spec.codes
     dummies = [0] * (size - formula.num_clauses)
     head = [tuple([factor[vc] for vc in codes_i] + dummies) for codes_i in codes]
@@ -410,11 +416,19 @@ def compile_plan(spec: SummandSpec, table: BooleanTable) -> ProductPlan:
     # tail's clause factor is 0 and its literal factor F(0) is constant
     window = code_window(max(formula.num_vars - 1, table.top_code()))
     beyond = [0] * (size - window)
+    h = _split_at(m)
 
     def build_tails(z_star: Sequence[int]) -> list[list[list[int]]]:
         # tail i's clause factor at x is the sum of chi_c(z*) over the
-        # clauses c whose position-i variable has code x
-        eqz = _tensor([((1 - z) % p, z) for z in z_star], p)
+        # clauses c whose position-i variable has code x; where _tensor
+        # would split, eq_{z*} is the outer product of its two half tensors
+        # left unreduced, since the per-code sums are reduced anyway
+        pairs = [((1 - z) % p, z) for z in z_star]
+        if h:
+            low = _tensor(pairs[h:], p)
+            eqz = [a * b for a in _tensor(pairs[:h], p) for b in low]
+        else:
+            eqz = _tensor(pairs, p)
         tails = []
         for codes_i in codes:
             ctab = [0] * window
@@ -450,10 +464,21 @@ def _clause_product_summand(
         raise ValueError("need one clause weight per code bit")
     bounds = (1 + L,) * m + (2,) * (L * m)
     residues = tuple([r % p for r in weights])
-    codes = tuple(
-        tuple([abs(lits[i] if len(lits) > i else lits[-1]) - 1 for lits in formula.clauses])
-        for i in range(L)
-    )
+    clauses = formula.clauses
+    # the class fixes every literal's sign, so a code is one operation on
+    # it: ~lit = -lit - 1 for g12n, lit - 1 for g21p.  Position 0 reads each
+    # clause's first literal and L - 1 its last (no clause is longer than
+    # L); only the middle positions test the length
+    middle = range(1, L - 1)
+    if formula.class_tag is ClassTag.G12N:
+        cols = [[~c[0] for c in clauses]]
+        cols += [[~(c[i] if len(c) > i else c[-1]) for c in clauses] for i in middle]
+        cols.append([~c[-1] for c in clauses])
+    else:
+        cols = [[c[0] - 1 for c in clauses]]
+        cols += [[(c[i] if len(c) > i else c[-1]) - 1 for c in clauses] for i in middle]
+        cols.append([c[-1] - 1 for c in clauses])
+    codes = tuple(map(tuple, cols[:L]))
     return SummandSpec((L + 1) * m, bounds, p, formula, residues, codes)
 
 

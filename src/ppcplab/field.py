@@ -216,26 +216,3 @@ def interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) -> UniPoly:
         coeffs.pop()
     return UniPoly(tuple(FieldElement(c, field) for c in coeffs), n - 1)
 
-
-@functools.lru_cache(maxsize=256)
-def node_inverse(p: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """Inverse mod p of the Vandermonde matrix at the nodes 0..d.
-
-    Row j holds the weights that take the values of a polynomial of degree
-    <= d at t = 0..d to its coefficient of X^j, so the coefficients are one
-    matrix-vector product.  Row i of the Lagrange sum in ``interpolate`` is
-    column i here.  The nodes are distinct mod p only for d < p.
-    """
-    if not 0 <= d < p:
-        raise ValueError(f"nodes 0..{d} are not distinct mod {p}")
-    cols = []
-    for i in range(d + 1):
-        num = [1]
-        denom = 1
-        for j in range(d + 1):
-            if j != i:
-                num = _mul_linear(num, -j, p)
-                denom = denom * (i - j) % p
-        scale = pow(denom, p - 2, p)
-        cols.append([c * scale % p for c in num])
-    return tuple(zip(*cols))

@@ -225,9 +225,9 @@ def protocol_parameters(
     if prime is None:
         prime = select_prime(total, degree, cfg.epsilon / max(branches, 1))
     elif prime <= max(degree, 2):
-        # the reference prover interpolates at the nodes 0..degree and the
-        # folder's point path at 0..L, which must stay distinct mod p; the
-        # multilinearity test needs three distinct coordinates
+        # the reference prover interpolates at the nodes 0..degree, which
+        # must stay distinct mod p; the multilinearity test needs three
+        # distinct coordinates
         raise ValueError(f"prime override {prime} too small for degree {degree} rounds")
     elif prime > MAX_MODULUS:
         raise ValueError(f"prime override {prime} exceeds the 2^61 - 1 cap")

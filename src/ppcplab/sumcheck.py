@@ -45,7 +45,7 @@ from .arithmetize import (
     read_points,
     summand_value,
 )
-from .field import PrimeField, UniPoly, interpolate, node_inverse
+from .field import PrimeField, UniPoly, interpolate
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -402,14 +402,15 @@ def _nonzeros(table: Sequence[int]) -> dict[int, int]:
     return dict(zip(idx, map(table.__getitem__, idx)))
 
 
-def _product_sum(tables: Sequence[Sequence[int]], p: int) -> int:
-    """Sum over the cube of the entrywise product of equal-length tables, mod
-    p: one nested ``map(mul)`` and a single reduction at the end (the
-    products of a few residues stay small ints)."""
-    acc = tables[0]
-    for tbl in tables[1:]:
-        acc = map(mul, acc, tbl)
-    return sum(acc) % p
+def _entrywise_product(u: list[list[int]], v: list[list[int]]) -> list[list[int]]:
+    """The coefficient lists of u * v, entry by entry, for polynomials in t
+    given as lists of per-entry coefficient lists, lowest first."""
+    out: list = [None] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            prod = map(mul, x, y)
+            out[i + j] = list(prod) if out[i + j] is None else list(map(add, out[i + j], prod))
+    return out
 
 
 class PlanFolder:
@@ -425,20 +426,27 @@ class PlanFolder:
     with steps da = a1 - a0 and db = b1 - b0 over the lo and hi halves,
     sum (a0 + t da)(b0 + t db) is c0 + c1 t + c2 t^2 with c0 = sum a0 b0,
     c1 = sum (a0 db + da b0) and c2 = sum da db (with one table, c0 = sum a0
-    and c1 = sum da).  A block of k >= 3 tables (a W2 head at L >= 3) sums
-    the tables' product at t = 0..k instead, and the cached node inverse
-    turns those k + 1 sums into coefficients.
+    and c1 = sum da).  A block of k >= 3 tables (a W2 head at L >= 3)
+    multiplies its affine factors two at a time into per-entry coefficient
+    lists, c0 = a0 b0, c2 = da db and c1 = a1 b1 - c0 - c2 (an odd last
+    table stays affine), multiplies those lists entry by entry until two
+    polynomials remain, and sums the products of their coefficient lists
+    into q's k + 1 coefficients (at k = 3 the odd table enters only there).
 
-    Of each block the plan's window applies to, only the window is held:
-    the first W entries of every table plus the constant it holds past W
-    (a weight-tensor head is whole-cube).  While the remaining cube
-    is larger than W, the current variable is a top code bit, so the window
-    lies in the lo half and the hi half is all constants: binding maps each
-    window entry a to a + r * (c - a), the coefficients need only the
-    window's sums (and, for two tables, the sum of their product), and the
-    (half - W) constant entries of the lo half add (half - W) * prod(c) to
-    the constant coefficient.  Once the cube has shrunk to W, the plain fold
-    takes over.
+    Of a block of one or two tables the plan's window applies to, only the
+    window is held: the first W entries of every table, the constant c it
+    holds past W, and one scale g (a weight-tensor head is whole-cube, and
+    so is a windowed block of three or more tables, which no compiled plan
+    has).  While the remaining cube is larger than W, the current variable
+    is a top code bit, so the window lies in the lo half and the hi half is
+    all constants: binding maps each window entry a to a + r * (c - a), so
+    every entry stands at c + g * (a - c) for the entry a it was loaded
+    with, and a bind only sets g to g * (1 - r).  A round's coefficients
+    then come from the sums of the loaded window, taken once at load: in t
+    every lo-half entry is c + (1 - t) g (a - c), and the (half - W)
+    constant entries add (half - W) * prod(c).  Once the cube has shrunk
+    to W, the window is rebuilt as c + g * (a - c) and the plain fold takes
+    over.
 
     A whole-cube block of two tables, each at least 15/16 zeros and at
     least ``_SPARSE_MIN`` entries long, starts in the sparse phase, chosen
@@ -478,6 +486,10 @@ class PlanFolder:
         # w[:half] of the first dense head round, and w's two halves
         self._prefix: Optional[list[int]] = None
         self._halves: Optional[tuple[list[int], list[int], int]] = None
+        # a held window's scale and sums, set here too so that every folder
+        # gains its attributes in one order and they keep one shared layout
+        self._scale = 1
+        self._moments: Optional[tuple[int, int, Optional[int]]] = None
         self._reset()
 
     def _reset(self):
@@ -489,16 +501,27 @@ class PlanFolder:
         self._stage = 0  # 0 = head block, j >= 1 = tail j-1
 
     def _load(self, tables: Sequence[Sequence[int]], window: Optional[int]) -> None:
-        """Hold the first ``window`` entries of each table and, when the
-        window is short of the cube, the constant every table holds past it
-        (else None); or, for a whole-cube block the sparse phase takes, each
+        """Hold, for a block of one or two tables whose window is short of
+        the cube, the first ``window`` entries of each table, the constant
+        every table holds past it and the window's sums (else the constants
+        are None); or, for a whole-cube block the sparse phase takes, each
         table's nonzero entries.  Tables are never written to, only
         replaced, so they are not copied."""
         self._size = size = len(tables[0])
         self._sparse = False
-        if window is not None and window < size:
-            self._tables = [t[:window] for t in tables]
-            self._consts = [t[window] for t in tables]
+        if window is not None and window < size and len(tables) <= 2:
+            # the window at scale 1, with the sums its rounds read
+            self._tables = held = [t[:window] for t in tables]
+            self._consts = consts = [t[window] for t in tables]
+            self._scale = 1
+            if len(held) == 1:
+                c = consts[0]
+                self._moments = (c, sum(held[0]) - window * c, None)
+                return
+            (a, b), (ca, cb) = held, consts
+            both = ca * cb
+            e1 = cb * sum(a) + ca * sum(b) - 2 * window * both
+            self._moments = (both, e1, sum(map(mul, a, b)) - e1 - window * both)
             return
         self._tables, self._consts = tables, None
         if (
@@ -525,8 +548,10 @@ class PlanFolder:
         p = self._p
         if self._sparse:
             q = self._sparse_coefficients()
+        elif self._consts is not None:
+            q = self._window_coefficients()
         elif len(self._tables) > 2:
-            q = self._point_sums()
+            q = self._product_coefficients()
         else:
             q = self._coefficients()
         if self._weights is not None:
@@ -536,26 +561,30 @@ class PlanFolder:
         mult = self._mult
         return [c * mult % p for c in q] + [0] * (degree + 1 - len(q))
 
+    def _window_coefficients(self) -> list[int]:
+        """c0, c1 (and c2, for two tables) of the current round's cube sum
+        while the window lies in the lo half.  Every entry there stands at
+        c + g (a - c) for the entry a it was loaded with, so in t the lo
+        half sums to half * prod(c) + (1 - t) g e1 + (1 - t)^2 g^2 e2: e1
+        sums the loaded deviations a - c (for two tables, each times the
+        other table's constant) and e2 the products of the two tables'
+        deviations (None for one table)."""
+        p = self._p
+        g = self._scale
+        c, e1, e2 = self._moments
+        s1 = g * e1 % p
+        base = (self._size >> 1) * c + s1
+        if e2 is None:
+            return [base % p, -s1 % p]
+        s2 = g * g * e2 % p
+        return [(base + s2) % p, (-s1 - 2 * s2) % p, s2]
+
     def _coefficients(self) -> list[int]:
         """c0, c1 (and c2, for two tables) of the current round's cube sum
         over one or two tables, mod p; in a weighted head the first table's
         halves carry the weight suffix."""
         p = self._p
-        tables, consts = self._tables, self._consts
-        if consts is not None:
-            # each window entry a steps to its table's constant c; the lo
-            # half's other (half - W) entries hold c and do not move
-            width = len(tables[0])
-            spare = (self._size >> 1) - width
-            if len(tables) == 1:
-                s, c = sum(tables[0]), consts[0]
-                return [(s + spare * c) % p, (width * c - s) % p]
-            (a, b), (ca, cb) = tables, consts
-            sab, both = sum(map(mul, a, b)), ca * cb
-            cross = cb * sum(a) + ca * sum(b)
-            return [
-                (sab + spare * both) % p, (cross - 2 * sab) % p, (width * both - cross + sab) % p
-            ]
+        tables = self._tables
         half = self._size >> 1
         a = tables[0]
         lo, hi = a[:half], a[half:]
@@ -620,37 +649,45 @@ class PlanFolder:
                 [(1, r) for r in self._weights[len(self._bound) + 1 :]], self._p
             )
 
-    def _point_sums(self) -> list[int]:
-        """q's k + 1 coefficients for k >= 3 tables: the tables' entrywise
-        product summed at t = 0..k, every point's tables one step past the
-        last, times the cached node inverse."""
-        p = self._p
-        tables, consts = self._tables, self._consts
-        if consts is None:
-            half = self._size >> 1
-            lo, hi = [t[:half] for t in tables], [t[half:] for t in tables]
-            rest = 0
-        else:
-            lo, hi = tables, [[c] * len(t) for t, c in zip(tables, consts)]
-            rest = ((self._size >> 1) - len(lo[0])) * math.prod(consts)
-        # a weighted head is whole-cube, so rest is 0 there
-        fixed = [] if self._weights is None else [self._prefix]
-        step = [list(map(sub, h, l)) for l, h in zip(lo, hi)]
-        sums, cur = [], lo
-        for t in range(len(lo) + 1):
-            if t == 1:
-                cur = hi
-            elif t > 1:
-                cur = [list(map(add, c, s)) for c, s in zip(cur, step)]
-            sums.append(_product_sum(fixed + cur, p) + rest)
-        return [sum(map(mul, row, sums)) % p for row in node_inverse(p, len(lo))]
+    def _product_coefficients(self) -> list[int]:
+        """q's k + 1 coefficients for k >= 3 tables.  Each table is
+        a0 + t da over its lo and hi halves; pairs of tables multiply into
+        per-entry coefficient lists (c1 = a1 b1 - c0 - c2 saves a product),
+        an odd last table stays affine and goes first, the first two
+        polynomials multiply entry by entry until two remain, and those two
+        are summed as the products of their coefficient lists.  In a
+        weighted head the first table's halves, in the first pair, carry the
+        weight suffix."""
+        half = self._size >> 1
+        halves = [(t[:half], t[half:]) for t in self._tables]
+        if self._weights is not None:
+            # map stops at the halves' end: w[:half] without the slice
+            w, (lo, hi) = self._prefix, halves[0]
+            halves[0] = (list(map(mul, w, lo)), list(map(mul, w, hi)))
+        polys = []
+        if len(halves) % 2:
+            lo, hi = halves.pop()
+            polys.append([lo, list(map(sub, hi, lo))])
+        for (a0, a1), (b0, b1) in zip(halves[::2], halves[1::2]):
+            c0 = list(map(mul, a0, b0))
+            c2 = list(map(mul, map(sub, a1, a0), map(sub, b1, b0)))
+            polys.append([c0, list(map(sub, map(sub, map(mul, a1, b1), c0), c2)), c2])
+        while len(polys) > 2:
+            polys[:2] = [_entrywise_product(*polys[:2])]
+        u, v = polys
+        q = [0] * (len(u) + len(v) - 1)
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                q[i + j] += sum(map(mul, x, y))
+        return [c % self._p for c in q]
 
     def _bind(self, r: int) -> None:
         """Bind the current variable at r: one pass of (a + r * (b - a)) % p
-        per table, b the hi-half partner of the lo-half entry a, or the
-        table's constant while the window lies in the lo half; in the sparse
-        phase, over each table's nonzero entries, turning dense once the
-        block holds no more entries than they number."""
+        per table, b the hi-half partner of the lo-half entry a; while the
+        window lies in the lo half, only its scale moves, and the window is
+        rebuilt once the cube has shrunk to it; in the sparse phase, over
+        each table's nonzero entries, turning dense once the block holds no
+        more entries than they number."""
         p = self._p
         half = self._size >> 1
         if self._weights is not None:
@@ -664,10 +701,11 @@ class PlanFolder:
                 [(a + r * (b - a)) % p for a, b in zip(t, t[half:])] for t in self._tables
             ]
         else:
-            self._tables = [
-                [(a + r * (c - a)) % p for a in t] for t, c in zip(self._tables, self._consts)
-            ]
+            g = self._scale = self._scale * (1 - r) % p
             if half == len(self._tables[0]):
+                self._tables = [
+                    [(c + g * (a - c)) % p for a in t] for t, c in zip(self._tables, self._consts)
+                ]
                 self._consts = None
         self._size = half
         self._bound += (r % p,)

@@ -16,9 +16,13 @@ whose head declares a weight tensor against the same plan with the tensor as
 a plain head table.  Blocks of two mostly-zero tables, which the folder folds
 over their nonzero entries for a while, are checked against the reference
 and against the same plans with an all-ones table added, which fold densely,
-along with the rounds at which the folder turns dense.  The compiled plans'
-head proxies are checked against their tails' cube sums, the contract the
-folder takes the tail sums from.
+along with the rounds at which the folder turns dense.  Windowed blocks of
+one and two tables, whose rounds come from the window's sums and one scale,
+and heads of three to six tables, which multiply their affine factors'
+coefficient lists, are checked against direct cube sums of the tables'
+multilinear extensions.  The compiled plans' head proxies are checked
+against their tails' cube sums, the contract the folder takes the tail sums
+from.
 """
 
 import math
@@ -763,3 +767,153 @@ def test_a_changed_prefix_resets_into_the_sparse_phase():
         assert a._sparse == phases[len(prefix)]
         for d in (3, 4):
             assert b.round_values(d + 1) == a.round_values(d) + [0]
+
+
+# ---------------------------------------------------------------------------
+# Window rounds from the window's sums, and heads of three or more tables,
+# against direct cube sums of the tables' multilinear extensions
+# ---------------------------------------------------------------------------
+
+
+def direct_round(tables, prefix, degree):
+    """The round polynomial after ``prefix`` at t = 0..degree: the cube sum,
+    over the boolean suffixes, of the product of every table's multilinear
+    extension, each evaluated from its definition."""
+    m = len(tables[0]).bit_length() - 1
+    free = m - len(prefix) - 1
+
+    def extension(table, point):
+        return sum(v * chi(c, point) for c, v in enumerate(table)) % P
+
+    return [
+        sum(
+            math.prod(extension(t, (*prefix, x, *code_bits(s, free))) for t in tables)
+            for s in range(1 << free)
+        ) % P
+        for x in range(degree + 1)
+    ]
+
+
+def values_at(coeffs, degree):
+    """The polynomial of ``coeffs`` (lowest first) at t = 0..degree."""
+    return [sum(c * t**j for j, c in enumerate(coeffs)) % P for t in range(degree + 1)]
+
+
+@st.composite
+def windowed_blocks(draw, counts=(1, 2)):
+    """(tables, window): a block of ``counts`` tables over 2^1..2^4 codes,
+    random on a window of 1 up to half the cube and constant past it, each
+    constant 0, 1 or a random residue."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    block_vars = draw(st.integers(1, 4))
+    size = 1 << block_vars
+    window = 1 << draw(st.integers(0, block_vars - 1))
+
+    def table():
+        const = draw(st.sampled_from(["zero", "one", "random"]))
+        const = {"zero": 0, "one": 1, "random": rng.randrange(P)}[const]
+        return tuple([rng.randrange(P) for _ in range(window)] + [const] * (size - window))
+
+    return tuple(table() for _ in range(draw(st.sampled_from(counts)))), window
+
+
+def window_rounds(tables, window):
+    """How many rounds of a block fold on its window: those that bind a top
+    code bit, while the remaining cube is larger than the window."""
+    return (len(tables[0]) // window).bit_length() - 1
+
+
+@given(windowed_blocks(), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_window_rounds_match_direct_cube_sums(block, seed):
+    tables, window = block
+    block_vars = len(tables[0]).bit_length() - 1
+    k = len(tables)
+    rng = random.Random(seed)
+    folder = PlanFolder(ProductPlan(P, block_vars, tables, k, window=window))
+    prefix = ()
+    for i in range(block_vars):
+        folder.sync(prefix)
+        assert (folder._consts is not None) == (i < window_rounds(tables, window)), i
+        # the block's own degree, and one zero pad past it
+        assert folder.round_values(k + 1)[-1] == 0
+        assert values_at(folder.round_values(k), k) == direct_round(tables, prefix, k), i
+        prefix += (rng.randrange(P),)
+
+
+@given(windowed_blocks(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_changed_prefix_inside_the_window_restarts_the_scale(block, data):
+    # two binds inside the window phase, then a prefix that departs from it
+    # at a drawn position: the folder reloads the window at scale 1 and
+    # binds the new prefix afresh
+    tables, window = block
+    block_vars = len(tables[0]).bit_length() - 1
+    k = len(tables)
+    inside = window_rounds(tables, window)
+    assume(inside >= 2)
+    folder = PlanFolder(ProductPlan(P, block_vars, tables, k, window=window))
+    residues = st.integers(0, P - 1)
+    first = tuple(data.draw(st.lists(residues, min_size=2, max_size=2)))
+    folder.sync(first)
+    length = data.draw(st.integers(1, min(inside, block_vars - 1)))
+    at = data.draw(st.integers(0, min(length, 2) - 1))
+    rest = data.draw(st.lists(residues, min_size=length - at, max_size=length - at))
+    second = list(first[:at]) + rest
+    assume(second[at] != first[at])
+    second = tuple(second)
+    folder.sync(second)
+    assert (folder._consts is not None) == (length < inside)
+    assert values_at(folder.round_values(k), k) == direct_round(tables, second, k)
+
+
+@given(windowed_blocks(counts=(3,)), st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_a_windowed_block_of_three_tables_folds_whole_cube(block, seed):
+    tables, window = block
+    block_vars = len(tables[0]).bit_length() - 1
+    rng = random.Random(seed)
+    folder = PlanFolder(ProductPlan(P, block_vars, tables, 3, window=window))
+    prefix = ()
+    for i in range(block_vars):
+        folder.sync(prefix)
+        assert folder._consts is None, i
+        assert values_at(folder.round_values(3), 3) == direct_round(tables, prefix, 3), i
+        prefix += (rng.randrange(P),)
+
+
+@given(st.integers(3, 6), st.integers(1, 4), st.booleans(), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_heads_of_three_to_six_tables_match_direct_cube_sums(k, block_vars, weighted, seed):
+    # odd and even k, with and without a declared weight tensor, which the
+    # reference multiplies in as one more table
+    rng = random.Random(seed)
+    size = 1 << block_vars
+    tables = tuple(tuple(rng.randrange(P) for _ in range(size)) for _ in range(k))
+    weights = tuple(rng.randrange(P) for _ in range(block_vars)) if weighted else None
+    reference = tables
+    if weighted:
+        tensor = [math.prod(w for w, bit in zip(weights, code_bits(c, block_vars)) if bit) % P
+                  for c in range(size)]
+        reference += (tensor,)
+    degree = len(reference)
+    folder = PlanFolder(ProductPlan(P, block_vars, tables, k, head_weights=weights))
+    prefix = ()
+    for i in range(block_vars):
+        folder.sync(prefix)
+        coeffs = folder.round_values(degree)
+        assert values_at(coeffs, degree) == direct_round(reference, prefix, degree), i
+        prefix += (rng.randrange(P),)
+
+
+@pytest.mark.parametrize("L, m", [(3, 1), (4, 1), (5, 1), (6, 1), (3, 2), (4, 2)])
+def test_w2_statement_rounds_match_honest_round_poly_at_long_padded_lengths(L, m):
+    # the weighted head holds L >= 3 clause-code tables, so it takes the
+    # coefficient products in every head round
+    rng = random.Random(10 * L + m)
+    for trial in range(3):
+        formula = shaped_formula(rng, ClassTag.G21P, L, 2, m)
+        table = BooleanTable(m, tuple(rng.randrange(2) for _ in range(1 << m)))
+        spec = build_w2_summand(formula, P, random_weights(rng, m), L)
+        assert len(compile_plan(spec, table).head_tables) == L
+        assert_every_round_matches(spec, table, rng)

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +7,6 @@ from ppcplab.field import (
     UniPoly,
     interpolate,
     is_prime,
-    node_inverse,
     select_prime,
     MAX_MODULUS,
 )
@@ -116,6 +113,13 @@ class TestInterpolate:
         with pytest.raises(ValueError):
             interpolate([(F(1), F(2)), (F(1), F(3))])
 
+    @pytest.mark.parametrize("p, d", [(2, 2), (2, 3), (5, 5), (7, 9), (13, 13)])
+    def test_rejects_nodes_that_collide_mod_p(self, p, d):
+        # the nodes 0..d are distinct mod p only for d < p
+        F = PrimeField(p)
+        with pytest.raises(ValueError):
+            interpolate([(F(t), F(0)) for t in range(d + 1)])
+
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=6, unique=True),
            st.data())
     @settings(max_examples=100)
@@ -126,46 +130,6 @@ class TestInterpolate:
         poly = interpolate(pts)
         for x, y in pts:
             assert poly.evaluate(x) == y
-
-
-class TestNodeInverse:
-    """The cached inverse Vandermonde at 0..d against ``interpolate``."""
-
-    PRIMES = [q for q in range(2, 14) if is_prime(q)]
-
-    @pytest.mark.parametrize("d", range(7))
-    def test_matches_interpolate(self, d):
-        rng = random.Random(d)
-        primes = [q for q in self.PRIMES if q > d]
-        primes += [select_prime(rounds, max(d, 1), 0.5) for rounds in (1, 18, 250)]
-        primes += [select_prime(400, max(d, 1), 0.5 / 36), MAX_MODULUS]
-        for p in primes:
-            F = PrimeField(p)
-            inverse = node_inverse(p, d)
-            assert len(inverse) == d + 1 and all(len(row) == d + 1 for row in inverse)
-            for _ in range(20):
-                ys = [rng.randrange(p) for _ in range(d + 1)]
-                reference = interpolate([(F(t), F(y)) for t, y in enumerate(ys)]).padded(d)
-                coeffs = [sum(w * y for w, y in zip(row, ys)) % p for row in inverse]
-                assert coeffs == [c.value for c in reference.coeffs]
-
-    def test_rows_are_plain_int_tuples(self):
-        inverse = node_inverse(109, 3)
-        assert type(inverse) is tuple
-        assert all(type(row) is tuple and all(type(w) is int for w in row) for row in inverse)
-        assert node_inverse(109, 3) is inverse  # cached
-
-    @pytest.mark.parametrize("p, d", [(2, 2), (2, 3), (5, 5), (7, 9), (13, 13)])
-    def test_rejects_nodes_that_collide_mod_p(self, p, d):
-        with pytest.raises(ValueError):
-            node_inverse(p, d)
-        F = PrimeField(p)
-        with pytest.raises(ValueError):  # interpolate fails the same way
-            interpolate([(F(t), F(0)) for t in range(d + 1)])
-
-    def test_rejects_negative_degree(self):
-        with pytest.raises(ValueError):
-            node_inverse(7, -1)
 
 
 class TestUniPoly:

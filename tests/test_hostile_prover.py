@@ -613,7 +613,7 @@ def test_no_cache_is_keyed_by_a_ppcplab_object():
     # copy's entries to the original: its key must be ints and tuples of ints
     cached, classes = _cached_functions()
     names = {f"{module}.{node.name}" for module, node in cached}
-    assert {"arithmetize._line_index", "field.node_inverse", "pcpverify._real_block"} <= names
+    assert {"arithmetize._line_index", "pcpverify._real_block"} <= names
     for module, node in cached:
         a = node.args
         for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]:
