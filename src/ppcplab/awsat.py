@@ -72,20 +72,28 @@ class UniversalBranch:
         return sub
 
 
+def universal_branch_count(instance: AwsatInstance) -> int:
+    """How many branches ``enumerate_universal`` lists, without listing
+    them: the product of C(|block|, k) over the even blocks, under the same
+    10^6 guard."""
+    total = 1
+    for block, kw in zip(instance.blocks[1::2], instance.block_weights[1::2]):
+        total *= math.comb(len(block), kw)
+        if total > 10**6:
+            raise GuardError("universal branch count exceeds 10^6")
+    return total
+
+
 def enumerate_universal(instance: AwsatInstance) -> list[UniversalBranch]:
     """Every combination of exactly-weight subsets of the even blocks, in
     lexicographic order.  With no even blocks there is exactly one empty
     branch."""
+    universal_branch_count(instance)
     even = [
         (i + 1, instance.blocks[i], instance.block_weights[i])
         for i in range(instance.l)
         if (i + 1) % 2 == 0
     ]
-    total = 1
-    for _, block, kw in even:
-        total *= math.comb(len(block), kw)
-        if total > 10**6:
-            raise GuardError("universal branch count exceeds 10^6")
     indices = tuple(bi for bi, _, _ in even)
     pools = [list(itertools.combinations(block, kw)) for _, block, kw in even]
     branches = []
@@ -189,7 +197,7 @@ def awsat_parameters(
         instance.formula,
         config,
         weight_checks=(instance.l + 1) // 2,
-        branches=len(enumerate_universal(instance)),
+        branches=universal_branch_count(instance),
     )
 
 

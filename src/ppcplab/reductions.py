@@ -9,7 +9,9 @@ Graph text format: header ``g <n>``, then one ``e <u> <v>`` line per edge.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -68,11 +70,31 @@ def parse_graph(text: str) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-def _negations(n: int) -> list[int]:
-    """-v at index v, for v = 0..n: clauses take their negated literals from
-    this list, so a formula holds one int object per variable, not one per
-    literal."""
-    return [-v for v in range(n + 1)]
+class _PairClauses(dict):
+    """The negated clause (-u, -v) of each pair u < v of variables 1..n,
+    under its pair code u·(n+1)+v and made on first use, its literals taken
+    from one list of -v at index v: every formula over n built here shares
+    one tuple per clause and one int object per variable."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.width = n + 1
+        self.negations = [-v for v in range(n + 1)]
+
+    def __missing__(self, code: int) -> tuple[int, int]:
+        u, v = divmod(code, self.width)
+        clause = self[code] = (self.negations[u], self.negations[v])
+        return clause
+
+    def clause(self, u: int, v: int) -> tuple[int, int]:
+        return self[u * self.width + v]
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_clauses(n: int) -> _PairClauses:
+    """The shared clause table of n: it holds only the pairs emitted so far,
+    for the last 8 values of n used."""
+    return _PairClauses(n)
 
 
 def has_independent_set(g: Graph, k: int) -> bool:
@@ -91,8 +113,8 @@ def independent_set_to_wsat(g: Graph, k: int) -> WeightedFormula:
     the output has a satisfying assignment of weight exactly k."""
     if k > g.n:
         raise ValueError(f"k={k} exceeds the vertex count {g.n}")
-    neg = _negations(g.n)
-    clauses = tuple((neg[u], neg[v]) for u, v in sorted(g.edges))
+    clause = _pair_clauses(g.n).clause
+    clauses = tuple([clause(u, v) for u, v in sorted(g.edges)])
     return WeightedFormula(num_vars=g.n, clauses=clauses, class_tag=ClassTag.G12N, k=k)
 
 
@@ -104,9 +126,18 @@ def gen_planted_yes_with_witness(n: int, k: int, num_clauses: int, seed: int):
     u < v is coded as the int u·(n+1)+v, and the legal codes are listed in
     the order of ``itertools.combinations``.  ``rng.sample`` picks by index,
     so it picks the same pairs as from a list of pair tuples of that length
-    and order, and the codes sort as the pairs do, since v <= n."""
+    and order, and the codes sort as the pairs do, since v <= n.
+
+    Every clause comes from the shared table of n (``_pair_clauses``), so
+    all planted formulas over one n share their clause tuples: a
+    4,000-clause formula holds about 32 KB of its own, its tuple of
+    clauses, not about 224 KB of fresh 2-tuples.  The legal codes are
+    listed in full, so an n with more than 10^6 pairs (n > 1414) raises
+    ``GuardError`` before any is listed."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if math.comb(n, 2) > 10**6:
+        raise GuardError("planted generator covers at most 10^6 variable pairs (n <= 1414)")
     rng = random.Random(seed)
     planted = set(rng.sample(range(1, n + 1), k))
     w = n + 1
@@ -120,8 +151,7 @@ def gen_planted_yes_with_witness(n: int, k: int, num_clauses: int, seed: int):
             f"only {len(legal)} clauses avoid the planted set, {num_clauses} requested"
         )
     chosen = sorted(rng.sample(legal, num_clauses))
-    neg = _negations(n)
-    clauses = tuple([(neg[u], neg[v]) for u, v in map(divmod, chosen, itertools.repeat(w))])
+    clauses = tuple(map(_pair_clauses(n).__getitem__, chosen))
     formula = WeightedFormula(num_vars=n, clauses=clauses, class_tag=ClassTag.G12N, k=k)
     return formula, Assignment(frozenset(planted))
 
@@ -148,10 +178,9 @@ def gen_random(
         if n < 2:
             raise ValueError("binary clauses need at least two variables")
         pairs = list(itertools.combinations(range(1, n + 1), 2))
-        neg = _negations(n)
+        clause = _pair_clauses(n).clause
         for _ in range(num_clauses):
-            u, v = rng.choice(pairs)
-            clauses.append((neg[u], neg[v]))
+            clauses.append(clause(*rng.choice(pairs)))
     else:
         top = min(max_len, n)
         for _ in range(num_clauses):
@@ -188,10 +217,8 @@ def gen_random_awsat(
         blocks.append(tuple(sorted(order[at : at + size])))
         at += size
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    neg = _negations(n)
-    clauses = tuple(
-        (neg[u], neg[v]) for u, v in (rng.choice(pairs) for _ in range(num_clauses))
-    )
+    clause = _pair_clauses(n).clause
+    clauses = tuple([clause(*rng.choice(pairs)) for _ in range(num_clauses)])
     formula = WeightedFormula(
         num_vars=n, clauses=clauses, class_tag=ClassTag.G12N, k=sum(block_weights)
     )

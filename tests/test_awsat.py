@@ -1,11 +1,14 @@
 import pytest
 
 from ppcplab.arithmetize import BooleanTable
+from ppcplab import awsat
 from ppcplab.awsat import (
     BranchProofTables,
+    awsat_parameters,
     enumerate_universal,
     honest_branch_tables,
     pad_to_odd,
+    universal_branch_count,
     verify_awsat,
 )
 from ppcplab.formula import (
@@ -68,6 +71,50 @@ class TestEnumerateUniversal:
         inst = AwsatInstance(f, ((1,), tuple(range(2, 31))), (0, 15))
         with pytest.raises(GuardError):
             enumerate_universal(inst)
+        with pytest.raises(GuardError, match="universal branch count exceeds 10\\^6"):
+            universal_branch_count(inst)
+
+
+def criterion_8_corpus():
+    """The alternating corpus of acceptance criterion 8: 50 instances of
+    three blocks, two to four clauses each."""
+    sizes = ((2, 2, 2), (2, 3, 3), (3, 2, 3), (2, 2, 4), (3, 3, 2))
+    weights = ((1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2))
+    corpus = []
+    for i in range(50):
+        block_sizes = sizes[i % len(sizes)]
+        block_weights = tuple(min(w, n) for w, n in zip(weights[i % len(weights)], block_sizes))
+        corpus.append(gen_random_awsat(
+            sum(block_sizes), block_sizes, block_weights, 2 + i % 3, derive_seed(10_000, i)
+        ))
+    return corpus
+
+
+class TestUniversalBranchCount:
+    @pytest.mark.parametrize("inst", [
+        *criterion_8_corpus(),
+        L1_YES,
+        make_instance(2, (), ((1, 2),), (1,)),
+        make_instance(5, (), ((1,), (2, 3), (4, 5)), (1, 3, 1)),  # universal block infeasible
+        make_instance(5, (), ((1,), (2, 3), (4, 5)), (2, 1, 1)),  # existential block infeasible
+        make_instance(6, (), ((1,), (2, 3), (4,), (5, 6)), (1, 1, 0, 3)),
+        make_instance(7, (), ((1,), (2, 3, 4), (5,), (6, 7)), (0, 2, 1, 1)),
+    ])
+    def test_equals_the_enumerated_branches(self, inst):
+        assert universal_branch_count(inst) == len(enumerate_universal(inst))
+
+    def test_verify_awsat_enumerates_once(self, monkeypatch):
+        calls = []
+
+        def counted(instance):
+            calls.append(instance)
+            return enumerate_universal(instance)
+
+        monkeypatch.setattr(awsat, "enumerate_universal", counted)
+        tables = honest_branch_tables(HAND_YES)
+        assert verify_awsat(HAND_YES, tables, table_committed_prover, RandomTape(3)).accepted
+        assert calls == [HAND_YES]
+        assert awsat_parameters(HAND_YES).branches == 2 and calls == [HAND_YES]
 
 
 class TestPadToOdd:

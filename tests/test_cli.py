@@ -155,6 +155,11 @@ class TestReduceAndGen:
         path = write(tmp_path, "gen.pwsat", text)
         assert main(["verify", path, "--seed", "1"]) == 0
 
+    def test_gen_planted_past_the_pair_cap_exits_two(self, capsys):
+        assert main(["gen", "planted", "--n", "100000", "--clauses", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "10^6 variable pairs" in captured.err
+
     def test_gen_awsat_solves(self, tmp_path, capsys):
         assert main([
             "gen", "awsat", "--n", "6", "--block-sizes", "2,2,2",

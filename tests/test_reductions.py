@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ppcplab.formula import ClassTag, brute_force_wsat
+from ppcplab.formula import ClassTag, GuardError, brute_force_wsat
 from ppcplab.reductions import (
     Graph,
     classify,
@@ -159,6 +159,31 @@ class TestPlantedGenerator:
         f, _ = gen_planted_yes_with_witness(100, 3, 4000, 1)
         assert distinct_literal_objects(f) <= f.num_vars
         assert f.clauses == self.tuple_pair_generator(100, 3, 4000, 1)[0]
+
+    def test_formulas_over_one_n_share_clause_tuples(self):
+        # each clause comes from one table per n, so equal clauses of two
+        # formulas are one object, and 20 honest_large W1 formulas hold no
+        # more clause tuples than C(100, 2) = 4950 and no more literal ints
+        # than variables
+        a, _ = gen_planted_yes_with_witness(100, 3, 4000, 1)
+        b, _ = gen_planted_yes_with_witness(100, 3, 4000, 2)
+        first = {clause: clause for clause in a.clauses}
+        shared = [clause for clause in b.clauses if clause in first]
+        assert shared and all(first[clause] is clause for clause in shared)
+        formulas = [gen_planted_yes_with_witness(100, 3, 4000, seed)[0] for seed in range(20)]
+        clauses = [clause for f in formulas for clause in f.clauses]
+        assert len({id(clause) for clause in clauses}) <= 4950
+        assert len({id(lit) for clause in clauses for lit in clause}) <= 100
+
+    @pytest.mark.parametrize("n", [1415, 100_000])
+    def test_more_than_a_million_pairs_is_refused(self, n):
+        with pytest.raises(GuardError, match="10\\^6 variable pairs"):
+            gen_planted_yes_with_witness(n, 2, 5, 0)
+
+    def test_the_largest_n_under_the_cap_is_served(self):
+        # C(1414, 2) = 999,291 pairs, the largest n under the cap: listed in full
+        f, witness = gen_planted_yes_with_witness(1414, 2, 5, 0)
+        assert f.num_clauses == 5 and satisfies(f, witness)
 
     @pytest.mark.parametrize("n, k, num_clauses", [(4, 4, 1), (6, 2, 15), (100, 3, 4948)])
     def test_too_many_clauses_message_is_unchanged(self, n, k, num_clauses):
