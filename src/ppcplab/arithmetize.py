@@ -75,33 +75,39 @@ def code_bits(code: int, width: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class BooleanTable:
     """Dense truth table over the m-cube; entry ``values[code]`` is f at the
-    MSB-first bit pattern of ``code``, stored as a plain int 0 or 1 whatever
-    equal value (True, 1.0) it was given as."""
+    MSB-first bit pattern of ``code``.  The entries are held as an immutable
+    ``bytes`` of 0s and 1s, one byte per code, whatever equal value (True,
+    1.0) they were given as; indexing or iterating it gives plain ints."""
 
     arity: int
-    values: tuple[int, ...]
+    values: bytes
     _ones: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.arity < 1:
             raise ValueError("arity must be at least 1")
-        # (0, 1).index compares by ==, like ``in``: True, False and 1.0 map
-        # to the plain ints 0 and 1, which is what a prover folds and sends,
-        # and an unhashable entry is a ValueError, not a TypeError
-        try:
-            values = tuple(map((0, 1).index, self.values))
-        except ValueError:
-            raise ValueError("table entries must be 0 or 1") from None
+        values = self.values
+        if type(values) is bytes or type(values) is bytearray:
+            # one C-level pass; an empty table fails the length check below
+            if values and max(values) > 1:
+                raise ValueError("table entries must be 0 or 1")
+            values = bytes(values)
+        else:
+            # (0, 1).index compares by ==, like ``in``: True, False and 1.0
+            # map to the bytes 0 and 1, and an unhashable entry is a
+            # ValueError, not a TypeError
+            try:
+                values = bytes(map((0, 1).index, values))
+            except ValueError:
+                raise ValueError("table entries must be 0 or 1") from None
         if len(values) != 1 << self.arity:
             raise ValueError(f"expected {1 << self.arity} entries, got {len(values)}")
         object.__setattr__(self, "values", values)
-        object.__setattr__(
-            self, "_ones", tuple(itertools.compress(range(len(self.values)), self.values))
-        )
+        object.__setattr__(self, "_ones", tuple(itertools.compress(range(len(values)), values)))
 
     @classmethod
     def from_true_codes(cls, codes: Sequence[int], arity: int) -> "BooleanTable":
-        values = [0] * (1 << arity)
+        values = bytearray(1 << arity)
         for c in codes:
             if not 0 <= c < len(values):
                 raise ValueError(f"code {c} outside the cube codes 0..{len(values) - 1}")
@@ -284,7 +290,7 @@ class ProductPlan:
 
     p: int
     block_vars: int
-    head_tables: tuple[tuple[int, ...], ...]
+    head_tables: tuple[Sequence[int], ...]
     num_standalone: int
     build_tails: Optional[TailsBuilder] = None
     window: Optional[int] = None
@@ -378,6 +384,10 @@ def summand_value(spec: SummandSpec, point: Point, reads: Sequence[int]) -> int:
     return val
 
 
+# the byte translation 0 <-> 1: 1 - A over a table's bytes
+_COMPLEMENT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
 def compile_plan(spec: SummandSpec, table: BooleanTable) -> ProductPlan:
     """The honest prover's ProductPlan for ``spec`` over its committed
     assignment table.  A clause statement's head holds, per position, the
@@ -392,10 +402,11 @@ def compile_plan(spec: SummandSpec, table: BooleanTable) -> ProductPlan:
     if table.arity != m:
         raise ValueError("assignment table arity must equal m")
     if formula is None:
-        head: list[tuple[int, ...]] = [tuple(table.values)]
+        # the tables' bytes are read in place: a folder never writes to them
+        head: list[Sequence[int]] = [table.values]
         top = table.top_code()
         if spec.block is not None:
-            head.append(tuple(spec.block.values))
+            head.append(spec.block.values)
             top = max(top, spec.block.top_code())
         # past the highest true code of A and of B both tables are 0
         return ProductPlan(
@@ -406,9 +417,10 @@ def compile_plan(spec: SummandSpec, table: BooleanTable) -> ProductPlan:
             window=code_window(top),
         )
     size = 1 << m
-    # table entries are 0 and 1, so 1 - v needs no reduction
+    # F(A) is the table's bytes themselves for g12n, and 1 - A one byte
+    # translation of them for g21p (entries are 0 and 1, so no reduction)
     values = table.values
-    factor = list(values) if formula.class_tag is ClassTag.G12N else [1 - v for v in values]
+    factor = values if formula.class_tag is ClassTag.G12N else values.translate(_COMPLEMENT)
     codes = spec.codes
     dummies = [0] * (size - formula.num_clauses)
     head = [tuple([factor[vc] for vc in codes_i] + dummies) for codes_i in codes]

@@ -115,7 +115,7 @@ class BranchProofTables:
         tables, masked so block j's table only speaks for block j's codes;
         None when some odd block has no table for the branch's prefix."""
         m = instance.formula.m
-        values = [0] * (1 << m)
+        values = bytearray(1 << m)
         for i in range(instance.l):
             block_j = i + 1
             if block_j % 2 == 0:
@@ -125,7 +125,7 @@ class BranchProofTables:
                 return None
             for v in instance.blocks[i]:
                 values[v - 1] = table.values[v - 1]
-        return BooleanTable(m, tuple(values))
+        return BooleanTable(m, values)
 
 
 def honest_branch_tables(instance: AwsatInstance) -> Optional[BranchProofTables]:
@@ -216,9 +216,10 @@ def _read_proof(tables, m: int) -> BranchProofTables:
     own tables: one with no tables unless the proof is exactly a
     ``BranchProofTables`` holding exactly a dict, whose keys are exactly
     tuples of a plain int and a plain str and whose values are exactly
-    ``BooleanTable``s with a tuple of 2^m plain ints 0 or 1 as values (all
-    that ``merge`` reads).  Attributes are read through ``_plain_attr``, so
-    no prover code runs here, and each table is rebuilt from its values, so
+    ``BooleanTable``s with exactly a ``bytes`` of 2^m entries 0 or 1 as
+    values (all that ``merge`` reads), checked by one C-level ``max``.
+    Attributes are read through ``_plain_attr``, so no prover code runs
+    here, and each table is rebuilt from its values, immutable bytes, so
     nothing the prover does to its objects later reaches a branch."""
     entries = _plain_attr(tables, BranchProofTables, "tables")
     if type(entries) is not dict:
@@ -228,8 +229,7 @@ def _read_proof(tables, m: int) -> BranchProofTables:
         values = _plain_attr(table, BooleanTable, "values")
         if not (
             type(key) is tuple and len(key) == 2 and type(key[0]) is int and type(key[1]) is str
-            and type(values) is tuple and len(values) == 1 << m
-            and all(type(v) is int and 0 <= v <= 1 for v in values)
+            and type(values) is bytes and len(values) == 1 << m and max(values) <= 1
         ):
             return BranchProofTables({})
         copied[key] = BooleanTable(m, values)

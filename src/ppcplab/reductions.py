@@ -9,6 +9,7 @@ Graph text format: header ``g <n>``, then one ``e <u> <v>`` line per edge.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -122,38 +123,58 @@ def gen_planted_yes_with_witness(n: int, k: int, num_clauses: int, seed: int):
     """Planted yes-instance plus its hidden witness.
 
     A weight-k set S is fixed first; only clauses with at most one endpoint in
-    S are emitted, so S satisfies every clause by construction.  A pair
-    u < v is coded as the int u·(n+1)+v, and the legal codes are listed in
-    the order of ``itertools.combinations``.  ``rng.sample`` picks by index,
-    so it picks the same pairs as from a list of pair tuples of that length
-    and order, and the codes sort as the pairs do, since v <= n.
+    S are emitted, so S satisfies every clause by construction.  The legal
+    pairs u < v, taken in the order of ``itertools.combinations``, are
+    never listed: ``rng.sample`` picks by index, so sampling positions from
+    a range of their count picks the same pairs as from the list, and
+    ``_legal_pair_codes`` maps the sorted positions to pair codes
+    u·(n+1)+v, which sort as the pairs do, since v <= n.
 
     Every clause comes from the shared table of n (``_pair_clauses``), so
     all planted formulas over one n share their clause tuples: a
     4,000-clause formula holds about 32 KB of its own, its tuple of
-    clauses, not about 224 KB of fresh 2-tuples.  The legal codes are
-    listed in full, so an n with more than 10^6 pairs (n > 1414) raises
-    ``GuardError`` before any is listed."""
+    clauses, not about 224 KB of fresh 2-tuples.  The generator covers at
+    most 10^6 pairs: a larger n (n > 1414) raises ``GuardError``."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if math.comb(n, 2) > 10**6:
         raise GuardError("planted generator covers at most 10^6 variable pairs (n <= 1414)")
     rng = random.Random(seed)
     planted = set(rng.sample(range(1, n + 1), k))
-    w = n + 1
-    legal = [
-        u * w + v
-        for u, v in itertools.combinations(range(1, n + 1), 2)
-        if not (u in planted and v in planted)
-    ]
-    if num_clauses > len(legal):
+    legal = math.comb(n, 2) - math.comb(k, 2)
+    if num_clauses > legal:
         raise ValueError(
-            f"only {len(legal)} clauses avoid the planted set, {num_clauses} requested"
+            f"only {legal} clauses avoid the planted set, {num_clauses} requested"
         )
-    chosen = sorted(rng.sample(legal, num_clauses))
+    picks = sorted(rng.sample(range(legal), num_clauses))
+    chosen = _legal_pair_codes(n, planted, picks)
     clauses = tuple(map(_pair_clauses(n).__getitem__, chosen))
     formula = WeightedFormula(num_vars=n, clauses=clauses, class_tag=ClassTag.G12N, k=k)
     return formula, Assignment(frozenset(planted))
+
+
+def _legal_pair_codes(n: int, planted: set[int], picks: list[int]) -> list[int]:
+    """The pair codes u·(n+1)+v at the sorted positions ``picks`` of the
+    pairs u < v with at most one end in ``planted``, in combinations order,
+    in one pass over the rows u.  Row u holds every v > u, n - u pairs whose
+    codes run on from u·(n+1)+u+1, or, for a planted u, the unplanted v > u,
+    a run of the sorted unplanted vertices."""
+    free = [v for v in range(1, n + 1) if v not in planted]
+    codes: list[int] = []
+    start = at = 0  # the position of row u's first pair; the next pick
+    for u in range(1, n):
+        base = u * (n + 1)
+        if u in planted:
+            first = bisect.bisect_right(free, u)  # row u is free[first:]
+            end = start + len(free) - first
+            stop = bisect.bisect_left(picks, end, at)
+            codes += [base + free[first - start + j] for j in picks[at:stop]]
+        else:
+            end = start + n - u
+            stop = bisect.bisect_left(picks, end, at)
+            codes += map((base + u + 1 - start).__add__, picks[at:stop])
+        start, at = end, stop
+    return codes
 
 
 def gen_planted_yes(n: int, k: int, num_clauses: int, seed: int) -> WeightedFormula:

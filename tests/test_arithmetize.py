@@ -413,14 +413,49 @@ class TestBooleanTable:
     def test_bools_and_float_one_are_entries(self):
         t = BooleanTable(2, (True, False, 1.0, 0))
         assert t.ones() == (0, 2)
-        assert t.values == (True, False, 1.0, 0)
+        assert type(t.values) is bytes and t.values == bytes((1, 0, 1, 0))
         assert all(type(v) is int for v in t.values)
         values = tuple(random.Random(5).choice((0, 1)) for _ in range(1 << 6))
         assert BooleanTable(6, values).ones() == tuple(c for c, v in enumerate(values) if v)
 
+    @given(st.integers(1, 8).flatmap(
+        lambda m: st.lists(st.integers(0, 1), min_size=1 << m, max_size=1 << m)
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_every_input_form_builds_one_bytes_table(self, entries):
+        m = len(entries).bit_length() - 1
+        forms = [
+            tuple(entries), list(entries), [bool(v) for v in entries],
+            [float(v) for v in entries], bytes(entries), bytearray(entries),
+        ]
+        tables = [BooleanTable(m, form) for form in forms]
+        ones = tuple(c for c, v in enumerate(entries) if v)
+        for t in tables:
+            assert type(t.values) is bytes and t.values == bytes(entries)
+            assert t == tables[0] and hash(t) == hash(tables[0])
+            assert t.ones() == ones
+
+    def test_a_bytearray_is_copied_and_bytes_are_kept(self):
+        raw = bytearray((0, 1, 1, 0))
+        t = BooleanTable(2, raw)
+        raw[0] = 1
+        assert t.values == bytes((0, 1, 1, 0)) and t.ones() == (1, 2)
+        frozen = bytes((1, 0, 0, 1))
+        assert BooleanTable(2, frozen).values is frozen
+
+    @pytest.mark.parametrize("form", [bytes, bytearray])
+    def test_bad_bytes_raise_value_error(self, form):
+        # the exact-bytes path checks entries by max and the length after
+        for entries in ((0, 1, 2, 1), (255, 0, 0, 0)):
+            with pytest.raises(ValueError, match="table entries must be 0 or 1"):
+                BooleanTable(2, form(entries))
+        for entries in ((), (0, 1, 0), (0,) * 5):
+            with pytest.raises(ValueError, match="expected 4 entries"):
+                BooleanTable(2, form(entries))
+
     def test_from_assignment_codes(self):
         t = BooleanTable.from_assignment({1, 3}, 2)
-        assert t.values == (1, 0, 1, 0)
+        assert t.values == bytes((1, 0, 1, 0))
         assert t.ones() == (0, 2)
 
     @pytest.mark.parametrize("codes", [[-1], [4], [0, 7], [1 << 40]])

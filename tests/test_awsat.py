@@ -371,9 +371,12 @@ class DictSub(dict):
     pass
 
 
-class LoudValues(tuple):
+class LoudValues(bytes):
     def __getitem__(self, i):
         raise AssertionError("the verifier indexed prover-supplied values")
+
+    def __iter__(self):
+        raise AssertionError("the verifier iterated prover-supplied values")
 
 
 def _forged(table, values):
@@ -385,6 +388,10 @@ def _forged(table, values):
 
 
 class StrSub(str):
+    pass
+
+
+class BytesSub(bytes):
     pass
 
 
@@ -430,15 +437,22 @@ def _malformations(instance):
     or in the wrong container."""
     honest = honest_branch_tables(instance)
     key = sorted(honest.tables)[-1]
+    values = honest.tables[key].values
     m = instance.formula.m
     entries = {
         "str": "not a table",
         "object": object(),
         "wrong_arity": BooleanTable.from_true_codes([0], m + 1),
         "none": None,
-        "forged_values": _forged(honest.tables[key], LoudValues(honest.tables[key].values)),
-        "forged_short": _forged(honest.tables[key], honest.tables[key].values[:-1]),
-        "forged_entry": _forged(honest.tables[key], (2,) + honest.tables[key].values[1:]),
+        "forged_values": _forged(honest.tables[key], LoudValues(values)),
+        "forged_short": _forged(honest.tables[key], values[:-1]),
+        "forged_entry": _forged(honest.tables[key], b"\x02" + values[1:]),
+        # the honest entries, in any container but exactly bytes
+        "bytearray_values": _forged(honest.tables[key], bytearray(values)),
+        "bytes_subclass_values": _forged(honest.tables[key], BytesSub(values)),
+        "tuple_values": _forged(honest.tables[key], tuple(values)),
+        "list_values": _forged(honest.tables[key], list(values)),
+        "memoryview_values": _forged(honest.tables[key], memoryview(values)),
         "loud_name": _loud(honest.tables[key], "values"),
     }
     out = [(name, BranchProofTables({**honest.tables, key: bad})) for name, bad in entries.items()]

@@ -22,7 +22,8 @@ and heads of three to six tables, which multiply their affine factors'
 coefficient lists, are checked against direct cube sums of the tables'
 multilinear extensions.  The compiled plans' head proxies are checked
 against their tails' cube sums, the contract the folder takes the tail sums
-from.
+from.  Tables built from bytes fold to the reference too, and the compiled
+plans hold their bytes without a copy.
 """
 
 import math
@@ -105,10 +106,11 @@ def indicator(formula, L, position, z, x):
     return clause_indicator_eval(codes, formula.num_vars, z, x, P)
 
 
-def random_spec(formula, L, rng):
-    """Clause-product summand over a random assignment table and weights."""
+def random_spec(formula, L, rng, form=tuple):
+    """Clause-product summand over a random assignment table, given to its
+    constructor as ``form`` (tuple, bytes, bytearray), and weights."""
     m = formula.m
-    table = BooleanTable(m, tuple(rng.randrange(2) for _ in range(1 << m)))
+    table = BooleanTable(m, form(rng.randrange(2) for _ in range(1 << m)))
     return clause_spec(formula, L, random_weights(rng, m)), table
 
 
@@ -143,7 +145,9 @@ def test_tail_tables_match_per_clause_definition(case, seed):
         for x in range(1 << m):
             assert ctab[x] == indicator_reference(formula, position, z_star, code_bits(x, m))
         negated = formula.class_tag is ClassTag.G12N
-        assert factor == [v if negated else 1 - v for v in table.values]
+        assert factor == bytes([v if negated else 1 - v for v in table.values])
+        # g12n's literal factor is the table's bytes, read in place
+        assert (factor is table.values) == negated
 
 
 @given(padded_formulas(), st.integers(0, 2**32))
@@ -290,13 +294,15 @@ def test_clause_statement_rounds_match_honest_round_poly(shape):
 def small_specs(draw):
     """(kind, spec, table) with at most 8 sum-check variables: W1 at L = 2, W2
     at L = 1..5 (L may exceed the longest clause) and weight summands with
-    and without a block table."""
+    and without a block table; every table is given to its constructor as a
+    tuple, bytes or a bytearray."""
     kind = draw(st.sampled_from(["w1", "w2", "weight"]))
+    form = draw(st.sampled_from([tuple, bytes, bytearray]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     if kind == "weight":
         m = draw(st.integers(1, 6))
-        table = BooleanTable(m, tuple(rng.randrange(2) for _ in range(1 << m)))
-        block = draw(st.sampled_from([None, tuple(rng.randrange(2) for _ in range(1 << m))]))
+        table = BooleanTable(m, form(rng.randrange(2) for _ in range(1 << m)))
+        block = draw(st.sampled_from([None, form(rng.randrange(2) for _ in range(1 << m))]))
         block_table = None if block is None else BooleanTable(m, block)
         spec = build_weight_summand(m, P, block_table)
         return kind, spec, table
@@ -311,14 +317,30 @@ def small_specs(draw):
         clauses.append(tuple(-v for v in chosen) if tag is ClassTag.G12N else tuple(chosen))
     formula = WeightedFormula(n, tuple(clauses), tag, 1)
     assume(formula.m <= max_m)
-    spec, table = random_spec(formula, L, rng)
+    spec, table = random_spec(formula, L, rng, form)
     return kind, spec, table
+
+
+def assert_plan_reads_tables_in_place(spec, table):
+    """Every table is bytes, and ``compile_plan`` holds them without a copy:
+    a weight statement's head holds A's and B's bytes, and every tail of a
+    g12n statement holds A's as its literal factor."""
+    assert type(table.values) is bytes
+    plan = compile_plan(spec, table)
+    if spec.formula is None:
+        tables = [table] + ([spec.block] if spec.block is not None else [])
+        assert all(type(t.values) is bytes for t in tables)
+        assert all(h is t.values for h, t in zip(plan.head_tables, tables, strict=True))
+    elif spec.formula.class_tag is ClassTag.G12N:
+        tails = plan.build_tails((0,) * spec.formula.m)
+        assert all(factor is table.values for _, factor in tails)
 
 
 @given(small_specs(), st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
 def test_table_prover_round_poly_matches_honest_round_poly(case, seed):
     _, spec, table = case
+    assert_plan_reads_tables_in_place(spec, table)
     rng = random.Random(seed)
     prover = TableCommittedProver(table)
     prover.begin_sumcheck(spec, 0)
@@ -332,6 +354,36 @@ def test_table_prover_round_poly_matches_honest_round_poly(case, seed):
         assert all(type(c) is int and 0 <= c < P for c in poly)
         assert list(poly) == [c.value for c in reference.coeffs]
         challenges += (rng.randrange(P),)
+
+
+# (tag, L, m) of clause statements of at most 8 sum-check variables over
+# n = 2^m variables, and (None, with a block, m) of weight statements
+BYTES_BACKED = {
+    "w1": (ClassTag.G12N, 2, 2),
+    "w2_L2": (ClassTag.G21P, 2, 2),
+    "w2_L3": (ClassTag.G21P, 3, 2),
+    "w2_L4": (ClassTag.G21P, 4, 1),
+    "w2_L5": (ClassTag.G21P, 5, 1),
+    "weight": (None, False, 4),
+    "weight_block": (None, True, 4),
+}
+
+
+@pytest.mark.parametrize("shape", BYTES_BACKED)
+def test_bytes_backed_tables_fold_to_honest_round_poly(shape):
+    # tables built from bytes: the plan holds them in place and the fold
+    # matches the reference in every round, W2 at every L up to 5 included
+    tag, arg, m = BYTES_BACKED[shape]
+    rng = random.Random(shape)
+    for trial in range(3):
+        if tag is None:
+            block = BooleanTable(m, bytes(rng.randrange(2) for _ in range(1 << m))) if arg else None
+            spec = build_weight_summand(m, P, block)
+            table = BooleanTable(m, bytes(rng.randrange(2) for _ in range(1 << m)))
+        else:
+            spec, table = random_spec(shaped_formula(rng, tag, arg, 1 << m, m), arg, rng, bytes)
+        assert_plan_reads_tables_in_place(spec, table)
+        assert_rounds_match_honest(spec, table, trial)
 
 
 # ---------------------------------------------------------------------------
