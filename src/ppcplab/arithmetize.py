@@ -392,8 +392,10 @@ def compile_plan(spec: SummandSpec, table: BooleanTable) -> ProductPlan:
     """The honest prover's ProductPlan for ``spec`` over its committed
     assignment table.  A clause statement's head holds, per position, the
     literal factor F(A) at each clause's variable code beside the declared
-    clause-weight tensor (at L >= 3 a block the folder sums as products of
-    coefficient lists).  Tail i, built once the head is bound at z*,
+    clause-weight tensor: one ``bytes`` column of 0s and 1s per position,
+    zero at the dummy clause codes, which with at most 256 variables is one
+    ``translate`` of the position's codes through F(A)'s first 256 entries
+    and otherwise a gather.  Tail i, built once the head is bound at z*,
     scatters the eq tensor of z* into per-code sums, reduced once, beside
     F."""
     p = spec.p
@@ -422,8 +424,15 @@ def compile_plan(spec: SummandSpec, table: BooleanTable) -> ProductPlan:
     values = table.values
     factor = values if formula.class_tag is ClassTag.G12N else values.translate(_COMPLEMENT)
     codes = spec.codes
-    dummies = [0] * (size - formula.num_clauses)
-    head = [tuple([factor[vc] for vc in codes_i] + dummies) for codes_i in codes]
+    dummies = bytes(size - formula.num_clauses)
+    if formula.num_vars <= 256:
+        # every code fits a byte: one translation per column through F(A)'s
+        # first 256 entries, padded to a translation table's 256 (no code
+        # reads the pad)
+        lookup = factor[:256].ljust(256, b"\0")
+        head = [bytes(codes_i).translate(lookup) + dummies for codes_i in codes]
+    else:
+        head = [bytes([factor[vc] for vc in codes_i]) + dummies for codes_i in codes]
     # past every variable code and every true code of the table, each
     # tail's clause factor is 0 and its literal factor F(0) is constant
     window = code_window(max(formula.num_vars - 1, table.top_code()))

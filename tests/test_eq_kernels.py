@@ -23,9 +23,15 @@ coefficient lists, are checked against direct cube sums of the tables'
 multilinear extensions.  The compiled plans' head proxies are checked
 against their tails' cube sums, the contract the folder takes the tail sums
 from.  Tables built from bytes fold to the reference too, and the compiled
-plans hold their bytes without a copy.
+plans hold their bytes without a copy.  Blocks of 0/1 bytes tables, whose
+first round and first bind the folder takes by byte lanes, are checked
+against the same tables as lists (the dense round and bind) and round 1's
+definition, at sizes and table counts on both sides of the selection rule;
+W2 head columns against the clauses on both sides of the 256-variable
+boundary where their build turns from one translate into a gather.
 """
 
+import dataclasses
 import math
 import random
 
@@ -44,7 +50,15 @@ from ppcplab.arithmetize import (
     compile_plan,
 )
 from ppcplab.formula import ClassTag, WeightedFormula, derived_m
-from ppcplab.sumcheck import _SPARSE_MIN, PlanFolder, TableCommittedProver, honest_round_poly
+from ppcplab.sumcheck import (
+    _LANE_MAX_TABLES,
+    _LANE_MIN,
+    _LANE_MIN_MANY,
+    _SPARSE_MIN,
+    PlanFolder,
+    TableCommittedProver,
+    honest_round_poly,
+)
 
 P = 1009
 
@@ -969,3 +983,239 @@ def test_w2_statement_rounds_match_honest_round_poly_at_long_padded_lengths(L, m
         spec = build_w2_summand(formula, P, random_weights(rng, m), L)
         assert len(compile_plan(spec, table).head_tables) == L
         assert_every_round_matches(spec, table, rng)
+
+
+# ---------------------------------------------------------------------------
+# Lane blocks: whole-cube blocks of 0/1 bytes tables, first round and first
+# bind by byte lanes
+# ---------------------------------------------------------------------------
+
+
+def expected_lanes(tables):
+    """Whether the folder takes a whole-cube block's first round and bind by
+    byte lanes: two to ``_LANE_MAX_TABLES`` tables, each exactly bytes of 0s
+    and 1s, at least ``_LANE_MIN`` entries for two tables and
+    ``_LANE_MIN_MANY`` for more, unless the sparse phase takes the block."""
+    size = len(tables[0])
+    return (
+        2 <= len(tables) <= _LANE_MAX_TABLES
+        and size >= (_LANE_MIN if len(tables) == 2 else _LANE_MIN_MANY)
+        and all(type(t) is bytes and set(t) <= {0, 1} for t in tables)
+        and not expected_phases(tables)[0]
+    )
+
+
+def tensor_entry(weights, code):
+    """Entry ``code`` of the tensor of (1, r_j) over ``weights``, MSB first."""
+    bits = code_bits(code, len(weights)) if weights else ()
+    return math.prod(r for r, bit in zip(weights, bits) if bit) % P
+
+
+def first_round_values(tables, weights, degree):
+    """Round 1 of a head at t = 0..degree, from the definition: the sum over
+    j < half of w_1(t) w[j] prod_i (lo_i[j] + t (hi_i[j] - lo_i[j])), where
+    w_1(t) = 1 - t + r_1 t and w[j] is the tensor of r_2.. at j (both 1 for
+    an unweighted block)."""
+    half = len(tables[0]) // 2
+    rest = weights[1:] if weights else ()
+    values = []
+    for t in range(degree + 1):
+        total = sum(
+            tensor_entry(rest, j) * math.prod(tb[j] + t * (tb[j + half] - tb[j]) for tb in tables)
+            for j in range(half)
+        )
+        scale = 1 - t + weights[0] * t if weights else 1
+        values.append(total * scale % P)
+    return values
+
+
+def assert_lanes_match_dense(tables, weights, seed, rounds=2):
+    """The block as bytes and as lists (which always fold densely: the dense
+    round and the comprehension bind): equal round polynomials at its own
+    degree and one more, bound tables equal entry by entry after the first
+    bind, and round 1 equal to its definition."""
+    block_vars = len(tables[0]).bit_length() - 1
+    k = len(tables)
+    plan = ProductPlan(P, block_vars, tables, k, head_weights=weights)
+    dense = ProductPlan(P, block_vars, tuple(list(t) for t in tables), k, head_weights=weights)
+    a, b = PlanFolder(plan), PlanFolder(dense)
+    assert a._lanes == expected_lanes(tables) and not b._lanes
+    degree = k + (weights is not None)
+    assert values_at(a.round_values(degree), degree) == first_round_values(tables, weights, degree)
+    rng = random.Random(seed)
+    challenges = ()
+    for i in range(min(rounds, block_vars)):
+        a.sync(challenges)
+        b.sync(challenges)
+        for d in (degree, degree + 1):
+            assert a.round_values(d) == b.round_values(d), i
+        challenges += (rng.randrange(P),)
+    a.sync(challenges)
+    b.sync(challenges)
+    assert not a._lanes and a._tables == b._tables
+
+
+@given(
+    st.sampled_from([1, 2, 3, 4, 5, 6, 15]),
+    st.integers(1, 11),
+    st.sampled_from([0.0, 0.03, 0.5, 0.97, 1.0]),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=120, deadline=None)
+def test_lane_first_round_and_bind_match_the_dense_fold(k, block_vars, ones, weighted, seed):
+    # sizes 2..2^11 on both sides of both minimums, tables all 0, all 1 and
+    # in between, each entry 1 with probability ``ones``
+    rng = random.Random(seed)
+    size = 1 << block_vars
+    tables = tuple(bytes(int(rng.random() < ones) for _ in range(size)) for _ in range(k))
+    weights = tuple(rng.randrange(P) for _ in range(block_vars)) if weighted else None
+    assert_lanes_match_dense(tables, weights, seed)
+
+
+def random_bytes_tables(rng, k, size):
+    return tuple(bytes(rng.randrange(2) for _ in range(size)) for _ in range(k))
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_lane_blocks_of_constant_tables_match_the_dense_fold(weighted):
+    # all zeros (every entry dead), all ones (every table at (1, 1)), and one
+    # live pair: a single entry j where every table is at (1, 0), or (0, 1)
+    rng = random.Random(weighted)
+    for k, block_vars in [(2, 8), (3, 5), (5, 9), (15, 6)]:
+        size = 1 << block_vars
+        half = size // 2
+        weights = tuple(rng.randrange(1, P) for _ in range(block_vars)) if weighted else None
+        j = rng.randrange(half)
+        for pattern in (bytes(size), b"\x01" * size):
+            tables = (pattern,) * k
+            assert expected_lanes(tables) == (k > 2 or pattern != bytes(size))
+            assert_lanes_match_dense(tables, weights, j)
+        for at in (j, j + half):
+            pair = bytearray(size)
+            pair[at] = 1
+            tables = (bytes(pair),) * k
+            assert_lanes_match_dense(tables, weights, j)
+
+
+def test_sixteen_tables_and_tables_that_are_not_0_1_bytes_fold_densely():
+    rng = random.Random(16)
+    tables = random_bytes_tables(rng, 16, 64)
+    assert not PlanFolder(ProductPlan(P, 6, tables, 16))._lanes
+    assert_lanes_match_dense(tables, None, 1)
+    assert PlanFolder(ProductPlan(P, 6, tables[:15], 15))._lanes
+    # a hand-built plan may hold any residues in its bytes: a 2 keeps the
+    # block dense, and so does a bytearray or a tuple of 0s and 1s
+    tables = random_bytes_tables(rng, 3, 64)
+    two = bytearray(tables[1])
+    two[5] = 2
+    for other in (bytes(two), bytearray(tables[1]), tuple(tables[1])):
+        block = (tables[0], other, tables[2])
+        assert not PlanFolder(ProductPlan(P, 6, block, 3))._lanes
+        assert_lanes_match_dense(block, None, 2)
+
+
+@pytest.mark.parametrize("m", [8, 9])
+def test_lane_weight_statement_rounds_match_honest_round_poly(m):
+    # A and a block table true at the top code make a whole-cube block of
+    # two bytes tables; at half ones it is too dense for the sparse phase,
+    # so from 2^8 entries its first round is a lane round
+    rng = random.Random(m)
+    size = 1 << m
+    for _ in range(2):
+        table, block = (few_ones(rng, size, size // 2, top=True) for _ in range(2))
+        spec = build_weight_summand(m, P, block)
+        plan = compile_plan(spec, table)
+        assert plan.window == size and PlanFolder(plan)._lanes
+        assert_rounds_match_honest(spec, table, rng.randrange(2**32))
+
+
+def head_round_reference(formula, L, table, weights, prefix, degree):
+    """A clause statement's head round after ``prefix`` at t = 0..degree,
+    from the formula's clauses: at a head point z, each position's summed
+    tail, sum over boolean x of C_i(z, x) F(A(x)), is sum_c chi_c(z)
+    F(A(v_i(c))), so the round sums w(z) times the product of those over
+    the boolean suffixes of z.  That is the partial sum honest_round_poly
+    takes, with each tail summed out by the clauses."""
+    m = formula.m
+    literal = [1 - v for v in table.values]
+    free = m - len(prefix) - 1
+    values = []
+    for t in range(degree + 1):
+        total = 0
+        for s in range(1 << free):
+            z = (*prefix, t, *code_bits(s, free))
+            eq = _tensor([((1 - x) % P, x % P) for x in z], P)
+            w = math.prod(1 - zj + r * zj for zj, r in zip(z, weights))
+            for position in range(1, L + 1):
+                w *= sum(eq[c] * literal[var_code(cl, position)] for c, cl in enumerate(formula.clauses))
+            total += w
+        values.append(total % P)
+    return values
+
+
+@pytest.mark.parametrize("n", [256, 257], ids=["translate", "gather"])
+def test_w2_head_columns_at_the_byte_boundary(n):
+    # n = 256 builds each head column by one translate, n = 257 by a
+    # gather; both are exact bytes of the whole cube and fold to the
+    # reference: head rounds 1 and 2 (the lane round and the first dense
+    # one) against the clause-by-clause partial sums, every round against
+    # the same plan over tuple columns, and the last rounds against
+    # honest_round_poly, which is too slow for the head at (L + 1) m >= 27
+    rng = random.Random(n)
+    L, m = 3, 9
+    formula = shaped_formula(rng, ClassTag.G21P, L, n, m)
+    table = BooleanTable.from_assignment(rng.sample(range(1, n + 1), 40), m)
+    weights = random_weights(rng, m)
+    spec = build_w2_summand(formula, P, weights, L)
+    plan = compile_plan(spec, table)
+    for codes_i, column in zip(spec.codes, plan.head_tables, strict=True):
+        assert type(column) is bytes and len(column) == 1 << m
+        expected = [1 - table.values[c] for c in codes_i]
+        assert list(column) == expected + [0] * ((1 << m) - len(codes_i))
+    folder = PlanFolder(plan)
+    assert folder._lanes
+    as_tuples = dataclasses.replace(plan, head_tables=tuple(map(tuple, plan.head_tables)))
+    dense = PlanFolder(as_tuples)
+    assert not dense._lanes
+    oracle = table_oracle(table)
+    challenges = ()
+    for i in range(1, spec.num_vars + 1):
+        d = spec.degree_bounds[i - 1]
+        folder.sync(challenges)
+        dense.sync(challenges)
+        values = folder.round_values(d)
+        assert values == dense.round_values(d), i
+        if i <= 2:
+            assert values_at(values, d) == head_round_reference(
+                formula, L, table, weights, challenges, d
+            ), i
+        if i > spec.num_vars - 3:
+            reference = honest_round_poly(spec, oracle, challenges, i).padded(d)
+            assert values == [c.value for c in reference.coeffs], i
+        challenges += (rng.randrange(P),)
+
+
+def test_a_sparse_w1_head_of_bytes_columns_takes_the_sparse_phase():
+    # 255 clauses at m = 8 over 100 variables, 3 of them true: each bytes
+    # column is nonzero only at the clauses touching a true variable, at
+    # least 15/16 zeros, so the head folds over its nonzero entries first
+    rng = random.Random(8)
+    n, m = 100, 8
+    clauses = tuple(tuple(-v for v in rng.sample(range(1, n + 1), 2)) for _ in range(255))
+    formula = WeightedFormula(n, clauses, ClassTag.G12N, 3, m)
+    table = BooleanTable.from_assignment(rng.sample(range(1, n + 1), 3), m)
+    spec = build_w1_summand(formula, P, random_weights(rng, m))
+    plan = compile_plan(spec, table)
+    assert all(type(t) is bytes for t in plan.head_tables)
+    phases = expected_phases(plan.head_tables)
+    assert phases[0]
+    as_tuples = dataclasses.replace(plan, head_tables=tuple(map(tuple, plan.head_tables)))
+    a, b = PlanFolder(plan), PlanFolder(as_tuples)
+    challenges = ()
+    for i in range(m):
+        a.sync(challenges)
+        b.sync(challenges)
+        assert a._sparse == b._sparse == phases[i] and not a._lanes, i
+        assert a.round_values(3) == b.round_values(3), i
+        challenges += (rng.randrange(P),)

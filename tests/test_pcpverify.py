@@ -16,6 +16,8 @@ from ppcplab.formula import (
 from ppcplab.pcpverify import (
     VerifierConfig,
     multilinearity_test,
+    protocol_parameters,
+    protocol_random_bits,
     resource_report,
     soundness_experiment,
     verify_w1,
@@ -141,6 +143,20 @@ class TestMeterClosedForms:
         assert verdict.meter.proof_bits == w2_proof_bits(
             params.m, params.padded_len, params.reps, params.prime
         )
+
+    def test_the_multilinearity_test_draws_88_to_96_percent_of_the_random_bits(self):
+        # the README's figure: at L = 2, the default 5m repetitions and the
+        # prime protocol_parameters selects, the repetitions' share of
+        # protocol_random_bits (the total less the total at 0 repetitions)
+        shares = []
+        for m in range(4, 21):
+            f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 1, m)
+            params = protocol_parameters(f)
+            total = protocol_random_bits(m, 2, params.reps, params.prime)
+            rest = protocol_random_bits(m, 2, 0, params.prime)
+            shares.append((total - rest) / total)
+        assert shares == sorted(shares)
+        assert round(100 * shares[0]) == 88 and round(100 * shares[-1]) == 96
 
     def test_round_counts(self):
         f = parse_pwsat(YES_TEXT)
