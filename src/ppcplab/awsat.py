@@ -28,6 +28,7 @@ from .formula import (
     Assignment,
     AwsatInstance,
     GuardError,
+    guard_alternation_tree,
     satisfies,
     simplify,
 )
@@ -135,11 +136,7 @@ def honest_branch_tables(instance: AwsatInstance) -> Optional[BranchProofTables]
     The recursion mirrors the quantifier game; a winning existential choice is
     recorded under its universal prefix, so later branches that share the
     prefix reuse the same choice."""
-    total = 1
-    for block, kw in zip(instance.blocks, instance.block_weights):
-        total *= math.comb(len(block), kw)
-        if total > 10**7:
-            raise GuardError("witness search tree exceeds 10^7 branches")
+    guard_alternation_tree(instance)
     blocks = instance.blocks
     weights = instance.block_weights
     l = instance.l

@@ -156,10 +156,6 @@ class Assignment:
         return len(self.true_set)
 
 
-def weight(assignment: Assignment) -> int:
-    return assignment.weight
-
-
 def eval_clause(formula: WeightedFormula, clause_index: int, assignment: Assignment) -> bool:
     """True iff some literal of the clause holds under the assignment."""
     if not 0 <= clause_index < formula.num_clauses:
@@ -272,14 +268,20 @@ class AwsatInstance:
         return len(self.blocks)
 
 
-def brute_force_awsat(instance: AwsatInstance) -> bool:
-    """Exhaustive evaluation of the alternating weight-constrained quantifiers."""
+def guard_alternation_tree(instance: AwsatInstance) -> None:
+    """Refuse, before any walk over the quantifier tree, an instance whose
+    tree has more than 10^7 leaves: the product of C(|block|, k) over its
+    blocks."""
     total = 1
     for block, kw in zip(instance.blocks, instance.block_weights):
         total *= math.comb(len(block), kw)
         if total > 10**7:
             raise GuardError("alternation tree exceeds 10^7 branches")
 
+
+def brute_force_awsat(instance: AwsatInstance) -> bool:
+    """Exhaustive evaluation of the alternating weight-constrained quantifiers."""
+    guard_alternation_tree(instance)
     blocks = instance.blocks
     weights = instance.block_weights
     l = instance.l

@@ -407,38 +407,28 @@ def _planted_for_m(m: int, seed: int):
 
 
 def resource_report(
-    target: Iterable[int] | WeightedFormula,
+    widths: Iterable[int],
     config: Optional[VerifierConfig] = None,
     seed: int = 0,
 ) -> list[ResourceRow]:
-    """Meter honest verifications and normalize by m * log2 m.
-
-    ``target`` is either a g12n formula (verified as given, so it must be a
-    yes-instance small enough for the brute-force witness search) or an
-    iterable of cube widths m, each verified on a planted instance sized so
-    its derived width is exactly m.
-    """
-    jobs: list[tuple[WeightedFormula, BooleanTable]] = []
-    if isinstance(target, WeightedFormula):
-        decision, witness = brute_force_wsat(target)
-        if not decision:
-            raise ValueError("resource_report needs a yes-instance for the honest run")
-        jobs.append((target, BooleanTable.from_assignment(witness.true_set, target.m)))
-    else:
-        for m in target:
-            if not 1 <= m <= 10:
-                raise GuardError(f"m={m} outside the desk-scale range 1..10")
-            formula, assignment = _planted_for_m(m, seed)
-            jobs.append((formula, BooleanTable.from_assignment(assignment.true_set, formula.m)))
+    """Meter honest verifications and normalize by m * log2 m: one row per
+    cube width m of ``widths``, verified on a planted instance sized so its
+    derived width is exactly m."""
+    widths = list(widths)
+    for m in widths:
+        if not 1 <= m <= 10:
+            raise GuardError(f"m={m} outside the desk-scale range 1..10")
     rows = []
-    for formula, table in jobs:
+    for m in widths:
+        formula, assignment = _planted_for_m(m, seed)
+        table = BooleanTable.from_assignment(assignment.true_set, m)
         params = protocol_parameters(formula, config)
-        tape = RandomTape(derive_seed(seed, formula.m))
+        tape = RandomTape(derive_seed(seed, m))
         verdict = verify_w1(formula, table_committed_prover(table), tape, config)
-        norm = max(formula.m * math.log2(formula.m), 1.0)
+        norm = max(m * math.log2(m), 1.0)
         rows.append(
             ResourceRow(
-                m=formula.m,
+                m=m,
                 prime=params.prime,
                 random_bits=verdict.meter.random_bits,
                 proof_bits=verdict.meter.proof_bits,

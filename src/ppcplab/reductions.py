@@ -15,6 +15,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 from .formula import (
     Assignment,
@@ -22,8 +23,17 @@ from .formula import (
     ClassTag,
     GuardError,
     WeightedFormula,
-    brute_force_wsat,
 )
+
+
+def _edge_problem(u: int, v: int, n: int) -> Optional[str]:
+    """What is wrong with the edge (u, v) of a graph on vertices 1..n, or
+    None: the one statement of an edge's rule, for ``Graph`` and the parser."""
+    if u == v:
+        return f"self-loop at vertex {u}"
+    if not (1 <= u <= n and 1 <= v <= n):
+        return f"edge ({u},{v}) out of range"
+    return None
 
 
 @dataclass(frozen=True)
@@ -36,15 +46,15 @@ class Graph:
             raise ValueError("a graph needs at least one vertex")
         normalized = set()
         for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"edge ({u},{v}) out of range")
+            problem = _edge_problem(u, v, self.n)
+            if problem is not None:
+                raise ValueError(problem)
             normalized.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(normalized))
 
 
 def parse_graph(text: str) -> Graph:
+    """The graph of ``text``; every record error names its line."""
     n = None
     edges = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -52,20 +62,29 @@ def parse_graph(text: str) -> Graph:
         if not line or line.startswith("c"):
             continue
         tokens = line.split()
+        if tokens[0] not in ("g", "e"):
+            raise ValueError(f"line {line_no}: unknown record {tokens[0]!r}")
+        try:
+            values = [int(t) for t in tokens[1:]]
+        except ValueError:
+            raise ValueError(f"line {line_no}: non-integer token in: {line}") from None
         if tokens[0] == "g":
             if n is not None:
                 raise ValueError(f"line {line_no}: duplicate graph header")
-            if len(tokens) != 2:
+            if len(values) != 1:
                 raise ValueError(f"line {line_no}: header must read: g <n>")
-            n = int(tokens[1])
-        elif tokens[0] == "e":
+            (n,) = values
+            if n < 1:
+                raise ValueError(f"line {line_no}: a graph needs at least one vertex")
+        else:
             if n is None:
                 raise ValueError(f"line {line_no}: edge before header")
-            if len(tokens) != 3:
+            if len(values) != 2:
                 raise ValueError(f"line {line_no}: edge must read: e <u> <v>")
-            edges.append((int(tokens[1]), int(tokens[2])))
-        else:
-            raise ValueError(f"line {line_no}: unknown record {tokens[0]!r}")
+            problem = _edge_problem(*values, n)
+            if problem is not None:
+                raise ValueError(f"line {line_no}: {problem}")
+            edges.append(tuple(values))
     if n is None:
         raise ValueError("missing graph header")
     return Graph(n, frozenset(edges))
@@ -208,12 +227,6 @@ def gen_random(
             length = rng.randint(1, top)
             clauses.append(tuple(sorted(rng.sample(range(1, n + 1), length))))
     return WeightedFormula(num_vars=n, clauses=tuple(clauses), class_tag=class_tag, k=k)
-
-
-def classify(formula: WeightedFormula) -> bool:
-    """Oracle label for a generated instance."""
-    decision, _ = brute_force_wsat(formula)
-    return decision
 
 
 def gen_random_awsat(

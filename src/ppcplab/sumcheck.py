@@ -450,7 +450,9 @@ def _entrywise_product(u: list[list[int]], v: list[list[int]]) -> list[list[int]
 
 
 class PlanFolder:
-    """Folds a ProductPlan's factor tables as challenges bind variables.
+    """Folds a ProductPlan's factor tables as challenges bind variables,
+    forward only: each ``sync`` extends the bound prefix, as the verifier's
+    challenges do, and a folder never rewinds.
 
     Every factor is multilinear in each variable of its block, so binding
     a variable at r is the exact affine map a + r * (b - a) from each lo-half
@@ -469,11 +471,12 @@ class PlanFolder:
     polynomials remain, and sums the products of their coefficient lists
     into q's k + 1 coefficients (at k = 3 the odd table enters only there).
 
-    Of a block of one or two tables the plan's window applies to, only the
-    window is held: the first W entries of every table, the constant c it
-    holds past W, and one scale g (a weight-tensor head is whole-cube, and
-    so is a windowed block of three or more tables, which no compiled plan
-    has).  While the remaining cube is larger than W, the current variable
+    Of a block of two tables the plan's window applies to, only the window
+    is held: the first W entries of each table, the constant c it holds
+    past W, and one scale g.  A weight-tensor head is whole-cube, and so is
+    a windowed block of any other table count, which no plan compiled for
+    a verifier's statement has (a weight statement with B = 1 is one
+    table).  While the remaining cube is larger than W, the current variable
     is a top code bit, so the window lies in the lo half and the hi half is
     all constants: binding maps each window entry a to a + r * (c - a), so
     every entry stands at c + g * (a - c) for the entry a it was loaded
@@ -538,11 +541,7 @@ class PlanFolder:
         # a held window's scale and sums, set here too so that every folder
         # gains its attributes in one order and they keep one shared layout
         self._scale = 1
-        self._moments: Optional[tuple[int, int, Optional[int]]] = None
-        self._reset()
-
-    def _reset(self):
-        plan = self.plan
+        self._moments: Optional[tuple[int, int, int]] = None
         self._bound: tuple[int, ...] = ()
         self._mult = 1
         self._weights = plan.head_weights  # the current block's, None past the head
@@ -550,24 +549,20 @@ class PlanFolder:
         self._stage = 0  # 0 = head block, j >= 1 = tail j-1
 
     def _load(self, tables: Sequence[Sequence[int]], window: Optional[int]) -> None:
-        """Hold, for a block of one or two tables whose window is short of
-        the cube, the first ``window`` entries of each table, the constant
-        every table holds past it and the window's sums (else the constants
-        are None); or, for a whole-cube block the sparse phase takes, each
-        table's nonzero entries; or else the tables themselves, marked as a
-        lane block if they make one.  Tables are never written to, only
-        replaced, so they are not copied."""
+        """Hold, for a block of two tables whose window is short of the
+        cube, the first ``window`` entries of each table, the constant each
+        holds past it and the window's sums (else the constants are None);
+        or, for a whole-cube block the sparse phase takes, each table's
+        nonzero entries; or else the tables themselves, marked as a lane
+        block if they make one.  Tables are never written to, only replaced,
+        so they are not copied."""
         self._size = size = len(tables[0])
         self._sparse = self._lanes = False
-        if window is not None and window < size and len(tables) <= 2:
+        if window is not None and window < size and len(tables) == 2:
             # the window at scale 1, with the sums its rounds read
             self._tables = held = [t[:window] for t in tables]
             self._consts = consts = [t[window] for t in tables]
             self._scale = 1
-            if len(held) == 1:
-                c = consts[0]
-                self._moments = (c, sum(held[0]) - window * c, None)
-                return
             (a, b), (ca, cb) = held, consts
             both = ca * cb
             e1 = cb * sum(a) + ca * sum(b) - 2 * window * both
@@ -592,11 +587,13 @@ class PlanFolder:
             self._keep_prefix()
 
     def sync(self, challenges: tuple[int, ...]) -> None:
-        """Bind the challenges past the bound prefix, after a reset if the
-        prefix itself changed."""
-        if challenges[: len(self._bound)] != self._bound:
-            self._reset()
-        for r in challenges[len(self._bound) :]:
+        """Bind the challenges past the bound prefix.  The fold binds
+        forward only: challenges that do not extend the bound prefix raise
+        ValueError, which a verifier takes as a malformed round."""
+        bound = self._bound
+        if challenges[: len(bound)] != bound:
+            raise ValueError("the challenges must extend the bound prefix")
+        for r in challenges[len(bound) :]:
             self._bind(r)
 
     def round_values(self, degree: int) -> list[int]:
@@ -621,20 +618,17 @@ class PlanFolder:
         return [c * mult % p for c in q] + [0] * (degree + 1 - len(q))
 
     def _window_coefficients(self) -> list[int]:
-        """c0, c1 (and c2, for two tables) of the current round's cube sum
-        while the window lies in the lo half.  Every entry there stands at
-        c + g (a - c) for the entry a it was loaded with, so in t the lo
-        half sums to half * prod(c) + (1 - t) g e1 + (1 - t)^2 g^2 e2: e1
-        sums the loaded deviations a - c (for two tables, each times the
-        other table's constant) and e2 the products of the two tables'
-        deviations (None for one table)."""
+        """c0, c1 and c2 of the current round's cube sum while the window
+        lies in the lo half.  Every entry there stands at c + g (a - c) for
+        the entry a it was loaded with, so in t the lo half sums to
+        half * prod(c) + (1 - t) g e1 + (1 - t)^2 g^2 e2: e1 sums each
+        table's loaded deviations a - c times the other table's constant,
+        and e2 the products of the two tables' deviations."""
         p = self._p
         g = self._scale
         c, e1, e2 = self._moments
         s1 = g * e1 % p
         base = (self._size >> 1) * c + s1
-        if e2 is None:
-            return [base % p, -s1 % p]
         s2 = g * g * e2 % p
         return [(base + s2) % p, (-s1 - 2 * s2) % p, s2]
 
@@ -735,12 +729,8 @@ class PlanFolder:
 
     def _keep_prefix(self) -> None:
         """Keep w[:half], the tensor of r_{i+1}..r_m in round i, for the
-        dense rounds from this one on, each of which reads a prefix of it; a
-        longer one kept from before a reset serves as it is."""
-        if self._prefix is None or len(self._prefix) < self._size >> 1:
-            self._prefix = _tensor(
-                [(1, r) for r in self._weights[len(self._bound) + 1 :]], self._p
-            )
+        dense rounds from this one on, each of which reads a prefix of it."""
+        self._prefix = _tensor([(1, r) for r in self._weights[len(self._bound) + 1 :]], self._p)
 
     def _product_coefficients(self) -> list[int]:
         """q's k + 1 coefficients for k >= 3 tables.  Each table is

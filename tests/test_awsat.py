@@ -18,9 +18,10 @@ from ppcplab.formula import (
     WeightedFormula,
     brute_force_awsat,
     brute_force_wsat,
+    guard_alternation_tree,
     parse_awsat,
 )
-from ppcplab.pcpverify import verify_w1
+from ppcplab.pcpverify import VerifierConfig, verify_w1
 from ppcplab.reductions import gen_random_awsat
 from ppcplab.sumcheck import (
     RandomTape,
@@ -156,6 +157,19 @@ class TestHonestTables:
         assert brute_force_wsat(f)[0]
 
 
+    def test_both_tree_walks_share_one_guard_at_10_to_the_7(self):
+        # seven blocks of ten with one true variable each: exactly 10^7
+        # leaves, at the cap; one more block of two doubles it
+        blocks = tuple(tuple(range(10 * i + 1, 10 * i + 11)) for i in range(7))
+        at_cap = AwsatInstance(WeightedFormula(70, (), ClassTag.G12N, 7), blocks, (1,) * 7)
+        guard_alternation_tree(at_cap)
+        over = AwsatInstance(
+            WeightedFormula(72, (), ClassTag.G12N, 8), blocks + ((71, 72),), (1,) * 8
+        )
+        for walk in (guard_alternation_tree, brute_force_awsat, honest_branch_tables):
+            with pytest.raises(GuardError, match=r"^alternation tree exceeds 10\^7 branches$"):
+                walk(over)
+
 class TestVerifyAwsat:
     def test_yes_instance_honest_accepts(self):
         tables = honest_branch_tables(HAND_YES)
@@ -198,6 +212,9 @@ class TestVerifyAwsat:
         verdict = verify_awsat(inst, tables, table_committed_prover, RandomTape(0))
         assert not verdict.accepted
         assert verdict.stage.endswith("simplify")
+        # rejected before any round, draw or read
+        assert verdict.stages == (StageReport("b0.simplify", 0, 0, 0, 0, False),)
+        assert verdict.rejection_round is None
 
     def test_missing_table_rejects(self):
         tables = BranchProofTables({(1, ""): BooleanTable.from_assignment({1}, HAND_YES.formula.m)})
@@ -311,6 +328,31 @@ class TestVerifyAwsat:
         assert all(v == values[0] for v in values)  # proof bits are deterministic
         assert verdict.meter.proof_bits == len(branches) * values[0]
 
+
+    @pytest.mark.parametrize("inst", [L1_YES, L3_YES], ids=["l1", "l3"])
+    def test_a_caller_config_moves_the_meters(self, inst):
+        # a config that is not the default must take effect: its repetition
+        # count sets every multilinearity stage's rounds, and its prime the
+        # bit width of every stage's proof bits
+        tables = honest_branch_tables(inst)
+
+        def run(config):
+            return verify_awsat(inst, tables, table_committed_prover, RandomTape(6), config)
+
+        default, few, big = run(None), run(VerifierConfig(ml_test_reps=3)), run(
+            VerifierConfig(explicit_prime=2**61 - 1)
+        )
+        assert default.accepted and few.accepted and big.accepted
+        m = inst.formula.m
+        for verdict, reps in [(default, 5 * m), (few, 3), (big, 5 * m)]:
+            tests = [s for s in verdict.stages if s.name.endswith("mltest")]
+            assert tests and all(s.rounds == reps for s in tests)
+        width = (awsat_parameters(inst).prime - 1).bit_length()
+        assert width < 61
+        assert [s.proof_bits // width for s in default.stages] == [
+            s.proof_bits // 61 for s in big.stages
+        ]
+        assert all(s.proof_bits % 61 == 0 for s in big.stages)
 
 class TestPrefixConsistency:
     def build_l5(self):

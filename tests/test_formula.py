@@ -22,7 +22,6 @@ from ppcplab.formula import (
     render_pwsat,
     satisfies,
     simplify,
-    weight,
 )
 from ppcplab.reductions import gen_random, gen_random_awsat
 
@@ -403,4 +402,4 @@ class TestAwsatInstanceValidation:
             AwsatInstance(f, ((1, 2),), (1,))
 
     def test_weight_fn(self):
-        assert weight(Assignment(frozenset({1, 5}))) == 2
+        assert Assignment(frozenset({1, 5})).weight == 2

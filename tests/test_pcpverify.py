@@ -166,6 +166,64 @@ class TestMeterClosedForms:
         assert rounds["weight"] == f.m
 
 
+def least_width(n):
+    """The least B with 2^B >= n, counted up from 0: the bits of one draw
+    from, or one residue of, n values."""
+    b = 0
+    while 1 << b < n:
+        b += 1
+    return b
+
+
+class OverheadRecordingTape(RandomTape):
+    """A tape that notes, after every draw, its overhead by the bits drawn
+    so far, so that a stage's overhead is read off at the stage's ends."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.overhead_at = {0: 0}
+
+    def draw_int(self, n):
+        v = super().draw_int(n)
+        self.overhead_at[self.bits_drawn] = self.overhead_bits
+        return v
+
+    def draw_line(self, m, p):
+        line = super().draw_line(m, p)
+        self.overhead_at[self.bits_drawn] = self.overhead_bits
+        return line
+
+
+class TestStageBitWidths:
+    # primes next to a power of two, where a width off by one from p - 1's
+    # shows: 17 = 2^4 + 1, 31 = 2^5 - 1, 127 = 2^7 - 1 and 257 = 2^8 + 1
+    @pytest.mark.parametrize("prime", [17, 31, 127, 257])
+    def test_every_stage_meters_the_least_width_that_holds_p(self, prime):
+        f = parse_pwsat(YES_TEXT)
+        m, L, B = f.m, 2, least_width(prime)
+        reps = 5 * m
+        tape = OverheadRecordingTape(prime)
+        verdict = verify_w1(f, honest_prover_for(f), tape, VerifierConfig(explicit_prime=prime))
+        assert verdict.accepted
+        # (random bits net of overhead, proof bits) per stage: an axis and
+        # m + 3 residues a repetition and three reads; m clause weights, one
+        # residue a round, L + 2 coefficients a clause-code round, 3 a
+        # variable-code round and L reads; one residue and 3 coefficients a
+        # round and one read
+        expected = {
+            "mltest": (reps * (least_width(m) + (m + 3) * B), 3 * reps * B),
+            "main": ((m + (L + 1) * m) * B, ((L + 2) * m + 3 * L * m + L) * B),
+            "weight": (m * B, (3 * m + 1) * B),
+        }
+        drawn = 0
+        for stage in verdict.stages:
+            start, drawn = drawn, drawn + stage.random_bits
+            overhead = tape.overhead_at[drawn] - tape.overhead_at[start]
+            assert (stage.random_bits - overhead, stage.proof_bits) == expected[stage.name]
+        assert [s.name for s in verdict.stages] == list(expected)
+        assert drawn == tape.bits_drawn
+
+
 class TestMultilinearityTest:
     def run_oracle(self, oracle, m, reps, seed, prime=1009):
         tape = RandomTape(seed)
@@ -330,16 +388,6 @@ class TestResourceReport:
         with pytest.raises(Exception):
             resource_report([11])
 
-    def test_formula_target(self):
-        f = parse_pwsat(YES_TEXT)
-        row = resource_report(f)[0]
-        assert row.m == f.m
-
-    def test_formula_target_requires_yes_instance(self):
-        f = parse_pwsat(NO_TEXT)
-        with pytest.raises(ValueError):
-            resource_report(f)
-
 
 class TestSoundnessExperiment:
     def test_refuses_yes_instance(self):
@@ -405,6 +453,16 @@ class TestVerifierConfig:
         cfg = VerifierConfig(explicit_prime=5)
         verdict = verify_w1(f, honest_prover_for(f), RandomTape(1), cfg)
         assert verdict.accepted
+
+    def test_the_cap_prime_itself_is_accepted(self):
+        cap = 2**61 - 1
+        f = parse_pwsat(YES_TEXT)
+        cfg = VerifierConfig(explicit_prime=cap)
+        assert w1_parameters(f, cfg).prime == cap
+        assert awsat_parameters(AWSAT_L3, cfg).prime == cap
+        verdict = verify_w1(f, honest_prover_for(f), RandomTape(3), cfg)
+        assert verdict.accepted
+        assert verdict.meter.proof_bits == w1_proof_bits(f.m, 5 * f.m, cap)
 
     @pytest.mark.parametrize("prime, problem", [(161, "not prime"), (2**89 - 1, "cap")], ids=["composite", "above_cap"])
     def test_prime_override_must_be_a_prime_below_the_cap(self, prime, problem):

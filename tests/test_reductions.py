@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from ppcplab.formula import ClassTag, GuardError, brute_force_wsat
+from ppcplab.formula import Assignment, ClassTag, GuardError, brute_force_wsat, eval_clause
 from ppcplab.reductions import (
     Graph,
-    classify,
     gen_planted_yes,
     gen_planted_yes_with_witness,
     gen_random,
@@ -50,6 +49,25 @@ class TestGraph:
             parse_graph("g 3\nx 1 2\n")
         with pytest.raises(ValueError):
             parse_graph("")
+
+    @pytest.mark.parametrize(
+        "text, line, problem",
+        [
+            ("g four\n", 1, "non-integer token"),
+            ("g 3\ne 1 x\n", 2, "non-integer token"),
+            ("c a comment\ng 3\ne 1 2\ne 2.5 3\n", 4, "non-integer token"),
+            ("g 3\ne 2 2\n", 2, "self-loop at vertex 2"),
+            ("g 3\ne 1 2\ne 1 4\n", 3, r"edge \(1,4\) out of range"),
+            ("g 3\n\ne 0 1\n", 3, r"edge \(0,1\) out of range"),
+            ("g 0\n", 1, "at least one vertex"),
+            ("g 3\ng 3\n", 2, "duplicate graph header"),
+            ("g 3\ne 1\n", 2, "edge must read"),
+            ("e 1 2\n", 1, "edge before header"),
+        ],
+    )
+    def test_every_bad_record_names_its_line(self, text, line, problem):
+        with pytest.raises(ValueError, match=rf"^line {line}: .*{problem}"):
+            parse_graph(text)
 
 
 class TestReduction:
@@ -196,18 +214,28 @@ class TestPlantedGenerator:
 
 class TestRandomGenerator:
     def test_label_matches_oracle(self):
-        f = gen_random(3, 3, 1, 7, ClassTag.G12N)
-        assert classify(f) == brute_force_wsat(f)[0]
+        # the label, brute_force_wsat's decision, against a second oracle:
+        # every weight-k set, its clauses checked one by one
+        labels = set()
+        for seed in range(8):
+            f = gen_random(5, 4, 2, seed, ClassTag.G12N if seed % 2 else ClassTag.G21P)
+            direct = any(
+                all(eval_clause(f, c, Assignment(frozenset(s))) for c in range(f.num_clauses))
+                for s in itertools.combinations(range(1, 6), 2)
+            )
+            assert brute_force_wsat(f)[0] == direct, seed
+            labels.add(direct)
+        assert labels == {False, True}
 
     def test_zero_clauses_always_yes(self):
         for k in range(4):
             f = gen_random(4, 0, k, 1, ClassTag.G12N)
-            assert classify(f)
+            assert brute_force_wsat(f)[0]
 
     def test_g21p_k0_yes_iff_no_clauses(self):
-        assert classify(gen_random(3, 0, 0, 2, ClassTag.G21P))
+        assert brute_force_wsat(gen_random(3, 0, 0, 2, ClassTag.G21P))[0]
         f = gen_random(3, 2, 0, 2, ClassTag.G21P)
-        assert not classify(f)
+        assert not brute_force_wsat(f)[0]
 
     def test_determinism(self):
         a = gen_random(6, 5, 2, 11, ClassTag.G21P)

@@ -358,7 +358,7 @@ class TestPlanFolderMatchesGenericProver:
         spec = build_weight_summand(2, 109, block)
         self.check_spec(spec, table, 31)
 
-    def test_folder_restarts_on_prefix_change(self):
+    def test_folder_refuses_a_diverging_prefix(self):
         f = WeightedFormula(2, ((-1, -2),), ClassTag.G12N, 1)
         tape = RandomTape(4)
         table = BooleanTable.from_assignment({1}, f.m)
@@ -366,9 +366,33 @@ class TestPlanFolderMatchesGenericProver:
         folder = PlanFolder(compile_plan(spec, table))
         folder.sync((3, 7))
         v1 = folder.round_values(spec.degree_bounds[2])
-        folder.sync((3, 8))  # diverging prefix forces a rebuild
+        for diverging in [(3, 8), (3,), ()]:
+            with pytest.raises(ValueError):
+                folder.sync(diverging)
+        # a refused sync binds nothing
         folder.sync((3, 7))
         assert folder.round_values(spec.degree_bounds[2]) == v1
+
+    def test_a_prover_that_rewinds_its_folder_is_rejected_at_that_round(self):
+        # before answering round `at`, the prover asks its folder for round 1
+        # again; the fold binds forward only, so that round is malformed
+        f = WeightedFormula(3, ((-1, -2), (-2, -3), (-1,)), ClassTag.G12N, 1)
+        table = BooleanTable.from_assignment({2}, f.m)
+        spec = build_w1_summand(f, 109, draw_weights(RandomTape(17), f.m))
+
+        class Rewinding(TableCommittedProver):
+            def round_poly(self, i, challenges, claim):
+                if i == at:
+                    super().round_poly(1, (), claim)
+                return super().round_poly(i, challenges, claim)
+
+        honest = run_sumcheck(spec, 0, TableCommittedProver(table), RandomTape(5), ResourceMeter())
+        assert honest.verdict.accepted
+        for at in range(3, spec.num_vars + 1):
+            run = run_sumcheck(spec, 0, Rewinding(table), RandomTape(5), ResourceMeter())
+            assert not run.verdict.accepted
+            assert run.verdict.rejection_round == at
+            assert run.transcripts == honest.transcripts[: at - 1]
 
 
 class TestAdaptiveCheater:
