@@ -90,17 +90,15 @@ def enumerate_universal(instance: AwsatInstance) -> list[UniversalBranch]:
     lexicographic order.  With no even blocks there is exactly one empty
     branch."""
     universal_branch_count(instance)
-    even = [
-        (i + 1, instance.blocks[i], instance.block_weights[i])
-        for i in range(instance.l)
-        if (i + 1) % 2 == 0
+    indices = tuple(range(2, instance.l + 1, 2))
+    pools = [
+        itertools.combinations(block, kw)
+        for block, kw in zip(instance.blocks[1::2], instance.block_weights[1::2])
     ]
-    indices = tuple(bi for bi, _, _ in even)
-    pools = [list(itertools.combinations(block, kw)) for _, block, kw in even]
-    branches = []
-    for combo in itertools.product(*pools):
-        branches.append(UniversalBranch(indices, tuple(frozenset(c) for c in combo)))
-    return branches
+    return [
+        UniversalBranch(indices, tuple(frozenset(c) for c in combo))
+        for combo in itertools.product(*pools)
+    ]
 
 
 @dataclass
@@ -117,14 +115,11 @@ class BranchProofTables:
         None when some odd block has no table for the branch's prefix."""
         m = instance.formula.m
         values = bytearray(1 << m)
-        for i in range(instance.l):
-            block_j = i + 1
-            if block_j % 2 == 0:
-                continue
+        for block_j, block in zip(itertools.count(1, 2), instance.blocks[::2]):
             table = self.tables.get((block_j, branch.prefix_key(block_j)))
             if table is None:
                 return None
-            for v in instance.blocks[i]:
+            for v in block:
                 values[v - 1] = table.values[v - 1]
         return BooleanTable(m, values)
 
@@ -299,9 +294,8 @@ def verify_awsat(
     m = instance.formula.m
     params = awsat_parameters(instance, cfg)
     weight_checks = [
-        (f"weight{i + 1}", kw, BooleanTable.from_true_codes([v - 1 for v in block], m))
-        for i, (block, kw) in enumerate(zip(instance.blocks, instance.block_weights))
-        if i % 2 == 0
+        (f"weight{j}", kw, BooleanTable.from_assignment(block, m))
+        for j, block, kw in zip(itertools.count(1, 2), instance.blocks[::2], instance.block_weights[::2])
     ]
     for idx, branch in enumerate(branches):
         prefix = f"b{idx}."

@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from .arithmetize import BooleanTable
-from .awsat import awsat_parameters, honest_branch_tables, verify_awsat
+from .awsat import awsat_parameters, honest_branch_tables, pad_to_odd, verify_awsat
 from .formula import (
     ClassTag,
     brute_force_awsat,
@@ -78,6 +78,13 @@ def _load_table_file(path: str, m: int) -> BooleanTable:
     return BooleanTable.from_assignment(set(true_vars), m)
 
 
+def _int_list(flag: str, text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
+
+
 def cmd_verify(args) -> int:
     text = Path(args.path).read_text()
     config = VerifierConfig(epsilon=args.epsilon, explicit_prime=args.prime)
@@ -86,6 +93,7 @@ def cmd_verify(args) -> int:
         instance = parse_awsat(text)
         if args.prover != "honest":
             raise ValueError("alternating instances support only the honest prover")
+        instance = pad_to_odd(instance) if instance.l % 2 == 0 else instance
         tables = honest_branch_tables(instance)
         if tables is None:
             print("error: no satisfying table family exists (no-instance)", file=sys.stderr)
@@ -197,8 +205,8 @@ def cmd_gen(args) -> int:
         )
         sys.stdout.write(render_pwsat(formula))
     else:
-        sizes = tuple(int(t) for t in args.block_sizes.split(","))
-        weights = tuple(int(t) for t in args.block_weights.split(","))
+        sizes = _int_list("--block-sizes", args.block_sizes)
+        weights = _int_list("--block-weights", args.block_weights)
         instance = gen_random_awsat(args.n, sizes, weights, args.clauses, args.seed)
         sys.stdout.write(render_awsat(instance))
     return 0

@@ -407,10 +407,9 @@ def render_pwsat(formula: WeightedFormula) -> str:
 
 
 def render_awsat(instance: AwsatInstance) -> str:
-    f = instance.formula
-    lines = [f"p pwsat {f.class_tag.value} {f.num_vars} {f.num_clauses} {f.k}"]
-    for i, (block, kw) in enumerate(zip(instance.blocks, instance.block_weights), start=1):
-        lines.append(f"b {i} {kw} " + " ".join(str(v) for v in block) + " 0")
-    for cl in f.clauses:
-        lines.append(" ".join(str(lit) for lit in cl) + " 0")
-    return "\n".join(lines) + "\n"
+    header, clauses = render_pwsat(instance.formula).split("\n", 1)
+    blocks = "".join(
+        f"b {i} {kw} " + " ".join(str(v) for v in block) + " 0\n"
+        for i, (block, kw) in enumerate(zip(instance.blocks, instance.block_weights), start=1)
+    )
+    return f"{header}\n{blocks}{clauses}"

@@ -399,11 +399,9 @@ class ResourceRow:
 
 
 def _planted_for_m(m: int, seed: int):
-    n = 1 << m
+    # 2^(m-1) clauses always fit: C(2^m, 2) - C(k, 2) >= 2^(m-1) for every m >= 1
     k = 1 if m == 1 else 2
-    legal = math.comb(n, 2) - math.comb(k, 2)
-    ncl = min(1 << (m - 1), legal)
-    return gen_planted_yes_with_witness(n, k, ncl, derive_seed(seed, 7700 + m))
+    return gen_planted_yes_with_witness(1 << m, k, 1 << (m - 1), derive_seed(seed, 7700 + m))
 
 
 def resource_report(

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ppcplab.arithmetize import BooleanTable
 from ppcplab import awsat
@@ -116,6 +119,57 @@ class TestUniversalBranchCount:
         assert verify_awsat(HAND_YES, tables, table_committed_prover, RandomTape(3)).accepted
         assert calls == [HAND_YES]
         assert awsat_parameters(HAND_YES).branches == 2 and calls == [HAND_YES]
+
+
+@st.composite
+def alternating_instances(draw):
+    """A random alternating instance: l = 1..6 blocks of 0..4 variables,
+    each weight 0..size, an even l padded to odd."""
+    sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    weights = [draw(st.integers(0, size)) for size in sizes]
+    n = sum(sizes)
+    assume(n >= 1)
+    clauses = draw(st.integers(0, 3)) if n >= 2 else 0
+    inst = gen_random_awsat(n, tuple(sizes), tuple(weights), clauses, draw(st.integers(0, 2**16)))
+    return pad_to_odd(inst) if inst.l % 2 == 0 else inst
+
+
+class TestBlockWalk:
+    """The walks over the universal and the existential blocks, against
+    statements of them that visit every block in turn."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(alternating_instances(), st.integers(0, 2**16))
+    def test_enumeration_merge_and_weight_stages(self, inst, seed):
+        universal = [(i + 1, block, kw) for i, (block, kw) in
+                     enumerate(zip(inst.blocks, inst.block_weights)) if i % 2 == 1]
+        existential = [(i + 1, block) for i, block in enumerate(inst.blocks) if i % 2 == 0]
+        branches = enumerate_universal(inst)
+        pools = [itertools.combinations(block, kw) for _, block, kw in universal]
+        assert [b.choices for b in branches] == [
+            tuple(frozenset(c) for c in combo) for combo in itertools.product(*pools)
+        ]
+        assert all(b.even_indices == tuple(j for j, _, _ in universal) for b in branches)
+
+        tables = honest_branch_tables(inst)
+        assume(tables is not None)
+        m = inst.formula.m
+        for branch in branches:
+            union = set()
+            for j, block in existential:
+                table = tables.tables[(j, branch.prefix_key(j))]
+                union |= {code + 1 for code in table.ones()} & set(block)
+            assert tables.merge(branch, inst) == BooleanTable.from_assignment(union, m)
+
+        verdict = verify_awsat(inst, tables, table_committed_prover, RandomTape(seed))
+        assert verdict.accepted
+        if inst.l == 1:
+            assert [s.name for s in verdict.stages] == ["mltest", "main", "weight"]
+        else:
+            assert [s.name for s in verdict.stages] == [
+                f"b{idx}.{name}" for idx in range(len(branches))
+                for name in ["mltest", "main", *(f"weight{j}" for j, _ in existential)]
+            ]
 
 
 class TestPadToOdd:

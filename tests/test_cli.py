@@ -44,6 +44,20 @@ class TestVerifyCommand:
         assert main(["verify", path, "--seed", "5"]) == 0
         assert "class: awsat" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", [
+        # written by: gen awsat --n 4 --block-sizes 2,2 --block-weights 1,1 --clauses 2 --seed 1
+        "p pwsat g12n 4 2 2\nb 1 1 1 4 0\nb 2 1 2 3 0\n-1 -4 0\n-1 -2 0\n",
+        # exists x1, for all x2: not both, so no
+        "p pwsat g12n 2 1 2\nb 1 1 1 0\nb 2 1 2 0\n-1 -2 0\n",
+    ], ids=["yes", "no"])
+    def test_even_l_awsat_verify_agrees_with_solve(self, tmp_path, capsys, text):
+        # verify pads an even-l instance with an empty existential block,
+        # which leaves the quantifier value unchanged
+        path = write(tmp_path, "even.awsat", text)
+        solved = main(["solve", path])
+        assert main(["verify", path, "--seed", "2"]) == solved
+        assert "pad_to_odd" not in capsys.readouterr().err
+
     def test_table_prover(self, tmp_path, capsys):
         path = write(tmp_path, "yes.pwsat", YES_TEXT)
         table = write(tmp_path, "table.txt", "1\n")
@@ -168,6 +182,17 @@ class TestReduceAndGen:
         text = capsys.readouterr().out
         path = write(tmp_path, "gen.awsat", text)
         assert main(["solve", path]) in (0, 1)
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--block-weights", "1,1"], "--block-sizes"),
+        (["--block-sizes", "2,x", "--block-weights", "1,1"], "--block-sizes"),
+        (["--block-sizes", "2,2", "--block-weights", "1,"], "--block-weights"),
+    ])
+    def test_gen_awsat_bad_block_list_names_its_flag(self, capsys, flags, flag):
+        assert main(["gen", "awsat", "--n", "4", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} takes comma-separated integers" in captured.err
 
     def test_gen_random_g21p(self, capsys):
         assert main(["gen", "random", "--n", "4", "--clauses", "3", "--k", "1",
