@@ -24,14 +24,7 @@ from typing import Callable, Optional
 
 from .arithmetize import BooleanTable
 from .field import select_prime  # unused here; bench/tracer.py wraps this name
-from .formula import (
-    Assignment,
-    AwsatInstance,
-    GuardError,
-    guard_alternation_tree,
-    satisfies,
-    simplify,
-)
+from .formula import AwsatInstance, GuardError, alternation_moves, simplify
 from .pcpverify import (
     ProtocolParameters,
     VerifierConfig,
@@ -92,13 +85,10 @@ def enumerate_universal(instance: AwsatInstance) -> list[UniversalBranch]:
     universal_branch_count(instance)
     indices = tuple(range(2, instance.l + 1, 2))
     pools = [
-        itertools.combinations(block, kw)
+        [frozenset(c) for c in itertools.combinations(block, kw)]
         for block, kw in zip(instance.blocks[1::2], instance.block_weights[1::2])
     ]
-    return [
-        UniversalBranch(indices, tuple(frozenset(c) for c in combo))
-        for combo in itertools.product(*pools)
-    ]
+    return [UniversalBranch(indices, combo) for combo in itertools.product(*pools)]
 
 
 @dataclass
@@ -126,45 +116,72 @@ class BranchProofTables:
 
 def honest_branch_tables(instance: AwsatInstance) -> Optional[BranchProofTables]:
     """Witness search: a consistent family of odd-block tables accepted on
-    every branch, or None when the instance is a no-instance.
+    every branch, or None when the instance is a no-instance (``ppcplab
+    verify`` then checks ``_fallback_tables``).
 
-    The recursion mirrors the quantifier game; a winning existential choice is
+    The recursion plays the quantifier game over ``alternation_moves``.
+    Every literal is negated, so a clause that the chosen variables falsify
+    stays falsified below, and the search never enters such a child.  When
+    some block has no exactly-weight choice, nothing is pruned and the
+    first such block decides the game.  A winning existential choice is
     recorded under its universal prefix, so later branches that share the
-    prefix reuse the same choice."""
-    guard_alternation_tree(instance)
-    blocks = instance.blocks
-    weights = instance.block_weights
-    l = instance.l
-    formula = instance.formula
+    prefix reuse the same choice.  The prefix key grows by one
+    ``_choices_key`` part per universal choice, and each distinct
+    existential choice gets one table, shared by every key that picks it."""
+    moves, leaf = alternation_moves(instance)
+    depth = len(moves)
+    parts = {
+        i: [_choices_key([(i + 1, choice)]) for choice, _, _ in moves[i]]
+        for i in range(1, depth, 2)
+    }
 
-    def search(i: int, even_prefix: tuple, trues: frozenset[int]):
-        if i == l:
-            return satisfies(formula, Assignment(trues)), {}
-        block_j = i + 1
-        subsets = itertools.combinations(blocks[i], weights[i])
-        if block_j % 2 == 1:
-            key = _choices_key(even_prefix)
-            for s in subsets:
-                ok, found = search(i + 1, even_prefix, trues | frozenset(s))
-                if ok:
-                    found[(block_j, key)] = frozenset(s)
-                    return True, found
-            return False, {}
+    def search(i: int, key: str, trues: int) -> Optional[dict]:
+        if i == depth:
+            return {} if leaf else None
+        if i % 2 == 0:  # 0-based even index: 1-based odd block, existential
+            for choice, mask, conflict in moves[i]:
+                t = trues | mask
+                if t & conflict:
+                    continue
+                found = search(i + 1, key, t)
+                if found is not None:
+                    found[(i + 1, key)] = choice
+                    return found
+            return None
         merged: dict = {}
-        for s in subsets:
-            ok, found = search(i + 1, even_prefix + ((block_j, frozenset(s)),), trues | frozenset(s))
-            if not ok:
-                return False, {}
+        for (_, mask, conflict), part in zip(moves[i], parts[i]):
+            t = trues | mask
+            if t & conflict:
+                return None
+            found = search(i + 1, f"{key}|{part}" if key else part, t)
+            if found is None:
+                return None
             merged.update(found)
-        return True, merged
+        return merged
 
-    ok, found = search(0, (), frozenset())
-    if not ok:
+    found = search(0, "", 0)
+    if found is None:
         return None
     m = instance.formula.m
-    return BranchProofTables(
-        {key: BooleanTable.from_assignment(chosen, m) for key, chosen in found.items()}
-    )
+    shared = {choice: BooleanTable.from_assignment(choice, m) for choice in set(found.values())}
+    return BranchProofTables({key: shared[choice] for key, choice in found.items()})
+
+
+def _fallback_tables(instance: AwsatInstance) -> BranchProofTables:
+    """A table family for every prefix, each naming its block's first
+    ``kw`` variables: a wrong proof whenever the instance is a no-instance,
+    which ``ppcplab verify`` checks in place of the honest one.  Each block
+    has one table, shared by all its prefixes."""
+    m = instance.formula.m
+    firsts = [
+        (j, BooleanTable.from_assignment(block[:kw], m))
+        for j, block, kw in zip(itertools.count(1, 2), instance.blocks[::2], instance.block_weights[::2])
+    ]
+    return BranchProofTables({
+        (j, branch.prefix_key(j)): table
+        for branch in enumerate_universal(instance)
+        for j, table in firsts
+    })
 
 
 def pad_to_odd(instance: AwsatInstance) -> AwsatInstance:

@@ -16,7 +16,13 @@ import time
 from pathlib import Path
 
 from .arithmetize import BooleanTable
-from .awsat import awsat_parameters, honest_branch_tables, pad_to_odd, verify_awsat
+from .awsat import (
+    _fallback_tables,
+    awsat_parameters,
+    honest_branch_tables,
+    pad_to_odd,
+    verify_awsat,
+)
 from .formula import (
     ClassTag,
     brute_force_awsat,
@@ -94,10 +100,7 @@ def cmd_verify(args) -> int:
         if args.prover != "honest":
             raise ValueError("alternating instances support only the honest prover")
         instance = pad_to_odd(instance) if instance.l % 2 == 0 else instance
-        tables = honest_branch_tables(instance)
-        if tables is None:
-            print("error: no satisfying table family exists (no-instance)", file=sys.stderr)
-            return 1
+        tables = honest_branch_tables(instance) or _fallback_tables(instance)
         tape = RandomTape(args.seed)
         verdict = verify_awsat(instance, tables, table_committed_prover, tape, config)
         m = instance.formula.m

@@ -279,22 +279,73 @@ def guard_alternation_tree(instance: AwsatInstance) -> None:
             raise GuardError("alternation tree exceeds 10^7 branches")
 
 
-def brute_force_awsat(instance: AwsatInstance) -> bool:
-    """Exhaustive evaluation of the alternating weight-constrained quantifiers."""
+def alternation_moves(instance: AwsatInstance) -> tuple[list, bool]:
+    """The quantifier game of ``instance`` on bitmasks, built once per walk.
+
+    Variable v is bit v - 1, its code.  Returns ``(moves, value)``:
+    ``moves[i]`` lists block i's exactly-weight choices in
+    ``itertools.combinations`` order as ``(choice, mask, conflict)``
+    triples, the chosen variables, their mask and the mask of the variables
+    that share a clause with one of them.  The list stops before the first
+    block with no choice (weight above size), and ``value`` is the game's
+    value at that depth: True at the leaves, True at a universal block with
+    no choice (it accepts vacuously), False at an existential one (it has
+    no move).
+
+    Every literal of a g12n clause is negated, so a clause (-x, -y) is
+    falsified exactly when x and y are both true (a one-literal clause has
+    x = y), and it stays falsified as a walk makes more variables true.  A
+    child with true variables t falsifies a clause through its choice
+    exactly when ``t & conflict`` is nonzero; its value is then False, a
+    walk never enters it, and a leaf it reaches satisfies every clause.
+    This holds only when every block has a choice, so that every node has a
+    leaf below it: otherwise the first block without one decides the game
+    before any leaf, and every conflict mask is 0.  ``guard_alternation_tree``
+    runs first.
+    """
     guard_alternation_tree(instance)
-    blocks = instance.blocks
-    weights = instance.block_weights
-    l = instance.l
+    pairs = list(zip(instance.blocks, instance.block_weights))
+    depth = next((i for i, (block, kw) in enumerate(pairs) if kw > len(block)), len(pairs))
+    partners = [0] * instance.formula.num_vars  # indexed by code
+    if depth == len(pairs):
+        for clause in instance.formula.clauses:
+            x, y = -clause[0] - 1, -clause[-1] - 1
+            partners[x] |= 1 << y
+            partners[y] |= 1 << x
+    moves = []
+    for block, kw in pairs[:depth]:
+        row = []
+        for choice in itertools.combinations(block, kw):
+            mask = conflict = 0
+            for v in choice:
+                mask |= 1 << (v - 1)
+                conflict |= partners[v - 1]
+            row.append((choice, mask, conflict))
+        moves.append(row)
+    return moves, depth == len(pairs) or depth % 2 == 1
 
-    def value(i: int, trues: frozenset[int]) -> bool:
-        if i == l:
-            return satisfies(instance.formula, Assignment(trues))
-        subsets = itertools.combinations(blocks[i], weights[i])
-        if (i + 1) % 2 == 1:  # 1-based odd block: existential
-            return any(value(i + 1, trues | frozenset(s)) for s in subsets)
-        return all(value(i + 1, trues | frozenset(s)) for s in subsets)
 
-    return value(0, frozenset())
+def brute_force_awsat(instance: AwsatInstance) -> bool:
+    """Exhaustive evaluation of the alternating weight-constrained quantifiers.
+
+    The walk runs over ``alternation_moves``.  Every literal is negated, so
+    a child that falsifies a clause has value False and is not entered, and
+    a leaf reached satisfies every clause.  When some block cannot meet its
+    weight, no child is pruned and the first such block gives the value."""
+    moves, leaf = alternation_moves(instance)
+    depth = len(moves)
+
+    def value(i: int, trues: int) -> bool:
+        if i == depth:
+            return leaf
+        exists = i % 2 == 0  # 0-based even index: 1-based odd block, existential
+        for _, mask, conflict in moves[i]:
+            t = trues | mask
+            if (not t & conflict and value(i + 1, t)) == exists:
+                return exists
+        return not exists
+
+    return value(0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,9 @@ def gen_random_awsat(
 ) -> AwsatInstance:
     """Random alternating instance: a shuffled partition into the given block
     sizes and uniform all-negated binary clauses."""
+    negative = [size for size in block_sizes if size < 0]
+    if negative:
+        raise ValueError(f"block size {negative[0]} is negative")
     if sum(block_sizes) != n:
         raise ValueError("block sizes must sum to the variable count")
     if len(block_sizes) != len(block_weights):

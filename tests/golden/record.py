@@ -35,8 +35,8 @@ from ppcplab import pcpverify
 from ppcplab.arithmetize import BooleanTable
 from ppcplab.awsat import (
     BranchProofTables,
+    _fallback_tables,
     awsat_parameters,
-    enumerate_universal,
     honest_branch_tables,
     pad_to_odd,
     verify_awsat,
@@ -269,19 +269,6 @@ def _awsat_instances() -> list[tuple[str, AwsatInstance]]:
         ("l5", gen_random_awsat(8, (2, 2, 1, 2, 1), (1, 1, 0, 1, 0), 4, 3)),
         ("infeasible", gen_random_awsat(4, (1, 2, 1), (2, 0, 0), 2, 5)),
     ]
-
-
-def _fallback_tables(instance: AwsatInstance) -> BranchProofTables:
-    """A table family for every prefix, each naming the block's first
-    ``kw`` variables: a wrong proof whenever the instance is a no-instance."""
-    m = instance.formula.m
-    tables = {}
-    for branch in enumerate_universal(instance):
-        for i, (block, kw) in enumerate(zip(instance.blocks, instance.block_weights)):
-            if (i + 1) % 2 == 1:
-                key = (i + 1, branch.prefix_key(i + 1))
-                tables[key] = BooleanTable.from_assignment(block[:kw], m)
-    return BranchProofTables(tables)
 
 
 def awsat_records() -> list[Record]:

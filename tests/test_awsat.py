@@ -15,6 +15,7 @@ from ppcplab.awsat import (
     verify_awsat,
 )
 from ppcplab.formula import (
+    Assignment,
     AwsatInstance,
     ClassTag,
     GuardError,
@@ -23,6 +24,7 @@ from ppcplab.formula import (
     brute_force_wsat,
     guard_alternation_tree,
     parse_awsat,
+    satisfies,
 )
 from ppcplab.pcpverify import VerifierConfig, verify_w1
 from ppcplab.reductions import gen_random_awsat
@@ -223,6 +225,146 @@ class TestHonestTables:
         for walk in (guard_alternation_tree, brute_force_awsat, honest_branch_tables):
             with pytest.raises(GuardError, match=r"^alternation tree exceeds 10\^7 branches$"):
                 walk(over)
+
+
+# Plain statements of the three walks, the references the walks are tested
+# against: every leaf builds an Assignment and checks the whole formula,
+# nothing is pruned, every existential node joins its whole universal
+# prefix and every key gets its own table.  The walks must give the same
+# decisions, table families and branch lists.
+
+
+def reference_brute_force_awsat(instance):
+    guard_alternation_tree(instance)
+    blocks, weights, l = instance.blocks, instance.block_weights, instance.l
+
+    def value(i, trues):
+        if i == l:
+            return satisfies(instance.formula, Assignment(trues))
+        subsets = itertools.combinations(blocks[i], weights[i])
+        if (i + 1) % 2 == 1:
+            return any(value(i + 1, trues | frozenset(s)) for s in subsets)
+        return all(value(i + 1, trues | frozenset(s)) for s in subsets)
+
+    return value(0, frozenset())
+
+
+def reference_honest_branch_tables(instance):
+    guard_alternation_tree(instance)
+    blocks, weights, l = instance.blocks, instance.block_weights, instance.l
+
+    def search(i, even_prefix, trues):
+        if i == l:
+            return satisfies(instance.formula, Assignment(trues)), {}
+        block_j = i + 1
+        subsets = itertools.combinations(blocks[i], weights[i])
+        if block_j % 2 == 1:
+            key = awsat._choices_key(even_prefix)
+            for s in subsets:
+                ok, found = search(i + 1, even_prefix, trues | frozenset(s))
+                if ok:
+                    found[(block_j, key)] = frozenset(s)
+                    return True, found
+            return False, {}
+        merged = {}
+        for s in subsets:
+            ok, found = search(i + 1, even_prefix + ((block_j, frozenset(s)),), trues | frozenset(s))
+            if not ok:
+                return False, {}
+            merged.update(found)
+        return True, merged
+
+    ok, found = search(0, (), frozenset())
+    if not ok:
+        return None
+    m = instance.formula.m
+    return BranchProofTables(
+        {key: BooleanTable.from_assignment(chosen, m) for key, chosen in found.items()}
+    )
+
+
+def reference_enumerate_universal(instance):
+    universal_branch_count(instance)
+    indices = tuple(range(2, instance.l + 1, 2))
+    pools = [
+        itertools.combinations(block, kw)
+        for block, kw in zip(instance.blocks[1::2], instance.block_weights[1::2])
+    ]
+    return [
+        awsat.UniversalBranch(indices, tuple(frozenset(c) for c in combo))
+        for combo in itertools.product(*pools)
+    ]
+
+
+@st.composite
+def g12n_alternating_instances(draw):
+    """l = 1..6 blocks of 0..4 variables, each weight 0..size + 1 (so some
+    blocks have no exactly-weight choice), and 0..6 clauses of one or two
+    negated literals."""
+    sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    assume(sum(sizes) >= 1)
+    weights = tuple(draw(st.integers(0, size + 1)) for size in sizes)
+    n = sum(sizes)
+    order = draw(st.permutations(range(1, n + 1)))
+    blocks, at = [], 0
+    for size in sizes:
+        blocks.append(tuple(order[at : at + size]))
+        at += size
+    literal = st.integers(1, n).map(lambda v: -v)
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=2).map(tuple), max_size=6))
+    return make_instance(n, tuple(clauses), tuple(blocks), weights)
+
+
+def assert_walks_match_the_reference(inst):
+    decision = brute_force_awsat(inst)
+    assert decision == reference_brute_force_awsat(inst)
+    tables = honest_branch_tables(inst)
+    expected = reference_honest_branch_tables(inst)
+    assert (tables is not None) == decision == (expected is not None)
+    if tables is not None:
+        assert list(tables.tables) == list(expected.tables)
+        assert all(tables.tables[key].values == expected.tables[key].values for key in expected.tables)
+    branches = enumerate_universal(inst)
+    reference = reference_enumerate_universal(inst)
+    assert [(b.even_indices, b.choices) for b in branches] == [
+        (b.even_indices, b.choices) for b in reference
+    ]
+
+
+class TestWalksAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(g12n_alternating_instances())
+    def test_random_g12n_instances(self, inst):
+        assert_walks_match_the_reference(inst)
+
+    @pytest.mark.parametrize("inst", [
+        # exists both of {1, 2}, for all two of {3}: the universal block has
+        # no choice and accepts vacuously, although every choice of block 1
+        # falsifies -1 -2; a walk that stopped at that clause would say no
+        make_instance(3, ((-1, -2),), ((1, 2), (3,)), (2, 2)),
+        make_instance(5, ((-1, -3),), ((1,), (2,), (3,), (4, 5)), (1, 0, 1, 3)),
+        # an existential block with no choice: no, whatever the clauses
+        make_instance(5, ((-1, -2),), ((1, 2), (3,), (4, 5)), (2, 1, 3)),
+        make_instance(4, (), ((1,), (2, 3), (4,)), (1, 1, 2)),
+        make_instance(5, (), ((1,), (2,), (3,), (4,), (5,)), (1, 1, 1, 0, 2)),
+        # weight equal to size: the block's one choice takes every variable
+        make_instance(4, ((-1, -4),), ((1, 2), (3,), (4,)), (2, 1, 0)),
+        make_instance(3, ((-2,),), ((1,), (2,), (3,)), (1, 1, 1)),
+        make_instance(6, ((-1, -4), (-3, -6), (-2, -2)), ((1, 2), (3, 4), (5, 6)), (1, 1, 1)),
+        make_instance(7, ((-2, -5), (-3, -7)), ((1,), (2, 3), (4,), (5, 6), (7,)), (1, 1, 1, 1, 0)),
+        HAND_NO,
+        HAND_YES,
+        L3_YES,
+    ])
+    def test_fixed_instances(self, inst):
+        assert_walks_match_the_reference(inst)
+
+    def test_each_existential_choice_has_one_table(self):
+        # block 3 answers x4 under both universal choices: one shared table
+        tables = honest_branch_tables(HAND_YES)
+        assert list(tables.tables) == [(3, "2:2"), (3, "2:3"), (1, "")]
+        assert tables.tables[(3, "2:2")] is tables.tables[(3, "2:3")]
+
 
 class TestVerifyAwsat:
     def test_yes_instance_honest_accepts(self):

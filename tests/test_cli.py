@@ -58,6 +58,23 @@ class TestVerifyCommand:
         assert main(["verify", path, "--seed", "2"]) == solved
         assert "pad_to_odd" not in capsys.readouterr().err
 
+    def test_awsat_no_instance_prints_a_rejecting_report(self, tmp_path, capsys):
+        # exists x1, for all one of {2, 3}, exists x4, clause (~x2 | ~x4): the
+        # branch choosing x2 loses, so no table family wins; verify checks
+        # the family naming each block's first variable, as it checks the
+        # first k variables of a pwsat no-instance
+        path = write(tmp_path, "no.awsat", AWSAT_TEXT.replace("-2 -3 0", "-2 -4 0"))
+        assert main(["solve", path]) == 1
+        capsys.readouterr()
+        assert main(["verify", path, "--seed", "5", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["class"] == "awsat" and report["verdict"] == "reject"
+        assert report["rejection_stage"] == report["stages"][-1]["name"]
+        assert report["stages"][-1]["accepted"] is False
+        assert all(stage["accepted"] for stage in report["stages"][:-1])
+
     def test_table_prover(self, tmp_path, capsys):
         path = write(tmp_path, "yes.pwsat", YES_TEXT)
         table = write(tmp_path, "table.txt", "1\n")
@@ -193,6 +210,14 @@ class TestReduceAndGen:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{flag} takes comma-separated integers" in captured.err
+
+    def test_gen_awsat_negative_block_size_exits_two(self, capsys):
+        assert main([
+            "gen", "awsat", "--n", "3", "--block-sizes", "4,-1", "--block-weights", "1,0",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "block size -1 is negative" in captured.err
 
     def test_gen_random_g21p(self, capsys):
         assert main(["gen", "random", "--n", "4", "--clauses", "3", "--k", "1",

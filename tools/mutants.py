@@ -1,4 +1,4 @@
-"""Mutation gate over the verifier's checks.
+"""Mutation gate over the verifier's checks and the quantifier walks.
 
     python3 tools/mutants.py
 
@@ -53,8 +53,10 @@ SITES = {
     "arithmetize": ["summand_value", "read_points", "clause_indicator_eval"],
     "awsat": [
         "_read_proof", "verify_awsat", "_plain_attr", "_infeasible_verdict",
-        "enumerate_universal", "BranchProofTables.merge",
+        "enumerate_universal", "BranchProofTables.merge", "honest_branch_tables",
     ],
+    # the quantifier walks: the witness search above and the ground truth
+    "formula": ["alternation_moves", "brute_force_awsat"],
 }
 
 # the verifier test files, quickest killers first
