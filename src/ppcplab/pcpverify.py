@@ -44,7 +44,9 @@ number of passes, so a single union bound covers the run.
 from __future__ import annotations
 
 import functools
+import marshal
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -346,6 +348,10 @@ def verify_w2(
     return _verify(formula, prover, tape, config)
 
 
+# soundness_experiment splits its trials only while these are the names' values
+_VERIFIERS = (verify_w1, verify_w2)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form bit accounting
 # ---------------------------------------------------------------------------
@@ -440,6 +446,234 @@ def resource_report(
 ADVERSARIES = ("adaptive", "committed", "random")
 
 
+def _accepted_in(
+    formula: WeightedFormula,
+    adversary: str,
+    trials: range,
+    base_seed: int,
+    config: Optional[VerifierConfig],
+) -> int:
+    """How many of the experiment's trials numbered ``trials`` accept.  Trial
+    t runs on the tape ``derive_seed(base_seed, t)`` with a new prover, so a
+    range gives the same count in the caller and in a helper."""
+    verifier = verify_w1 if formula.class_tag is ClassTag.G12N else verify_w2
+    m = formula.m
+    committed = BooleanTable.from_true_codes(range(min(formula.k, 1 << m)), m)
+    accepted = 0
+    for t in trials:
+        tape = RandomTape(derive_seed(base_seed, t))
+        if adversary == "adaptive":
+            prover = adaptive_cheater(table_committed_prover(committed))
+        elif adversary == "committed":
+            prover = table_committed_prover(committed)
+        else:
+            prover = RandomGarbageProver(derive_seed(derive_seed(base_seed, t), 1))
+        if verifier(formula, prover, tape, config).accepted:
+            accepted += 1
+    return accepted
+
+
+def _trial_ranges(trials: int, parts: int) -> list[range]:
+    """``range(trials)`` cut into ``parts`` contiguous ranges, in order, whose
+    lengths differ by at most one."""
+    size, extra = divmod(trials, parts)
+    bounds = [i * size + min(i, extra) for i in range(parts + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+class _Helper:
+    """A forked copy of the process that runs trial ranges: a task goes down
+    one pipe, its accepted count (None if the range raised) comes back up
+    another, both as ``marshal`` data, which needs no import."""
+
+    def __init__(self, pid: int, tasks, results):
+        self.pid, self.tasks, self.results = pid, tasks, results
+
+    def send(self, task: bytes) -> None:
+        try:
+            self.tasks.write(task)
+            self.tasks.flush()
+        except OSError:
+            pass  # a dead helper; result() reads its end of file
+
+    def result(self) -> Optional[int]:
+        """The count for the last task sent, or None if the helper died or
+        its range raised."""
+        try:
+            return marshal.load(self.results)
+        except (EOFError, OSError, ValueError, TypeError):
+            return None
+
+    def close(self) -> None:
+        for pipe in (self.tasks, self.results):
+            try:
+                pipe.close()
+            except OSError:
+                pass
+
+    def stop(self, kill: bool) -> None:
+        """Close the pipes, which ends an idle helper, kill it first if asked,
+        and reap it."""
+        import signal
+
+        self.close()
+        try:
+            if kill:
+                os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass
+
+
+_helpers: list[_Helper] = []  # idle helpers, in the order they were forked
+_helpers_pid = 0  # the process they serve; a fork of it inherits the list, not them
+
+
+def _task(formula, adversary, part, base_seed, config) -> bytes:
+    """The arguments of ``_accepted_in`` as ``marshal`` data, which
+    ``_run_task`` rebuilds; ValueError if one is not plain data."""
+    cfg = None if config is None else (config.epsilon, config.ml_test_reps, config.explicit_prime)
+    shape = (formula.num_vars, formula.clauses, formula.class_tag.value, formula.k, formula.m)
+    return marshal.dumps((shape, adversary, part.start, part.stop, base_seed, cfg))
+
+
+def _run_task(task: tuple) -> int:
+    (num_vars, clauses, tag, k, m), adversary, start, stop, base_seed, cfg = task
+    formula = WeightedFormula(num_vars, clauses, ClassTag(tag), k, m)
+    config = None if cfg is None else VerifierConfig(*cfg)
+    return _accepted_in(formula, adversary, range(start, stop), base_seed, config)
+
+
+def _serve(tasks, results) -> None:
+    """A helper's loop: answer each task with its range's accepted count, or
+    with None if the range raises (the caller then reruns the range and
+    raises itself); return at the task pipe's end of file."""
+    while True:
+        try:
+            task = marshal.load(tasks)
+        except EOFError:
+            return
+        try:
+            answer = _run_task(task)
+        except Exception:
+            answer = None
+        marshal.dump(answer, results)
+        results.flush()
+
+
+def _fork_helper() -> _Helper:
+    """Fork one helper, which serves tasks until its task pipe closes."""
+    import signal
+
+    task_r, task_w = os.pipe()
+    result_r, result_w = os.pipe()
+    parent = os.getpid()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (task_r, task_w, result_r, result_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        # the helper never returns into its parent's stack
+        try:
+            os.close(task_w)
+            os.close(result_r)
+            for other in _helpers:
+                other.close()
+            # an orphan ends within half a second, even in the middle of a range
+            signal.signal(signal.SIGALRM, lambda *_: os.getppid() == parent or os._exit(0))
+            signal.setitimer(signal.ITIMER_REAL, 0.5, 0.5)
+            _serve(open(task_r, "rb"), open(result_w, "wb"))
+        finally:
+            os._exit(0)
+    os.close(task_r)
+    os.close(result_w)
+    return _Helper(pid, open(task_w, "wb"), open(result_r, "rb"))
+
+
+def _stop_helpers(kill: bool = False) -> None:
+    """End and reap this process's helpers (at exit, and after a call that
+    raised, so no helper's result outlives its call)."""
+    mine = _helpers_pid == os.getpid()
+    for helper in _helpers:
+        if mine:
+            helper.stop(kill)
+        else:
+            helper.close()
+    _helpers.clear()
+
+
+def _helpers_for(count: int) -> list[_Helper]:
+    """Up to ``count`` helpers of this process, forked as needed; fewer if a
+    fork fails."""
+    global _helpers_pid
+    if _helpers_pid != os.getpid():
+        _stop_helpers()
+        _helpers_pid = os.getpid()
+        import atexit
+
+        atexit.register(_stop_helpers)
+    try:
+        while len(_helpers) < count:
+            _helpers.append(_fork_helper())
+    except OSError:
+        pass
+    return _helpers[:count]
+
+
+def _split_parts(trials: int) -> int:
+    """How many ranges a call's trials are cut into: one per CPU this process
+    may run on, at most one per trial, and one (all in process) when forking
+    is unsafe or pointless or the verifiers were rebound (a traced or patched
+    run then sees every trial)."""
+    if (
+        trials < 2
+        or not hasattr(os, "fork")
+        or not hasattr(os, "sched_getaffinity")
+        or (verify_w1, verify_w2) != _VERIFIERS
+    ):
+        return 1
+    import threading
+
+    if threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), trials)
+
+
+def _split_accepted(
+    formula: WeightedFormula,
+    adversary: str,
+    trials: int,
+    base_seed: int,
+    config: Optional[VerifierConfig],
+) -> int:
+    """The accepted count over ``range(trials)``: the caller runs the first
+    range and each helper one of the others; a range whose helper fails
+    reruns in the caller, so the sum equals the in-process count."""
+    helpers = _helpers_for(_split_parts(trials) - 1)
+    first, *rest = _trial_ranges(trials, len(helpers) + 1)
+    try:
+        tasks = [_task(formula, adversary, part, base_seed, config) for part in rest]
+    except ValueError:  # an argument marshal cannot carry: every trial runs here
+        first, rest, tasks = range(trials), [], []
+    try:
+        for helper, task in zip(helpers, tasks):
+            helper.send(task)
+        accepted = _accepted_in(formula, adversary, first, base_seed, config)
+        for helper, part in zip(helpers, rest):
+            got = helper.result()
+            if got is None:
+                _helpers.remove(helper)
+                helper.stop(kill=True)
+                got = _accepted_in(formula, adversary, part, base_seed, config)
+            accepted = accepted + got
+    except BaseException:
+        _stop_helpers(kill=True)  # no result of this call may reach the next
+        raise
+    return accepted
+
+
 def soundness_experiment(
     formula: WeightedFormula,
     adversary: str,
@@ -450,30 +684,28 @@ def soundness_experiment(
     """Monte-Carlo acceptance rate of an adversary on a no-instance.
 
     Refuses yes-instances (the experiment would measure completeness, not
-    soundness).  The analytic bound is (total rounds) * degree / p for the
-    adaptive cheater, 2m/p for a committed wrong table (random-weight
-    separation), and 2/p for uniform garbage (the chance of passing the
-    round-1 consistency equation)."""
+    soundness) and negative trial counts.  The analytic bound is (total
+    rounds) * degree / p for the adaptive cheater, 2m/p for a committed wrong
+    table (random-weight separation), and 2/p for uniform garbage (the chance
+    of passing the round-1 consistency equation).
+
+    The trials are independent, so they are cut into contiguous ranges, one
+    per CPU of ``os.sched_getaffinity(0)``: the caller runs the first, and
+    helpers forked on first use (and kept for later calls) run the others.
+    Every trial runs in process when there is one CPU or one trial, no
+    ``os.fork``, more than one thread, or when ``verify_w1`` or ``verify_w2``
+    is not this module's own function.  The result does not depend on the
+    split."""
     if adversary not in ADVERSARIES:
         raise ValueError(f"unknown adversary {adversary!r}, pick one of {ADVERSARIES}")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     decision, _ = brute_force_wsat(formula)
     if decision:
         raise ValueError("soundness experiments require a no-instance")
     params = protocol_parameters(formula, config)
-    verifier = verify_w1 if formula.class_tag is ClassTag.G12N else verify_w2
     m = formula.m
-    committed = BooleanTable.from_true_codes(range(min(formula.k, 1 << m)), m)
-    accepted = 0
-    for t in range(trials):
-        tape = RandomTape(derive_seed(base_seed, t))
-        if adversary == "adaptive":
-            prover = adaptive_cheater(table_committed_prover(committed))
-        elif adversary == "committed":
-            prover = table_committed_prover(committed)
-        else:
-            prover = RandomGarbageProver(derive_seed(derive_seed(base_seed, t), 1))
-        if verifier(formula, prover, tape, config).accepted:
-            accepted += 1
+    accepted = _split_accepted(formula, adversary, trials, base_seed, config)
     if adversary == "adaptive":
         bound = min(params.total_rounds * params.degree / params.prime, 1.0)
     elif adversary == "committed":

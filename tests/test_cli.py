@@ -151,6 +151,13 @@ class TestAttackCommand:
         path = write(tmp_path, "yes.pwsat", YES_TEXT)
         assert main(["attack", path, "--trials", "10"]) == 2
 
+    def test_negative_trials_exit_two(self, tmp_path, capsys):
+        path = write(tmp_path, "no.pwsat", NO_TEXT)
+        assert main(["attack", path, "--trials", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trials must be nonnegative, got -5" in captured.err
+
 
 class TestEpsilonRange:
     @pytest.mark.parametrize("command", ["verify", "attack"])

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from ppcplab import pcpverify
 from ppcplab.arithmetize import BooleanTable
 from ppcplab.awsat import awsat_parameters, honest_branch_tables, verify_awsat
 from ppcplab.field import FieldElement, PrimeField
@@ -397,6 +398,18 @@ class TestSoundnessExperiment:
     def test_unknown_adversary(self):
         with pytest.raises(ValueError):
             soundness_experiment(parse_pwsat(NO_TEXT), "sneaky", 10, 0)
+
+    def test_negative_trials_refused_before_any_trial(self, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(pcpverify, "verify_w1", no_trial)
+        with pytest.raises(ValueError, match="trials must be nonnegative, got -5"):
+            soundness_experiment(parse_pwsat(NO_TEXT), "adaptive", -5, 0)
+
+    def test_zero_trials(self):
+        res = soundness_experiment(parse_pwsat(NO_TEXT), "adaptive", 0, 0)
+        assert (res["trials"], res["accepted"], res["acceptance_rate"]) == (0, 0, 0.0)
 
     def test_adaptive_with_big_prime_override(self):
         f = parse_pwsat(NO_TEXT)

@@ -1,4 +1,5 @@
-"""Mutation gate over the verifier's checks and the quantifier walks.
+"""Mutation gate over the verifier's checks, the quantifier walks and the
+soundness experiment's trial split.
 
     python3 tools/mutants.py
 
@@ -49,6 +50,8 @@ SITES = {
     "pcpverify": [
         "multilinearity_test", "_read_assignment", "run_protocol",
         "protocol_parameters", "_verify",
+        # soundness_experiment's range split and the sum over its ranges
+        "_trial_ranges", "_split_accepted",
     ],
     "arithmetize": ["summand_value", "read_points", "clause_indicator_eval"],
     "awsat": [
@@ -68,6 +71,7 @@ TEST_FILES = [
     "tests/test_awsat.py",
     "tests/test_hostile_prover.py",
     "tests/test_acceptance.py",
+    "tests/test_soundness_split.py",
 ]
 TIMEOUT_S = 600
 WORKERS = 2
