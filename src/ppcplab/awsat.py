@@ -24,16 +24,20 @@ from typing import Callable, Optional
 
 from .arithmetize import BooleanTable
 from .field import select_prime  # unused here; bench/tracer.py wraps this name
-from .formula import AwsatInstance, GuardError, alternation_moves, simplify
+from .formula import AwsatInstance, GuardError, WeightedFormula, alternation_moves, simplify
 from .pcpverify import (
     ProtocolParameters,
     VerifierConfig,
     protocol_parameters,
     run_g12n_protocol,  # the clause-product pass; bench/tracer.py times it under this name
     verify_w1,
+    _run_split,
+    _split_parts,
     _StageLog,
+    _task,
+    _walk_accepting_passes,
 )
-from .sumcheck import ProverStrategy, RandomTape, Verdict
+from .sumcheck import ProverStrategy, RandomTape, Verdict, table_committed_prover
 
 ProverFactory = Callable[[BooleanTable], ProverStrategy]
 
@@ -275,6 +279,78 @@ def _branch_prover(
     return prover if issubclass(type(prover), ProverStrategy) else None
 
 
+def _weight_checks(instance: AwsatInstance) -> list:
+    """One weight check per odd block j: its stage name, the block's weight
+    and the block's table."""
+    m = instance.formula.m
+    return [
+        (f"weight{j}", kw, BooleanTable.from_assignment(block, m))
+        for j, block, kw in zip(itertools.count(1, 2), instance.blocks[::2], instance.block_weights[::2])
+    ]
+
+
+def _run_branches(
+    instance: AwsatInstance,
+    tables: BranchProofTables,
+    branches: list[UniversalBranch],
+    part: range,
+    prover_factory: ProverFactory,
+    tape: RandomTape,
+    log: _StageLog,
+    params: ProtocolParameters,
+    weight_checks: list,
+) -> Optional[Verdict]:
+    """The branches numbered ``part``, in order, on one tape and one log:
+    the first rejection, or None when every one accepts."""
+    for idx in part:
+        branch = branches[idx]
+        prefix = f"b{idx}."
+        reduced = simplify(instance.formula, branch.substitution(instance))
+        if reduced is None:
+            return log.reject(prefix + "simplify", 0)
+        prover = _branch_prover(tables, branch, instance, prover_factory)
+        if prover is None:
+            return log.reject(prefix + "tables", 0)
+        rejected = run_g12n_protocol(
+            reduced, prover, tape, log, params, weight_checks, prefix=prefix,
+        )
+        if rejected is not None:
+            return rejected
+    return None
+
+
+def _branch_range(
+    formula: WeightedFormula,
+    config: VerifierConfig,
+    blocks: tuple,
+    block_weights: tuple,
+    tables: dict,
+    start: int,
+    stop: int,
+    tape_state: tuple,
+) -> tuple:
+    """A helper's part of ``verify_awsat``: branches ``start`` to
+    ``stop - 1`` with honest provers over ``tables`` (values by key), on a
+    tape that continues from the caller's at its call (``tape_state``) and
+    first draws what the accepting branches below ``start`` draw.  Returns
+    the range's ``ledger``, its rejection as (stage, round) or None, and the
+    tape's end state, all plain data."""
+    instance = AwsatInstance(formula, blocks, block_weights)
+    proof = BranchProofTables({key: BooleanTable(formula.m, values) for key, values in tables.items()})
+    params = awsat_parameters(instance, config)
+    weight_checks = _weight_checks(instance)
+    tape = RandomTape(0)
+    tape.setstate(tape_state)
+    _walk_accepting_passes(tape, params, len(weight_checks), start)
+    log = _StageLog()
+    rejected = _run_branches(
+        instance, proof, enumerate_universal(instance), range(start, stop),
+        table_committed_prover, tape, log, params, weight_checks,
+    )
+    rejection = None if rejected is None else (rejected.stage, rejected.rejection_round)
+    return log.ledger(), rejection, tape.getstate()
+
+
 def verify_awsat(
     instance: AwsatInstance,
     tables: BranchProofTables,
@@ -292,7 +368,28 @@ def verify_awsat(
     rounds).  The proof is read once, before the first branch, into tables
     the verifier owns (``_read_proof``): a proof that is not well formed
     reads as one with no tables, and a proof rewritten after that read,
-    say by ``prover_factory``, changes no branch's oracle."""
+    say by ``prover_factory``, changes no branch's oracle.
+
+    The branches are cut into contiguous ranges, one per CPU of
+    ``os.sched_getaffinity(0)``.  The caller runs the first range on its
+    own tape, and the helpers that ``soundness_experiment`` also uses run
+    the others.  A helper needs the tape as it stands where its range
+    begins, and it gets there by drawing alone: the multilinearity test
+    and every sum-check are public-coin, so a branch that accepts draws a
+    fixed schedule whatever the prover answers (``_walk_accepting_passes``),
+    and a helper's range counts only if every branch below it accepted.
+    The caller merges the ranges in order: the first rejection decides,
+    later ranges' stage reports and meters are appended, and the tape ends
+    where the last range that ran left it.  A range whose helper dies or
+    raises runs again in the caller.  So the verdict, every stage report
+    and the tape's end state are those of the run in one process.  Every
+    branch runs in process with one CPU or fewer than two branches, no
+    ``os.fork``, more than one thread, an argument ``marshal`` cannot carry,
+    a tape that is not exactly a ``RandomTape``, a ``prover_factory`` other
+    than ``table_committed_prover``, or when one of the names
+    ``bench/tracer.py`` rebinds (``_UNTRACED``, and ``pcpverify``'s
+    ``_UNPATCHED``) is not its own function, so a traced or patched run
+    sees every branch."""
     if instance.l % 2 == 0:
         raise ValueError("verification needs an odd number of blocks; use pad_to_odd first")
     cfg = config or VerifierConfig()
@@ -308,23 +405,45 @@ def verify_awsat(
         return verify_w1(instance.formula, prover, tape, cfg)
 
     branches = enumerate_universal(instance)
-    m = instance.formula.m
     params = awsat_parameters(instance, cfg)
-    weight_checks = [
-        (f"weight{j}", kw, BooleanTable.from_assignment(block, m))
-        for j, block, kw in zip(itertools.count(1, 2), instance.blocks[::2], instance.block_weights[::2])
-    ]
-    for idx, branch in enumerate(branches):
-        prefix = f"b{idx}."
-        reduced = simplify(instance.formula, branch.substitution(instance))
-        if reduced is None:
-            return log.reject(prefix + "simplify", 0)
-        prover = _branch_prover(tables, branch, instance, prover_factory)
-        if prover is None:
-            return log.reject(prefix + "tables", 0)
-        rejected = run_g12n_protocol(
-            reduced, prover, tape, log, params, weight_checks, prefix=prefix,
+    weight_checks = _weight_checks(instance)
+
+    def run_here(part: range) -> Optional[Verdict]:
+        return _run_branches(
+            instance, tables, branches, part, prover_factory, tape, log, params, weight_checks,
         )
+
+    splittable = (
+        type(tape) is RandomTape
+        and prover_factory is table_committed_prover
+        and (run_g12n_protocol, simplify, enumerate_universal, awsat_parameters, BranchProofTables.merge)
+        == _UNTRACED
+    )
+    # _run_split builds every task before the caller's range runs, so each
+    # carries the tape as it stands at this call
+    ranges = _run_split(
+        len(branches),
+        _split_parts(len(branches)) if splittable else 1,
+        lambda part: _task(
+            "branches", instance.formula, cfg, instance.blocks, instance.block_weights,
+            {key: table.values for key, table in tables.tables.items()},
+            part.start, part.stop, tape.getstate(),
+        ),
+        run_here,
+    )
+    (_, rejected), *rest = ranges
+    for part, got in rest:
         if rejected is not None:
-            return rejected
-    return log.verdict()
+            break
+        if got is None:
+            rejected = run_here(part)
+        else:
+            ledger, rejection, end = got
+            tape.setstate(end)
+            rejected = log.extend(ledger, rejection)
+    return rejected or log.verdict()
+
+
+# verify_awsat splits its branches only while the names bench/tracer.py
+# rebinds here hold this module's own functions
+_UNTRACED = (run_g12n_protocol, simplify, enumerate_universal, awsat_parameters, BranchProofTables.merge)

@@ -44,6 +44,7 @@ number of passes, so a single union bound covers the run.
 from __future__ import annotations
 
 import functools
+import itertools
 import marshal
 import math
 import os
@@ -192,6 +193,29 @@ class _StageLog(ResourceMeter):
         self.close(stage, rounds, False)
         return Verdict(False, self.snapshot(), rnd, stage, tuple(self.reports))
 
+    def ledger(self) -> tuple:
+        """The stage reports as tuples and the meters, as plain data."""
+        reports = [
+            (r.name, r.rounds, r.random_bits, r.proof_bits, r.oracle_queries, r.accepted)
+            for r in self.reports
+        ]
+        return reports, (self.random_bits, self.proof_bits, self.oracle_queries)
+
+    def extend(self, ledger: tuple, rejection: Optional[tuple]) -> Optional[Verdict]:
+        """Append the stage reports of a later part of the run and add its
+        meters, both as ``ledger`` gives them: the rejection at that part's
+        (stage, round) ``rejection``, or None when it accepted."""
+        reports, (random_bits, proof_bits, oracle_queries) = ledger
+        self.reports += [StageReport(*report) for report in reports]
+        self.random_bits += random_bits
+        self.proof_bits += proof_bits
+        self.oracle_queries += oracle_queries
+        self._mark = self.snapshot()
+        if rejection is None:
+            return None
+        stage, rnd = rejection
+        return Verdict(False, self.snapshot(), rnd, stage, tuple(self.reports))
+
 
 @dataclass(frozen=True)
 class ProtocolParameters:
@@ -295,6 +319,26 @@ def run_protocol(
     return None
 
 
+def _walk_accepting_passes(
+    tape: RandomTape, params: ProtocolParameters, weight_checks: int, passes: int
+) -> None:
+    """Draw from ``tape`` what ``passes`` accepting ``run_protocol`` passes
+    with ``weight_checks`` weight checks draw, without running them.
+
+    The multilinearity test and every sum-check are public-coin, so no
+    draw depends on the prover's answers, and a pass that accepts draws
+    this fixed schedule: ``reps`` lines, then one residue mod p per clause
+    weight and one per sum-check round, (L + 1) m in the main stage and m
+    in each weight check."""
+    m, p = params.m, params.prime
+    residues = m + (params.padded_len + 1) * m + weight_checks * m
+    for _ in range(passes):
+        for _ in range(params.reps):
+            tape.draw_line(m, p)
+        for _ in range(residues):
+            tape.draw_int(p)
+
+
 # bench/tracer.py times each branch pass through this name in awsat
 run_g12n_protocol = run_protocol
 
@@ -348,8 +392,9 @@ def verify_w2(
     return _verify(formula, prover, tape, config)
 
 
-# soundness_experiment splits its trials only while these are the names' values
-_VERIFIERS = (verify_w1, verify_w2)
+# soundness_experiment and verify_awsat split their work only while these are
+# the names' values (bench/tracer.py and the golden recorder rebind them)
+_UNPATCHED = (verify_w1, verify_w2, run_sumcheck)
 
 
 # ---------------------------------------------------------------------------
@@ -482,25 +527,25 @@ def _trial_ranges(trials: int, parts: int) -> list[range]:
 
 
 class _Helper:
-    """A forked copy of the process that runs trial ranges: a task goes down
-    one pipe, its accepted count (None if the range raised) comes back up
-    another, both as ``marshal`` data, which needs no import."""
+    """A forked copy of the process that runs ranges of trials or of
+    branches: a task goes down one pipe, its answer (None if the range
+    raised) comes back up another, both as ``marshal`` frames
+    (``_write_frame``), which need no import."""
 
     def __init__(self, pid: int, tasks, results):
         self.pid, self.tasks, self.results = pid, tasks, results
 
     def send(self, task: bytes) -> None:
         try:
-            self.tasks.write(task)
-            self.tasks.flush()
+            _write_frame(self.tasks, task)
         except OSError:
             pass  # a dead helper; result() reads its end of file
 
-    def result(self) -> Optional[int]:
-        """The count for the last task sent, or None if the helper died or
+    def result(self):
+        """The answer to the last task sent, or None if the helper died or
         its range raised."""
         try:
-            return marshal.load(self.results)
+            return _read_frame(self.results)
         except (EOFError, OSError, ValueError, TypeError):
             return None
 
@@ -525,40 +570,65 @@ class _Helper:
             pass
 
 
+def _write_frame(pipe, data: bytes) -> None:
+    """Write ``marshal`` data as one frame: its length in 8 bytes, then it."""
+    pipe.write(len(data).to_bytes(8, "little") + data)
+    pipe.flush()
+
+
+def _read_frame(pipe):
+    """The value of the next frame on ``pipe``; EOFError at its end.  Two
+    reads a frame: ``marshal.load`` on a file makes one call of its
+    ``readinto`` per value, thousands for a tape's state."""
+    head = pipe.read(8)
+    if len(head) < 8:
+        raise EOFError
+    return marshal.loads(pipe.read(int.from_bytes(head, "little")))
+
+
 _helpers: list[_Helper] = []  # idle helpers, in the order they were forked
 _helpers_pid = 0  # the process they serve; a fork of it inherits the list, not them
 
 
-def _task(formula, adversary, part, base_seed, config) -> bytes:
-    """The arguments of ``_accepted_in`` as ``marshal`` data, which
-    ``_run_task`` rebuilds; ValueError if one is not plain data."""
+def _task(kind: str, formula: WeightedFormula, config: Optional[VerifierConfig], *args) -> bytes:
+    """A helper's task as ``marshal`` data, which ``_run_task`` rebuilds:
+    its kind, "trials" or "branches", the formula's fields, the config's
+    three fields (or None) and the kind's own arguments; ValueError if one
+    is not plain data."""
     cfg = None if config is None else (config.epsilon, config.ml_test_reps, config.explicit_prime)
     shape = (formula.num_vars, formula.clauses, formula.class_tag.value, formula.k, formula.m)
-    return marshal.dumps((shape, adversary, part.start, part.stop, base_seed, cfg))
+    return marshal.dumps((kind, shape, cfg, args))
 
 
-def _run_task(task: tuple) -> int:
-    (num_vars, clauses, tag, k, m), adversary, start, stop, base_seed, cfg = task
+def _run_task(task: tuple):
+    """A task's answer: a range's accepted count for "trials" (the
+    arguments of ``_accepted_in``), ``awsat._branch_range``'s plain data for
+    "branches"."""
+    kind, (num_vars, clauses, tag, k, m), cfg, args = task
     formula = WeightedFormula(num_vars, clauses, ClassTag(tag), k, m)
     config = None if cfg is None else VerifierConfig(*cfg)
-    return _accepted_in(formula, adversary, range(start, stop), base_seed, config)
+    if kind == "trials":
+        adversary, start, stop, base_seed = args
+        return _accepted_in(formula, adversary, range(start, stop), base_seed, config)
+    from .awsat import _branch_range  # awsat imports this module, so not at the top
+
+    return _branch_range(formula, config, *args)
 
 
 def _serve(tasks, results) -> None:
-    """A helper's loop: answer each task with its range's accepted count, or
-    with None if the range raises (the caller then reruns the range and
-    raises itself); return at the task pipe's end of file."""
+    """A helper's loop: answer each task, or with None if its range raises
+    (the caller then reruns the range itself); return at the task pipe's
+    end of file."""
     while True:
         try:
-            task = marshal.load(tasks)
+            task = _read_frame(tasks)
         except EOFError:
             return
         try:
             answer = _run_task(task)
         except Exception:
             answer = None
-        marshal.dump(answer, results)
-        results.flush()
+        _write_frame(results, marshal.dumps(answer))
 
 
 def _fork_helper() -> _Helper:
@@ -622,23 +692,56 @@ def _helpers_for(count: int) -> list[_Helper]:
     return _helpers[:count]
 
 
-def _split_parts(trials: int) -> int:
-    """How many ranges a call's trials are cut into: one per CPU this process
-    may run on, at most one per trial, and one (all in process) when forking
-    is unsafe or pointless or the verifiers were rebound (a traced or patched
-    run then sees every trial)."""
+def _split_parts(items: int) -> int:
+    """How many ranges a call's ``items`` independent trials or branches
+    are cut into: one per CPU this process may run on and at most one per
+    item; one (all in process) when forking is unsafe or pointless, or when
+    ``verify_w1``, ``verify_w2`` or ``run_sumcheck`` was rebound (a traced
+    or patched run then sees every item)."""
     if (
-        trials < 2
+        items < 2
         or not hasattr(os, "fork")
         or not hasattr(os, "sched_getaffinity")
-        or (verify_w1, verify_w2) != _VERIFIERS
+        or (verify_w1, verify_w2, run_sumcheck) != _UNPATCHED
     ):
         return 1
     import threading
 
     if threading.active_count() > 1:
         return 1
-    return min(len(os.sched_getaffinity(0)), trials)
+    return min(len(os.sched_getaffinity(0)), items)
+
+
+def _run_split(items: int, parts: int, task, run_here) -> list[tuple[range, object]]:
+    """``range(items)`` cut into ``parts`` contiguous ranges, each with its
+    result, in order.  The caller runs the first range, ``run_here(part)``,
+    while a helper runs each other one, sent as ``task(part)``.  A range
+    comes back with None when no helper answered for it (its helper died
+    or raised, and is reaped, or could not be forked), for the caller to
+    rerun.  A task ``marshal`` cannot carry (ValueError) leaves one range
+    and forks nothing.  Every helper is read before this returns, and if
+    anything raises every helper is killed, so no answer of this call
+    reaches a later one."""
+    ranges = _trial_ranges(items, parts)
+    try:
+        tasks = [task(part) for part in ranges[1:]]
+    except ValueError:  # an argument marshal cannot carry: every item runs here
+        ranges, tasks = [range(items)], []
+    helpers = _helpers_for(len(tasks))
+    try:
+        for helper, sent in zip(helpers, tasks):
+            helper.send(sent)
+        results = [run_here(ranges[0])]
+        for helper in helpers:
+            got = helper.result()
+            if got is None:
+                _helpers.remove(helper)
+                helper.stop(kill=True)
+            results.append(got)
+    except BaseException:
+        _stop_helpers(kill=True)  # no result of this call may reach the next
+        raise
+    return list(itertools.zip_longest(ranges, results))  # None where a fork failed
 
 
 def _split_accepted(
@@ -648,30 +751,19 @@ def _split_accepted(
     base_seed: int,
     config: Optional[VerifierConfig],
 ) -> int:
-    """The accepted count over ``range(trials)``: the caller runs the first
-    range and each helper one of the others; a range whose helper fails
-    reruns in the caller, so the sum equals the in-process count."""
-    helpers = _helpers_for(_split_parts(trials) - 1)
-    first, *rest = _trial_ranges(trials, len(helpers) + 1)
-    try:
-        tasks = [_task(formula, adversary, part, base_seed, config) for part in rest]
-    except ValueError:  # an argument marshal cannot carry: every trial runs here
-        first, rest, tasks = range(trials), [], []
-    try:
-        for helper, task in zip(helpers, tasks):
-            helper.send(task)
-        accepted = _accepted_in(formula, adversary, first, base_seed, config)
-        for helper, part in zip(helpers, rest):
-            got = helper.result()
-            if got is None:
-                _helpers.remove(helper)
-                helper.stop(kill=True)
-                got = _accepted_in(formula, adversary, part, base_seed, config)
-            accepted = accepted + got
-    except BaseException:
-        _stop_helpers(kill=True)  # no result of this call may reach the next
-        raise
-    return accepted
+    """The accepted count over ``range(trials)``, summed over the ranges of
+    ``_run_split``; a range whose helper failed reruns in the caller, so the
+    sum equals the in-process count."""
+    ranges = _run_split(
+        trials,
+        _split_parts(trials),
+        lambda part: _task("trials", formula, config, adversary, part.start, part.stop, base_seed),
+        lambda part: _accepted_in(formula, adversary, part, base_seed, config),
+    )
+    return sum(
+        _accepted_in(formula, adversary, part, base_seed, config) if got is None else got
+        for part, got in ranges
+    )
 
 
 def soundness_experiment(
@@ -691,11 +783,11 @@ def soundness_experiment(
 
     The trials are independent, so they are cut into contiguous ranges, one
     per CPU of ``os.sched_getaffinity(0)``: the caller runs the first, and
-    helpers forked on first use (and kept for later calls) run the others.
-    Every trial runs in process when there is one CPU or one trial, no
-    ``os.fork``, more than one thread, or when ``verify_w1`` or ``verify_w2``
-    is not this module's own function.  The result does not depend on the
-    split."""
+    helpers forked on first use (and kept for later calls, of this and of
+    ``awsat.verify_awsat``) run the others.  Every trial runs in process
+    when there is one CPU or one trial, no ``os.fork``, more than one
+    thread, or when ``verify_w1``, ``verify_w2`` or ``run_sumcheck`` is not
+    this module's own function.  The result does not depend on the split."""
     if adversary not in ADVERSARIES:
         raise ValueError(f"unknown adversary {adversary!r}, pick one of {ADVERSARIES}")
     if trials < 0:

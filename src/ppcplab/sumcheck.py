@@ -70,6 +70,16 @@ class RandomTape:
         self.bits_drawn = 0
         self.overhead_bits = 0
 
+    def getstate(self) -> tuple:
+        """The generator's state and both bit counts, as plain data."""
+        return self._rng.getstate(), self.bits_drawn, self.overhead_bits
+
+    def setstate(self, state: tuple) -> None:
+        """Continue from ``state``, as ``getstate`` gave it: the same draws
+        and the same counts as the tape it came from."""
+        rng_state, self.bits_drawn, self.overhead_bits = state
+        self._rng.setstate(rng_state)
+
     def draw_int(self, n: int) -> int:
         """Uniform value in [0, n), costing ceil(log2 n) bits per attempt."""
         if n < 1:

@@ -220,6 +220,25 @@ class TestClauseIndicator:
         g = WeightedFormula(4, ((1, 3, 2), (4,)), ClassTag.G21P, 1)
         assert build_w2_summand(g, P, [0] * g.m, 4).codes == ((0, 3), (2, 3), (1, 3), (1, 3))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_code_arrays_are_the_padded_clauses_transposed(self, data):
+        # each clause padded to L by its last literal, the L positions read
+        # off by one transpose: the definition the per-position arrays keep
+        g12n = data.draw(st.booleans())
+        n = data.draw(st.integers(2, 40))
+        L = 2 if g12n else data.draw(st.integers(1, 6))
+        sign = -1 if g12n else 1
+        clause = st.lists(st.integers(1, n), min_size=1, max_size=L, unique=True)
+        clauses = [tuple(sign * v for v in c) for c in data.draw(st.lists(clause, max_size=30))]
+        tag = ClassTag.G12N if g12n else ClassTag.G21P
+        f = WeightedFormula(n, tuple(clauses), tag, 1)
+        padded = [c + c[-1:] * (L - len(c)) for c in clauses]
+        code = (lambda lit: -lit - 1) if g12n else (lambda lit: lit - 1)
+        expected = tuple(tuple(code(lit) for lit in col) for col in zip(*padded)) or ((),) * L
+        spec = build_w1_summand(f, P, [0] * f.m) if g12n else build_w2_summand(f, P, [0] * f.m, L)
+        assert spec.codes == expected
+
     def test_unit_clause_padding_repeats_variable(self):
         f = WeightedFormula(2, ((-2,),), ClassTag.G12N, 1)
         z = (0,)

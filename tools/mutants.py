@@ -1,5 +1,5 @@
 """Mutation gate over the verifier's checks, the quantifier walks and the
-soundness experiment's trial split.
+split of trials and branches over forked helpers.
 
     python3 tools/mutants.py
 
@@ -50,13 +50,20 @@ SITES = {
     "pcpverify": [
         "multilinearity_test", "_read_assignment", "run_protocol",
         "protocol_parameters", "_verify",
-        # soundness_experiment's range split and the sum over its ranges
-        "_trial_ranges", "_split_accepted",
+        # the split of trials and branches over the helpers, its frames and
+        # the sum over the trial ranges
+        "_trial_ranges", "_split_parts", "_run_split", "_split_accepted",
+        "_read_frame", "_write_frame",
+        # the coin walk that brings a helper's tape to its first branch, and
+        # the merge of a helper's ledger into the caller's log
+        "_walk_accepting_passes", "_StageLog.extend",
     ],
     "arithmetize": ["summand_value", "read_points", "clause_indicator_eval"],
     "awsat": [
         "_read_proof", "verify_awsat", "_plain_attr", "_infeasible_verdict",
         "enumerate_universal", "BranchProofTables.merge", "honest_branch_tables",
+        # one range of branches, in the caller or in a helper
+        "_run_branches", "_branch_range",
     ],
     # the quantifier walks: the witness search above and the ground truth
     "formula": ["alternation_moves", "brute_force_awsat"],
@@ -72,6 +79,7 @@ TEST_FILES = [
     "tests/test_hostile_prover.py",
     "tests/test_acceptance.py",
     "tests/test_soundness_split.py",
+    "tests/test_awsat_split.py",
 ]
 TIMEOUT_S = 600
 WORKERS = 2
