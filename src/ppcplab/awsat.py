@@ -380,16 +380,18 @@ def verify_awsat(
     and a helper's range counts only if every branch below it accepted.
     The caller merges the ranges in order: the first rejection decides,
     later ranges' stage reports and meters are appended, and the tape ends
-    where the last range that ran left it.  A range whose helper dies or
-    raises runs again in the caller.  So the verdict, every stage report
-    and the tape's end state are those of the run in one process.  Every
-    branch runs in process with one CPU or fewer than two branches, no
-    ``os.fork``, more than one thread, an argument ``marshal`` cannot carry,
-    a tape that is not exactly a ``RandomTape``, a ``prover_factory`` other
-    than ``table_committed_prover``, or when one of the names
-    ``bench/tracer.py`` rebinds (``_UNTRACED``, and ``pcpverify``'s
-    ``_UNPATCHED``) is not its own function, so a traced or patched run
-    sees every branch."""
+    where the last range that ran left it.  The ranges after a rejecting
+    one are not waited for: their helpers drop them (``_Helper.drop``), so
+    an early rejection costs about what it costs in one process.  A range
+    whose helper dies or raises runs again in the caller.  So the verdict,
+    every stage report and the tape's end state are those of the run in
+    one process.  Every branch runs in process with one CPU or fewer than
+    two branches, no ``os.fork``, more than one thread, an argument
+    ``marshal`` cannot carry, a tape that is not exactly a ``RandomTape``,
+    a ``prover_factory`` other than ``table_committed_prover``, or when one
+    of the names ``bench/tracer.py`` rebinds (``_UNTRACED``, and
+    ``pcpverify``'s ``_UNPATCHED``) is not its own function, so a traced
+    or patched run sees every branch."""
     if instance.l % 2 == 0:
         raise ValueError("verification needs an odd number of blocks; use pad_to_odd first")
     cfg = config or VerifierConfig()
@@ -430,6 +432,9 @@ def verify_awsat(
             part.start, part.stop, tape.getstate(),
         ),
         run_here,
+        # a rejection, the caller's Verdict or a helper's (stage, round),
+        # decides: the ranges after it are not waited for
+        lambda got: isinstance(got, Verdict) or (got is not None and got[1] is not None),
     )
     (_, rejected), *rest = ranges
     for part, got in rest:

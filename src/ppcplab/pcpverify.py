@@ -529,11 +529,12 @@ def _trial_ranges(trials: int, parts: int) -> list[range]:
 class _Helper:
     """A forked copy of the process that runs ranges of trials or of
     branches: a task goes down one pipe, its answer (None if the range
-    raised) comes back up another, both as ``marshal`` frames
-    (``_write_frame``), which need no import."""
+    raised or was dropped) comes back up another, both as ``marshal``
+    frames (``_write_frame``), which need no import.  ``dropping`` is one
+    byte both processes share (``_serve``)."""
 
-    def __init__(self, pid: int, tasks, results):
-        self.pid, self.tasks, self.results = pid, tasks, results
+    def __init__(self, pid: int, tasks, results, dropping):
+        self.pid, self.tasks, self.results, self.dropping = pid, tasks, results, dropping
 
     def send(self, task: bytes) -> None:
         try:
@@ -549,8 +550,23 @@ class _Helper:
         except (EOFError, OSError, ValueError, TypeError):
             return None
 
+    def drop(self) -> bool:
+        """Have the helper drop the last task sent, and wait until it has
+        answered, for nothing: False if it died."""
+        import signal
+
+        self.dropping[0] = 1
+        try:
+            os.kill(self.pid, signal.SIGUSR1)
+            _read_frame(self.results)
+            return True
+        except (EOFError, OSError, ValueError, TypeError):
+            return False
+        finally:
+            self.dropping[0] = 0  # the helper is idle again, or dead
+
     def close(self) -> None:
-        for pipe in (self.tasks, self.results):
+        for pipe in (self.tasks, self.results, self.dropping):
             try:
                 pipe.close()
             except OSError:
@@ -615,35 +631,71 @@ def _run_task(task: tuple):
     return _branch_range(formula, config, *args)
 
 
-def _serve(tasks, results) -> None:
+class _Dropped(BaseException):
+    """A helper's task was dropped; no ``except Exception`` of a range
+    catches it."""
+
+
+def _serve(tasks, results, dropping) -> None:
     """A helper's loop: answer each task, or with None if its range raises
-    (the caller then reruns the range itself); return at the task pipe's
-    end of file."""
+    (the caller then reruns the range itself) or is dropped; return at the
+    task pipe's end of file.  The caller drops a task (``_Helper.drop``)
+    by setting ``dropping[0]`` and sending SIGUSR1, and clears it once it
+    has read the answer.  The signal raises ``_Dropped`` at most once a
+    task, and only while that task runs and ``dropping[0]`` is set, so a
+    late signal meant for an earlier task drops nothing; a task that has
+    not started when the signal comes finds ``dropping[0]`` set."""
+    import signal
+
+    running = False
+
+    def drop(*_):
+        nonlocal running
+        if running and dropping[0]:
+            running = False
+            raise _Dropped
+
+    signal.signal(signal.SIGUSR1, drop)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGUSR1})
     while True:
         try:
             task = _read_frame(tasks)
         except EOFError:
             return
+        answer = None
         try:
-            answer = _run_task(task)
-        except Exception:
+            try:
+                running = True
+                if not dropping[0]:
+                    answer = _run_task(task)
+            finally:
+                running = False
+        except (Exception, _Dropped):
             answer = None
         _write_frame(results, marshal.dumps(answer))
 
 
 def _fork_helper() -> _Helper:
     """Fork one helper, which serves tasks until its task pipe closes."""
+    import mmap
     import signal
 
     task_r, task_w = os.pipe()
     result_r, result_w = os.pipe()
+    dropping = mmap.mmap(-1, 1)  # shared with the helper
     parent = os.getpid()
+    # SIGUSR1 waits until the helper has its handler (_serve)
+    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGUSR1})
     try:
         pid = os.fork()
     except OSError:
         for fd in (task_r, task_w, result_r, result_w):
             os.close(fd)
+        dropping.close()
         raise
+    finally:
+        if os.getpid() == parent:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
     if pid == 0:
         # the helper never returns into its parent's stack
         try:
@@ -654,12 +706,12 @@ def _fork_helper() -> _Helper:
             # an orphan ends within half a second, even in the middle of a range
             signal.signal(signal.SIGALRM, lambda *_: os.getppid() == parent or os._exit(0))
             signal.setitimer(signal.ITIMER_REAL, 0.5, 0.5)
-            _serve(open(task_r, "rb"), open(result_w, "wb"))
+            _serve(open(task_r, "rb"), open(result_w, "wb"), dropping)
         finally:
             os._exit(0)
     os.close(task_r)
     os.close(result_w)
-    return _Helper(pid, open(task_w, "wb"), open(result_r, "rb"))
+    return _Helper(pid, open(task_w, "wb"), open(result_r, "rb"), dropping)
 
 
 def _stop_helpers(kill: bool = False) -> None:
@@ -712,16 +764,24 @@ def _split_parts(items: int) -> int:
     return min(len(os.sched_getaffinity(0)), items)
 
 
-def _run_split(items: int, parts: int, task, run_here) -> list[tuple[range, object]]:
+def _run_split(
+    items: int,
+    parts: int,
+    task,
+    run_here,
+    decides=lambda result: False,
+) -> list[tuple[range, object]]:
     """``range(items)`` cut into ``parts`` contiguous ranges, each with its
     result, in order.  The caller runs the first range, ``run_here(part)``,
     while a helper runs each other one, sent as ``task(part)``.  A range
     comes back with None when no helper answered for it (its helper died
     or raised, and is reaped, or could not be forked), for the caller to
-    rerun.  A task ``marshal`` cannot carry (ValueError) leaves one range
-    and forks nothing.  Every helper is read before this returns, and if
-    anything raises every helper is killed, so no answer of this call
-    reaches a later one."""
+    rerun.  Once a range's result ``decides`` the call (None never does),
+    the ranges after it are not waited for: their helpers drop them
+    (``_Helper.drop``), and they come back with None.  A task ``marshal``
+    cannot carry (ValueError) leaves one range and forks nothing.  Every
+    helper is read before this returns, and if anything raises every
+    helper is killed, so no answer of this call reaches a later one."""
     ranges = _trial_ranges(items, parts)
     try:
         tasks = [task(part) for part in ranges[1:]]
@@ -732,11 +792,17 @@ def _run_split(items: int, parts: int, task, run_here) -> list[tuple[range, obje
         for helper, sent in zip(helpers, tasks):
             helper.send(sent)
         results = [run_here(ranges[0])]
+        decided = decides(results[0])
         for helper in helpers:
-            got = helper.result()
-            if got is None:
+            if decided:
+                got, answered = None, helper.drop()
+            else:
+                got = helper.result()
+                answered = got is not None
+            if not answered:
                 _helpers.remove(helper)
                 helper.stop(kill=True)
+            decided = decided or decides(got)
             results.append(got)
     except BaseException:
         _stop_helpers(kill=True)  # no result of this call may reach the next

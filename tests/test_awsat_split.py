@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -419,6 +420,40 @@ class TestInProcess:
         assert_in_process()
 
 
+STALL_S = 15
+
+
+def stall_from(monkeypatch, marker, first):
+    """For a proof other than YES's honest one: a helper forked after this
+    touches ``marker`` and stalls ``STALL_S`` seconds in a range that
+    starts at branch ``first`` or later (dropping the range ends the
+    stall), and the caller's range waits for ``marker`` first, so it ends
+    while that helper stalls.  Returns the list the caller's range adds
+    the time it saw ``marker`` to."""
+    original_range, original_run = awsat._branch_range, awsat._run_branches
+    honest = len(honest_branch_tables(YES).tables)
+    seen = []
+
+    def stalled(formula, config, blocks, weights, tables, start, *rest):
+        if start >= first and len(tables) != honest:
+            marker.touch()
+            time.sleep(STALL_S)
+        return original_range(formula, config, blocks, weights, tables, start, *rest)
+
+    def waiting(instance, tables, branches, part, *rest):
+        if part.start == 0 and len(tables.tables) != honest:
+            deadline = time.monotonic() + 30
+            while not marker.exists():
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            seen.append(time.monotonic())
+        return original_run(instance, tables, branches, part, *rest)
+
+    monkeypatch.setattr(awsat, "_branch_range", stalled)
+    monkeypatch.setattr(awsat, "_run_branches", waiting)
+    return seen
+
+
 @needs_fork
 class TestHelpers:
     def test_one_helper_per_extra_cpu_kept_across_calls_and_kinds(self, monkeypatch):
@@ -480,6 +515,50 @@ class TestHelpers:
             split, plain = both_runs(YES, honest_branch_tables(YES), seed)
             assert split == plain and split[0].accepted
         assert helper_pids() == [helper]
+
+    def test_a_rejection_in_the_caller_s_range_drops_the_helpers_ranges(self, monkeypatch, tmp_path):
+        force_cpus(monkeypatch, 3)
+        seen = stall_from(monkeypatch, tmp_path / "stalled", 2)
+        instance, tables, stage = REJECTIONS["tables_caller"]
+        split, plain = both_runs(instance, tables, 0)
+        assert time.monotonic() - seen[0] < STALL_S - 5
+        assert split == plain and split[0].stage == stage
+        first = helper_pids()
+        split, plain = both_runs(YES, honest_branch_tables(YES), 1)
+        assert split == plain and split[0].accepted
+        assert helper_pids() == first and all(map(alive, first))
+
+    def test_a_rejection_in_a_helper_s_range_drops_the_ranges_after_it(self, monkeypatch, tmp_path):
+        force_cpus(monkeypatch, 3)
+        seen = stall_from(monkeypatch, tmp_path / "stalled", 4)
+        split, plain = both_runs(YES, without_prefix_table(YES, 2), 0)
+        assert time.monotonic() - seen[0] < STALL_S - 5
+        assert split == plain and split[0].stage == "b2.tables"
+        first = helper_pids()
+        split, plain = both_runs(YES, honest_branch_tables(YES), 1)
+        assert split == plain and split[0].accepted
+        assert helper_pids() == first and all(map(alive, first))
+
+    def test_an_accepting_range_drops_nothing(self, monkeypatch):
+        force_cpus(monkeypatch, 3)
+        dropped = []
+        monkeypatch.setattr(pcpverify._Helper, "drop", lambda helper: dropped.append(helper))
+        for instance, tables in [(YES, honest_branch_tables(YES)), (YES, without_prefix_table(YES, 5))]:
+            split, plain = both_runs(instance, tables, 2)
+            assert split == plain
+        assert dropped == [] and len(helper_pids()) == 2
+
+    def test_a_dead_helper_whose_range_is_dropped_is_reaped(self, monkeypatch):
+        force_cpus(monkeypatch, 2)
+        both_runs(YES, honest_branch_tables(YES), 0)
+        (killed,) = helper_pids()
+        os.kill(killed, signal.SIGKILL)
+        instance, tables, _ = REJECTIONS["simplify_caller"]
+        split, plain = both_runs(instance, tables, 3)
+        assert split == plain
+        assert helper_pids() == [] and not alive(killed)
+        split, plain = both_runs(YES, honest_branch_tables(YES), 4)
+        assert split == plain and len(helper_pids()) == 1
 
     def test_a_raise_in_the_caller_s_range_kills_every_helper(self, monkeypatch):
         force_cpus(monkeypatch, 2)

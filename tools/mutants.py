@@ -54,6 +54,8 @@ SITES = {
         # the sum over the trial ranges
         "_trial_ranges", "_split_parts", "_run_split", "_split_accepted",
         "_read_frame", "_write_frame",
+        # how a range after a rejecting one is dropped
+        "_Helper.drop", "_serve",
         # the coin walk that brings a helper's tape to its first branch, and
         # the merge of a helper's ledger into the caller's log
         "_walk_accepting_passes", "_StageLog.extend",
