@@ -25,7 +25,9 @@ meaning, for any assignment oracle A:
 
   * ``read_points``    where the summand reads A at a point,
   * ``summand_value``  the summand there, from those reads; the verifier's
-                       final check and the reference prover use it alike,
+                       final check and the reference prover use it alike.
+                       It is ``summand_factor``, the part that reads no
+                       oracle, times the read part ``with_reads``,
   * ``compile_plan``   the honest prover's ``ProductPlan`` over a committed
                        assignment table: the exact product-of-multilinear-
                        factors structure it folds round by round.
@@ -56,7 +58,6 @@ constant (widened to cover the highest true code of the committed tables).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from operator import mul
@@ -88,8 +89,9 @@ class BooleanTable:
             raise ValueError("arity must be at least 1")
         values = self.values
         if type(values) is bytes or type(values) is bytearray:
-            # one C-level pass; an empty table fails the length check below
-            if values and max(values) > 1:
+            # one C-level pass that drops the 0s and 1s; an empty table fails
+            # the length check below
+            if values.translate(None, b"\0\1"):
                 raise ValueError("table entries must be 0 or 1")
             values = bytes(values)
         else:
@@ -103,7 +105,13 @@ class BooleanTable:
         if len(values) != 1 << self.arity:
             raise ValueError(f"expected {1 << self.arity} entries, got {len(values)}")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_ones", tuple(itertools.compress(range(len(values)), values)))
+        # the true codes in order, one C-level search each: the tables here
+        # hold few of them (an assignment of weight k, a block of n codes)
+        ones, at = [], values.find(1)
+        while at != -1:
+            ones.append(at)
+            at = values.find(1, at + 1)
+        object.__setattr__(self, "_ones", tuple(ones))
 
     @classmethod
     def from_true_codes(cls, codes: Sequence[int], arity: int) -> "BooleanTable":
@@ -362,7 +370,8 @@ def read_points(spec: SummandSpec, point: Point) -> list[Point]:
 
 def summand_value(spec: SummandSpec, point: Point, reads: Sequence[int]) -> int:
     """The summand at ``point``, a residue mod p, given the oracle's answers
-    at its ``read_points`` as residues.
+    at its ``read_points`` as residues: ``summand_factor`` times the read
+    part (``with_reads``).
 
     A weight summand is A(z) * B(z).  A clause product is
     w(z) * prod_i C_i(z, x_i) * F(a_i), where a_i stands for A(x_i) and
@@ -370,18 +379,35 @@ def summand_value(spec: SummandSpec, point: Point, reads: Sequence[int]) -> int:
     clause weight prod_j r_j^{z_j}.  The literal factor F is A for negated
     2-CNF and 1 - A for positive CNF: on boolean points it is 1 exactly when
     the clause's literal at x_i is false."""
+    return with_reads(spec, summand_factor(spec, point), reads)
+
+
+def summand_factor(spec: SummandSpec, point: Point) -> int:
+    """The part of the summand at ``point`` that reads no oracle: B(z) for a
+    weight summand (1 with no block), w(z) * prod_i C_i(z, x_i) for a clause
+    product.  It depends on the statement and the point alone, so whoever
+    holds both computes the value the final check needs."""
     p = spec.p
     if spec.formula is None:
-        return reads[0] * (mle_eval(spec.block, point, p) if spec.block is not None else 1) % p
-    formula, m = spec.formula, spec.formula.m
+        return mle_eval(spec.block, point, p) if spec.block is not None else 1
+    n, m = spec.formula.num_vars, spec.formula.m
     z = point[:m]
-    negated = formula.class_tag is ClassTag.G12N
     val = math.prod([(1 - zj) + r * zj for zj, r in zip(z, spec.weights)]) % p
-    for i, (codes_i, a) in enumerate(zip(spec.codes, reads), start=1):
-        factor = a if negated else 1 - a
-        x = point[i * m : (i + 1) * m]
-        val = val * clause_indicator_eval(codes_i, formula.num_vars, z, x, p) * factor % p
+    for i, codes_i in enumerate(spec.codes, start=1):
+        val = val * clause_indicator_eval(codes_i, n, z, point[i * m : (i + 1) * m], p) % p
     return val
+
+
+def with_reads(spec: SummandSpec, factor: int, reads: Sequence[int]) -> int:
+    """The summand from its ``summand_factor`` and the oracle's answers at
+    its ``read_points``: A(z) * B(z), or the factor times prod_i F(a_i)."""
+    p = spec.p
+    if spec.formula is None:
+        return reads[0] * factor % p
+    negated = spec.formula.class_tag is ClassTag.G12N
+    for a in reads:
+        factor = factor * (a if negated else 1 - a) % p
+    return factor
 
 
 # the byte translation 0 <-> 1: 1 - A over a table's bytes

@@ -31,6 +31,7 @@ from .pcpverify import (
     protocol_parameters,
     run_g12n_protocol,  # the clause-product pass; bench/tracer.py times it under this name
     verify_w1,
+    _plain_attr,
     _run_split,
     _split_parts,
     _StageLog,
@@ -212,16 +213,6 @@ def awsat_parameters(
         weight_checks=(instance.l + 1) // 2,
         branches=universal_branch_count(instance),
     )
-
-
-def _plain_attr(obj, cls, name: str):
-    """Attribute ``name`` of ``obj``, or None unless ``obj`` is exactly a
-    ``cls`` whose attributes sit in a plain dict under plain str names:
-    reading it runs no method of ``obj``, of its type or of its names."""
-    attrs = vars(obj) if type(obj) is cls else None
-    if type(attrs) is not dict or not all(type(key) is str for key in attrs):
-        return None
-    return attrs.get(name)
 
 
 def _read_proof(tables, m: int) -> BranchProofTables:

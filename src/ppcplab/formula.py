@@ -437,7 +437,9 @@ def parse_awsat(text: str) -> AwsatInstance:
     """Parse an awsat instance: pwsat header/clauses plus block lines."""
     (tag, num_vars, _, k), clauses, block_lines, last = _parse_lines(text, allow_blocks=True)
     l = max(block_lines, default=0)
-    if sorted(block_lines) != list(range(1, l + 1)):
+    # the indices are distinct and positive, so they run from 1 to l exactly
+    # when there are l of them; no list of length l is built, since l is input
+    if len(block_lines) != l:
         raise PwsatParseError(last, "block indices must be contiguous from 1")
     blocks = tuple(block_lines[i][1] for i in range(1, l + 1))
     block_weights = tuple(block_lines[i][0] for i in range(1, l + 1))

@@ -34,7 +34,9 @@ branch.  The verifier computes the clause indicators and the clause-weight
 extension itself and never reads them from the proof; only round-polynomial
 coefficients and assignment values count as proof bits.  The weight check is
 restricted to the real-variable block, so weight parked on dummy codes never
-counts.
+counts.  A large pass over a plain committed table runs its line test, the
+main final check's read-free factor and its weight stage on a forked helper
+beside the main sum-check (``_split_pass``), with the same outputs.
 
 ``protocol_parameters`` selects the prime from the total round budget of one
 pass (sum-check rounds plus one term per multilinearity repetition) and the
@@ -43,6 +45,7 @@ number of passes, so a single union bound covers the run.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import marshal
@@ -54,13 +57,16 @@ from typing import Iterable, Optional, Sequence
 from .arithmetize import (
     BooleanTable,
     Point,
+    SummandSpec,
     build_w1_summand,
     build_w2_summand,
     build_weight_summand,
     clause_indicator_eval,  # unused here; bench/tracer.py wraps this name
     mle_eval,  # unused here; bench/tracer.py wraps this name
     read_points,
+    summand_factor,
     summand_value,
+    with_reads,
 )
 from .field import MAX_MODULUS, is_prime, select_prime
 from .formula import (
@@ -85,6 +91,7 @@ from .sumcheck import (
     run_sumcheck,
     table_committed_prover,
     RandomGarbageProver,
+    TableCommittedProver,
 )
 
 
@@ -304,39 +311,67 @@ def run_protocol(
         # bench/tracer.py wraps to split the main stage from the weight stage
         if name != "main":
             spec = build_weight_summand(m, p, block_table)
-        elif formula.class_tag is ClassTag.G12N:
-            spec = build_w1_summand(formula, p, weights)
         else:
-            spec = build_w2_summand(formula, p, weights, L)
-        run = run_sumcheck(spec, claim, prover, tape, log)
-        if not run.verdict.accepted:
-            return log.reject(prefix + name, len(run.transcripts), run.verdict.rejection_round)
-        point = run.final_point
-        reads = _read_assignment(prover, read_points(spec, point), log, p)
-        if reads is None or summand_value(spec, point, reads) != run.final_expected:
-            return log.reject(prefix + name, spec.num_vars, 0)
-        log.close(prefix + name, spec.num_vars, True)
+            spec = _main_summand(formula, p, weights, L)
+        rejected = _run_stage(prefix + name, spec, claim, prover, tape, log)
+        if rejected is not None:
+            return rejected
+    return None
+
+
+def _main_summand(formula: WeightedFormula, p: int, weights: Sequence[int], L: int) -> SummandSpec:
+    """The main stage's statement, over the clause weights ``weights``."""
+    if formula.class_tag is ClassTag.G12N:
+        return build_w1_summand(formula, p, weights)
+    return build_w2_summand(formula, p, weights, L)
+
+
+def _run_stage(
+    name: str, spec: SummandSpec, claim: int, prover: ProverStrategy, tape: RandomTape, log: _StageLog
+) -> Optional[Verdict]:
+    """One stage on ``log``: the sum-check of ``spec`` with ``claim``, the
+    reads at its final point and the final check there; the rejecting
+    verdict, or None when the stage accepts."""
+    run = run_sumcheck(spec, claim, prover, tape, log)
+    if not run.verdict.accepted:
+        return log.reject(name, len(run.transcripts), run.verdict.rejection_round)
+    point = run.final_point
+    reads = _read_assignment(prover, read_points(spec, point), log, spec.p)
+    if reads is None or summand_value(spec, point, reads) != run.final_expected:
+        return log.reject(name, spec.num_vars, 0)
+    log.close(name, spec.num_vars, True)
     return None
 
 
 def _walk_accepting_passes(
-    tape: RandomTape, params: ProtocolParameters, weight_checks: int, passes: int
-) -> None:
+    tape: RandomTape,
+    params: ProtocolParameters,
+    weight_checks: int,
+    passes: int,
+    lines: bool = True,
+    residues: bool = True,
+) -> list[int]:
     """Draw from ``tape`` what ``passes`` accepting ``run_protocol`` passes
-    with ``weight_checks`` weight checks draw, without running them.
+    with ``weight_checks`` weight checks draw, without running them, and
+    return the residues drawn.
 
     The multilinearity test and every sum-check are public-coin, so no
     draw depends on the prover's answers, and a pass that accepts draws
     this fixed schedule: ``reps`` lines, then one residue mod p per clause
     weight and one per sum-check round, (L + 1) m in the main stage and m
-    in each weight check."""
+    in each weight check.  ``lines`` or ``residues`` False leaves that part
+    of each pass out: a split pass (``_split_pass``) walks its lines alone,
+    or its clause weights and main rounds alone."""
     m, p = params.m, params.prime
-    residues = m + (params.padded_len + 1) * m + weight_checks * m
+    count = m + (params.padded_len + 1) * m + weight_checks * m
+    drawn: list[int] = []
     for _ in range(passes):
-        for _ in range(params.reps):
-            tape.draw_line(m, p)
-        for _ in range(residues):
-            tape.draw_int(p)
+        if lines:
+            for _ in range(params.reps):
+                tape.draw_line(m, p)
+        if residues:
+            drawn += [tape.draw_int(p) for _ in range(count)]
+    return drawn
 
 
 # bench/tracer.py times each branch pass through this name in awsat
@@ -357,6 +392,12 @@ def _verify(
     config: Optional[VerifierConfig],
 ) -> Verdict:
     params = protocol_parameters(formula, config)
+    if type(tape) is RandomTape and formula.m >= _SPLIT_M and not _busy:
+        values = _committed_values(prover, formula.m)
+        if values is not None and _split_parts(2) == 2:
+            split = _split_pass(formula, prover, tape, params, values)
+            if split is not None:
+                return split
     log = _StageLog()
     return run_protocol(
         formula, prover, tape, log, params,
@@ -372,7 +413,20 @@ def verify_w1(
 ) -> Verdict:
     """Full verifier for weighted negated 2-CNF: multilinearity test, random
     clause weights, main sum-check with claim 0 over 3m rounds, and a weight
-    sum-check with claim k over the real-variable block."""
+    sum-check with claim k over the real-variable block.
+
+    A pass splits over two CPUs (``_split_pass``) when m >= ``_SPLIT_M``
+    (7: below it the pipes cost more than the stages that move), the
+    prover is exactly a ``TableCommittedProver`` over exactly a
+    ``BooleanTable`` of exact ``bytes``, the tape is exactly a
+    ``RandomTape``, ``_split_parts`` allows two parts and the call runs in
+    no split's range or helper.  A helper then runs the line test, the main
+    final check's read-free factor and the weight stage while the caller
+    runs the main sum-check.  That factor, w(z) * prod_i C_i(z, x_i), is a
+    function of the statement and the final point alone, and the point is
+    the main rounds' challenges, which the tape alone fixes, so the helper
+    computes the very value the final check needs.  The verdict, every stage
+    report and meter and the tape's end state equal the run in one process."""
     if formula.class_tag is not ClassTag.G12N:
         raise ClassMismatchError("verify_w1 requires class g12n")
     return _verify(formula, prover, tape, config)
@@ -386,7 +440,14 @@ def verify_w2(
 ) -> Verdict:
     """Verifier for weighted positive CNF with clauses padded to length L; the
     main sum-check runs (L+1)*m rounds and the final check reads L assignment
-    values."""
+    values.
+
+    A pass splits over two CPUs under ``verify_w1``'s conditions (m >=
+    ``_SPLIT_M``, a plain committed table, a plain tape, two parts, no
+    split's range).  The helper's factor w(z) * prod_i C_i(z, x_i) over the
+    L positions is the final check's, since it depends on the statement and
+    the final point alone, and the tape alone fixes the point; the outputs
+    equal the run in one process."""
     if formula.class_tag is not ClassTag.G21P:
         raise ClassMismatchError("verify_w2 requires class g21p")
     return _verify(formula, prover, tape, config)
@@ -528,7 +589,7 @@ def _trial_ranges(trials: int, parts: int) -> list[range]:
 
 class _Helper:
     """A forked copy of the process that runs ranges of trials or of
-    branches: a task goes down one pipe, its answer (None if the range
+    branches, or a split pass's stages: a task goes down one pipe, its answer (None if the range
     raised or was dropped) comes back up another, both as ``marshal``
     frames (``_write_frame``), which need no import.  ``dropping`` is one
     byte both processes share (``_serve``)."""
@@ -603,24 +664,36 @@ def _read_frame(pipe):
 
 
 _helpers: list[_Helper] = []  # idle helpers, in the order they were forked
+# whether a split's range runs in this process: the caller's own range, or
+# any task of a helper.  A verifier called there keeps its pass in process,
+# since the helpers are busy
+_busy = False
 _helpers_pid = 0  # the process they serve; a fork of it inherits the list, not them
 
 
-def _task(kind: str, formula: WeightedFormula, config: Optional[VerifierConfig], *args) -> bytes:
+def _task(
+    kind: str, formula: Optional[WeightedFormula], config: Optional[VerifierConfig], *args
+) -> bytes:
     """A helper's task as ``marshal`` data, which ``_run_task`` rebuilds:
-    its kind, "trials" or "branches", the formula's fields, the config's
-    three fields (or None) and the kind's own arguments; ValueError if one
-    is not plain data."""
+    its kind, "trials", "branches" or "stage", the formula's fields (None
+    for a stage, whose arguments carry what it needs), the config's three
+    fields (or None) and the kind's own arguments; ValueError if one is not
+    plain data."""
     cfg = None if config is None else (config.epsilon, config.ml_test_reps, config.explicit_prime)
-    shape = (formula.num_vars, formula.clauses, formula.class_tag.value, formula.k, formula.m)
+    shape = None if formula is None else (
+        formula.num_vars, formula.clauses, formula.class_tag.value, formula.k, formula.m
+    )
     return marshal.dumps((kind, shape, cfg, args))
 
 
 def _run_task(task: tuple):
     """A task's answer: a range's accepted count for "trials" (the
     arguments of ``_accepted_in``), ``awsat._branch_range``'s plain data for
-    "branches"."""
-    kind, (num_vars, clauses, tag, k, m), cfg, args = task
+    "branches", ``_pass_stages``' for "stage"."""
+    kind, shape, cfg, args = task
+    if kind == "stage":
+        return _pass_stages(*args)
+    num_vars, clauses, tag, k, m = shape
     formula = WeightedFormula(num_vars, clauses, ClassTag(tag), k, m)
     config = None if cfg is None else VerifierConfig(*cfg)
     if kind == "trials":
@@ -647,6 +720,8 @@ def _serve(tasks, results, dropping) -> None:
     not started when the signal comes finds ``dropping[0]`` set."""
     import signal
 
+    global _busy
+    _busy = True  # a verifier call in a helper never splits
     running = False
 
     def drop(*_):
@@ -788,10 +863,15 @@ def _run_split(
     except ValueError:  # an argument marshal cannot carry: every item runs here
         ranges, tasks = [range(items)], []
     helpers = _helpers_for(len(tasks))
+    global _busy
     try:
         for helper, sent in zip(helpers, tasks):
             helper.send(sent)
-        results = [run_here(ranges[0])]
+        busy, _busy = _busy, True
+        try:
+            results = [run_here(ranges[0])]
+        finally:
+            _busy = busy
         decided = decides(results[0])
         for helper in helpers:
             if decided:
@@ -832,6 +912,177 @@ def _split_accepted(
     )
 
 
+# A pass of a W1 or W2 statement splits (``_split_pass``) from this cube
+# width on: below it the task's pipes and the helper's start cost more than
+# the line test, the main factor and the weight stage that move off the
+# caller's path
+_SPLIT_M = 7
+
+
+def _plain_attr(obj, cls, name: str):
+    """Attribute ``name`` of ``obj``, or None unless ``obj`` is exactly a
+    ``cls`` whose attributes sit in a plain dict under plain str names:
+    reading it runs no method of ``obj``, of its type or of its names."""
+    attrs = vars(obj) if type(obj) is cls else None
+    if type(attrs) is not dict or not all(type(key) is str for key in attrs):
+        return None
+    return attrs.get(name)
+
+
+def _committed_values(prover: ProverStrategy, m: int) -> Optional[bytes]:
+    """The table bytes of ``prover``, or None unless it is exactly a
+    ``TableCommittedProver`` holding exactly the ``BooleanTable`` that those
+    bytes, 2^m entries 0 or 1, make at arity m: the same attributes, of the
+    same types and values, and none that shadows a method.  Then a prover
+    that a helper builds from the bytes gives every answer this one gives,
+    and reading it runs no prover code."""
+    table = _plain_attr(prover, TableCommittedProver, "table")
+    values = _plain_attr(table, BooleanTable, "values")
+    if type(values) is not bytes or len(values) != 1 << m or values.translate(None, b"\0\1"):
+        return None
+    held, own = vars(table), vars(BooleanTable(m, values))
+    if (
+        held.keys() != own.keys()
+        or not vars(prover).keys() <= {"table", "_spec", "_folder"}
+        or any(type(held[key]) is not type(own[key]) for key in own)
+        or any(type(code) is not int for code in held["_ones"])
+    ):
+        return None
+    return values if held == own else None
+
+
+def _split_pass(
+    formula: WeightedFormula,
+    prover: ProverStrategy,
+    tape: RandomTape,
+    params: ProtocolParameters,
+    values: bytes,
+) -> Optional[Verdict]:
+    """One ``_verify`` pass over two processes, or None, with the tape back
+    where it stood, when it must run in process after all.
+
+    The pass is public-coin, so the tape alone fixes what an accepting pass
+    draws (``_walk_accepting_passes``).  The caller builds the main
+    statement's code arrays, which the clause weights do not change, and
+    sends them to an idle helper with the table bytes and the tape as it
+    stands at the call.  The helper (``_pass_stages``) runs the line test,
+    walks the clause weights and the main rounds to the main stage's final
+    point, computes the summand's read-free factor there
+    (``summand_factor``) and runs the weight stage.  Meanwhile the caller
+    walks the line test's draws, draws the clause weights, metered into the
+    main stage, and runs the main sum-check and its reads.  Its final check
+    takes ``with_reads`` of the helper's factor, which depends on the
+    statement and the point alone, so it is the value ``summand_value``
+    gives in process, and it is taken only if the helper walked to the
+    caller's own weights and point.  The stage reports are merged in stage
+    order, and the tape ends where the stage that decides left it.
+
+    If the main rounds reject, the helper is dropped, and the line test
+    reruns here from the saved tape, since in process its rejection would
+    come first.  A helper that dies or raises, or walks to another point,
+    gives None."""
+    m, L, p = params.m, params.padded_len, params.prime
+    start = tape.getstate()
+    # the code arrays do not depend on the clause weights, so the statement
+    # is built before they are drawn, and given them once they are
+    unweighted = _main_summand(formula, p, (0,) * m, L)
+    main = _StageLog()
+    spec = unweighted
+
+    def run_here(_):
+        nonlocal spec
+        _walk_accepting_passes(tape, params, 0, 1, residues=False)
+        weights = tuple([draw_field_element(tape, p, main) for _ in range(m)])
+        spec = dataclasses.replace(unweighted, weights=weights)
+        run = run_sumcheck(spec, 0, prover, tape, main)
+        if not run.verdict.accepted:
+            return main.reject("main", len(run.transcripts), run.verdict.rejection_round)
+        return run, _read_assignment(prover, read_points(spec, run.final_point), main, p)
+
+    # as bytes when every code fits one, which marshal copies whole
+    try:
+        codes = tuple(map(bytes, unweighted.codes))
+    except ValueError:
+        codes = unweighted.codes
+    statement = (unweighted.num_vars, unweighted.degree_bounds, codes)
+    shape = (formula.num_vars, formula.class_tag.value, formula.k)
+    # two parts, the caller's stages and the helper's; the task is plain
+    # data, so there are always two ranges
+    parts = 2
+    (_, here), (_, got) = _run_split(
+        parts,
+        parts,
+        lambda _: _task("stage", None, None, vars(params), shape, statement, values, start),
+        run_here,
+        lambda got: isinstance(got, Verdict),
+    )
+    log = _StageLog()
+    if isinstance(here, Verdict):
+        end = tape.getstate()
+        tape.setstate(start)
+        ok, rep = multilinearity_test(prover, m, params.reps, tape, log, p)
+        if not ok:
+            return log.reject("mltest", rep, rep)
+        tape.setstate(end)
+        log.close("mltest", params.reps, True)
+        return log.extend(main.ledger(), ("main", here.rejection_round))
+    if got is None:
+        tape.setstate(start)
+        return None
+    lines, line_rejection, drawn, factor, weight, weight_rejection, end = got
+    if line_rejection is not None:
+        tape.setstate(end)
+        return log.extend(lines, line_rejection)
+    run, reads = here
+    if drawn != [*spec.weights, *run.final_point]:
+        tape.setstate(start)
+        return None
+    log.extend(lines, None)
+    if reads is None or with_reads(spec, factor, reads) != run.final_expected:
+        main.close("main", spec.num_vars, False)
+        return log.extend(main.ledger(), ("main", 0))
+    main.close("main", spec.num_vars, True)
+    log.extend(main.ledger(), None)
+    tape.setstate(end)
+    return log.extend(weight, weight_rejection) or log.verdict()
+
+
+def _pass_stages(
+    fields: tuple, shape: tuple, statement: tuple, values: bytes, start: tuple
+) -> tuple:
+    """A helper's part of ``_split_pass``, from the task's plain data: the
+    parameters' fields, the formula's n, class and k, the main statement
+    without its formula, the table bytes and the tape's state at the call.
+    The code arrays come as ``bytes`` when every code fits a byte.
+    Returns the line test's ``ledger`` and its rejection as (stage, round)
+    or None, then, if it accepted, the residues walked (clause weights and
+    main rounds), the read-free factor at the main stage's final point and
+    the weight stage's ledger and rejection, and last the tape's end state.
+
+    The main statement's formula is rebuilt without clauses: the factor
+    reads only its n and m, and the code arrays carry the clauses."""
+    params = ProtocolParameters(**fields)
+    (n, tag, k), (num_vars, bounds, codes) = shape, statement
+    m, p = params.m, params.prime
+    prover = TableCommittedProver(BooleanTable(m, values))
+    tape = RandomTape(0)
+    tape.setstate(start)
+    lines = _StageLog()
+    ok, rep = multilinearity_test(prover, m, params.reps, tape, lines, p)
+    if not ok:
+        lines.reject("mltest", rep, rep)
+        return lines.ledger(), ("mltest", rep), None, None, None, None, tape.getstate()
+    lines.close("mltest", params.reps, True)
+    drawn = _walk_accepting_passes(tape, params, 0, 1, lines=False)
+    formula = WeightedFormula(n, (), ClassTag(tag), k, m)
+    spec = SummandSpec(num_vars, bounds, p, formula, tuple(drawn[:m]), codes)
+    factor = summand_factor(spec, tuple(drawn[m:]))
+    weight = _StageLog()
+    rejected = _run_stage("weight", build_weight_summand(m, p, _real_block(n, m)), k, prover, tape, weight)
+    rejection = None if rejected is None else (rejected.stage, rejected.rejection_round)
+    return lines.ledger(), None, drawn, factor, weight.ledger(), rejection, tape.getstate()
+
+
 def soundness_experiment(
     formula: WeightedFormula,
     adversary: str,
@@ -849,8 +1100,9 @@ def soundness_experiment(
 
     The trials are independent, so they are cut into contiguous ranges, one
     per CPU of ``os.sched_getaffinity(0)``: the caller runs the first, and
-    helpers forked on first use (and kept for later calls, of this and of
-    ``awsat.verify_awsat``) run the others.  Every trial runs in process
+    helpers forked on first use (and kept for later calls, of this, of
+    ``awsat.verify_awsat`` and of a split ``verify_w1`` / ``verify_w2``
+    pass) run the others.  A trial's own verification stays in process.  Every trial runs in process
     when there is one CPU or one trial, no ``os.fork``, more than one
     thread, or when ``verify_w1``, ``verify_w2`` or ``run_sumcheck`` is not
     this module's own function.  The result does not depend on the split."""

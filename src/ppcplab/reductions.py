@@ -86,7 +86,7 @@ def parse_graph(text: str) -> Graph:
                 raise ValueError(f"line {line_no}: {problem}")
             edges.append(tuple(values))
     if n is None:
-        raise ValueError("missing graph header")
+        raise ValueError(f"line {len(text.splitlines()) or 1}: missing graph header")
     return Graph(n, frozenset(edges))
 
 

@@ -1,5 +1,5 @@
 """Mutation gate over the verifier's checks, the quantifier walks and the
-split of trials and branches over forked helpers.
+split of trials, branches and a pass's stages over forked helpers.
 
     python3 tools/mutants.py
 
@@ -59,10 +59,16 @@ SITES = {
         # the coin walk that brings a helper's tape to its first branch, and
         # the merge of a helper's ledger into the caller's log
         "_walk_accepting_passes", "_StageLog.extend",
+        # one stage of a pass, and the split of a pass's stages: the reading
+        # of the prover's table, the caller's part and its merge, the helper's
+        # part
+        "_run_stage", "_plain_attr", "_committed_values", "_split_pass", "_pass_stages",
     ],
-    "arithmetize": ["summand_value", "read_points", "clause_indicator_eval"],
+    "arithmetize": [
+        "summand_value", "summand_factor", "with_reads", "read_points", "clause_indicator_eval",
+    ],
     "awsat": [
-        "_read_proof", "verify_awsat", "_plain_attr", "_infeasible_verdict",
+        "_read_proof", "verify_awsat", "_infeasible_verdict",
         "enumerate_universal", "BranchProofTables.merge", "honest_branch_tables",
         # one range of branches, in the caller or in a helper
         "_run_branches", "_branch_range",
@@ -78,6 +84,7 @@ TEST_FILES = [
     "tests/test_arithmetize.py",
     "tests/test_pcpverify.py",
     "tests/test_awsat.py",
+    "tests/test_stage_split.py",
     "tests/test_hostile_prover.py",
     "tests/test_acceptance.py",
     "tests/test_soundness_split.py",
