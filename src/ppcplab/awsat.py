@@ -22,20 +22,21 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from . import pool
 from .arithmetize import BooleanTable
 from .field import select_prime  # unused here; bench/tracer.py wraps this name
-from .formula import AwsatInstance, GuardError, WeightedFormula, alternation_moves, simplify
+from .formula import AwsatInstance, GuardError, alternation_moves, simplify
 from .pcpverify import (
     ProtocolParameters,
     VerifierConfig,
     protocol_parameters,
     run_g12n_protocol,  # the clause-product pass; bench/tracer.py times it under this name
     verify_w1,
+    _plain,
     _plain_attr,
-    _run_split,
-    _split_parts,
+    _rebuilt,
     _StageLog,
-    _task,
+    _unpatched,
     _walk_accepting_passes,
 )
 from .sumcheck import ProverStrategy, RandomTape, Verdict, table_committed_prover
@@ -311,8 +312,8 @@ def _run_branches(
 
 
 def _branch_range(
-    formula: WeightedFormula,
-    config: VerifierConfig,
+    shape: tuple,
+    cfg: Optional[tuple],
     blocks: tuple,
     block_weights: tuple,
     tables: dict,
@@ -320,12 +321,13 @@ def _branch_range(
     stop: int,
     tape_state: tuple,
 ) -> tuple:
-    """A helper's part of ``verify_awsat``: branches ``start`` to
-    ``stop - 1`` with honest provers over ``tables`` (values by key), on a
-    tape that continues from the caller's at its call (``tape_state``) and
-    first draws what the accepting branches below ``start`` draw.  Returns
-    the range's ``ledger``, its rejection as (stage, round) or None, and the
-    tape's end state, all plain data."""
+    """A helper's part of ``verify_awsat``: branches ``start`` to ``stop - 1``
+    (the formula and config as ``pcpverify._plain`` gives them) with honest
+    provers over ``tables`` (values by key), on the caller's tape at its
+    call (``tape_state``) after the draws of the accepting branches below
+    ``start``.  Returns the range's ``ledger``, its rejection as (stage,
+    round) or None, and the tape's end state, all plain data."""
+    formula, config = _rebuilt(shape, cfg)
     instance = AwsatInstance(formula, blocks, block_weights)
     proof = BranchProofTables({key: BooleanTable(formula.m, values) for key, values in tables.items()})
     params = awsat_parameters(instance, config)
@@ -361,28 +363,19 @@ def verify_awsat(
     reads as one with no tables, and a proof rewritten after that read,
     say by ``prover_factory``, changes no branch's oracle.
 
-    The branches are cut into contiguous ranges, one per CPU of
-    ``os.sched_getaffinity(0)``.  The caller runs the first range on its
-    own tape, and the helpers that ``soundness_experiment`` also uses run
-    the others.  A helper needs the tape as it stands where its range
-    begins, and it gets there by drawing alone: the multilinearity test
-    and every sum-check are public-coin, so a branch that accepts draws a
-    fixed schedule whatever the prover answers (``_walk_accepting_passes``),
-    and a helper's range counts only if every branch below it accepted.
-    The caller merges the ranges in order: the first rejection decides,
-    later ranges' stage reports and meters are appended, and the tape ends
-    where the last range that ran left it.  The ranges after a rejecting
-    one are not waited for: their helpers drop them (``_Helper.drop``), so
-    an early rejection costs about what it costs in one process.  A range
-    whose helper dies or raises runs again in the caller.  So the verdict,
-    every stage report and the tape's end state are those of the run in
-    one process.  Every branch runs in process with one CPU or fewer than
-    two branches, no ``os.fork``, more than one thread, an argument
-    ``marshal`` cannot carry, a tape that is not exactly a ``RandomTape``,
-    a ``prover_factory`` other than ``table_committed_prover``, or when one
-    of the names ``bench/tracer.py`` rebinds (``_UNTRACED``, and
-    ``pcpverify``'s ``_UNPATCHED``) is not its own function, so a traced
-    or patched run sees every branch."""
+    The branches are cut into one range per CPU (``pool.ranges``), and
+    ``pool.run_beside`` runs the first on the caller's own tape while a
+    helper runs each other one (``_branch_range``).  A helper reaches its
+    range's tape by drawing alone: every stage is public-coin, so a branch
+    that accepts draws a fixed schedule whatever the prover answers
+    (``_walk_accepting_passes``).  The caller merges the ranges in order,
+    the first rejection deciding (the helpers after it drop their ranges),
+    and reruns a range no helper answered, so the verdict, every stage
+    report and the tape's end state are those of the run in one process.
+    Every branch runs in process when ``pool.ranges`` gives one range, the
+    tape is not exactly a ``RandomTape``, ``prover_factory`` is not
+    ``table_committed_prover``, or a name ``bench/tracer.py`` rebinds
+    (``_UNTRACED``, ``pcpverify._unpatched``) is not its own."""
     if instance.l % 2 == 0:
         raise ValueError("verification needs an odd number of blocks; use pad_to_odd first")
     cfg = config or VerifierConfig()
@@ -409,26 +402,28 @@ def verify_awsat(
     splittable = (
         type(tape) is RandomTape
         and prover_factory is table_committed_prover
+        and _unpatched()
         and (run_g12n_protocol, simplify, enumerate_universal, awsat_parameters, BranchProofTables.merge)
         == _UNTRACED
     )
-    # _run_split builds every task before the caller's range runs, so each
-    # carries the tape as it stands at this call
-    ranges = _run_split(
-        len(branches),
-        _split_parts(len(branches)) if splittable else 1,
-        lambda part: _task(
-            "branches", instance.formula, cfg, instance.blocks, instance.block_weights,
-            {key: table.values for key, table in tables.tables.items()},
-            part.start, part.stop, tape.getstate(),
-        ),
-        run_here,
+    parts = pool.ranges(len(branches)) if splittable else [range(len(branches))]
+    shared = (
+        *_plain(instance.formula, cfg), instance.blocks, instance.block_weights,
+        {key: table.values for key, table in tables.tables.items()},
+    )
+    # every task carries the tape as it stands at this call, before the
+    # caller's range draws
+    rejected, answers = pool.run_beside(
+        [
+            (__name__, "_branch_range", (*shared, part.start, part.stop, tape.getstate()))
+            for part in parts[1:]
+        ],
+        lambda: run_here(parts[0]),
         # a rejection, the caller's Verdict or a helper's (stage, round),
         # decides: the ranges after it are not waited for
         lambda got: isinstance(got, Verdict) or (got is not None and got[1] is not None),
     )
-    (_, rejected), *rest = ranges
-    for part, got in rest:
+    for part, got in zip(parts[1:], answers):
         if rejected is not None:
             break
         if got is None:

@@ -25,6 +25,7 @@ from .awsat import (
 )
 from .formula import (
     ClassTag,
+    GuardError,
     brute_force_awsat,
     brute_force_wsat,
     parse_awsat,
@@ -51,6 +52,9 @@ from .reductions import (
 from .sumcheck import RandomTape, derive_seed, table_committed_prover
 
 REPORT_VERSION = 1
+
+# the widest cube ``verify`` builds 2^m-entry tables for (the golden corpus reaches 13)
+MAX_VERIFY_M = 16
 
 
 def _is_awsat_text(text: str) -> bool:
@@ -91,6 +95,12 @@ def _int_list(flag: str, text: str) -> tuple[int, ...]:
         raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
+def _verifiable_width(m: int) -> int:
+    if m > MAX_VERIFY_M:
+        raise GuardError(f"m={m} exceeds the widest verifiable cube, m={MAX_VERIFY_M}")
+    return m
+
+
 def cmd_verify(args) -> int:
     text = Path(args.path).read_text()
     config = VerifierConfig(epsilon=args.epsilon, explicit_prime=args.prime)
@@ -99,16 +109,16 @@ def cmd_verify(args) -> int:
         instance = parse_awsat(text)
         if args.prover != "honest":
             raise ValueError("alternating instances support only the honest prover")
+        m = _verifiable_width(instance.formula.m)
         instance = pad_to_odd(instance) if instance.l % 2 == 0 else instance
         tables = honest_branch_tables(instance) or _fallback_tables(instance)
         tape = RandomTape(args.seed)
         verdict = verify_awsat(instance, tables, table_committed_prover, tape, config)
-        m = instance.formula.m
         prime = awsat_parameters(instance, config).prime
         tag = "awsat"
     else:
         formula = parse_pwsat(text)
-        m = formula.m
+        m = _verifiable_width(formula.m)
         if args.prover == "honest":
             decision, witness = brute_force_wsat(formula)
             true_set = witness.true_set if decision else frozenset(

@@ -257,7 +257,8 @@ class AwsatInstance:
         if any(kw < 0 for kw in self.block_weights):
             raise ValueError("block weights must be nonnegative")
         flat = [v for b in self.blocks for v in b]
-        if sorted(flat) != list(range(1, self.formula.num_vars + 1)):
+        # the count first, so no list of the header's num_vars is built
+        if len(flat) != self.formula.num_vars or sorted(flat) != list(range(1, len(flat) + 1)):
             raise ValueError("blocks must cover every variable exactly once")
         total = sum(self.block_weights)
         if total != self.formula.k:

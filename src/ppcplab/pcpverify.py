@@ -35,8 +35,9 @@ extension itself and never reads them from the proof; only round-polynomial
 coefficients and assignment values count as proof bits.  The weight check is
 restricted to the real-variable block, so weight parked on dummy codes never
 counts.  A large pass over a plain committed table runs its line test, the
-main final check's read-free factor and its weight stage on a forked helper
-beside the main sum-check (``_split_pass``), with the same outputs.
+main final check's read-free factor and its weight stage on a helper beside
+the main sum-check (``_split_pass``), through ``pool.run_beside``, with the
+same outputs.
 
 ``protocol_parameters`` selects the prime from the total round budget of one
 pass (sum-check rounds plus one term per multilinearity repetition) and the
@@ -47,10 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
-import marshal
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -76,6 +74,7 @@ from .formula import (
     WeightedFormula,
     brute_force_wsat,
 )
+from . import pool
 from .reductions import gen_planted_yes_with_witness
 from .sumcheck import (
     ProverStrategy,
@@ -392,9 +391,9 @@ def _verify(
     config: Optional[VerifierConfig],
 ) -> Verdict:
     params = protocol_parameters(formula, config)
-    if type(tape) is RandomTape and formula.m >= _SPLIT_M and not _busy:
+    if type(tape) is RandomTape and formula.m >= _SPLIT_M and _unpatched() and len(pool.ranges(2)) == 2:
         values = _committed_values(prover, formula.m)
-        if values is not None and _split_parts(2) == 2:
+        if values is not None:
             split = _split_pass(formula, prover, tape, params, values)
             if split is not None:
                 return split
@@ -419,14 +418,16 @@ def verify_w1(
     (7: below it the pipes cost more than the stages that move), the
     prover is exactly a ``TableCommittedProver`` over exactly a
     ``BooleanTable`` of exact ``bytes``, the tape is exactly a
-    ``RandomTape``, ``_split_parts`` allows two parts and the call runs in
-    no split's range or helper.  A helper then runs the line test, the main
-    final check's read-free factor and the weight stage while the caller
-    runs the main sum-check.  That factor, w(z) * prod_i C_i(z, x_i), is a
-    function of the statement and the final point alone, and the point is
-    the main rounds' challenges, which the tape alone fixes, so the helper
-    computes the very value the final check needs.  The verdict, every stage
-    report and meter and the tape's end state equal the run in one process."""
+    ``RandomTape``, ``_unpatched()`` holds and ``pool.ranges(2)`` gives two
+    ranges, so there are two CPUs and the call runs in no part of another
+    split.  A helper then runs the line test, the main final check's
+    read-free factor and the weight stage (``pool.run_beside``) while the
+    caller runs the main sum-check.  That factor, w(z) * prod_i C_i(z, x_i),
+    is a function of the statement and the final point alone, and the point
+    is the main rounds' challenges, which the tape alone fixes, so the
+    helper computes the very value the final check needs.  The verdict,
+    every stage report and meter and the tape's end state equal the run in
+    one process."""
     if formula.class_tag is not ClassTag.G12N:
         raise ClassMismatchError("verify_w1 requires class g12n")
     return _verify(formula, prover, tape, config)
@@ -443,8 +444,8 @@ def verify_w2(
     values.
 
     A pass splits over two CPUs under ``verify_w1``'s conditions (m >=
-    ``_SPLIT_M``, a plain committed table, a plain tape, two parts, no
-    split's range).  The helper's factor w(z) * prod_i C_i(z, x_i) over the
+    ``_SPLIT_M``, a plain committed table, a plain tape, no rebound name,
+    two ranges).  The helper's factor w(z) * prod_i C_i(z, x_i) over the
     L positions is the final check's, since it depends on the statement and
     the final point alone, and the tape alone fixes the point; the outputs
     equal the run in one process."""
@@ -453,9 +454,13 @@ def verify_w2(
     return _verify(formula, prover, tape, config)
 
 
-# soundness_experiment and verify_awsat split their work only while these are
-# the names' values (bench/tracer.py and the golden recorder rebind them)
 _UNPATCHED = (verify_w1, verify_w2, run_sumcheck)
+
+
+def _unpatched() -> bool:
+    """Whether ``verify_w1``, ``verify_w2`` and ``run_sumcheck`` are this module's own:
+    no split runs otherwise, so a traced or patched run sees all the work."""
+    return (verify_w1, verify_w2, run_sumcheck) == _UNPATCHED
 
 
 # ---------------------------------------------------------------------------
@@ -552,12 +557,20 @@ def resource_report(
 ADVERSARIES = ("adaptive", "committed", "random")
 
 
+def _plain(formula: WeightedFormula, config: Optional[VerifierConfig]) -> tuple:
+    """The formula's and the config's fields as plain data, for a task."""
+    cfg = None if config is None else (config.epsilon, config.ml_test_reps, config.explicit_prime)
+    return (formula.num_vars, formula.clauses, formula.class_tag.value, formula.k, formula.m), cfg
+
+
+def _rebuilt(shape: tuple, cfg: Optional[tuple]) -> tuple:
+    """The formula and the config that ``_plain`` gave as ``shape`` and ``cfg``."""
+    n, clauses, tag, k, m = shape
+    return WeightedFormula(n, clauses, ClassTag(tag), k, m), None if cfg is None else VerifierConfig(*cfg)
+
+
 def _accepted_in(
-    formula: WeightedFormula,
-    adversary: str,
-    trials: range,
-    base_seed: int,
-    config: Optional[VerifierConfig],
+    formula: WeightedFormula, adversary: str, trials: range, base_seed: int, config: Optional[VerifierConfig]
 ) -> int:
     """How many of the experiment's trials numbered ``trials`` accept.  Trial
     t runs on the tape ``derive_seed(base_seed, t)`` with a new prover, so a
@@ -579,315 +592,13 @@ def _accepted_in(
     return accepted
 
 
-def _trial_ranges(trials: int, parts: int) -> list[range]:
-    """``range(trials)`` cut into ``parts`` contiguous ranges, in order, whose
-    lengths differ by at most one."""
-    size, extra = divmod(trials, parts)
-    bounds = [i * size + min(i, extra) for i in range(parts + 1)]
-    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-class _Helper:
-    """A forked copy of the process that runs ranges of trials or of
-    branches, or a split pass's stages: a task goes down one pipe, its answer (None if the range
-    raised or was dropped) comes back up another, both as ``marshal``
-    frames (``_write_frame``), which need no import.  ``dropping`` is one
-    byte both processes share (``_serve``)."""
-
-    def __init__(self, pid: int, tasks, results, dropping):
-        self.pid, self.tasks, self.results, self.dropping = pid, tasks, results, dropping
-
-    def send(self, task: bytes) -> None:
-        try:
-            _write_frame(self.tasks, task)
-        except OSError:
-            pass  # a dead helper; result() reads its end of file
-
-    def result(self):
-        """The answer to the last task sent, or None if the helper died or
-        its range raised."""
-        try:
-            return _read_frame(self.results)
-        except (EOFError, OSError, ValueError, TypeError):
-            return None
-
-    def drop(self) -> bool:
-        """Have the helper drop the last task sent, and wait until it has
-        answered, for nothing: False if it died."""
-        import signal
-
-        self.dropping[0] = 1
-        try:
-            os.kill(self.pid, signal.SIGUSR1)
-            _read_frame(self.results)
-            return True
-        except (EOFError, OSError, ValueError, TypeError):
-            return False
-        finally:
-            self.dropping[0] = 0  # the helper is idle again, or dead
-
-    def close(self) -> None:
-        for pipe in (self.tasks, self.results, self.dropping):
-            try:
-                pipe.close()
-            except OSError:
-                pass
-
-    def stop(self, kill: bool) -> None:
-        """Close the pipes, which ends an idle helper, kill it first if asked,
-        and reap it."""
-        import signal
-
-        self.close()
-        try:
-            if kill:
-                os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-        except (ProcessLookupError, ChildProcessError):
-            pass
-
-
-def _write_frame(pipe, data: bytes) -> None:
-    """Write ``marshal`` data as one frame: its length in 8 bytes, then it."""
-    pipe.write(len(data).to_bytes(8, "little") + data)
-    pipe.flush()
-
-
-def _read_frame(pipe):
-    """The value of the next frame on ``pipe``; EOFError at its end.  Two
-    reads a frame: ``marshal.load`` on a file makes one call of its
-    ``readinto`` per value, thousands for a tape's state."""
-    head = pipe.read(8)
-    if len(head) < 8:
-        raise EOFError
-    return marshal.loads(pipe.read(int.from_bytes(head, "little")))
-
-
-_helpers: list[_Helper] = []  # idle helpers, in the order they were forked
-# whether a split's range runs in this process: the caller's own range, or
-# any task of a helper.  A verifier called there keeps its pass in process,
-# since the helpers are busy
-_busy = False
-_helpers_pid = 0  # the process they serve; a fork of it inherits the list, not them
-
-
-def _task(
-    kind: str, formula: Optional[WeightedFormula], config: Optional[VerifierConfig], *args
-) -> bytes:
-    """A helper's task as ``marshal`` data, which ``_run_task`` rebuilds:
-    its kind, "trials", "branches" or "stage", the formula's fields (None
-    for a stage, whose arguments carry what it needs), the config's three
-    fields (or None) and the kind's own arguments; ValueError if one is not
-    plain data."""
-    cfg = None if config is None else (config.epsilon, config.ml_test_reps, config.explicit_prime)
-    shape = None if formula is None else (
-        formula.num_vars, formula.clauses, formula.class_tag.value, formula.k, formula.m
-    )
-    return marshal.dumps((kind, shape, cfg, args))
-
-
-def _run_task(task: tuple):
-    """A task's answer: a range's accepted count for "trials" (the
-    arguments of ``_accepted_in``), ``awsat._branch_range``'s plain data for
-    "branches", ``_pass_stages``' for "stage"."""
-    kind, shape, cfg, args = task
-    if kind == "stage":
-        return _pass_stages(*args)
-    num_vars, clauses, tag, k, m = shape
-    formula = WeightedFormula(num_vars, clauses, ClassTag(tag), k, m)
-    config = None if cfg is None else VerifierConfig(*cfg)
-    if kind == "trials":
-        adversary, start, stop, base_seed = args
-        return _accepted_in(formula, adversary, range(start, stop), base_seed, config)
-    from .awsat import _branch_range  # awsat imports this module, so not at the top
-
-    return _branch_range(formula, config, *args)
-
-
-class _Dropped(BaseException):
-    """A helper's task was dropped; no ``except Exception`` of a range
-    catches it."""
-
-
-def _serve(tasks, results, dropping) -> None:
-    """A helper's loop: answer each task, or with None if its range raises
-    (the caller then reruns the range itself) or is dropped; return at the
-    task pipe's end of file.  The caller drops a task (``_Helper.drop``)
-    by setting ``dropping[0]`` and sending SIGUSR1, and clears it once it
-    has read the answer.  The signal raises ``_Dropped`` at most once a
-    task, and only while that task runs and ``dropping[0]`` is set, so a
-    late signal meant for an earlier task drops nothing; a task that has
-    not started when the signal comes finds ``dropping[0]`` set."""
-    import signal
-
-    global _busy
-    _busy = True  # a verifier call in a helper never splits
-    running = False
-
-    def drop(*_):
-        nonlocal running
-        if running and dropping[0]:
-            running = False
-            raise _Dropped
-
-    signal.signal(signal.SIGUSR1, drop)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGUSR1})
-    while True:
-        try:
-            task = _read_frame(tasks)
-        except EOFError:
-            return
-        answer = None
-        try:
-            try:
-                running = True
-                if not dropping[0]:
-                    answer = _run_task(task)
-            finally:
-                running = False
-        except (Exception, _Dropped):
-            answer = None
-        _write_frame(results, marshal.dumps(answer))
-
-
-def _fork_helper() -> _Helper:
-    """Fork one helper, which serves tasks until its task pipe closes."""
-    import mmap
-    import signal
-
-    task_r, task_w = os.pipe()
-    result_r, result_w = os.pipe()
-    dropping = mmap.mmap(-1, 1)  # shared with the helper
-    parent = os.getpid()
-    # SIGUSR1 waits until the helper has its handler (_serve)
-    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGUSR1})
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (task_r, task_w, result_r, result_w):
-            os.close(fd)
-        dropping.close()
-        raise
-    finally:
-        if os.getpid() == parent:
-            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-    if pid == 0:
-        # the helper never returns into its parent's stack
-        try:
-            os.close(task_w)
-            os.close(result_r)
-            for other in _helpers:
-                other.close()
-            # an orphan ends within half a second, even in the middle of a range
-            signal.signal(signal.SIGALRM, lambda *_: os.getppid() == parent or os._exit(0))
-            signal.setitimer(signal.ITIMER_REAL, 0.5, 0.5)
-            _serve(open(task_r, "rb"), open(result_w, "wb"), dropping)
-        finally:
-            os._exit(0)
-    os.close(task_r)
-    os.close(result_w)
-    return _Helper(pid, open(task_w, "wb"), open(result_r, "rb"), dropping)
-
-
-def _stop_helpers(kill: bool = False) -> None:
-    """End and reap this process's helpers (at exit, and after a call that
-    raised, so no helper's result outlives its call)."""
-    mine = _helpers_pid == os.getpid()
-    for helper in _helpers:
-        if mine:
-            helper.stop(kill)
-        else:
-            helper.close()
-    _helpers.clear()
-
-
-def _helpers_for(count: int) -> list[_Helper]:
-    """Up to ``count`` helpers of this process, forked as needed; fewer if a
-    fork fails."""
-    global _helpers_pid
-    if _helpers_pid != os.getpid():
-        _stop_helpers()
-        _helpers_pid = os.getpid()
-        import atexit
-
-        atexit.register(_stop_helpers)
-    try:
-        while len(_helpers) < count:
-            _helpers.append(_fork_helper())
-    except OSError:
-        pass
-    return _helpers[:count]
-
-
-def _split_parts(items: int) -> int:
-    """How many ranges a call's ``items`` independent trials or branches
-    are cut into: one per CPU this process may run on and at most one per
-    item; one (all in process) when forking is unsafe or pointless, or when
-    ``verify_w1``, ``verify_w2`` or ``run_sumcheck`` was rebound (a traced
-    or patched run then sees every item)."""
-    if (
-        items < 2
-        or not hasattr(os, "fork")
-        or not hasattr(os, "sched_getaffinity")
-        or (verify_w1, verify_w2, run_sumcheck) != _UNPATCHED
-    ):
-        return 1
-    import threading
-
-    if threading.active_count() > 1:
-        return 1
-    return min(len(os.sched_getaffinity(0)), items)
-
-
-def _run_split(
-    items: int,
-    parts: int,
-    task,
-    run_here,
-    decides=lambda result: False,
-) -> list[tuple[range, object]]:
-    """``range(items)`` cut into ``parts`` contiguous ranges, each with its
-    result, in order.  The caller runs the first range, ``run_here(part)``,
-    while a helper runs each other one, sent as ``task(part)``.  A range
-    comes back with None when no helper answered for it (its helper died
-    or raised, and is reaped, or could not be forked), for the caller to
-    rerun.  Once a range's result ``decides`` the call (None never does),
-    the ranges after it are not waited for: their helpers drop them
-    (``_Helper.drop``), and they come back with None.  A task ``marshal``
-    cannot carry (ValueError) leaves one range and forks nothing.  Every
-    helper is read before this returns, and if anything raises every
-    helper is killed, so no answer of this call reaches a later one."""
-    ranges = _trial_ranges(items, parts)
-    try:
-        tasks = [task(part) for part in ranges[1:]]
-    except ValueError:  # an argument marshal cannot carry: every item runs here
-        ranges, tasks = [range(items)], []
-    helpers = _helpers_for(len(tasks))
-    global _busy
-    try:
-        for helper, sent in zip(helpers, tasks):
-            helper.send(sent)
-        busy, _busy = _busy, True
-        try:
-            results = [run_here(ranges[0])]
-        finally:
-            _busy = busy
-        decided = decides(results[0])
-        for helper in helpers:
-            if decided:
-                got, answered = None, helper.drop()
-            else:
-                got = helper.result()
-                answered = got is not None
-            if not answered:
-                _helpers.remove(helper)
-                helper.stop(kill=True)
-            decided = decided or decides(got)
-            results.append(got)
-    except BaseException:
-        _stop_helpers(kill=True)  # no result of this call may reach the next
-        raise
-    return list(itertools.zip_longest(ranges, results))  # None where a fork failed
+def _helper_accepted_in(
+    shape: tuple, cfg: Optional[tuple], adversary: str, start: int, stop: int, seed: int
+) -> int:
+    """A helper's part of ``soundness_experiment``: ``_accepted_in`` over
+    trials ``start`` to ``stop - 1``, the formula and config rebuilt."""
+    formula, config = _rebuilt(shape, cfg)
+    return _accepted_in(formula, adversary, range(start, stop), seed, config)
 
 
 def _split_accepted(
@@ -897,18 +608,19 @@ def _split_accepted(
     base_seed: int,
     config: Optional[VerifierConfig],
 ) -> int:
-    """The accepted count over ``range(trials)``, summed over the ranges of
-    ``_run_split``; a range whose helper failed reruns in the caller, so the
-    sum equals the in-process count."""
-    ranges = _run_split(
-        trials,
-        _split_parts(trials),
-        lambda part: _task("trials", formula, config, adversary, part.start, part.stop, base_seed),
-        lambda part: _accepted_in(formula, adversary, part, base_seed, config),
+    """The accepted count over ``range(trials)``, summed over the ranges
+    that the caller and the helpers count; a range no helper answered
+    reruns in the caller, so the sum equals the in-process count."""
+    parts = pool.ranges(trials) if _unpatched() else [range(trials)]
+    shape, cfg = _plain(formula, config)
+    tasks = [(shape, cfg, adversary, part.start, part.stop, base_seed) for part in parts[1:]]
+    here, answers = pool.run_beside(
+        [(__name__, "_helper_accepted_in", task) for task in tasks],
+        lambda: _accepted_in(formula, adversary, parts[0], base_seed, config),
     )
-    return sum(
+    return here + sum(
         _accepted_in(formula, adversary, part, base_seed, config) if got is None else got
-        for part, got in ranges
+        for part, got in zip(parts[1:], answers)
     )
 
 
@@ -989,7 +701,7 @@ def _split_pass(
     main = _StageLog()
     spec = unweighted
 
-    def run_here(_):
+    def run_here():
         nonlocal spec
         _walk_accepting_passes(tape, params, 0, 1, residues=False)
         weights = tuple([draw_field_element(tape, p, main) for _ in range(m)])
@@ -999,20 +711,15 @@ def _split_pass(
             return main.reject("main", len(run.transcripts), run.verdict.rejection_round)
         return run, _read_assignment(prover, read_points(spec, run.final_point), main, p)
 
-    # as bytes when every code fits one, which marshal copies whole
+    # as bytes when every code fits one, which a task carries whole
     try:
         codes = tuple(map(bytes, unweighted.codes))
     except ValueError:
         codes = unweighted.codes
     statement = (unweighted.num_vars, unweighted.degree_bounds, codes)
     shape = (formula.num_vars, formula.class_tag.value, formula.k)
-    # two parts, the caller's stages and the helper's; the task is plain
-    # data, so there are always two ranges
-    parts = 2
-    (_, here), (_, got) = _run_split(
-        parts,
-        parts,
-        lambda _: _task("stage", None, None, vars(params), shape, statement, values, start),
+    here, (got,) = pool.run_beside(
+        [(__name__, "_pass_stages", (vars(params), shape, statement, values, start))],
         run_here,
         lambda got: isinstance(got, Verdict),
     )
@@ -1098,14 +805,11 @@ def soundness_experiment(
     table (random-weight separation), and 2/p for uniform garbage (the chance
     of passing the round-1 consistency equation).
 
-    The trials are independent, so they are cut into contiguous ranges, one
-    per CPU of ``os.sched_getaffinity(0)``: the caller runs the first, and
-    helpers forked on first use (and kept for later calls, of this, of
-    ``awsat.verify_awsat`` and of a split ``verify_w1`` / ``verify_w2``
-    pass) run the others.  A trial's own verification stays in process.  Every trial runs in process
-    when there is one CPU or one trial, no ``os.fork``, more than one
-    thread, or when ``verify_w1``, ``verify_w2`` or ``run_sumcheck`` is not
-    this module's own function.  The result does not depend on the split."""
+    The trials are independent, so ``pool.ranges`` cuts them into one range
+    per CPU: the caller counts the first, and ``pool.run_beside``'s helpers
+    the others (``_helper_accepted_in``).  Every trial runs in process when it
+    gives one range or ``_unpatched()`` fails.  The result does not depend
+    on the split."""
     if adversary not in ADVERSARIES:
         raise ValueError(f"unknown adversary {adversary!r}, pick one of {ADVERSARIES}")
     if trials < 0:

@@ -26,6 +26,10 @@ from .formula import (
 )
 
 
+# the most variable pairs, clauses or vertices a generator or reduce lists
+CAP = 10**6
+
+
 def _edge_problem(u: int, v: int, n: int) -> Optional[str]:
     """What is wrong with the edge (u, v) of a graph on vertices 1..n, or
     None: the one statement of an edge's rule, for ``Graph`` and the parser."""
@@ -130,7 +134,11 @@ def has_independent_set(g: Graph, k: int) -> bool:
 
 def independent_set_to_wsat(g: Graph, k: int) -> WeightedFormula:
     """One clause (-u, -v) per edge; the graph has a size-k independent set iff
-    the output has a satisfying assignment of weight exactly k."""
+    the output has a satisfying assignment of weight exactly k.  Over
+    ``CAP`` vertices (one literal each in the clause table) raise
+    ``GuardError``."""
+    if g.n > CAP:
+        raise GuardError(f"the reduction covers at most 10^6 vertices, got {g.n}")
     if k > g.n:
         raise ValueError(f"k={k} exceeds the vertex count {g.n}")
     clause = _pair_clauses(g.n).clause
@@ -156,7 +164,7 @@ def gen_planted_yes_with_witness(n: int, k: int, num_clauses: int, seed: int):
     most 10^6 pairs: a larger n (n > 1414) raises ``GuardError``."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if math.comb(n, 2) > 10**6:
+    if math.comb(n, 2) > CAP:
         raise GuardError("planted generator covers at most 10^6 variable pairs (n <= 1414)")
     rng = random.Random(seed)
     planted = set(rng.sample(range(1, n + 1), k))
@@ -209,9 +217,12 @@ def gen_random(
     class_tag: ClassTag = ClassTag.G12N,
     max_len: int = 3,
 ) -> WeightedFormula:
-    """Uniform random clauses of the class; label with brute_force_wsat."""
+    """Uniform random clauses of the class; label with brute_force_wsat.
+    Over ``CAP`` clauses raise ``GuardError``."""
     if n < 1 or n > 24:
         raise GuardError("generator covers 1..24 variables")
+    if num_clauses > CAP:
+        raise GuardError(f"generators make at most 10^6 clauses, got {num_clauses}")
     rng = random.Random(seed)
     clauses = []
     if class_tag is ClassTag.G12N:
@@ -237,7 +248,8 @@ def gen_random_awsat(
     seed: int,
 ) -> AwsatInstance:
     """Random alternating instance: a shuffled partition into the given block
-    sizes and uniform all-negated binary clauses."""
+    sizes and uniform all-negated binary clauses.  Over ``CAP`` variable
+    pairs or clauses raise ``GuardError``."""
     negative = [size for size in block_sizes if size < 0]
     if negative:
         raise ValueError(f"block size {negative[0]} is negative")
@@ -245,6 +257,12 @@ def gen_random_awsat(
         raise ValueError("block sizes must sum to the variable count")
     if len(block_sizes) != len(block_weights):
         raise ValueError("one weight per block is required")
+    if math.comb(n, 2) > CAP:
+        raise GuardError("awsat generator covers at most 10^6 variable pairs (n <= 1414)")
+    if num_clauses > CAP:
+        raise GuardError(f"generators make at most 10^6 clauses, got {num_clauses}")
+    if n < 2 and num_clauses > 0:
+        raise ValueError("binary clauses need at least two variables")
     rng = random.Random(seed)
     order = list(range(1, n + 1))
     rng.shuffle(order)

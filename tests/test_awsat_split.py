@@ -16,8 +16,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from conftest import alive, force_cpus, helper_pids, needs_fork
 from golden.record import _awsat_instances
-from ppcplab import awsat, pcpverify
+from ppcplab import awsat, pcpverify, pool
 from ppcplab.arithmetize import BooleanTable
 from ppcplab.awsat import (
     BranchProofTables,
@@ -84,35 +85,8 @@ def both_runs(instance, tables, seed, config=None, drawn=0):
     return out
 
 
-@pytest.fixture(autouse=True)
-def no_helpers():
-    """Each test starts and ends with no helper alive."""
-    pcpverify._stop_helpers()
-    yield
-    pcpverify._stop_helpers(kill=True)
-
-
-def force_cpus(monkeypatch, count):
-    """Make the process look as if it may run on ``count`` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def helper_pids():
-    return [helper.pid for helper in pcpverify._helpers]
-
-
-def alive(pid):
-    """Whether ``pid`` is a process that is not a zombie."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except OSError:
-        return False
-    return stat.rsplit(")", 1)[1].split()[0] != "Z"
-
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"), reason="needs os.fork and affinity"
-)
+# each test starts and ends with no helper alive
+pytestmark = pytest.mark.usefixtures("no_helpers")
 
 # an m = 3 pwsat no-instance: a triangle at weight 2
 NO_PWSAT = parse_pwsat("p pwsat g12n 3 3 2\n-1 -2 0\n-2 -3 0\n-1 -3 0\n")
@@ -484,11 +458,14 @@ class TestHelpers:
         both_runs(YES, honest_branch_tables(YES), 0)
         (helper,) = helper_pids()
 
-        def spoiled(kind, formula, config, blocks, weights, tables, *rest):
-            # tables of the wrong size: the helper's range raises there
-            return pcpverify._task(kind, formula, config, blocks, weights, {(1, ""): b"\0"}, *rest)
+        original = pool.run_beside
 
-        monkeypatch.setattr(awsat, "_task", spoiled)
+        def spoiled(tasks, *rest):
+            # tables of the wrong size: the helper's range raises there
+            tasks = [(module, name, (*args[:4], {(1, ""): b"\0"}, *args[5:])) for module, name, args in tasks]
+            return original(tasks, *rest)
+
+        monkeypatch.setattr(pool, "run_beside", spoiled)
         split, plain = both_runs(YES, honest_branch_tables(YES), 9)
         assert split == plain and split[0].accepted
         assert helper not in helper_pids() and not alive(helper)
@@ -542,7 +519,7 @@ class TestHelpers:
     def test_an_accepting_range_drops_nothing(self, monkeypatch):
         force_cpus(monkeypatch, 3)
         dropped = []
-        monkeypatch.setattr(pcpverify._Helper, "drop", lambda helper: dropped.append(helper))
+        monkeypatch.setattr(pool._Helper, "drop", lambda helper: dropped.append(helper))
         for instance, tables in [(YES, honest_branch_tables(YES)), (YES, without_prefix_table(YES, 5))]:
             split, plain = both_runs(instance, tables, 2)
             assert split == plain
@@ -583,14 +560,14 @@ import json, os, sys
 cpus = sorted(os.sched_getaffinity(0))
 os.sched_setaffinity(0, cpus[:1] if sys.argv[1] == "one" else cpus[:4])
 import contextlib, io
-from ppcplab import cli, pcpverify
+from ppcplab import cli, pool
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(["verify", sys.argv[2], "--seed", "3", "--json"])
 report = json.loads(out.getvalue())
 del report["wall_time_ms"]
 print(json.dumps(report, sort_keys=True))
-print(len(pcpverify._helpers), code, file=sys.stderr)
+print(len(pool._helpers), code, file=sys.stderr)
 """
 
 # the CI pair: 6 branches each, a yes-instance and a no-instance that first

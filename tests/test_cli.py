@@ -1,8 +1,10 @@
 import json
 import re
+import tracemalloc
 
 import pytest
 
+from ppcplab import cli
 from ppcplab.cli import main
 
 YES_TEXT = "p pwsat g12n 3 2 1\n-1 -2 0\n-1 -3 0\n"
@@ -178,6 +180,49 @@ class TestScalingCommand:
             assert len(line.split(",")) == 6
 
 
+class TestVerifyWidthGuard:
+    """``verify`` refuses a cube wider than ``cli.MAX_VERIFY_M`` before it
+    builds any 2^m table."""
+
+    @pytest.fixture(autouse=True)
+    def no_tables(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a table was built")
+
+        for name in ("honest_branch_tables", "_fallback_tables", "_load_table_file"):
+            monkeypatch.setattr(cli, name, refused)
+
+    def test_a_table_file_on_a_huge_header_exits_two(self, tmp_path, capsys):
+        path = write(tmp_path, "huge.pwsat", "p pwsat g12n 99999999999 1 1\n-1 -2 0\n")
+        table = write(tmp_path, "huge.table", "1\n")
+        tracemalloc.start()
+        try:
+            code = main(["verify", path, "--prover", f"table:{table}"])
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert code == 2 and peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == "" and "m=37 exceeds the widest verifiable cube, m=16" in captured.err
+
+    def test_the_honest_prover_past_the_limit_exits_two(self, tmp_path, capsys):
+        path = write(tmp_path, "wide.pwsat", "p pwsat g12n 65537 1 1\n-1 -2 0\n")
+        assert main(["verify", path]) == 2
+        assert "m=17 exceeds" in capsys.readouterr().err
+
+    def test_an_awsat_instance_past_the_limit_exits_two(self, tmp_path, capsys):
+        clauses = 65537
+        text = f"p pwsat g12n 3 {clauses} 1\nb 1 1 1 0\nb 2 0 2 0\nb 3 0 3 0\n" + "-1 -2 0\n" * clauses
+        path = write(tmp_path, "wide.awsat", text)
+        assert main(["verify", path]) == 2
+        assert "m=17 exceeds" in capsys.readouterr().err
+
+    def test_the_limit_itself_passes(self):
+        # the golden corpus verifies at m = 13, the benchmark at m = 12
+        assert cli.MAX_VERIFY_M >= 13
+        assert cli._verifiable_width(cli.MAX_VERIFY_M) == cli.MAX_VERIFY_M
+
+
 class TestReduceAndGen:
     def test_reduce_pipes_into_solve(self, tmp_path, capsys):
         graph = write(tmp_path, "k3.graph", GRAPH_TEXT)
@@ -197,6 +242,26 @@ class TestReduceAndGen:
         assert main(["gen", "planted", "--n", "100000", "--clauses", "5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "10^6 variable pairs" in captured.err
+
+    @pytest.mark.parametrize("args, message", [
+        (["gen", "random", "--n", "6", "--clauses", "99999999999"], "at most 10^6 clauses"),
+        (["gen", "awsat", "--n", "99999999999", "--block-sizes", "99999999999",
+          "--block-weights", "1"], "10^6 variable pairs"),
+        (["gen", "awsat", "--n", "4", "--block-sizes", "2,2", "--block-weights", "1,1",
+          "--clauses", "99999999999"], "at most 10^6 clauses"),
+        (["reduce", "GRAPH", "--k", "2"], "at most 10^6 vertices"),
+    ], ids=["gen-random-clauses", "gen-awsat-n", "gen-awsat-clauses", "reduce-header"])
+    def test_hostile_sizes_exit_two_before_allocating(self, tmp_path, capsys, args, message):
+        graph = write(tmp_path, "huge.graph", "g 99999999999\ne 1 2\ne 2 99999999999\n")
+        tracemalloc.start()
+        try:
+            code = main([graph if arg == "GRAPH" else arg for arg in args])
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2 and peak < 1 << 20
+        assert captured.out == "" and message in captured.err
 
     def test_gen_awsat_solves(self, tmp_path, capsys):
         assert main([

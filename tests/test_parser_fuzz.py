@@ -64,6 +64,9 @@ def edited(draw):
 # a block index no list of its length fits in memory, and one that fits
 @example("p pwsat g12n 8 1 1\nb 99999999999 1 1 6 8 0\n-1 -2 0\n")
 @example("p pwsat g12n 8 1 1\nb 1 1 1 6 8 0\nb 3 0 2 0\n-1 -2 0\n")
+# a variable count no list of its length fits in memory, which the blocks
+# must cover
+@example("p pwsat g12n 99999999999 1 1\nb 1 1 1 2 0\n-1 -2 0\n")
 def test_an_edited_file_parses_or_names_its_line(text):
     for parse in (parse_pwsat, parse_awsat, parse_graph):
         tracemalloc.start()

@@ -1,9 +1,11 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from ppcplab.formula import Assignment, ClassTag, GuardError, brute_force_wsat, eval_clause
+from ppcplab import reductions
 from ppcplab.reductions import (
     Graph,
     gen_planted_yes,
@@ -264,3 +266,67 @@ class TestRandomGenerator:
     def test_awsat_generator_validation(self):
         with pytest.raises(ValueError):
             gen_random_awsat(5, (2, 2), (1, 1), 2, 0)  # sizes don't sum to n
+
+
+# far more than a refused call needs, far less than a list of the size refused
+PEAK_BYTES = 1 << 20
+HUGE = 99_999_999_999
+
+
+def refused_within_peak(call, *args):
+    """The GuardError message of ``call(*args)``, which must raise it
+    without tracing ``PEAK_BYTES`` of allocations."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError) as refused:
+            call(*args)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < PEAK_BYTES
+    return str(refused.value)
+
+
+class TestSizeGuards:
+    """A size read from the command line or a graph header is refused before
+    anything of that size is allocated."""
+
+    def test_a_huge_awsat_variable_count(self):
+        message = refused_within_peak(gen_random_awsat, HUGE, (HUGE,), (1,), 1, 0)
+        assert "10^6 variable pairs" in message
+
+    def test_an_awsat_variable_count_past_the_pair_cap(self):
+        assert "10^6 variable pairs" in refused_within_peak(gen_random_awsat, 1415, (1415,), (1,), 1, 0)
+
+    @pytest.mark.parametrize("generate", [
+        lambda clauses: gen_random(6, clauses, 2, 0),
+        lambda clauses: gen_random(6, clauses, 2, 0, ClassTag.G21P),
+        lambda clauses: gen_random_awsat(6, (3, 3), (1, 1), clauses, 0),
+    ], ids=["g12n", "g21p", "awsat"])
+    def test_a_huge_clause_count(self, generate):
+        assert "at most 10^6 clauses" in refused_within_peak(generate, HUGE)
+
+    @pytest.mark.parametrize("generate", [
+        lambda clauses: gen_random(6, clauses, 2, 0),
+        lambda clauses: gen_random_awsat(6, (3, 3), (1, 1), clauses, 0).formula,
+    ], ids=["random", "awsat"])
+    def test_the_clause_cap_is_inclusive(self, monkeypatch, generate):
+        monkeypatch.setattr(reductions, "CAP", 20)
+        assert generate(20).num_clauses == 20
+        with pytest.raises(GuardError):
+            generate(21)
+
+    def test_a_huge_graph_header(self):
+        graph = Graph(HUGE, frozenset({(1, 2), (2, HUGE)}))
+        assert "at most 10^6 vertices" in refused_within_peak(independent_set_to_wsat, graph, 2)
+
+    def test_the_vertex_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(reductions, "CAP", 20)
+        assert independent_set_to_wsat(Graph(20, frozenset({(1, 20)})), 2).num_vars == 20
+        with pytest.raises(GuardError):
+            independent_set_to_wsat(Graph(21, frozenset({(1, 21)})), 2)
+
+    def test_one_awsat_variable_and_a_clause(self):
+        with pytest.raises(ValueError, match="binary clauses need at least two variables"):
+            gen_random_awsat(1, (1,), (0,), 1, 0)
+        assert gen_random_awsat(1, (1,), (0,), 0, 0).formula.clauses == ()

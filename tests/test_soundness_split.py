@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from ppcplab import pcpverify
+from conftest import alive, force_cpus, helper_pids, needs_fork
+from ppcplab import pcpverify, pool
 from ppcplab.arithmetize import BooleanTable
 from ppcplab.formula import ClassTag, brute_force_wsat, parse_pwsat
 from ppcplab.pcpverify import (
@@ -78,42 +79,15 @@ def reference(formula, adversary, trials, base_seed, config=None):
     }
 
 
-@pytest.fixture(autouse=True)
-def no_helpers():
-    """Each test starts and ends with no helper alive."""
-    pcpverify._stop_helpers()
-    yield
-    pcpverify._stop_helpers(kill=True)
-
-
-def force_cpus(monkeypatch, count):
-    """Make the process look as if it may run on ``count`` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def helper_pids():
-    return [helper.pid for helper in pcpverify._helpers]
-
-
-def alive(pid):
-    """Whether ``pid`` is a process that is not a zombie."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except OSError:
-        return False
-    return stat.rsplit(")", 1)[1].split()[0] != "Z"
-
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"), reason="needs os.fork and affinity"
-)
+# each test starts and ends with no helper alive
+pytestmark = pytest.mark.usefixtures("no_helpers")
 
 
 class TestTrialRanges:
     @pytest.mark.parametrize("trials", [0, 1, 2, 3, 7, 24, 25])
     @pytest.mark.parametrize("parts", [1, 2, 3, 4])
     def test_contiguous_cover_with_lengths_within_one(self, trials, parts):
-        ranges = pcpverify._trial_ranges(trials, parts)
+        ranges = pool._trial_ranges(trials, parts)
         assert len(ranges) == parts
         assert [t for part in ranges for t in part] == list(range(trials))
         assert all(part.step == 1 for part in ranges)
@@ -121,8 +95,8 @@ class TestTrialRanges:
         assert max(lengths) - min(lengths) <= 1
 
     def test_extra_trials_go_to_the_first_ranges(self):
-        assert pcpverify._trial_ranges(25, 3) == [range(0, 9), range(9, 17), range(17, 25)]
-        assert pcpverify._trial_ranges(2, 3) == [range(0, 1), range(1, 2), range(2, 2)]
+        assert pool._trial_ranges(25, 3) == [range(0, 9), range(9, 17), range(17, 25)]
+        assert pool._trial_ranges(2, 3) == [range(0, 1), range(1, 2), range(2, 2)]
 
 
 @needs_fork
@@ -137,7 +111,7 @@ def test_split_equals_the_in_process_loop(monkeypatch, adversary, kind, config, 
         assert soundness_experiment(formula, adversary, trials, 11, config) == reference(
             formula, adversary, trials, 11, config
         )
-        assert len(pcpverify._helpers) <= cpus - 1
+        assert len(pool._helpers) <= cpus - 1
 
 
 @pytest.fixture
@@ -158,7 +132,7 @@ def test_split_on_the_real_affinity_equals_the_in_process_loop(at_most_four_cpus
         assert soundness_experiment(G12N, "adaptive", trials, 5, config) == reference(
             G12N, "adaptive", trials, 5, config
         )
-    assert len(pcpverify._helpers) == len(os.sched_getaffinity(0)) - 1
+    assert len(pool._helpers) == len(os.sched_getaffinity(0)) - 1
 
 
 @needs_fork
@@ -224,6 +198,22 @@ class TestHelpers:
         )
         assert seen == [RandomTape(derive_seed(8, t)).seed for t in range(24)]
 
+    def test_the_caller_s_range_runs_on_the_caller_s_own_formula(self, monkeypatch):
+        # only a helper rebuilds the formula and config from the task's plain data
+        force_cpus(monkeypatch, 2)
+        config = CONFIGS["ml_test_reps"]
+        seen = []
+        counted = pcpverify._accepted_in
+
+        def recording(formula, adversary, trials, base_seed, cfg):
+            seen.append((formula, cfg, trials))
+            return counted(formula, adversary, trials, base_seed, cfg)
+
+        monkeypatch.setattr(pcpverify, "_accepted_in", recording)
+        assert soundness_experiment(G12N, "adaptive", 24, 3, config) == reference(G12N, "adaptive", 24, 3, config)
+        assert len(helper_pids()) == 1
+        assert [(formula is G12N, cfg is config, trials) for formula, cfg, trials in seen] == [(True, True, range(12))]
+
     def test_a_raise_in_the_caller_s_range_leaves_no_result_behind(self, monkeypatch):
         force_cpus(monkeypatch, 2)
         config = CONFIGS["explicit_prime"]
@@ -264,7 +254,7 @@ class TestHelpers:
             try:
                 got = soundness_experiment(G12N, "adaptive", 24, 3)
                 fine = got == reference(G12N, "adaptive", 24, 3) and helper not in helper_pids()
-                pcpverify._stop_helpers()
+                pool._stop_helpers()
             finally:
                 os._exit(0 if fine else 1)
         _, status = os.waitpid(pid, 0)
@@ -285,9 +275,9 @@ ATTACK = """
 import os, sys
 cpus = sorted(os.sched_getaffinity(0))
 os.sched_setaffinity(0, cpus[:1] if sys.argv[1] == "one" else cpus[:4])
-from ppcplab import cli, pcpverify
+from ppcplab import cli, pool
 code = cli.main(["attack", sys.argv[2], "--trials", "60", "--seed", "4", "--prime", "5", "--json"])
-print(len(pcpverify._helpers), code, file=sys.stderr)
+print(len(pool._helpers), code, file=sys.stderr)
 """
 
 

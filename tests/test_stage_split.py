@@ -11,7 +11,8 @@ import signal
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ppcplab import arithmetize, pcpverify
+from conftest import force_cpus, helper_pids, needs_fork
+from ppcplab import arithmetize, pcpverify, pool
 from ppcplab.arithmetize import (
     BooleanTable,
     build_w1_summand,
@@ -115,25 +116,8 @@ def no_rerun(monkeypatch):
     monkeypatch.setattr(pcpverify, "run_protocol", refused)
 
 
-@pytest.fixture(autouse=True)
-def no_helpers():
-    """Each test starts and ends with no helper alive."""
-    pcpverify._stop_helpers()
-    yield
-    pcpverify._stop_helpers(kill=True)
-
-
-def force_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def helper_pids():
-    return [helper.pid for helper in pcpverify._helpers]
-
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"), reason="needs os.fork and affinity"
-)
+# each test starts and ends with no helper alive
+pytestmark = pytest.mark.usefixtures("no_helpers")
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +444,8 @@ class TestHelpers:
     def test_a_main_rejection_drops_the_helper_s_task(self, monkeypatch):
         force_cpus(monkeypatch, 2)
         dropped = []
-        original = pcpverify._Helper.drop
-        monkeypatch.setattr(pcpverify._Helper, "drop", lambda helper: dropped.append(1) or original(helper))
+        original = pool._Helper.drop
+        monkeypatch.setattr(pool._Helper, "drop", lambda helper: dropped.append(1) or original(helper))
         formula, table = instance("w2L2")
         both_runs(formula, table, 1)
         assert dropped == []

@@ -1,5 +1,6 @@
-"""Mutation gate over the verifier's checks, the quantifier walks and the
-split of trials, branches and a pass's stages over forked helpers.
+"""Mutation gate over the verifier's checks, the quantifier walks, the
+split of trials, branches and a pass's stages, and the pool of forked
+helpers they run on.
 
     python3 tools/mutants.py
 
@@ -50,12 +51,8 @@ SITES = {
     "pcpverify": [
         "multilinearity_test", "_read_assignment", "run_protocol",
         "protocol_parameters", "_verify",
-        # the split of trials and branches over the helpers, its frames and
-        # the sum over the trial ranges
-        "_trial_ranges", "_split_parts", "_run_split", "_split_accepted",
-        "_read_frame", "_write_frame",
-        # how a range after a rejecting one is dropped
-        "_Helper.drop", "_serve",
+        # the rebinding guard of every split, and the sum over the trial ranges
+        "_unpatched", "_split_accepted",
         # the coin walk that brings a helper's tape to its first branch, and
         # the merge of a helper's ledger into the caller's log
         "_walk_accepting_passes", "_StageLog.extend",
@@ -75,6 +72,12 @@ SITES = {
     ],
     # the quantifier walks: the witness search above and the ground truth
     "formula": ["alternation_moves", "brute_force_awsat"],
+    # the helper pool: the cut into ranges, the run beside the caller and its
+    # frames, and how a task after a rejecting one is dropped
+    "pool": [
+        "_trial_ranges", "ranges", "run_beside", "_read_frame", "_write_frame",
+        "_Helper.drop", "_serve",
+    ],
 }
 
 # the verifier test files, quickest killers first
