@@ -32,9 +32,7 @@ from .pcpverify import (
     protocol_parameters,
     run_g12n_protocol,  # the clause-product pass; bench/tracer.py times it under this name
     verify_w1,
-    _plain,
     _plain_attr,
-    _rebuilt,
     _StageLog,
     _unpatched,
     _walk_accepting_passes,
@@ -312,36 +310,25 @@ def _run_branches(
 
 
 def _branch_range(
-    shape: tuple,
-    cfg: Optional[tuple],
-    blocks: tuple,
-    block_weights: tuple,
-    tables: dict,
-    start: int,
-    stop: int,
-    tape_state: tuple,
+    instance: AwsatInstance,
+    tables: BranchProofTables,
+    branches: list[UniversalBranch],
+    part: range,
+    params: ProtocolParameters,
+    weight_checks: list,
+    tape: RandomTape,
 ) -> tuple:
-    """A helper's part of ``verify_awsat``: branches ``start`` to ``stop - 1``
-    (the formula and config as ``pcpverify._plain`` gives them) with honest
-    provers over ``tables`` (values by key), on the caller's tape at its
-    call (``tape_state``) after the draws of the accepting branches below
-    ``start``.  Returns the range's ``ledger``, its rejection as (stage,
-    round) or None, and the tape's end state, all plain data."""
-    formula, config = _rebuilt(shape, cfg)
-    instance = AwsatInstance(formula, blocks, block_weights)
-    proof = BranchProofTables({key: BooleanTable(formula.m, values) for key, values in tables.items()})
-    params = awsat_parameters(instance, config)
-    weight_checks = _weight_checks(instance)
-    tape = RandomTape(0)
-    tape.setstate(tape_state)
-    _walk_accepting_passes(tape, params, len(weight_checks), start)
+    """A helper's part of ``verify_awsat``: the branches numbered ``part``
+    with honest provers over the verifier's ``tables``, on the caller's
+    tape as it stood at the call, after the draws of the accepting branches
+    below ``part``.  Returns the range's log, its rejecting verdict or None,
+    and the tape's end state."""
+    _walk_accepting_passes(tape, params, len(weight_checks), part.start)
     log = _StageLog()
     rejected = _run_branches(
-        instance, proof, enumerate_universal(instance), range(start, stop),
-        table_committed_prover, tape, log, params, weight_checks,
+        instance, tables, branches, part, table_committed_prover, tape, log, params, weight_checks,
     )
-    rejection = None if rejected is None else (rejected.stage, rejected.rejection_round)
-    return log.ledger(), rejection, tape.getstate()
+    return log, rejected, tape.getstate()
 
 
 def verify_awsat(
@@ -365,7 +352,11 @@ def verify_awsat(
 
     The branches are cut into one range per CPU (``pool.ranges``), and
     ``pool.run_beside`` runs the first on the caller's own tape while a
-    helper runs each other one (``_branch_range``).  A helper reaches its
+    helper runs each other one (``_branch_range``).  Each task carries the
+    caller's own objects, pickled: the instance, the tables the verifier
+    read, the branches, the parameters (so a ``VerifierConfig`` subclass
+    reaches the helper as the numbers it gave), the weight checks and the
+    tape as it stood at the call.  A helper reaches its
     range's tape by drawing alone: every stage is public-coin, so a branch
     that accepts draws a fixed schedule whatever the prover answers
     (``_walk_accepting_passes``).  The caller merges the ranges in order,
@@ -374,8 +365,9 @@ def verify_awsat(
     report and the tape's end state are those of the run in one process.
     Every branch runs in process when ``pool.ranges`` gives one range, the
     tape is not exactly a ``RandomTape``, ``prover_factory`` is not
-    ``table_committed_prover``, or a name ``bench/tracer.py`` rebinds
-    (``_UNTRACED``, ``pcpverify._unpatched``) is not its own."""
+    ``table_committed_prover``, a name ``bench/tracer.py`` rebinds
+    (``_UNTRACED``, ``pcpverify._unpatched``) is not its own, or ``pickle``
+    cannot carry a task (say, an instance of a locally defined class)."""
     if instance.l % 2 == 0:
         raise ValueError("verification needs an odd number of blocks; use pad_to_odd first")
     cfg = config or VerifierConfig()
@@ -407,20 +399,14 @@ def verify_awsat(
         == _UNTRACED
     )
     parts = pool.ranges(len(branches)) if splittable else [range(len(branches))]
-    shared = (
-        *_plain(instance.formula, cfg), instance.blocks, instance.block_weights,
-        {key: table.values for key, table in tables.tables.items()},
-    )
-    # every task carries the tape as it stands at this call, before the
-    # caller's range draws
     rejected, answers = pool.run_beside(
         [
-            (__name__, "_branch_range", (*shared, part.start, part.stop, tape.getstate()))
+            (__name__, "_branch_range", (instance, tables, branches, part, params, weight_checks, tape))
             for part in parts[1:]
         ],
         lambda: run_here(parts[0]),
-        # a rejection, the caller's Verdict or a helper's (stage, round),
-        # decides: the ranges after it are not waited for
+        # a rejection, the caller's or a helper's, decides: the ranges after
+        # it are not waited for
         lambda got: isinstance(got, Verdict) or (got is not None and got[1] is not None),
     )
     for part, got in zip(parts[1:], answers):
@@ -429,9 +415,9 @@ def verify_awsat(
         if got is None:
             rejected = run_here(part)
         else:
-            ledger, rejection, end = got
+            part_log, part_rejected, end = got
             tape.setstate(end)
-            rejected = log.extend(ledger, rejection)
+            rejected = log.extend(part_log, part_rejected)
     return rejected or log.verdict()
 
 

@@ -199,28 +199,18 @@ class _StageLog(ResourceMeter):
         self.close(stage, rounds, False)
         return Verdict(False, self.snapshot(), rnd, stage, tuple(self.reports))
 
-    def ledger(self) -> tuple:
-        """The stage reports as tuples and the meters, as plain data."""
-        reports = [
-            (r.name, r.rounds, r.random_bits, r.proof_bits, r.oracle_queries, r.accepted)
-            for r in self.reports
-        ]
-        return reports, (self.random_bits, self.proof_bits, self.oracle_queries)
-
-    def extend(self, ledger: tuple, rejection: Optional[tuple]) -> Optional[Verdict]:
-        """Append the stage reports of a later part of the run and add its
-        meters, both as ``ledger`` gives them: the rejection at that part's
-        (stage, round) ``rejection``, or None when it accepted."""
-        reports, (random_bits, proof_bits, oracle_queries) = ledger
-        self.reports += [StageReport(*report) for report in reports]
-        self.random_bits += random_bits
-        self.proof_bits += proof_bits
-        self.oracle_queries += oracle_queries
+    def extend(self, part: "_StageLog", rejected: Optional[Verdict]) -> Optional[Verdict]:
+        """Append the stage reports of ``part``, the log of a later part of
+        the run, and add its meters: the rejection at ``rejected``'s stage
+        and round, or None when ``rejected`` is None (that part accepted)."""
+        self.reports += part.reports
+        self.random_bits += part.random_bits
+        self.proof_bits += part.proof_bits
+        self.oracle_queries += part.oracle_queries
         self._mark = self.snapshot()
-        if rejection is None:
+        if rejected is None:
             return None
-        stage, rnd = rejection
-        return Verdict(False, self.snapshot(), rnd, stage, tuple(self.reports))
+        return Verdict(False, self.snapshot(), rejected.rejection_round, rejected.stage, tuple(self.reports))
 
 
 @dataclass(frozen=True)
@@ -557,18 +547,6 @@ def resource_report(
 ADVERSARIES = ("adaptive", "committed", "random")
 
 
-def _plain(formula: WeightedFormula, config: Optional[VerifierConfig]) -> tuple:
-    """The formula's and the config's fields as plain data, for a task."""
-    cfg = None if config is None else (config.epsilon, config.ml_test_reps, config.explicit_prime)
-    return (formula.num_vars, formula.clauses, formula.class_tag.value, formula.k, formula.m), cfg
-
-
-def _rebuilt(shape: tuple, cfg: Optional[tuple]) -> tuple:
-    """The formula and the config that ``_plain`` gave as ``shape`` and ``cfg``."""
-    n, clauses, tag, k, m = shape
-    return WeightedFormula(n, clauses, ClassTag(tag), k, m), None if cfg is None else VerifierConfig(*cfg)
-
-
 def _accepted_in(
     formula: WeightedFormula, adversary: str, trials: range, base_seed: int, config: Optional[VerifierConfig]
 ) -> int:
@@ -592,15 +570,6 @@ def _accepted_in(
     return accepted
 
 
-def _helper_accepted_in(
-    shape: tuple, cfg: Optional[tuple], adversary: str, start: int, stop: int, seed: int
-) -> int:
-    """A helper's part of ``soundness_experiment``: ``_accepted_in`` over
-    trials ``start`` to ``stop - 1``, the formula and config rebuilt."""
-    formula, config = _rebuilt(shape, cfg)
-    return _accepted_in(formula, adversary, range(start, stop), seed, config)
-
-
 def _split_accepted(
     formula: WeightedFormula,
     adversary: str,
@@ -612,10 +581,8 @@ def _split_accepted(
     that the caller and the helpers count; a range no helper answered
     reruns in the caller, so the sum equals the in-process count."""
     parts = pool.ranges(trials) if _unpatched() else [range(trials)]
-    shape, cfg = _plain(formula, config)
-    tasks = [(shape, cfg, adversary, part.start, part.stop, base_seed) for part in parts[1:]]
     here, answers = pool.run_beside(
-        [(__name__, "_helper_accepted_in", task) for task in tasks],
+        [(__name__, "_accepted_in", (formula, adversary, part, base_seed, config)) for part in parts[1:]],
         lambda: _accepted_in(formula, adversary, parts[0], base_seed, config),
     )
     return here + sum(
@@ -675,24 +642,27 @@ def _split_pass(
 
     The pass is public-coin, so the tape alone fixes what an accepting pass
     draws (``_walk_accepting_passes``).  The caller builds the main
-    statement's code arrays, which the clause weights do not change, and
-    sends them to an idle helper with the table bytes and the tape as it
-    stands at the call.  The helper (``_pass_stages``) runs the line test,
-    walks the clause weights and the main rounds to the main stage's final
-    point, computes the summand's read-free factor there
-    (``summand_factor``) and runs the weight stage.  Meanwhile the caller
-    walks the line test's draws, draws the clause weights, metered into the
-    main stage, and runs the main sum-check and its reads.  Its final check
-    takes ``with_reads`` of the helper's factor, which depends on the
-    statement and the point alone, so it is the value ``summand_value``
-    gives in process, and it is taken only if the helper walked to the
-    caller's own weights and point.  The stage reports are merged in stage
-    order, and the tape ends where the stage that decides left it.
+    statement, whose code arrays the clause weights do not change, and
+    sends an idle helper its own objects, pickled: the parameters, that
+    statement with the formula's clauses left out (the code arrays carry
+    them, as bytes when every code fits one, so the task stays small), the
+    table bytes and the tape as it stands at the call.  The helper
+    (``_pass_stages``) runs the line test, walks the clause weights and the
+    main rounds to the main stage's final point, computes the summand's
+    read-free factor there (``summand_factor``) and runs the weight stage.
+    Meanwhile the caller walks the line test's draws, draws the clause
+    weights, metered into the main stage, and runs the main sum-check and
+    its reads.  Its final check takes ``with_reads`` of the helper's
+    factor, which depends on the statement and the point alone, so it is
+    the value ``summand_value`` gives in process, and it is taken only if
+    the helper walked to the caller's own weights and point.  The stage
+    logs are merged in stage order, and the tape ends where the stage that
+    decides left it.
 
     If the main rounds reject, the helper is dropped, and the line test
     reruns here from the saved tape, since in process its rejection would
     come first.  A helper that dies or raises, or walks to another point,
-    gives None."""
+    gives None, and so does a task ``pickle`` cannot carry."""
     m, L, p = params.m, params.padded_len, params.prime
     start = tape.getstate()
     # the code arrays do not depend on the clause weights, so the statement
@@ -711,20 +681,20 @@ def _split_pass(
             return main.reject("main", len(run.transcripts), run.verdict.rejection_round)
         return run, _read_assignment(prover, read_points(spec, run.final_point), main, p)
 
-    # as bytes when every code fits one, which a task carries whole
+    # the statement goes without the formula's clauses, whose code arrays it
+    # carries, as bytes when every code fits one
     try:
         codes = tuple(map(bytes, unweighted.codes))
     except ValueError:
         codes = unweighted.codes
-    statement = (unweighted.num_vars, unweighted.degree_bounds, codes)
-    shape = (formula.num_vars, formula.class_tag.value, formula.k)
+    statement = dataclasses.replace(unweighted, formula=dataclasses.replace(formula, clauses=()), codes=codes)
     here, (got,) = pool.run_beside(
-        [(__name__, "_pass_stages", (vars(params), shape, statement, values, start))],
+        [(__name__, "_pass_stages", (params, statement, values, tape))],
         run_here,
         lambda got: isinstance(got, Verdict),
     )
-    log = _StageLog()
     if isinstance(here, Verdict):
+        log = _StageLog()
         end = tape.getstate()
         tape.setstate(start)
         ok, rep = multilinearity_test(prover, m, params.reps, tape, log, p)
@@ -732,62 +702,48 @@ def _split_pass(
             return log.reject("mltest", rep, rep)
         tape.setstate(end)
         log.close("mltest", params.reps, True)
-        return log.extend(main.ledger(), ("main", here.rejection_round))
+        return log.extend(main, here)
     if got is None:
         tape.setstate(start)
         return None
-    lines, line_rejection, drawn, factor, weight, weight_rejection, end = got
-    if line_rejection is not None:
+    log, line_rejected, drawn, factor, weight, weight_rejected, end = got
+    if line_rejected is not None:
         tape.setstate(end)
-        return log.extend(lines, line_rejection)
+        return line_rejected
     run, reads = here
     if drawn != [*spec.weights, *run.final_point]:
         tape.setstate(start)
         return None
-    log.extend(lines, None)
     if reads is None or with_reads(spec, factor, reads) != run.final_expected:
-        main.close("main", spec.num_vars, False)
-        return log.extend(main.ledger(), ("main", 0))
+        return log.extend(main, main.reject("main", spec.num_vars, 0))
     main.close("main", spec.num_vars, True)
-    log.extend(main.ledger(), None)
+    log.extend(main, None)
     tape.setstate(end)
-    return log.extend(weight, weight_rejection) or log.verdict()
+    return log.extend(weight, weight_rejected) or log.verdict()
 
 
-def _pass_stages(
-    fields: tuple, shape: tuple, statement: tuple, values: bytes, start: tuple
-) -> tuple:
-    """A helper's part of ``_split_pass``, from the task's plain data: the
-    parameters' fields, the formula's n, class and k, the main statement
-    without its formula, the table bytes and the tape's state at the call.
-    The code arrays come as ``bytes`` when every code fits a byte.
-    Returns the line test's ``ledger`` and its rejection as (stage, round)
-    or None, then, if it accepted, the residues walked (clause weights and
-    main rounds), the read-free factor at the main stage's final point and
-    the weight stage's ledger and rejection, and last the tape's end state.
-
-    The main statement's formula is rebuilt without clauses: the factor
-    reads only its n and m, and the code arrays carry the clauses."""
-    params = ProtocolParameters(**fields)
-    (n, tag, k), (num_vars, bounds, codes) = shape, statement
-    m, p = params.m, params.prime
+def _pass_stages(params: ProtocolParameters, statement: SummandSpec, values: bytes, tape: RandomTape) -> tuple:
+    """A helper's part of ``_split_pass``, on the caller's parameters, its
+    main statement without the formula's clauses, the table bytes and the
+    caller's tape as it stood at the call.  Returns the line test's log and
+    its rejecting verdict or None, then, if it accepted, the residues walked
+    (clause weights and main rounds), the read-free factor at the main
+    stage's final point and the weight stage's log and rejecting verdict or
+    None, and last the tape's end state.  The factor reads only the
+    formula's n and m, and the code arrays carry the clauses."""
+    m, p, formula = params.m, params.prime, statement.formula
     prover = TableCommittedProver(BooleanTable(m, values))
-    tape = RandomTape(0)
-    tape.setstate(start)
     lines = _StageLog()
     ok, rep = multilinearity_test(prover, m, params.reps, tape, lines, p)
     if not ok:
-        lines.reject("mltest", rep, rep)
-        return lines.ledger(), ("mltest", rep), None, None, None, None, tape.getstate()
+        return lines, lines.reject("mltest", rep, rep), None, None, None, None, tape.getstate()
     lines.close("mltest", params.reps, True)
     drawn = _walk_accepting_passes(tape, params, 0, 1, lines=False)
-    formula = WeightedFormula(n, (), ClassTag(tag), k, m)
-    spec = SummandSpec(num_vars, bounds, p, formula, tuple(drawn[:m]), codes)
-    factor = summand_factor(spec, tuple(drawn[m:]))
+    factor = summand_factor(dataclasses.replace(statement, weights=tuple(drawn[:m])), tuple(drawn[m:]))
     weight = _StageLog()
-    rejected = _run_stage("weight", build_weight_summand(m, p, _real_block(n, m)), k, prover, tape, weight)
-    rejection = None if rejected is None else (rejected.stage, rejected.rejection_round)
-    return lines.ledger(), None, drawn, factor, weight.ledger(), rejection, tape.getstate()
+    block = _real_block(formula.num_vars, m)
+    rejected = _run_stage("weight", build_weight_summand(m, p, block), formula.k, prover, tape, weight)
+    return lines, None, drawn, factor, weight, rejected, tape.getstate()
 
 
 def soundness_experiment(
@@ -807,9 +763,12 @@ def soundness_experiment(
 
     The trials are independent, so ``pool.ranges`` cuts them into one range
     per CPU: the caller counts the first, and ``pool.run_beside``'s helpers
-    the others (``_helper_accepted_in``).  Every trial runs in process when it
-    gives one range or ``_unpatched()`` fails.  The result does not depend
-    on the split."""
+    the others (``_accepted_in``), each on the caller's own formula and
+    config, pickled, so a ``VerifierConfig`` subclass counts alike on every
+    side.  Every trial runs in process when ``pool.ranges`` gives one range,
+    ``_unpatched()`` fails or ``pickle`` cannot carry the task (say, a
+    config of a locally defined class).  The result does not depend on the
+    split."""
     if adversary not in ADVERSARIES:
         raise ValueError(f"unknown adversary {adversary!r}, pick one of {ADVERSARIES}")
     if trials < 0:

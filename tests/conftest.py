@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ppcplab import pool
+from ppcplab.pcpverify import VerifierConfig
 
 
 @pytest.fixture
@@ -38,3 +39,12 @@ def alive(pid):
 needs_fork = pytest.mark.skipif(
     not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"), reason="needs os.fork and affinity"
 )
+
+
+class TwoLines(VerifierConfig):
+    """Two line-test repetitions at every m, where the base class runs 5m: a
+    helper that ran its part under the base class would draw, meter and
+    accept otherwise than the caller.  Module-level, so a task can carry it."""
+
+    def reps_for(self, m):
+        return 2

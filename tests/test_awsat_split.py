@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from conftest import alive, force_cpus, helper_pids, needs_fork
+from conftest import TwoLines, alive, force_cpus, helper_pids, needs_fork
 from golden.record import _awsat_instances
 from ppcplab import awsat, pcpverify, pool
 from ppcplab.arithmetize import BooleanTable
@@ -98,6 +98,8 @@ YES = gen_random_awsat(10, (3, 4, 3), (1, 2, 1), 3, 5)
 FIVE = (11, (2, 3, 2, 3, 1), (1, 1, 1, 1, 1), 4)
 FALLBACK_EARLY = gen_random_awsat(*FIVE, 0)
 FALLBACK_LATE = gen_random_awsat(*FIVE, 24)
+# 15 branches (blocks 3, 6, 3 at weights 1, 2, 1), a yes-instance
+FIFTEEN = gen_random_awsat(12, (3, 6, 3), (1, 2, 1), 3, 2)
 
 
 def falsifying(pair):
@@ -257,6 +259,26 @@ def test_a_non_default_config(monkeypatch, cpus):
 
 
 @needs_fork
+def test_a_config_subclass_reaches_the_helpers(monkeypatch):
+    # a helper that ran its branches under the base class's 5m repetitions
+    # would meter 19,280 random bits in all, not 6,517
+    force_cpus(monkeypatch, 2)
+    assert universal_branch_count(FIFTEEN) == 15
+    split, plain = both_runs(FIFTEEN, honest_branch_tables(FIFTEEN), 3, TwoLines())
+    assert split == plain
+    assert split[0].accepted and split[0].stages[0].rounds == 2
+    assert len(helper_pids()) == 1
+
+
+@needs_fork
+def test_a_fraction_epsilon_crosses_the_wire(monkeypatch):
+    force_cpus(monkeypatch, 2)
+    split, plain = both_runs(YES, honest_branch_tables(YES), 6, VerifierConfig(epsilon=Fraction(1, 4)))
+    assert split == plain and split[0].accepted
+    assert len(helper_pids()) == 1
+
+
+@needs_fork
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_a_tape_that_has_already_drawn(monkeypatch, cpus):
     force_cpus(monkeypatch, cpus)
@@ -348,9 +370,16 @@ class TestInProcess:
             release.set()
             waiter.join()
 
-    def test_an_argument_marshal_cannot_carry(self, monkeypatch):
+    def test_an_argument_pickle_cannot_carry(self, monkeypatch):
+        # the config stays in the caller (the tasks carry the parameters it
+        # gives), so the locally defined class is the instance's
         force_cpus(monkeypatch, 2)
-        assert assert_in_process(config=VerifierConfig(epsilon=Fraction(1, 4))).accepted
+
+        class Local(AwsatInstance):
+            pass
+
+        instance = Local(YES.formula, YES.blocks, YES.block_weights)
+        assert assert_in_process(instance, honest_branch_tables(YES)).accepted
 
     def test_a_tape_subclass(self, monkeypatch):
         force_cpus(monkeypatch, 2)
@@ -394,6 +423,17 @@ class TestInProcess:
         assert_in_process()
 
 
+class Unloadable:
+    """Pickles, but raises when unpickled."""
+
+    def __reduce__(self):
+        return refuse, ()
+
+
+def refuse():
+    raise RuntimeError("refused")
+
+
 STALL_S = 15
 
 
@@ -408,11 +448,11 @@ def stall_from(monkeypatch, marker, first):
     honest = len(honest_branch_tables(YES).tables)
     seen = []
 
-    def stalled(formula, config, blocks, weights, tables, start, *rest):
-        if start >= first and len(tables) != honest:
+    def stalled(instance, tables, branches, part, *rest):
+        if part.start >= first and len(tables.tables) != honest:
             marker.touch()
             time.sleep(STALL_S)
-        return original_range(formula, config, blocks, weights, tables, start, *rest)
+        return original_range(instance, tables, branches, part, *rest)
 
     def waiting(instance, tables, branches, part, *rest):
         if part.start == 0 and len(tables.tables) != honest:
@@ -461,14 +501,26 @@ class TestHelpers:
         original = pool.run_beside
 
         def spoiled(tasks, *rest):
-            # tables of the wrong size: the helper's range raises there
-            tasks = [(module, name, (*args[:4], {(1, ""): b"\0"}, *args[5:])) for module, name, args in tasks]
+            # a table of the wrong size: the helper's range raises there
+            tables = BranchProofTables({(1, ""): BooleanTable(1, b"\0\0")})
+            tasks = [(module, name, (args[0], tables, *args[2:])) for module, name, args in tasks]
             return original(tasks, *rest)
 
         monkeypatch.setattr(pool, "run_beside", spoiled)
         split, plain = both_runs(YES, honest_branch_tables(YES), 9)
         assert split == plain and split[0].accepted
         assert helper not in helper_pids() and not alive(helper)
+
+    def test_an_answer_that_does_not_unpickle_reads_as_a_dead_helper(self, monkeypatch):
+        force_cpus(monkeypatch, 2)
+        forked = []
+        original = pool._fork_helper
+        monkeypatch.setattr(pool, "_fork_helper", lambda: forked.append(original()) or forked[-1])
+        # patched before the helper is forked, so its range answers this too
+        monkeypatch.setattr(awsat, "_branch_range", lambda *args: Unloadable())
+        split, plain = both_runs(YES, honest_branch_tables(YES), 9)
+        assert split == plain and split[0].accepted
+        assert len(forked) == 1 and helper_pids() == [] and not alive(forked[0].pid)
 
     def test_a_fork_that_fails_leaves_its_range_to_the_caller(self, monkeypatch):
         force_cpus(monkeypatch, 3)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import alive, force_cpus, helper_pids, needs_fork
+from conftest import TwoLines, alive, force_cpus, helper_pids, needs_fork
 from ppcplab import pcpverify, pool
 from ppcplab.arithmetize import BooleanTable
 from ppcplab.formula import ClassTag, brute_force_wsat, parse_pwsat
@@ -114,6 +114,16 @@ def test_split_equals_the_in_process_loop(monkeypatch, adversary, kind, config, 
         assert len(pool._helpers) <= cpus - 1
 
 
+@needs_fork
+def test_a_config_subclass_reaches_the_helpers(monkeypatch):
+    # a helper that counted under the base class's 5m repetitions would
+    # accept 141 of these trials, not 136
+    force_cpus(monkeypatch, 2)
+    config = TwoLines(explicit_prime=5)
+    assert soundness_experiment(G12N, "adaptive", 200, 5, config) == reference(G12N, "adaptive", 200, 5, config)
+    assert len(helper_pids()) == 1
+
+
 @pytest.fixture
 def at_most_four_cpus():
     """The process's own affinity, cut to four CPUs so a test forks a handful
@@ -199,7 +209,7 @@ class TestHelpers:
         assert seen == [RandomTape(derive_seed(8, t)).seed for t in range(24)]
 
     def test_the_caller_s_range_runs_on_the_caller_s_own_formula(self, monkeypatch):
-        # only a helper rebuilds the formula and config from the task's plain data
+        # a helper's range runs on the copies its task carries
         force_cpus(monkeypatch, 2)
         config = CONFIGS["ml_test_reps"]
         seen = []
@@ -235,11 +245,23 @@ class TestHelpers:
         assert not alive(helper)
         assert soundness_experiment(G12N, "committed", 24, 8) == reference(G12N, "committed", 24, 8)
 
-    def test_arguments_marshal_cannot_carry_run_in_process(self, monkeypatch):
+    def test_a_fraction_epsilon_crosses_the_wire(self, monkeypatch):
         force_cpus(monkeypatch, 2)
+        config = VerifierConfig(epsilon=Fraction(1, 4))
+        assert soundness_experiment(G12N, "adaptive", 24, 3, config) == reference(G12N, "adaptive", 24, 3, config)
+        assert len(helper_pids()) == 1
+
+    def test_arguments_pickle_cannot_carry_run_in_process(self, monkeypatch):
+        force_cpus(monkeypatch, 2)
+
+        class Local(VerifierConfig):
+            pass
+
+        config = Local(explicit_prime=5)
+        assert soundness_experiment(G12N, "adaptive", 24, 3, config) == reference(G12N, "adaptive", 24, 3, config)
+        assert helper_pids() == []
         soundness_experiment(G12N, "committed", 4, 0)
         (helper,) = helper_pids()
-        config = VerifierConfig(epsilon=Fraction(1, 4))
         assert soundness_experiment(G12N, "adaptive", 24, 3, config) == reference(G12N, "adaptive", 24, 3, config)
         assert helper_pids() == [helper]
         assert soundness_experiment(G12N, "committed", 4, 0) == reference(G12N, "committed", 4, 0)

@@ -54,7 +54,7 @@ SITES = {
         # the rebinding guard of every split, and the sum over the trial ranges
         "_unpatched", "_split_accepted",
         # the coin walk that brings a helper's tape to its first branch, and
-        # the merge of a helper's ledger into the caller's log
+        # the merge of a helper's log and rejection into the caller's log
         "_walk_accepting_passes", "_StageLog.extend",
         # one stage of a pass, and the split of a pass's stages: the reading
         # of the prover's table, the caller's part and its merge, the helper's
